@@ -27,7 +27,7 @@ fn bench_deletion(c: &mut Criterion) {
         let deletions = workload::flights_remove_legs(&base, batch, 0xD00D);
         let mut surviving = base.clone();
         assert_eq!(surviving.remove_facts(&deletions), batch);
-        let evaluator = Evaluator::new(&program, EvalOptions::indexed());
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
         let materialized = evaluator.evaluate(&base);
         assert_eq!(
             evaluator

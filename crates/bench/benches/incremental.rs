@@ -28,7 +28,7 @@ fn bench_incremental(c: &mut Criterion) {
         for fact in &updates {
             full.add(fact.clone());
         }
-        let evaluator = Evaluator::new(&program, EvalOptions::indexed());
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
         let materialized = evaluator.evaluate(&base);
         assert_eq!(
             evaluator

@@ -1,7 +1,7 @@
 //! Thread-scaling of the parallel semi-naive fixpoint.
 //!
 //! Each benchmark evaluates the same scaled flights workload with the
-//! indexed join core at 1, 2, 4, and 8 worker threads.  The parallel
+//! evaluator at 1, 2, 4, and 8 worker threads.  The parallel
 //! evaluator is bit-for-bit identical to the sequential one (see
 //! `tests/differential.rs`), so the curves measure pure scheduling overhead
 //! versus sharding win: on a multi-core machine the wide derivation rounds
@@ -26,7 +26,7 @@ fn bench_threads(
     db: &Database,
 ) {
     for threads in THREADS {
-        let evaluator = Evaluator::new(program, EvalOptions::indexed().with_threads(threads));
+        let evaluator = Evaluator::new(program, EvalOptions::default().with_threads(threads));
         group.bench_with_input(BenchmarkId::new(label.to_string(), threads), db, |b, db| {
             b.iter(|| black_box(&evaluator).evaluate(black_box(db)));
         });

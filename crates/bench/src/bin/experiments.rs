@@ -9,43 +9,13 @@
 //!
 //! Available experiment names: `table1`, `table2`, `flights`, `ex41`, `ex42`,
 //! `balbin`, `orderings`, `overlap`, `parallel`, `incremental`, `deletion`,
-//! `memory`, `joins`, `telemetry`, `analyze`, `all`.
+//! `telemetry`, `analyze`, `all`.
 //!
-//! The `memory` experiment (and `all`, which includes it) additionally
-//! writes the machine-readable `BENCH_6.json` artifact to the current
-//! directory (override the path with `PCS_BENCH_JSON`); the `joins`
-//! experiment likewise writes `BENCH_8.json` (override with
-//! `PCS_BENCH_JOINS_JSON`) and the `telemetry` experiment `BENCH_9.json`
-//! (override with `PCS_BENCH_TELEMETRY_JSON`).
+//! The `telemetry` experiment (and `all`, which includes it) additionally
+//! writes the machine-readable `BENCH_9.json` artifact to the current
+//! directory (override the path with `PCS_BENCH_TELEMETRY_JSON`).
 
 use pcs_bench::experiments;
-
-/// Measures the memory experiment, writes `BENCH_6.json`, and returns the
-/// printable table.
-fn memory_with_artifact() -> String {
-    let rows = experiments::memory_rows(experiments::MEMORY_SCALES);
-    let path = std::env::var("PCS_BENCH_JSON").unwrap_or_else(|_| "BENCH_6.json".to_string());
-    match std::fs::write(&path, experiments::bench6_json(&rows)) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
-    experiments::render_memory(&rows)
-}
-
-/// Measures the join-planning experiment, writes `BENCH_8.json`, and
-/// returns the printable table.
-fn joins_with_artifact() -> String {
-    let rows = experiments::joins_rows(
-        experiments::JOINS_FLIGHTS_SCALES,
-        experiments::JOINS_7X_EDGES,
-    );
-    let path = std::env::var("PCS_BENCH_JOINS_JSON").unwrap_or_else(|_| "BENCH_8.json".to_string());
-    match std::fs::write(&path, experiments::bench8_json(&rows)) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
-    experiments::render_joins(&rows)
-}
 
 /// Measures the telemetry-overhead experiment, writes `BENCH_9.json`, and
 /// returns the printable table.
@@ -77,20 +47,12 @@ fn main() {
         "parallel" | "threads" => experiments::parallel_scaling(&[1, 2, 4, 8]),
         "incremental" | "resume" => experiments::incremental(&[(60, 120, 4), (100, 200, 8)]),
         "deletion" | "retract" => experiments::deletion(&[(60, 120, 4), (100, 200, 8)]),
-        "memory" | "columnar" => memory_with_artifact(),
-        "joins" | "plans" => joins_with_artifact(),
         "telemetry" | "overhead" => telemetry_with_artifact(),
         "analyze" | "lint" => experiments::analyze(),
-        "all" => format!(
-            "{}\n{}\n{}\n{}",
-            experiments::all(),
-            memory_with_artifact(),
-            joins_with_artifact(),
-            telemetry_with_artifact()
-        ),
+        "all" => format!("{}\n{}", experiments::all(), telemetry_with_artifact()),
         other => {
             eprintln!(
-                "unknown experiment `{other}`; expected one of table1, table2, flights, ex41, ex42, balbin, orderings, overlap, parallel, incremental, deletion, memory, joins, telemetry, analyze, all"
+                "unknown experiment `{other}`; expected one of table1, table2, flights, ex41, ex42, balbin, orderings, overlap, parallel, incremental, deletion, telemetry, analyze, all"
             );
             std::process::exit(2);
         }

@@ -324,7 +324,7 @@ pub fn parallel_scaling(thread_counts: &[usize]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Parallel fixpoint thread-scaling (indexed core; this machine has {hardware} hardware thread{})",
+        "Parallel fixpoint thread-scaling (this machine has {hardware} hardware thread{})",
         if hardware == 1 { "" } else { "s" }
     );
     for (label, db) in [
@@ -345,7 +345,7 @@ pub fn parallel_scaling(thread_counts: &[usize]) -> String {
         );
         let mut baseline: Option<Duration> = None;
         for &threads in thread_counts {
-            let evaluator = Evaluator::new(&program, EvalOptions::indexed().with_threads(threads));
+            let evaluator = Evaluator::new(&program, EvalOptions::default().with_threads(threads));
             let mut best = Duration::MAX;
             let mut total_facts = 0;
             for _ in 0..3 {
@@ -534,127 +534,6 @@ pub fn deletion(scales: &[(usize, usize, usize)]) -> String {
     out
 }
 
-/// Default scales of the E16 memory experiment: the paper-scale flights
-/// sweep tops out at 120 extra legs, so 1200 and 2400 random legs are the
-/// 10× and 20× workloads the columnar payoff is measured on.
-pub const MEMORY_SCALES: &[(usize, usize)] = &[(10, 120), (100, 1200), (140, 2400)];
-
-/// One measured configuration of the memory-footprint experiment (also the
-/// row shape serialized into `BENCH_6.json`).
-pub struct MemoryRow {
-    /// Workload label, e.g. `flights 100c/1200l`.
-    pub workload: String,
-    /// Rewriting strategy evaluated: `optimal` (magic, scan-dominated) or
-    /// `pred,qrp` (full constrained closure, join-dominated).
-    pub strategy: &'static str,
-    /// Storage layout under measurement: `columnar` or `row-wise`.
-    pub layout: &'static str,
-    /// Median wall-clock evaluation time over the timed runs, milliseconds.
-    pub median_ms: f64,
-    /// Stored fact bytes at fixpoint (`EvalResult::approx_fact_bytes`) —
-    /// the peak, since a from-scratch evaluation only accumulates facts.
-    pub peak_fact_bytes: usize,
-    /// Stored facts at fixpoint.
-    pub total_facts: usize,
-    /// `peak_fact_bytes / total_facts`.
-    pub bytes_per_fact: f64,
-    /// Total derivations performed (throughput denominator).
-    pub derivations: usize,
-}
-
-/// E16 (PR 6): memory footprint and join throughput of the interned
-/// columnar ground store versus the row-wise fact tail, on random flights
-/// workloads 10–20× the paper-scale sweep.  Both layouts evaluate the same
-/// optimal-strategy program over the same EDB; the fact totals double as a
-/// live check that the layout changes no answers.
-pub fn memory_rows(scales: &[(usize, usize)]) -> Vec<MemoryRow> {
-    use std::time::Instant;
-
-    let program = programs::flights();
-    let mut rows = Vec::new();
-    for (strategy_name, strategy) in [
-        ("optimal", Strategy::Optimal),
-        ("pred,qrp", Strategy::ConstraintRewrite),
-    ] {
-        let optimized = Optimizer::new(program.clone())
-            .strategy(strategy)
-            .optimize()
-            .expect("optimization succeeds");
-        for &(cities, legs) in scales {
-            let db = crate::workload::random_flights_database(cities, legs, 0xFACADE);
-            let workload = format!("flights {cities}c/{legs}l");
-            let mut layout_facts = Vec::new();
-            for (layout, columnar) in [("columnar", true), ("row-wise", false)] {
-                let evaluator = Evaluator::new(
-                    &optimized.program,
-                    EvalOptions::default().with_columnar(columnar),
-                );
-                let mut times = Vec::new();
-                let (mut peak, mut facts, mut derivations) = (0, 0, 0);
-                for _ in 0..5 {
-                    let start = Instant::now();
-                    let result = evaluator.evaluate(&db);
-                    times.push(start.elapsed());
-                    peak = result.approx_fact_bytes();
-                    facts = result.total_facts();
-                    derivations = result.stats.total_derivations();
-                }
-                times.sort();
-                layout_facts.push(facts);
-                rows.push(MemoryRow {
-                    workload: workload.clone(),
-                    strategy: strategy_name,
-                    layout,
-                    median_ms: times[times.len() / 2].as_secs_f64() * 1e3,
-                    peak_fact_bytes: peak,
-                    total_facts: facts,
-                    bytes_per_fact: peak as f64 / facts.max(1) as f64,
-                    derivations,
-                });
-            }
-            assert_eq!(
-                layout_facts[0], layout_facts[1],
-                "columnar and row-wise layouts stored different fact counts"
-            );
-        }
-    }
-    rows
-}
-
-/// Renders [`memory_rows`] as a printable table.
-pub fn memory(scales: &[(usize, usize)]) -> String {
-    render_memory(&memory_rows(scales))
-}
-
-/// Renders already-measured memory rows as a printable table.
-pub fn render_memory(rows: &[MemoryRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Memory footprint: interned columnar ground store vs row-wise fact tail (median of 5)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<22} {:<10} {:<10} {:>10} {:>14} {:>9} {:>12} {:>10}",
-        "workload", "strategy", "layout", "median", "fact bytes", "bytes/f", "facts", "derivs"
-    );
-    for row in rows {
-        let _ = writeln!(
-            out,
-            "{:<22} {:<10} {:<10} {:>8.2}ms {:>14} {:>9.1} {:>12} {:>10}",
-            row.workload,
-            row.strategy,
-            row.layout,
-            row.median_ms,
-            row.peak_fact_bytes,
-            row.bytes_per_fact,
-            row.total_facts,
-            row.derivations
-        );
-    }
-    out
-}
-
 /// A scalar cell of a machine-readable `BENCH_*.json` artifact row.
 pub enum BenchField {
     /// Rendered as a quoted JSON string (the value must not need escaping).
@@ -674,7 +553,7 @@ impl BenchField {
 
 /// Serializes experiment rows as a `BENCH_*.json` artifact: one object per
 /// measured configuration, machine-readable for CI trend tracking.  Shared
-/// by the `memory`, `joins`, and `telemetry` experiments so the artifact
+/// by the `telemetry` and `load` experiments so the artifact
 /// framing (experiment name, issue number, row list) stays uniform.
 pub fn bench_json(experiment: &str, issue: u32, rows: &[Vec<(&str, BenchField)>]) -> String {
     let mut out =
@@ -698,178 +577,7 @@ pub fn bench_json(experiment: &str, issue: u32, rows: &[Vec<(&str, BenchField)>]
     out
 }
 
-/// Serializes memory rows as the `BENCH_6.json` artifact via [`bench_json`].
-pub fn bench6_json(rows: &[MemoryRow]) -> String {
-    let rows: Vec<Vec<(&str, BenchField)>> = rows
-        .iter()
-        .map(|row| {
-            vec![
-                ("workload", BenchField::Str(row.workload.clone())),
-                ("strategy", BenchField::Str(row.strategy.to_string())),
-                ("layout", BenchField::Str(row.layout.to_string())),
-                ("median_ms", BenchField::Float(row.median_ms, 3)),
-                ("peak_fact_bytes", BenchField::count(row.peak_fact_bytes)),
-                ("bytes_per_fact", BenchField::Float(row.bytes_per_fact, 2)),
-                ("total_facts", BenchField::count(row.total_facts)),
-                ("derivations", BenchField::count(row.derivations)),
-            ]
-        })
-        .collect();
-    bench_json("memory_footprint_vs_throughput", 6, &rows)
-}
-
-/// Default flights scales of the E8 join-planning experiment, matching the
-/// `joins` criterion bench.
-pub const JOINS_FLIGHTS_SCALES: &[(usize, usize)] = &[(60, 120), (100, 200)];
-
-/// Default Example 7.1 edge counts of the E8 join-planning experiment.
-pub const JOINS_7X_EDGES: &[usize] = &[400];
-
-/// One measured configuration of the join-planning experiment (also the
-/// row shape serialized into `BENCH_8.json`).
-pub struct JoinsRow {
-    /// Workload label, e.g. `flights 100c/200l`.
-    pub workload: String,
-    /// Join core under measurement: `indexed` or `legacy`.
-    pub core: &'static str,
-    /// Ordering mode: `static` (precompiled plans) or `dynamic` (the
-    /// `PCS_PLAN=off` per-fixpoint reordering path).
-    pub plan: &'static str,
-    /// Median wall-clock evaluation time over the timed runs, milliseconds.
-    pub median_ms: f64,
-    /// Stored facts at fixpoint (a live parity check across plan modes).
-    pub total_facts: usize,
-    /// Total derivations performed.
-    pub derivations: usize,
-    /// Iterations to fixpoint.
-    pub iterations: usize,
-}
-
-/// E8 (PR 8): precompiled static join plans versus the dynamic
-/// per-iteration ordering, on both join cores over the scaled-up `joins`
-/// bench workloads.  Every (workload × core) pair runs plan-on and
-/// plan-off on the same optimized program and EDB; the fact totals double
-/// as a live check that the planner changes no answers.
-pub fn joins_rows(flights_scales: &[(usize, usize)], ex71_edges: &[usize]) -> Vec<JoinsRow> {
-    use std::time::Instant;
-
-    let mut cases: Vec<(String, Program, Database)> = Vec::new();
-    for &(cities, legs) in flights_scales {
-        cases.push((
-            format!("flights {cities}c/{legs}l"),
-            programs::flights(),
-            crate::workload::random_flights_database(cities, legs, 0xC0FFEE),
-        ));
-    }
-    for &edges in ex71_edges {
-        cases.push((
-            format!("ex71 {edges}e"),
-            programs::example_71(),
-            crate::workload::random_7x_database(edges, 60, 50, 7),
-        ));
-    }
-    let mut rows = Vec::new();
-    for (workload, program, db) in cases {
-        let optimized = Optimizer::new(program)
-            .strategy(Strategy::Optimal)
-            .optimize()
-            .expect("optimization succeeds");
-        for (core, base) in [
-            ("indexed", EvalOptions::indexed()),
-            ("legacy", EvalOptions::legacy()),
-        ] {
-            let mut mode_facts = Vec::new();
-            for (plan_name, plan) in [("dynamic", false), ("static", true)] {
-                let mut times = Vec::new();
-                let (mut facts, mut derivations, mut iterations) = (0, 0, 0);
-                for _ in 0..5 {
-                    let start = Instant::now();
-                    let result = optimized.evaluate_with(&db, base.clone().with_plan(plan));
-                    times.push(start.elapsed());
-                    facts = result.total_facts();
-                    derivations = result.stats.total_derivations();
-                    iterations = result.stats.iterations.len();
-                }
-                times.sort();
-                mode_facts.push(facts);
-                rows.push(JoinsRow {
-                    workload: workload.clone(),
-                    core,
-                    plan: plan_name,
-                    median_ms: times[times.len() / 2].as_secs_f64() * 1e3,
-                    total_facts: facts,
-                    derivations,
-                    iterations,
-                });
-            }
-            assert_eq!(
-                mode_facts[0], mode_facts[1],
-                "dynamic and static orderings stored different fact counts"
-            );
-        }
-    }
-    rows
-}
-
-/// Renders already-measured join-planning rows as a printable table; the
-/// `static` rows carry a speedup column against their `dynamic` twin.
-pub fn render_joins(rows: &[JoinsRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Join planning: precompiled static plans vs dynamic reordering (median of 5)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<22} {:<8} {:<8} {:>10} {:>12} {:>10} {:>6} {:>8}",
-        "workload", "core", "plan", "median", "facts", "derivs", "iters", "speedup"
-    );
-    for row in rows {
-        let speedup = rows
-            .iter()
-            .find(|r| r.workload == row.workload && r.core == row.core && r.plan == "dynamic")
-            .filter(|_| row.plan == "static" && row.median_ms > 0.0)
-            .map_or_else(String::new, |dynamic| {
-                format!("{:.2}x", dynamic.median_ms / row.median_ms)
-            });
-        let _ = writeln!(
-            out,
-            "{:<22} {:<8} {:<8} {:>8.2}ms {:>12} {:>10} {:>6} {:>8}",
-            row.workload,
-            row.core,
-            row.plan,
-            row.median_ms,
-            row.total_facts,
-            row.derivations,
-            row.iterations,
-            speedup
-        );
-    }
-    out
-}
-
-/// Serializes join-planning rows as the `BENCH_8.json` artifact via
-/// [`bench_json`].
-pub fn bench8_json(rows: &[JoinsRow]) -> String {
-    let rows: Vec<Vec<(&str, BenchField)>> = rows
-        .iter()
-        .map(|row| {
-            vec![
-                ("workload", BenchField::Str(row.workload.clone())),
-                ("core", BenchField::Str(row.core.to_string())),
-                ("plan", BenchField::Str(row.plan.to_string())),
-                ("median_ms", BenchField::Float(row.median_ms, 3)),
-                ("total_facts", BenchField::count(row.total_facts)),
-                ("derivations", BenchField::count(row.derivations)),
-                ("iterations", BenchField::count(row.iterations)),
-            ]
-        })
-        .collect();
-    bench_json("static_join_planning", 8, &rows)
-}
-
-/// Default flights scales of the telemetry-overhead experiment, matching
-/// the join-planning sweep so the two artifacts are comparable.
+/// Default flights scales of the telemetry-overhead experiment.
 pub const TELEMETRY_FLIGHTS_SCALES: &[(usize, usize)] = &[(60, 120), (100, 200)];
 
 /// Default Example 7.1 edge counts of the telemetry-overhead experiment.
@@ -1196,25 +904,6 @@ mod tests {
         assert!(report.contains("retract"));
         assert!(report.contains("retracted legs"));
         assert!(report.contains("pred,qrp,mg (optimal)"));
-    }
-
-    #[test]
-    fn joins_rows_pair_static_with_dynamic_and_agree_on_facts() {
-        let rows = joins_rows(&[(6, 15)], &[40]);
-        // 2 workloads × 2 cores × 2 ordering modes.
-        assert_eq!(rows.len(), 8);
-        for pair in rows.chunks(2) {
-            assert_eq!(pair[0].plan, "dynamic");
-            assert_eq!(pair[1].plan, "static");
-            assert_eq!(pair[0].total_facts, pair[1].total_facts);
-            assert_eq!(pair[0].derivations, pair[1].derivations);
-            assert_eq!(pair[0].iterations, pair[1].iterations);
-        }
-        let table = render_joins(&rows);
-        assert!(table.contains("speedup"));
-        let json = bench8_json(&rows);
-        assert!(json.contains("\"experiment\": \"static_join_planning\""));
-        assert!(json.contains("\"issue\": 8"));
     }
 
     #[test]

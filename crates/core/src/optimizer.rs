@@ -127,9 +127,8 @@ impl Optimizer {
         &self.strategy
     }
 
-    /// Sets the evaluation options the [`Optimized`] program will use (e.g.
-    /// `EvalOptions::legacy()` to evaluate with the nested-loop join core
-    /// instead of the default indexed one).
+    /// Sets the evaluation options the [`Optimized`] program will use
+    /// (limits, tracing, worker threads, dead-rule pruning, telemetry).
     pub fn eval_options(mut self, eval: EvalOptions) -> Self {
         self.eval = eval;
         self
@@ -242,7 +241,7 @@ impl Optimizer {
         // per-position intervals must describe the rewritten predicates
         // (magic predicates included).  `PCS_ANALYZE=off` keeps the hints
         // empty; the planner then falls back to the structural order.
-        if mode != AnalyzeMode::Off && optimized.eval.plan {
+        if mode != AnalyzeMode::Off {
             let _span = pcs_telemetry::span_if(self.eval.telemetry, pcs_telemetry::Phase::Analyze);
             let options = AnalyzeOptions::new().with_edb_constraints(self.edb_constraints.clone());
             optimized.eval.hints =
@@ -326,8 +325,9 @@ pub struct Optimized {
     /// The predicate holding the query answers after rewriting (the adorned
     /// query predicate when Magic Templates was applied).
     pub query_pred: Pred,
-    /// The evaluation options configured on the [`Optimizer`] (indexed vs
-    /// legacy join core, limits, tracing).
+    /// The evaluation options configured on the [`Optimizer`] (limits,
+    /// tracing, threads), plus the analyzer-derived selectivity hints
+    /// [`Optimizer::optimize`] filled in for the plan compiler.
     pub eval: EvalOptions,
     /// The static-analysis findings for the source program, sorted most
     /// severe first.  Empty when `PCS_ANALYZE=off` (and dead-rule pruning was
@@ -394,8 +394,7 @@ impl Optimized {
     /// of the rewritten program, one deterministic line per plan with
     /// per-literal cost annotations — the backing of the shell's `.explain`
     /// command.  The plans are compiled with the same analyzer-derived hints
-    /// the evaluators use; with [`EvalOptions::plan`] off the rendered plans
-    /// describe what *would* run with plans on.
+    /// the evaluators use, so what is rendered is what runs.
     pub fn explain(&self) -> Vec<String> {
         let flat = self.program.flattened();
         let plans = pcs_engine::compile_plans(&flat, &self.eval.hints);
@@ -449,25 +448,14 @@ mod tests {
 
     #[test]
     fn eval_options_thread_through_the_builder() {
-        let program = programs::flights();
-        let db = programs::flights_database(6, 10);
-        let indexed = Optimizer::new(program.clone())
-            .eval_options(EvalOptions::indexed())
+        let optimized = Optimizer::new(programs::flights())
+            .eval_options(EvalOptions::traced(3))
             .optimize()
             .unwrap();
-        let legacy = Optimizer::new(program)
-            .eval_options(EvalOptions::legacy())
-            .optimize()
-            .unwrap();
-        let a = indexed.evaluate(&db);
-        let b = legacy.evaluate(&db);
-        assert!(a.stats.indexed);
-        assert!(!b.stats.indexed);
-        assert_eq!(
-            a.count_for(&Pred::new("flight")),
-            b.count_for(&Pred::new("flight"))
-        );
-        assert_eq!(a.termination, b.termination);
+        assert!(optimized.eval.trace);
+        let result = optimized.evaluate(&programs::flights_database(6, 10));
+        assert_eq!(result.stats.iterations.len(), 3);
+        assert!(!result.stats.iterations[0].records.is_empty());
     }
 
     #[test]
@@ -492,10 +480,8 @@ mod tests {
     fn optimize_derives_plan_hints_and_explain_renders_them() {
         // The flights program constrains leg counts, so the analyzer infers
         // intervals for the rewritten predicates and the hints are non-empty.
-        // Plan compilation is pinned on so the test is PCS_PLAN-independent.
         let optimized = Optimizer::new(programs::flights())
             .strategy(Strategy::ConstraintRewrite)
-            .eval_options(EvalOptions::default().with_plan(true))
             .optimize()
             .unwrap();
         assert!(!optimized.eval.hints.is_empty());
@@ -508,10 +494,11 @@ mod tests {
         assert!(lines.iter().any(|l| l.contains("delta")), "{lines:?}");
         // The rendering is deterministic.
         assert_eq!(lines, optimized.explain());
-        // Plans off still evaluates identically (hints are inert then).
+        // Hints only reorder joins: evaluating without them computes the
+        // same facts from the same derivations.
         let db = programs::flights_database(6, 10);
         let a = optimized.evaluate(&db);
-        let b = optimized.evaluate_with(&db, optimized.eval.clone().with_plan(false));
+        let b = Evaluator::new(&optimized.program, EvalOptions::default()).evaluate(&db);
         assert_eq!(a.termination, b.termination);
         assert_eq!(a.stats.facts_per_predicate, b.stats.facts_per_predicate);
         assert_eq!(a.stats.total_derivations(), b.stats.total_derivations());

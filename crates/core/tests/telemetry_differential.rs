@@ -1,6 +1,6 @@
 //! Differential check that the telemetry layer is purely observational: for
-//! every rewriting strategy and both join cores, a run with telemetry fully
-//! on (global counter mode plus `EvalOptions::telemetry`) produces exactly
+//! every rewriting strategy, sequentially and on a 4-thread pool, a run with
+//! telemetry fully on (global counter mode plus `EvalOptions::telemetry`) produces exactly
 //! the answers and `EvalStats` of a run with telemetry fully off.  The only
 //! permitted difference is `IterationStats::wall_nanos`, which is zero with
 //! telemetry off and populated with it on.
@@ -43,7 +43,6 @@ fn assert_stats_identical(off: &EvalStats, on: &EvalStats, label: &str) {
         off.constraint_facts, on.constraint_facts,
         "{label}: constraint facts"
     );
-    assert_eq!(off.indexed, on.indexed, "{label}: indexed flag");
     assert_eq!(off.resumed, on.resumed, "{label}: resumed flag");
     assert_eq!(off.retracted, on.retracted, "{label}: retracted flag");
     assert_eq!(
@@ -105,11 +104,11 @@ fn telemetry_changes_no_answers_and_no_stats() {
     let previous = pcs_telemetry::mode();
     for (workload, program, db) in &workloads {
         for (strategy_name, strategy) in &strategies {
-            for (core, base) in [
-                ("indexed", EvalOptions::indexed()),
-                ("legacy", EvalOptions::legacy()),
-            ] {
-                let label = format!("{workload}/{strategy_name}/{core}");
+            for threads in [1, 4] {
+                let base = EvalOptions::default()
+                    .with_threads(threads)
+                    .with_min_parallel_work(0);
+                let label = format!("{workload}/{strategy_name}/{threads}-thread");
                 let (off, off_answers) = run(program, db, strategy, &base, false);
                 let (on, on_answers) = run(program, db, strategy, &base, true);
                 assert_eq!(off_answers, on_answers, "{label}: answers");

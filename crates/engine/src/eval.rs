@@ -12,18 +12,15 @@
 //! Fourier–Motzkin work entirely, so programs whose evaluation computes only
 //! ground facts (Theorem 4.4) evaluate with ordinary Datalog-like cost.
 //!
-//! Two join cores are available behind [`EvalOptions::index`]:
-//!
-//! * the default **indexed** core drives each rule application off the
-//!   explicit stable/delta/pending partition of [`Relation`], reorders the
-//!   body literals per delta position (most-bound, most-selective first), and
-//!   probes the per-position hash indexes with the values bound so far,
-//!   falling back to scanning only the constraint-fact tail;
-//! * the **legacy** core re-scans every visible fact with a nested-loop join
-//!   and approximates the semi-naive deltas by slicing on fact counts.  It is
-//!   kept for differential testing (see `tests/differential.rs`).
+//! There is one way to join: every (rule × delta-position) body, and every
+//! join a DRed retraction needs, is compiled once per evaluator into a
+//! static [`JoinPlan`](crate::plan::JoinPlan) and executed by a single
+//! recursive executor over the explicit stable/delta/pending partition of
+//! [`Relation`], probing the per-position hash indexes with the values bound
+//! so far and falling back to a window scan only where a constraint-fact
+//! match left the planned probe column without a value.  The independent
+//! reference the production path is tested against is [`crate::naive`].
 
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
@@ -50,11 +47,6 @@ pub struct EvalOptions {
     /// When `true`, every derivation is recorded in the statistics
     /// (needed to regenerate Tables 1 and 2; expensive for large workloads).
     pub trace: bool,
-    /// When `true` (the default), evaluation uses the indexed join core;
-    /// when `false`, the legacy nested-loop core.  The default can be forced
-    /// to the legacy core by setting the `PCS_EVAL_INDEX` environment
-    /// variable to `off` (used by CI to run the whole suite differentially).
-    pub index: bool,
     /// Number of worker threads for the derivation rounds inside each
     /// iteration.  `1` evaluates on the calling thread through the exact
     /// sequential code path; larger values shard the
@@ -74,31 +66,12 @@ pub struct EvalOptions {
     /// identical either way.  Defaults to [`MIN_PARALLEL_ROUND_WORK`]; set
     /// to `0` to shard every round.
     pub min_parallel_work: usize,
-    /// Storage layout for the relations this evaluator creates: `Some(true)`
-    /// forces the columnar ground store, `Some(false)` the row-wise
-    /// full-fact tail, `None` (the default) follows the process-wide
-    /// `PCS_COLUMNAR` setting.  Purely a representation knob — the computed
-    /// relations, statistics, and termination are identical either way
-    /// (the property the conformance suites check under both values).
-    pub columnar: Option<bool>,
     /// When `true`, the optimizer prunes rules the static analyzer proves
     /// dead (unsatisfiable constraints, provably empty body predicates)
     /// before rewriting.  Purely an optimization knob — dead rules derive
     /// nothing, so the computed answers are identical either way (the
     /// property `tests/analysis_differential.rs` checks).  Off by default.
     pub prune_dead: bool,
-    /// When `true` (the default), every (rule × delta-position) body is
-    /// compiled once into a static [`JoinPlan`](crate::plan::JoinPlan)
-    /// before the fixpoint starts
-    /// and both join cores execute the precompiled plans (the legacy core
-    /// takes the static literal order, the indexed core additionally the
-    /// static probe-column choices and existence shortcuts); when `false`,
-    /// the dynamic per-iteration ordering is kept.  Purely an optimization
-    /// knob — the computed relations, statistics, and termination are
-    /// identical either way (the property `tests/plan_differential.rs`
-    /// checks).  The default can be forced off by setting the `PCS_PLAN`
-    /// environment variable to `off`.
-    pub plan: bool,
     /// Analyzer-derived per-position selectivity classes consumed by the
     /// plan compiler (see [`SelectivityHints`]).  Empty by default — the
     /// planner then falls back to the purely structural most-bound-first
@@ -124,12 +97,9 @@ impl Default for EvalOptions {
         EvalOptions {
             limits: EvalLimits::default(),
             trace: false,
-            index: index_enabled_by_default(),
             threads: threads_from_env(),
             min_parallel_work: MIN_PARALLEL_ROUND_WORK,
-            columnar: None,
             prune_dead: false,
-            plan: plan_enabled_by_default(),
             hints: SelectivityHints::default(),
             telemetry: pcs_telemetry::enabled(),
         }
@@ -143,85 +113,30 @@ impl Default for EvalOptions {
 /// handful of facts per iteration across hundreds of iterations).
 pub const MIN_PARALLEL_ROUND_WORK: usize = 256;
 
-/// Reads one evaluator environment variable through `parse`.
-///
-/// Unset means `default`.  A set-but-unrecognized value also falls back to
-/// `default`, but with a visible warning on stderr: a misspelled
-/// `PCS_EVAL_THREADS=two` or `PCS_EVAL_INDEX=offf` must not silently select
-/// the default configuration.
-fn env_setting<T>(
-    name: &str,
-    expected: &str,
-    default: impl FnOnce() -> T,
-    parse: impl Fn(&str) -> Option<T>,
-) -> T {
-    match std::env::var(name) {
-        Ok(raw) => {
-            let value = raw.trim();
-            parse(value).unwrap_or_else(|| {
-                eprintln!("warning: ignoring invalid {name}={value:?}: expected {expected}");
-                default()
-            })
-        }
-        Err(_) => default(),
-    }
-}
-
-/// Recognized spellings of the `PCS_EVAL_INDEX` join-core selector.
-fn parse_index_setting(value: &str) -> Option<bool> {
-    match value {
-        "on" | "1" | "true" | "indexed" => Some(true),
-        "off" | "0" | "false" | "legacy" => Some(false),
-        _ => None,
-    }
-}
-
 /// Recognized values of the `PCS_EVAL_THREADS` worker-count override.
 fn parse_threads_setting(value: &str) -> Option<usize> {
     value.parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
-/// Recognized spellings of the `PCS_PLAN` static-plan toggle.
-fn parse_plan_setting(value: &str) -> Option<bool> {
-    match value {
-        "on" | "1" | "true" => Some(true),
-        "off" | "0" | "false" => Some(false),
-        _ => None,
-    }
-}
-
-/// Reads the `PCS_PLAN` environment variable; unset (or invalid, with a
-/// warning) selects precompiled static join plans.
-fn plan_enabled_by_default() -> bool {
-    env_setting(
-        "PCS_PLAN",
-        "`on`/`1`/`true` or `off`/`0`/`false`",
-        || true,
-        parse_plan_setting,
-    )
-}
-
-/// Reads the `PCS_EVAL_INDEX` environment variable; unset (or invalid, with
-/// a warning) selects the indexed join core.
-fn index_enabled_by_default() -> bool {
-    env_setting(
-        "PCS_EVAL_INDEX",
-        "`on`/`1`/`true`/`indexed` or `off`/`0`/`false`/`legacy`",
-        || true,
-        parse_index_setting,
-    )
-}
-
-/// Reads the `PCS_EVAL_THREADS` environment variable; a positive integer
-/// selects that many evaluation worker threads, unset (or invalid, with a
-/// warning) falls back to the machine's available parallelism.
+/// Reads the `PCS_EVAL_THREADS` environment variable — the only one the
+/// evaluator consults.  A positive integer selects that many evaluation
+/// worker threads; unset falls back to the machine's available parallelism,
+/// and so does an unrecognized value, but with a visible warning on stderr:
+/// a misspelled `PCS_EVAL_THREADS=two` must not silently select the default.
 fn threads_from_env() -> usize {
-    env_setting(
-        "PCS_EVAL_THREADS",
-        "a positive thread count",
-        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        parse_threads_setting,
-    )
+    let default = || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    match std::env::var("PCS_EVAL_THREADS") {
+        Ok(raw) => {
+            let value = raw.trim();
+            parse_threads_setting(value).unwrap_or_else(|| {
+                eprintln!(
+                    "warning: ignoring invalid PCS_EVAL_THREADS={value:?}: expected a positive thread count"
+                );
+                default()
+            })
+        }
+        Err(_) => default(),
+    }
 }
 
 impl EvalOptions {
@@ -230,23 +145,6 @@ impl EvalOptions {
         EvalOptions {
             limits: EvalLimits::capped(max_iterations),
             trace: true,
-            ..EvalOptions::default()
-        }
-    }
-
-    /// Options selecting the indexed join core regardless of the environment.
-    pub fn indexed() -> Self {
-        EvalOptions {
-            index: true,
-            ..EvalOptions::default()
-        }
-    }
-
-    /// Options selecting the legacy nested-loop join core (differential
-    /// testing and benchmarking of the indexed core).
-    pub fn legacy() -> Self {
-        EvalOptions {
-            index: false,
             ..EvalOptions::default()
         }
     }
@@ -271,27 +169,10 @@ impl EvalOptions {
         }
     }
 
-    /// Returns these options with the relation storage layout forced to
-    /// columnar (`true`) or row-wise (`false`) regardless of the
-    /// process-wide `PCS_COLUMNAR` setting (see [`EvalOptions::columnar`]).
-    pub fn with_columnar(self, columnar: bool) -> Self {
-        EvalOptions {
-            columnar: Some(columnar),
-            ..self
-        }
-    }
-
     /// Returns these options with analyzer-driven dead-rule pruning switched
     /// on or off (see [`EvalOptions::prune_dead`]).
     pub fn with_prune_dead(self, prune_dead: bool) -> Self {
         EvalOptions { prune_dead, ..self }
-    }
-
-    /// Returns these options with precompiled static join plans switched on
-    /// or off regardless of the process-wide `PCS_PLAN` setting (see
-    /// [`EvalOptions::plan`]).
-    pub fn with_plan(self, plan: bool) -> Self {
-        EvalOptions { plan, ..self }
     }
 
     /// Returns these options with the given analyzer-derived selectivity
@@ -647,23 +528,21 @@ impl PartialMatch {
 pub struct Evaluator {
     program: Program,
     options: EvalOptions,
-    /// Static join plans, compiled once per evaluator when
-    /// [`EvalOptions::plan`] is on; `None` keeps the dynamic per-iteration
-    /// ordering.
-    plans: Option<ProgramPlans>,
+    /// The static join plans of every rule, compiled once per evaluator.
+    plans: ProgramPlans,
 }
 
 impl Evaluator {
     /// Creates an evaluator for a program (which is flattened internally).
-    /// When [`EvalOptions::plan`] is on, every (rule × delta-position) body
-    /// is compiled into a validated static [`crate::plan::JoinPlan`] here,
-    /// once, instead of being re-ordered every fixpoint iteration.
+    /// Every join the evaluator can run — the (rule × delta-position) round
+    /// bodies and the DRed over-deletion and re-derivation joins — is
+    /// compiled into a validated static [`crate::plan::JoinPlan`] here, once.
     pub fn new(program: &Program, options: EvalOptions) -> Self {
         let program = program.flattened();
-        let plans = options.plan.then(|| {
+        let plans = {
             let _span = telemetry::span_if(options.telemetry, telemetry::Phase::PlanCompile);
             compile_plans(&program, &options.hints)
-        });
+        };
         Evaluator {
             program,
             options,
@@ -683,7 +562,7 @@ impl Evaluator {
 
     /// Runs the evaluation against a database.
     pub fn evaluate(&self, db: &Database) -> EvalResult {
-        self.run_fixpoint(Start::Scratch(db), self.options.index, 0)
+        self.run_fixpoint(Start::Scratch(db), 0)
     }
 
     /// Re-enters the semi-naive fixpoint on an already-materialized set of
@@ -695,11 +574,10 @@ impl Evaluator {
     /// materialization become the first delta, and the fixpoint proceeds
     /// exactly as if the updates had been derived by a regular iteration.
     /// Empty-body rules do not re-fire (their facts are already in the
-    /// materialization), and the legacy join core replays its count-sliced
-    /// discipline starting from a semi-naive round, so for both cores the
-    /// resumed result stores the same facts as evaluating base + updates
-    /// from scratch — the property `tests/resume_differential.rs` pins down
-    /// across every rewriting strategy.
+    /// materialization), so the resumed result stores the same facts as
+    /// evaluating base + updates from scratch — the property
+    /// `tests/resume_differential.rs` pins down across every rewriting
+    /// strategy.
     ///
     /// Resuming from a partial materialization (one that stopped on a
     /// resource limit rather than a fixpoint) is not supported: derivations
@@ -759,21 +637,21 @@ impl Evaluator {
     /// 1. **Over-deletion** — the transitive closure of support: starting
     ///    from the stored facts equivalent to the deletions, every stored
     ///    fact with a one-step derivation consuming an already-deleted fact
-    ///    (joined through the per-position indexes against the full original
-    ///    materialization, so derivations touching several deleted facts are
-    ///    found) is removed as well.
+    ///    (joined along the rule's over-deletion plan against the full
+    ///    original materialization, so derivations touching several deleted
+    ///    facts are found) is removed as well.
     /// 2. **Re-derivation round** — for every rule whose head predicate lost
     ///    facts: empty-body rules re-fire, and body rules re-join over the
-    ///    survivors with the head pinned to each removed ground fact (the
-    ///    unpinned full join is the fallback when a removed fact is a proper
-    ///    constraint fact).  Alternative derivations re-insert exactly the
-    ///    over-deleted facts that are still derivable; surviving EDB facts
-    ///    of the affected predicates are re-inserted first, resurrecting
-    ///    anything a retracted subsuming fact had swallowed.
+    ///    survivors along their pinned plan, with the head pinned to each
+    ///    removed ground fact (the unpinned full-rule plan is the fallback
+    ///    when a removed fact is a proper constraint fact).  Alternative
+    ///    derivations re-insert exactly the over-deleted facts that are
+    ///    still derivable; surviving EDB facts of the affected predicates
+    ///    are re-inserted first, resurrecting anything a retracted
+    ///    subsuming fact had swallowed.
     /// 3. **Propagation** — the re-inserted facts become the delta of a
-    ///    resumed run of the shared semi-naive fixpoint, which re-derives
-    ///    the downstream cone exactly as an insertion batch would, for both
-    ///    join cores.
+    ///    resumed run of the semi-naive fixpoint, which re-derives the
+    ///    downstream cone exactly as an insertion batch would.
     ///
     /// The result stores the same facts as evaluating the surviving EDB from
     /// scratch — the property `tests/resume_differential.rs` pins down for
@@ -824,9 +702,8 @@ impl Evaluator {
                 telemetry::Phase::Resume
             },
         );
-        let limits = self.options.limits;
         for pred in self.program.all_predicates() {
-            relations.entry(pred).or_insert_with(|| self.new_relation());
+            relations.entry(pred).or_default();
         }
         for relation in relations.values_mut() {
             relation.seal();
@@ -858,13 +735,20 @@ impl Evaluator {
                 by_pred.entry(fact.predicate()).or_default().push(fact);
             }
             let mut next: Vec<Fact> = Vec::new();
-            for rule in self.program.rules() {
-                for delta_pos in 0..rule.body.len() {
-                    let Some(deleted_here) = by_pred.get(&rule.body[delta_pos].predicate) else {
+            for (rule_index, rule) in self.program.rules().iter().enumerate() {
+                for consumed in 0..rule.body.len() {
+                    let Some(deleted_here) = by_pred.get(&rule.body[consumed].predicate) else {
                         continue;
                     };
+                    let steps = &self
+                        .plans
+                        .overdelete_plan(rule_index, consumed)
+                        .expect("every body position has an over-deletion plan")
+                        .steps;
                     for deleted in deleted_here {
-                        for head in overdelete_derivations(rule, delta_pos, deleted, &relations) {
+                        for head in
+                            overdelete_derivations(rule, consumed, steps, deleted, &relations)
+                        {
                             let Some(relation) = relations.get(head.predicate()) else {
                                 continue;
                             };
@@ -912,7 +796,7 @@ impl Evaluator {
         for fact in inserts {
             relations
                 .entry(fact.predicate().clone())
-                .or_insert_with(|| self.new_relation())
+                .or_default()
                 .insert(fact);
         }
 
@@ -939,10 +823,7 @@ impl Evaluator {
                 let Some(targets) = removed_facts.get(&rule.head.predicate) else {
                     continue;
                 };
-                let label = rule
-                    .label
-                    .clone()
-                    .unwrap_or_else(|| format!("rule{}", rule_index + 1));
+                let label = rule_label(rule, rule_index);
                 if rule.body.is_empty() {
                     tasks.push(RoundTask {
                         rule,
@@ -952,16 +833,23 @@ impl Evaluator {
                 } else if targets.iter().any(|target| !target.is_ground()) {
                     // A removed proper constraint fact could cover facts a
                     // pinned join would miss: fall back to the full join.
-                    let order = order_known(rule, None, &BTreeSet::new(), &relations);
+                    let plan = self
+                        .plans
+                        .full_plan(rule_index)
+                        .expect("every rule with a body has a full plan");
                     tasks.push(RoundTask {
                         rule,
                         label,
                         kind: TaskKind::Pinned {
-                            order,
+                            steps: &plan.steps,
                             start: PartialMatch::start(rule),
                         },
                     });
                 } else {
+                    let plan = self
+                        .plans
+                        .pinned_plan(rule_index)
+                        .expect("every rule with a body has a pinned plan");
                     for target in targets {
                         let Some(start) = match_literal(
                             &PartialMatch::start(rule),
@@ -970,11 +858,13 @@ impl Evaluator {
                         ) else {
                             continue;
                         };
-                        let order = order_known(rule, None, &bound_vars(&start), &relations);
                         tasks.push(RoundTask {
                             rule,
                             label: label.clone(),
-                            kind: TaskKind::Pinned { order, start },
+                            kind: TaskKind::Pinned {
+                                steps: &plan.steps,
+                                start,
+                            },
                         });
                     }
                 }
@@ -982,65 +872,22 @@ impl Evaluator {
             let work: usize = tasks
                 .iter()
                 .map(|task| match &task.kind {
-                    TaskKind::Pinned { order, .. } => relations
-                        .get(&task.rule.body[order[0].0].predicate)
+                    TaskKind::Pinned { steps, .. } => relations
+                        .get(&task.rule.body[steps[0].literal].predicate)
                         .map_or(0, |r| r.window_range(Window::Known).len()),
                     _ => 1,
                 })
                 .sum();
             let threads = self.options.threads.max(1);
-            let parallel = threads > 1 && work >= self.options.min_parallel_work;
-            let empty = BTreeMap::new();
-            let budget = limits.max_derivations;
-            if parallel && tasks.len() > 1 {
-                let buffers = {
-                    let ctx = RoundCtx {
-                        relations: &relations,
-                        naive_round: false,
-                        before_prev: &empty,
-                        prev: &empty,
-                    };
-                    run_tasks_parallel(&tasks, &ctx, budget, threads)
-                };
-                for (task, derived) in tasks.iter().zip(buffers) {
-                    hit_limit = absorb_derived(
-                        derived,
-                        &task.label,
-                        self.options.trace,
-                        &limits,
-                        &mut relations,
-                        &mut rederive_stats,
-                        &mut totals,
-                    );
-                    if hit_limit.is_some() {
-                        break;
-                    }
-                }
-            } else {
-                for task in &tasks {
-                    let derived = {
-                        let ctx = RoundCtx {
-                            relations: &relations,
-                            naive_round: false,
-                            before_prev: &empty,
-                            prev: &empty,
-                        };
-                        run_task(task, &ctx, budget)
-                    };
-                    hit_limit = absorb_derived(
-                        derived,
-                        &task.label,
-                        self.options.trace,
-                        &limits,
-                        &mut relations,
-                        &mut rederive_stats,
-                        &mut totals,
-                    );
-                    if hit_limit.is_some() {
-                        break;
-                    }
-                }
-            }
+            let pool = (threads > 1 && work >= self.options.min_parallel_work).then_some(threads);
+            hit_limit = run_and_absorb(
+                &tasks,
+                pool,
+                &self.options,
+                &mut relations,
+                &mut rederive_stats,
+                &mut totals,
+            );
         }
 
         // Phase 3: the resurrected and re-derived facts become the delta of
@@ -1052,7 +899,6 @@ impl Evaluator {
         if let Some(limit) = hit_limit {
             let stats = EvalStats {
                 iterations: vec![rederive_stats],
-                indexed: self.options.index,
                 resumed: true,
                 retracted: mark_retracted,
                 removed_facts: removed_total,
@@ -1061,11 +907,7 @@ impl Evaluator {
             telemetry::flush_thread();
             return Evaluator::finalize(relations, stats, limit);
         }
-        let mut result = self.run_fixpoint(
-            Start::Resume(relations),
-            self.options.index,
-            rederive_stats.derivations,
-        );
+        let mut result = self.run_fixpoint(Start::Resume(relations), rederive_stats.derivations);
         if mark_retracted {
             result.stats.iterations.insert(0, rederive_stats);
             result.stats.retracted = true;
@@ -1074,25 +916,16 @@ impl Evaluator {
         result
     }
 
-    /// An empty relation with this evaluator's configured storage layout
-    /// (see [`EvalOptions::columnar`]).
-    fn new_relation(&self) -> Relation {
-        match self.options.columnar {
-            Some(columnar) => Relation::with_columnar(columnar),
-            None => Relation::new(),
-        }
-    }
-
     /// Seeds one relation per program/EDB predicate with the database facts.
     fn seed_relations(&self, db: &Database) -> BTreeMap<Pred, Relation> {
         let mut relations: BTreeMap<Pred, Relation> = BTreeMap::new();
         for pred in self.program.all_predicates() {
-            relations.entry(pred).or_insert_with(|| self.new_relation());
+            relations.entry(pred).or_default();
         }
         for fact in db.all_facts() {
             relations
                 .entry(fact.predicate().clone())
-                .or_insert_with(|| self.new_relation())
+                .or_default()
                 .insert(fact.clone());
         }
         relations
@@ -1118,18 +951,18 @@ impl Evaluator {
         }
     }
 
-    /// The semi-naive fixpoint shared by both join cores.
+    /// The semi-naive fixpoint.
     ///
     /// Every iteration is decomposed into an ordered list of derivation
     /// [`RoundTask`]s that only *read* the relations: joins see exactly the
     /// facts visible at the iteration boundary (pending insertions are
-    /// invisible to every [`Window`] and to the legacy count slices), so the
-    /// tasks can run in any order — including concurrently on a scoped
-    /// worker pool when [`EvalOptions::threads`] is greater than one.  The
-    /// derived facts are then absorbed strictly in task order, which makes
-    /// the parallel evaluation bit-for-bit identical to the sequential one:
-    /// subsumption outcomes, statistics, and termination depend only on the
-    /// absorb order.
+    /// invisible to every [`Window`]), so the tasks can run in any order —
+    /// including concurrently on a scoped worker pool when
+    /// [`EvalOptions::threads`] is greater than one.  The derived facts are
+    /// then absorbed strictly in task order, which makes the parallel
+    /// evaluation bit-for-bit identical to the sequential one: subsumption
+    /// outcomes, statistics, and termination depend only on the absorb
+    /// order.
     ///
     /// A [`Start::Scratch`] evaluation seeds the relations from a database
     /// and opens with a naive round (every initial fact is delta, empty-body
@@ -1143,12 +976,7 @@ impl Evaluator {
     /// `max_derivations`, and the resumed fixpoint must not grant the cap a
     /// second time (the count is *not* reflected in the returned iteration
     /// statistics — the caller owns that round's stats).
-    fn run_fixpoint(
-        &self,
-        start: Start<'_>,
-        indexed: bool,
-        spent_derivations: usize,
-    ) -> EvalResult {
+    fn run_fixpoint(&self, start: Start<'_>, spent_derivations: usize) -> EvalResult {
         let limits = self.options.limits;
         let threads = self.options.threads.max(1);
         let resumed = matches!(start, Start::Resume(_));
@@ -1161,50 +989,18 @@ impl Evaluator {
         let mut relations = match start {
             Start::Scratch(db) => {
                 let mut relations = self.seed_relations(db);
-                if indexed {
-                    // The EDB facts form the first delta; stable starts
-                    // empty, so the iteration-0 round is the naive round
-                    // over the initial facts.
-                    for relation in relations.values_mut() {
-                        relation.advance();
-                    }
+                // The EDB facts form the first delta; stable starts empty,
+                // so the iteration-0 round is the naive round over the
+                // initial facts.
+                for relation in relations.values_mut() {
+                    relation.advance();
                 }
                 relations
             }
             Start::Resume(relations) => relations,
         };
 
-        // Legacy semi-naive state: fact counts per relation at the end of
-        // the last two iterations (the indexed core reads its windows
-        // instead and never touches these).  A resumed run recovers the
-        // counts from the stable/delta boundary the resume entry point set
-        // up, so its first legacy round joins the update delta against the
-        // stable materialization.
-        let counts = |relations: &BTreeMap<Pred, Relation>| -> BTreeMap<Pred, usize> {
-            relations
-                .iter()
-                .map(|(p, r)| (p.clone(), r.len()))
-                .collect()
-        };
-        let boundary = |relations: &BTreeMap<Pred, Relation>, window: Window| {
-            relations
-                .iter()
-                .map(|(p, r)| (p.clone(), r.window_range(window).end))
-                .collect::<BTreeMap<Pred, usize>>()
-        };
-        let mut before_prev = if resumed {
-            boundary(&relations, Window::Stable) // end of iteration k-2
-        } else {
-            counts(&relations)
-        };
-        let mut prev = if resumed {
-            boundary(&relations, Window::Known) // end of iteration k-1
-        } else {
-            counts(&relations)
-        };
-
         let mut stats = EvalStats {
-            indexed,
             resumed,
             ..EvalStats::default()
         };
@@ -1214,10 +1010,6 @@ impl Evaluator {
         };
         let termination;
         let mut iteration = 0usize;
-        // The dynamic ordering memo for this fixpoint run (plan-off only);
-        // with static plans on, the orders come from the precompiled plans
-        // instead.
-        let mut order_cache: BTreeMap<(usize, usize), Vec<(usize, Window)>> = BTreeMap::new();
         loop {
             if iteration >= limits.max_iterations {
                 termination = Termination::IterationLimit;
@@ -1229,14 +1021,10 @@ impl Evaluator {
             }
             let iter_start = self.options.telemetry.then(Instant::now);
             let mut iter_stats = IterationStats {
-                delta_facts: if indexed {
-                    relations
-                        .values()
-                        .map(|r| r.window_range(Window::Delta).len())
-                        .sum()
-                } else {
-                    0
-                },
+                delta_facts: relations
+                    .values()
+                    .map(|r| r.window_range(Window::Delta).len())
+                    .sum(),
                 ..IterationStats::default()
             };
 
@@ -1244,14 +1032,7 @@ impl Evaluator {
             // facts fired (and the naive round ran) when the materialization
             // it resumes from was first computed.
             let naive_round = iteration == 0 && !resumed;
-            let (mut tasks, round_work) = self.round_tasks(
-                indexed,
-                naive_round,
-                &relations,
-                &before_prev,
-                &prev,
-                &mut order_cache,
-            );
+            let (mut tasks, round_work) = self.round_tasks(naive_round, &relations);
             // Shard only rounds wide enough to amortize spawning the worker
             // pool; narrow rounds run on the calling thread with the exact
             // same results (the absorb order is the task order either way).
@@ -1259,61 +1040,14 @@ impl Evaluator {
             if parallel {
                 tasks = chunk_tasks(tasks, threads);
             }
-            // Any task derivations beyond this budget are guaranteed to be
-            // discarded by the in-order absorption below, so tasks stop
-            // generating there — a single iteration cannot buffer unboundedly
-            // past `max_derivations`.
-            let budget = limits.max_derivations.saturating_sub(totals.derivations);
-            let mut hit_limit = None;
-            if parallel && tasks.len() > 1 {
-                let buffers = {
-                    let ctx = RoundCtx {
-                        relations: &relations,
-                        naive_round,
-                        before_prev: &before_prev,
-                        prev: &prev,
-                    };
-                    run_tasks_parallel(&tasks, &ctx, budget, threads)
-                };
-                for (task, derived) in tasks.iter().zip(buffers) {
-                    hit_limit = absorb_derived(
-                        derived,
-                        &task.label,
-                        self.options.trace,
-                        &limits,
-                        &mut relations,
-                        &mut iter_stats,
-                        &mut totals,
-                    );
-                    if hit_limit.is_some() {
-                        break;
-                    }
-                }
-            } else {
-                for task in &tasks {
-                    let derived = {
-                        let ctx = RoundCtx {
-                            relations: &relations,
-                            naive_round,
-                            before_prev: &before_prev,
-                            prev: &prev,
-                        };
-                        run_task(task, &ctx, budget)
-                    };
-                    hit_limit = absorb_derived(
-                        derived,
-                        &task.label,
-                        self.options.trace,
-                        &limits,
-                        &mut relations,
-                        &mut iter_stats,
-                        &mut totals,
-                    );
-                    if hit_limit.is_some() {
-                        break;
-                    }
-                }
-            }
+            let hit_limit = run_and_absorb(
+                &tasks,
+                parallel.then_some(threads),
+                &self.options,
+                &mut relations,
+                &mut iter_stats,
+                &mut totals,
+            );
 
             let new_facts = iter_stats.new_facts;
             if let Some(started) = iter_start {
@@ -1321,12 +1055,8 @@ impl Evaluator {
                     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             }
             stats.iterations.push(iter_stats);
-            if indexed {
-                for relation in relations.values_mut() {
-                    relation.advance();
-                }
-            } else {
-                before_prev = std::mem::replace(&mut prev, counts(&relations));
+            for relation in relations.values_mut() {
+                relation.advance();
             }
             iteration += 1;
 
@@ -1352,20 +1082,13 @@ impl Evaluator {
     /// buffers in task order reproduces the sequential insertion sequence.
     fn round_tasks(
         &self,
-        indexed: bool,
         naive_round: bool,
         relations: &BTreeMap<Pred, Relation>,
-        before_prev: &BTreeMap<Pred, usize>,
-        prev: &BTreeMap<Pred, usize>,
-        order_cache: &mut BTreeMap<(usize, usize), Vec<(usize, Window)>>,
     ) -> (Vec<RoundTask<'_>>, usize) {
         let mut tasks = Vec::new();
         let mut work = 0usize;
         for (rule_index, rule) in self.program.rules().iter().enumerate() {
-            let label = rule
-                .label
-                .clone()
-                .unwrap_or_else(|| format!("rule{}", rule_index + 1));
+            let label = rule_label(rule, rule_index);
             if rule.body.is_empty() {
                 // Facts and constraint facts fire only in the naive round
                 // (never in a resumed run, whose materialization already
@@ -1380,166 +1103,72 @@ impl Evaluator {
                 }
                 continue;
             }
-            if indexed {
-                for delta_pos in 0..rule.body.len() {
-                    let has_delta = relations
-                        .get(&rule.body[delta_pos].predicate)
-                        .is_some_and(|r| !r.delta_is_empty());
-                    if !has_delta {
-                        continue;
-                    }
-                    let plan = self
-                        .plans
-                        .as_ref()
-                        .and_then(|plans| plans.plan(rule_index, delta_pos));
-                    if let Some(plan) = plan {
-                        // Static plan: the delta candidates are enumerated
-                        // through the same entry point as the dynamic path
-                        // (the plan's first step is the delta literal), then
-                        // the precompiled steps drive the join.
-                        let first = (plan.steps[0].literal, plan.steps[0].window);
-                        let candidates = delta_candidates(rule, &[first], relations);
-                        if candidates.is_empty() {
-                            continue;
-                        }
-                        work += candidates.len();
-                        tasks.push(RoundTask {
-                            rule,
-                            label: label.clone(),
-                            kind: TaskKind::Planned {
-                                steps: plan.steps.clone(),
-                                candidates,
-                            },
-                        });
-                        continue;
-                    }
-                    // Dynamic path: the greedy ordering is memoized per
-                    // (rule × delta-position) for the duration of this
-                    // fixpoint run instead of being recomputed every
-                    // iteration.
-                    let order = order_cache
-                        .entry((rule_index, delta_pos))
-                        .or_insert_with(|| order_body(rule, delta_pos, relations))
-                        .clone();
-                    let candidates = delta_candidates(rule, &order, relations);
-                    if candidates.is_empty() {
-                        continue;
-                    }
-                    work += candidates.len();
-                    tasks.push(RoundTask {
-                        rule,
-                        label: label.clone(),
-                        kind: TaskKind::Indexed { order, candidates },
-                    });
+            for delta_pos in 0..rule.body.len() {
+                let has_delta = relations
+                    .get(&rule.body[delta_pos].predicate)
+                    .is_some_and(|r| !r.delta_is_empty());
+                if !has_delta {
+                    continue;
                 }
-            } else {
-                // The naive round covers the initial facts in one pass;
-                // later (and resumed) rounds are semi-naive over the
-                // previous delta.
-                let delta_positions: Vec<usize> = if naive_round {
-                    vec![0]
-                } else {
-                    (0..rule.body.len()).collect()
-                };
-                for delta_pos in delta_positions {
-                    let pred = &rule.body[delta_pos].predicate;
-                    let (lo, hi) = if naive_round {
-                        (0, prev.get(pred).copied().unwrap_or(0))
-                    } else {
-                        (
-                            before_prev.get(pred).copied().unwrap_or(0),
-                            prev.get(pred).copied().unwrap_or(0),
-                        )
-                    };
-                    // Skip if the delta for this literal is empty.
-                    if lo == hi {
-                        continue;
-                    }
-                    // The legacy core takes the plan's static scan order
-                    // (greedy, but without hoisting the delta literal — a
-                    // nested loop pays full-scan cost per outer tuple, so
-                    // probe-biased orders do not transfer); its count slices
-                    // stay keyed by original positions, so a permuted visit
-                    // order enumerates the same fact combinations.
-                    let order: Vec<usize> = match self
-                        .plans
-                        .as_ref()
-                        .and_then(|plans| plans.plan(rule_index, delta_pos))
-                    {
-                        Some(plan) => plan.scan_order.clone(),
-                        None => (0..rule.body.len()).collect(),
-                    };
-                    work += hi - lo;
-                    tasks.push(RoundTask {
-                        rule,
-                        label: label.clone(),
-                        kind: TaskKind::Legacy { delta_pos, order },
-                    });
+                let plan = self
+                    .plans
+                    .plan(rule_index, delta_pos)
+                    .expect("every body position has a round plan");
+                let candidates = delta_candidates(rule, &plan.steps[0], relations);
+                if candidates.is_empty() {
+                    continue;
                 }
+                work += candidates.len();
+                tasks.push(RoundTask {
+                    rule,
+                    label: label.clone(),
+                    kind: TaskKind::Planned {
+                        steps: &plan.steps,
+                        candidates,
+                    },
+                });
             }
         }
         (tasks, work)
     }
 }
 
-/// Splits the delta-candidate lists of the indexed tasks into at most
-/// `threads × TASK_CHUNKS_PER_THREAD` chunks each, for load balancing across
-/// the worker pool.  The chunk boundaries cannot affect results: the chunks
-/// of one task stay adjacent, so the merged absorb order is unchanged.
+/// The display label of a rule in derivation records: its own label, or its
+/// 1-based index in the program.
+fn rule_label(rule: &Rule, rule_index: usize) -> String {
+    rule.label
+        .clone()
+        .unwrap_or_else(|| format!("rule{}", rule_index + 1))
+}
+
+/// Splits the delta-candidate list of every planned task into at most
+/// `threads × TASK_CHUNKS_PER_THREAD` chunks, for load balancing across the
+/// worker pool.  The chunk boundaries cannot affect results: the chunks of
+/// one task stay adjacent, so the merged absorb order is unchanged.
 fn chunk_tasks(tasks: Vec<RoundTask<'_>>, threads: usize) -> Vec<RoundTask<'_>> {
     let mut out = Vec::with_capacity(tasks.len());
     for task in tasks {
-        let RoundTask { rule, label, kind } = task;
-        match kind {
-            TaskKind::Indexed { order, candidates } => {
-                let chunk = candidates
-                    .len()
-                    .div_ceil(threads * TASK_CHUNKS_PER_THREAD)
-                    .max(1);
-                if chunk >= candidates.len() {
-                    out.push(RoundTask {
-                        rule,
-                        label,
-                        kind: TaskKind::Indexed { order, candidates },
-                    });
-                } else {
-                    for slice in candidates.chunks(chunk) {
-                        out.push(RoundTask {
-                            rule,
-                            label: label.clone(),
-                            kind: TaskKind::Indexed {
-                                order: order.clone(),
-                                candidates: slice.to_vec(),
-                            },
-                        });
-                    }
-                }
-            }
-            TaskKind::Planned { steps, candidates } => {
-                let chunk = candidates
-                    .len()
-                    .div_ceil(threads * TASK_CHUNKS_PER_THREAD)
-                    .max(1);
-                if chunk >= candidates.len() {
-                    out.push(RoundTask {
-                        rule,
-                        label,
-                        kind: TaskKind::Planned { steps, candidates },
-                    });
-                } else {
-                    for slice in candidates.chunks(chunk) {
-                        out.push(RoundTask {
-                            rule,
-                            label: label.clone(),
-                            kind: TaskKind::Planned {
-                                steps: steps.clone(),
-                                candidates: slice.to_vec(),
-                            },
-                        });
-                    }
-                }
-            }
-            kind => out.push(RoundTask { rule, label, kind }),
+        let TaskKind::Planned { steps, candidates } = &task.kind else {
+            out.push(task);
+            continue;
+        };
+        let chunk = candidates
+            .len()
+            .div_ceil(threads * TASK_CHUNKS_PER_THREAD)
+            .max(1);
+        if chunk >= candidates.len() {
+            out.push(task);
+            continue;
+        }
+        for slice in candidates.chunks(chunk) {
+            out.push(RoundTask {
+                rule: task.rule,
+                label: task.label.clone(),
+                kind: TaskKind::Planned {
+                    steps,
+                    candidates: slice.to_vec(),
+                },
+            });
         }
     }
     out
@@ -1557,41 +1186,29 @@ struct RoundTask<'a> {
     rule: &'a Rule,
     /// The rule's display label for derivation records.
     label: String,
-    kind: TaskKind,
+    kind: TaskKind<'a>,
 }
 
-/// What a [`RoundTask`] joins.
-enum TaskKind {
+/// What a [`RoundTask`] joins.  The steps are borrowed from the evaluator's
+/// precompiled [`ProgramPlans`]: the literal order, the per-literal probe
+/// column, and the existence-shortcut flags were all fixed at
+/// plan-compilation time.
+enum TaskKind<'a> {
     /// An empty-body rule (fact or constraint fact), fired in iteration 0.
     Seed,
-    /// An indexed join: the precomputed body order and the chunk of
-    /// delta-window fact indices (into the delta literal's relation) this
-    /// task covers.
-    Indexed {
-        order: Vec<(usize, Window)>,
-        candidates: Vec<usize>,
-    },
-    /// A precompiled-plan join: the static [`PlanStep`]s of this
-    /// (rule × delta-position) body and the chunk of delta-window fact
-    /// indices this task covers.  The steps carry the literal order, the
-    /// per-literal probe-column choice, and the existence-shortcut flags —
-    /// all fixed at plan-compilation time instead of per partial match.
+    /// One semi-naive round body: the steps of this (rule × delta-position)
+    /// plan and the chunk of delta-window fact indices (into the delta
+    /// literal's relation) this task covers.
     Planned {
-        steps: Vec<PlanStep>,
+        steps: &'a [PlanStep],
         candidates: Vec<usize>,
     },
-    /// A legacy nested-loop join over the count slices for one delta
-    /// position, visiting the literals in `order` (the identity order when
-    /// static plans are off, the precompiled plan order when they are on;
-    /// the count slices stay keyed by the literals' original positions, so
-    /// the enumerated fact combinations are the same either way).
-    Legacy { delta_pos: usize, order: Vec<usize> },
-    /// A retraction re-derivation join: every literal reads [`Window::Known`]
-    /// of the sealed survivor relations, starting from a partial match whose
-    /// head bindings were pinned to an over-deleted target fact (or from an
-    /// empty match for the unpinned full-rule fallback).
+    /// A retraction re-derivation join over the sealed survivor relations:
+    /// the rule's pinned plan, starting from a partial match whose head
+    /// bindings were pinned to an over-deleted target fact — or the rule's
+    /// full plan, starting from an empty match.
     Pinned {
-        order: Vec<(usize, Window)>,
+        steps: &'a [PlanStep],
         start: PartialMatch,
     },
 }
@@ -1605,47 +1222,65 @@ enum Start<'a> {
     Resume(BTreeMap<Pred, Relation>),
 }
 
-/// The read-only evaluation state a round task joins against.
-struct RoundCtx<'a> {
-    relations: &'a BTreeMap<Pred, Relation>,
-    naive_round: bool,
-    before_prev: &'a BTreeMap<Pred, usize>,
-    prev: &'a BTreeMap<Pred, usize>,
+/// Runs the tasks of one round — on the calling thread, or on a worker pool
+/// of `pool` threads — and absorbs their derivations strictly in task order,
+/// stopping at the first limit hit.  Tasks only read the relations and
+/// pending insertions are invisible to every [`Window`], so the sequential
+/// path (which interleaves running and absorbing) and the pool (which runs
+/// everything first) absorb the exact same sequence.
+///
+/// No task generates more than the derivation budget left in `totals`:
+/// anything beyond it is guaranteed to be discarded by the in-order
+/// absorption, so a single round cannot buffer unboundedly past
+/// `max_derivations`.
+fn run_and_absorb(
+    tasks: &[RoundTask<'_>],
+    pool: Option<usize>,
+    options: &EvalOptions,
+    relations: &mut BTreeMap<Pred, Relation>,
+    iter_stats: &mut IterationStats,
+    totals: &mut EvalTotals,
+) -> Option<Termination> {
+    let budget = options
+        .limits
+        .max_derivations
+        .saturating_sub(totals.derivations);
+    let mut buffers = match pool {
+        Some(threads) if tasks.len() > 1 => {
+            Some(run_tasks_parallel(tasks, relations, budget, threads).into_iter())
+        }
+        _ => None,
+    };
+    for task in tasks {
+        let derived = match &mut buffers {
+            Some(buffers) => buffers.next().expect("one buffer per task"),
+            None => run_task(task, relations, budget),
+        };
+        let hit_limit = absorb_derived(
+            derived,
+            &task.label,
+            options.trace,
+            &options.limits,
+            relations,
+            iter_stats,
+            totals,
+        );
+        if hit_limit.is_some() {
+            return hit_limit;
+        }
+    }
+    None
 }
 
 /// Runs one task to completion, collecting at most `cap` derived facts.
-fn run_task(task: &RoundTask<'_>, ctx: &RoundCtx<'_>, cap: usize) -> Vec<Fact> {
+fn run_task(task: &RoundTask<'_>, relations: &BTreeMap<Pred, Relation>, cap: usize) -> Vec<Fact> {
     let mut derived = Vec::new();
     let rule = task.rule;
     match &task.kind {
         TaskKind::Seed => finish_derivation(rule, PartialMatch::start(rule), &mut derived),
-        TaskKind::Indexed { order, candidates } => {
-            let literal = &rule.body[order[0].0];
-            let Some(relation) = ctx.relations.get(&literal.predicate) else {
-                return derived;
-            };
-            let start = PartialMatch::start(rule);
-            for &index in candidates {
-                if derived.len() >= cap {
-                    break;
-                }
-                if let Some(next) = match_literal(&start, literal, relation.fact_ref(index)) {
-                    join_indexed(rule, order, 1, next, ctx.relations, &mut derived, cap);
-                }
-            }
-        }
-        TaskKind::Pinned { order, start } => join_indexed(
-            rule,
-            order,
-            0,
-            start.clone(),
-            ctx.relations,
-            &mut derived,
-            cap,
-        ),
         TaskKind::Planned { steps, candidates } => {
             let literal = &rule.body[steps[0].literal];
-            let Some(relation) = ctx.relations.get(&literal.predicate) else {
+            let Some(relation) = relations.get(&literal.predicate) else {
                 return derived;
             };
             let start = PartialMatch::start(rule);
@@ -1654,23 +1289,13 @@ fn run_task(task: &RoundTask<'_>, ctx: &RoundCtx<'_>, cap: usize) -> Vec<Fact> {
                     break;
                 }
                 if let Some(next) = match_literal(&start, literal, relation.fact_ref(index)) {
-                    join_planned(rule, steps, 1, next, ctx.relations, &mut derived, cap);
+                    join(rule, steps, 1, next, relations, &mut derived, cap);
                 }
             }
         }
-        TaskKind::Legacy { delta_pos, order } => join_legacy(
-            rule,
-            order,
-            0,
-            *delta_pos,
-            ctx.naive_round,
-            PartialMatch::start(rule),
-            ctx.relations,
-            ctx.before_prev,
-            ctx.prev,
-            &mut derived,
-            cap,
-        ),
+        TaskKind::Pinned { steps, start } => {
+            join(rule, steps, 0, start.clone(), relations, &mut derived, cap);
+        }
     }
     derived
 }
@@ -1687,7 +1312,7 @@ fn run_task(task: &RoundTask<'_>, ctx: &RoundCtx<'_>, cap: usize) -> Vec<Fact> {
 /// discarded by the in-order absorption, so it is skipped outright.
 fn run_tasks_parallel(
     tasks: &[RoundTask<'_>],
-    ctx: &RoundCtx<'_>,
+    relations: &BTreeMap<Pred, Relation>,
     budget: usize,
     threads: usize,
 ) -> Vec<Vec<Fact>> {
@@ -1707,7 +1332,7 @@ fn run_tasks_parallel(
                         let derived = if progress.prefix_derivations() >= budget {
                             Vec::new()
                         } else {
-                            run_task(task, ctx, budget)
+                            run_task(task, relations, budget)
                         };
                         progress.record(ordinal, derived.len());
                         local.push((ordinal, derived));
@@ -1843,142 +1468,26 @@ fn absorb_derived(
     None
 }
 
-/// Returns `true` if every variable of `term` is already bound (constants
-/// count as bound).
-fn term_is_bound(term: &Term, bound: &BTreeSet<Var>) -> bool {
-    match term {
-        Term::Sym(_) | Term::Num(_) => true,
-        Term::Var(v) => bound.contains(v),
-        Term::Expr(e) => e.vars().all(|v| bound.contains(v)),
-    }
-}
-
-/// Orders the body literals of `rule` for the given delta position: the delta
-/// literal first (its window is the smallest by construction), then greedily
-/// the literal with the most bound arguments given the variables the placed
-/// literals will bind, breaking ties by smaller visible fact window and then
-/// by original position.  Each literal keeps the [`Window`] derived from its
-/// *original* position relative to `delta_pos`, which is what makes the
-/// per-delta rounds cover every new fact combination exactly once.
-fn order_body(
-    rule: &Rule,
-    delta_pos: usize,
-    relations: &BTreeMap<Pred, Relation>,
-) -> Vec<(usize, Window)> {
-    let window_of = |i: usize| match i.cmp(&delta_pos) {
-        std::cmp::Ordering::Less => Window::Stable,
-        std::cmp::Ordering::Equal => Window::Delta,
-        std::cmp::Ordering::Greater => Window::Known,
-    };
-    greedy_order(
-        rule,
-        Some(delta_pos),
-        None,
-        &BTreeSet::new(),
-        &window_of,
-        relations,
-    )
-}
-
-/// The greedy join-ordering core shared by [`order_body`] and
-/// [`order_known`]: optionally place `first` up front (the delta literal),
-/// optionally exclude `skip` (a literal already consumed by an over-deletion
-/// frontier fact), then repeatedly pick the literal with the most bound
-/// arguments given the variables bound so far (`seed_bound` plus the
-/// variables the rule's own constraints pin to a constant), breaking ties by
-/// smaller visible fact window and then by original position.
-fn greedy_order(
-    rule: &Rule,
-    first: Option<usize>,
-    skip: Option<usize>,
-    seed_bound: &BTreeSet<Var>,
-    window_of: &dyn Fn(usize) -> Window,
-    relations: &BTreeMap<Pred, Relation>,
-) -> Vec<(usize, Window)> {
-    let visible = |i: usize| {
-        relations
-            .get(&rule.body[i].predicate)
-            .map_or(0, |r| r.window_range(window_of(i)).len())
-    };
-    let mut bound = seed_bound.clone();
-    for atom in rule.constraint.atoms() {
-        if let Some((v, _)) = atom.as_ground_binding() {
-            bound.insert(v);
-        }
-    }
-    let mut order = Vec::with_capacity(rule.body.len());
-    if let Some(first) = first {
-        order.push((first, window_of(first)));
-        bound.extend(rule.body[first].vars());
-    }
-    let mut remaining: Vec<usize> = (0..rule.body.len())
-        .filter(|&i| Some(i) != first && Some(i) != skip)
-        .collect();
-    while !remaining.is_empty() {
-        let (slot, &pick) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &i)| {
-                let bound_args = rule.body[i]
-                    .args
-                    .iter()
-                    .filter(|t| term_is_bound(t, &bound))
-                    .count();
-                (Reverse(bound_args), visible(i), i)
-            })
-            .expect("remaining is non-empty");
-        remaining.remove(slot);
-        bound.extend(rule.body[pick].vars());
-        order.push((pick, window_of(pick)));
-    }
-    order
-}
-
-/// Orders the body literals of `rule` for a join over the sealed survivor
-/// relations of a retraction, where every literal reads [`Window::Known`]:
-/// the same greedy most-bound/most-selective discipline as [`order_body`],
-/// seeded with `bound` (the variables a pinned head target already binds)
-/// and optionally excluding `skip` (a body position already consumed by an
-/// over-deletion frontier fact).
-fn order_known(
-    rule: &Rule,
-    skip: Option<usize>,
-    bound: &BTreeSet<Var>,
-    relations: &BTreeMap<Pred, Relation>,
-) -> Vec<(usize, Window)> {
-    greedy_order(rule, None, skip, bound, &|_| Window::Known, relations)
-}
-
-/// The variables a partial match has already bound to a value (symbolic or
-/// numeric), used to seed the greedy body ordering of pinned joins.
-fn bound_vars(pm: &PartialMatch) -> BTreeSet<Var> {
-    pm.sym
-        .keys()
-        .cloned()
-        .chain(pm.num.keys().cloned())
-        .collect()
-}
-
 /// The head facts of every derivation of `rule` that consumes `deleted` at
-/// body position `delta_pos` and arbitrary stored facts (the full sealed
-/// materialization, removed facts included) at the other positions — the
+/// body position `consumed` and — along `steps`, the rule's over-deletion
+/// plan for that position — arbitrary stored facts (the full sealed
+/// materialization, removed facts included) at the other positions: the
 /// one-step support propagation of the DRed over-deletion phase.
 fn overdelete_derivations(
     rule: &Rule,
-    delta_pos: usize,
+    consumed: usize,
+    steps: &[PlanStep],
     deleted: &Fact,
     relations: &BTreeMap<Pred, Relation>,
 ) -> Vec<Fact> {
     let mut derived = Vec::new();
-    let Some(pm) = match_literal(
+    if let Some(pm) = match_literal(
         &PartialMatch::start(rule),
-        &rule.body[delta_pos],
+        &rule.body[consumed],
         FactRef::Stored(deleted),
-    ) else {
-        return derived;
-    };
-    let order = order_known(rule, Some(delta_pos), &bound_vars(&pm), relations);
-    join_indexed(rule, &order, 0, pm, relations, &mut derived, usize::MAX);
+    ) {
+        join(rule, steps, 0, pm, relations, &mut derived, usize::MAX);
+    }
     derived
 }
 
@@ -2008,119 +1517,60 @@ fn term_value(pm: &PartialMatch, term: &Term) -> Option<Value> {
     }
 }
 
-/// The argument positions of `literal` whose value is already determined by
-/// the partial match, with that value — the candidate index probes.
-fn bound_probes(pm: &PartialMatch, literal: &Literal) -> Vec<(usize, Value)> {
-    literal
-        .args
-        .iter()
-        .enumerate()
-        .filter_map(|(i, term)| term_value(pm, term).map(|value| (i, value)))
-        .collect()
+/// The statically planned probe of `step`, resolved against a partial match:
+/// the probe column and the concrete value the match determines for it.
+/// `None` when the plan chose no column, or when an earlier constraint-fact
+/// match left the chosen column without a concrete value — the step then
+/// scans its window.
+fn resolved_probe(step: &PlanStep, literal: &Literal, pm: &PartialMatch) -> Option<(usize, Value)> {
+    let pos = step.probe?;
+    term_value(pm, &literal.args[pos]).map(|value| (pos, value))
 }
 
-/// The delta-window fact indices the first (delta) literal of `order` can
-/// match, in the exact order the join visits them: the most selective bound
-/// argument position (constants of the literal; the partial match is still
-/// empty at step 0) probes the relation's hash index, and a literal with no
-/// bound arguments falls back to scanning the delta window.
+/// The delta-window fact indices the first (delta) step of a round plan can
+/// match, in the exact order the join visits them: the planned probe column
+/// (a constant of the literal; the partial match is still empty at step 0)
+/// probes the relation's hash index, and a literal with no bound argument
+/// falls back to scanning the delta window.
 ///
 /// This is the sharding axis of a parallel round: the candidate list is
 /// chunked across tasks, and concatenating the per-chunk results in order
 /// reproduces the sequential derivation sequence.
 fn delta_candidates(
     rule: &Rule,
-    order: &[(usize, Window)],
+    step: &PlanStep,
     relations: &BTreeMap<Pred, Relation>,
 ) -> Vec<usize> {
-    let (literal_index, window) = order[0];
-    let literal = &rule.body[literal_index];
+    let literal = &rule.body[step.literal];
     let Some(relation) = relations.get(&literal.predicate) else {
         return Vec::new();
     };
-    let pm = PartialMatch::start(rule);
-    let probes = bound_probes(&pm, literal);
-    let best = probes
-        .iter()
-        .min_by_key(|(pos, value)| relation.probe_len(window, *pos, value));
-    match best {
+    match resolved_probe(step, literal, &PartialMatch::start(rule)) {
         Some((pos, value)) => {
             telemetry::bump(telemetry::Counter::IndexProbes);
-            relation.probe_indices(window, *pos, value).collect()
+            relation.probe_indices(step.window, pos, &value).collect()
         }
-        None => relation.window_range(window).collect(),
+        None => relation.window_range(step.window).collect(),
     }
 }
 
-/// Recursively joins the body literals of `rule` in the given order from
-/// `step` onwards (step 0, the delta literal, is enumerated by
-/// [`delta_candidates`]), collecting the facts of every completed derivation
-/// into `derived` until `cap` facts have been collected.
+/// The one join executor: recursively joins the body literals of `rule`
+/// along a precompiled plan from `step` onwards, collecting the facts of
+/// every completed derivation into `derived` until `cap` facts have been
+/// collected.  Round tasks enter at step 1 (step 0, the delta literal, is
+/// enumerated by [`delta_candidates`]); the DRed joins enter at step 0 with
+/// a partial match that already carries their seed bindings.
 ///
-/// At each step the most selective bound argument position probes the
-/// relation's hash index (exact matches plus the constraint-fact tail); a
-/// literal with no bound arguments falls back to scanning its window.
-#[allow(clippy::too_many_arguments)]
-fn join_indexed(
-    rule: &Rule,
-    order: &[(usize, Window)],
-    step: usize,
-    pm: PartialMatch,
-    relations: &BTreeMap<Pred, Relation>,
-    derived: &mut Vec<Fact>,
-    cap: usize,
-) {
-    if derived.len() >= cap {
-        return;
-    }
-    let Some(&(literal_index, window)) = order.get(step) else {
-        finish_derivation(rule, pm, derived);
-        return;
-    };
-    let literal = &rule.body[literal_index];
-    let Some(relation) = relations.get(&literal.predicate) else {
-        return;
-    };
-    let probes = bound_probes(&pm, literal);
-    let best = probes
-        .iter()
-        .min_by_key(|(pos, value)| relation.probe_len(window, *pos, value));
-    match best {
-        Some((pos, value)) => {
-            telemetry::bump(telemetry::Counter::IndexProbes);
-            for fact in relation.probe(window, *pos, value) {
-                if let Some(next) = match_literal(&pm, literal, fact) {
-                    telemetry::bump(telemetry::Counter::ProbeHits);
-                    join_indexed(rule, order, step + 1, next, relations, derived, cap);
-                } else {
-                    telemetry::bump(telemetry::Counter::ProbeMisses);
-                }
-            }
-        }
-        None => {
-            for fact in relation.window_refs(window) {
-                if let Some(next) = match_literal(&pm, literal, fact) {
-                    join_indexed(rule, order, step + 1, next, relations, derived, cap);
-                }
-            }
-        }
-    }
-}
-
-/// Recursively joins the body literals of `rule` along a precompiled plan
-/// from `step` onwards (step 0, the delta literal, is enumerated by
-/// [`delta_candidates`]), collecting at most `cap` derived facts.
-///
-/// Unlike [`join_indexed`], which re-scans every bound argument position per
-/// partial match to pick the shortest posting list, the probe column here was
-/// fixed at plan-compilation time; if a constraint-fact match left that
-/// column without a concrete value at run time, the step falls back to
-/// scanning its window.  A step the plan marked as an existence check stops
-/// at its first match — guarded to the case where every argument resolves to
-/// a concrete value and the relation holds no constraint facts, in which
-/// ground deduplication guarantees at most one matching row anyway, so the
-/// shortcut saves the rest of the scan without changing any statistics.
-fn join_planned(
+/// The probe column of every step was fixed at plan-compilation time; if a
+/// constraint-fact match left that column without a concrete value at run
+/// time, the step falls back to scanning its window.  A step the plan marked
+/// as an existence check stops at its first match — guarded to the case
+/// where every argument resolves to a concrete value and the relation holds
+/// no constraint facts, in which ground deduplication guarantees at most one
+/// matching row anyway, so the shortcut saves the rest of the scan without
+/// changing any statistics.  Those two run-time guards are what makes a
+/// static plan safe for every input, constraint facts included.
+fn join(
     rule: &Rule,
     steps: &[PlanStep],
     step: usize,
@@ -2143,16 +1593,13 @@ fn join_planned(
     let exists_only = plan_step.existence
         && relation.constraint_fact_count() == 0
         && literal.args.iter().all(|t| term_value(&pm, t).is_some());
-    let probe = plan_step
-        .probe
-        .and_then(|pos| term_value(&pm, &literal.args[pos]).map(|value| (pos, value)));
-    match probe {
+    match resolved_probe(plan_step, literal, &pm) {
         Some((pos, value)) => {
             telemetry::bump(telemetry::Counter::IndexProbes);
             for fact in relation.probe(plan_step.window, pos, &value) {
                 if let Some(next) = match_literal(&pm, literal, fact) {
                     telemetry::bump(telemetry::Counter::ProbeHits);
-                    join_planned(rule, steps, step + 1, next, relations, derived, cap);
+                    join(rule, steps, step + 1, next, relations, derived, cap);
                     if exists_only {
                         telemetry::bump(telemetry::Counter::ExistenceShortcuts);
                         break;
@@ -2165,82 +1612,13 @@ fn join_planned(
         None => {
             for fact in relation.window_refs(plan_step.window) {
                 if let Some(next) = match_literal(&pm, literal, fact) {
-                    join_planned(rule, steps, step + 1, next, relations, derived, cap);
+                    join(rule, steps, step + 1, next, relations, derived, cap);
                     if exists_only {
                         telemetry::bump(telemetry::Counter::ExistenceShortcuts);
                         break;
                     }
                 }
             }
-        }
-    }
-}
-
-/// Recursively joins the body literals of `rule` with the legacy nested-loop,
-/// count-sliced discipline, visiting the literals in `order` from position
-/// `step` onwards and collecting at most `cap` derived facts.  The count
-/// slices are keyed by each literal's *original* body position relative to
-/// `delta_pos`, so the set of fact combinations enumerated is the same for
-/// every visit order — a permuted `order` (from a static plan) only changes
-/// how early unmatched combinations are cut off.
-#[allow(clippy::too_many_arguments)]
-fn join_legacy(
-    rule: &Rule,
-    order: &[usize],
-    step: usize,
-    delta_pos: usize,
-    naive_round: bool,
-    pm: PartialMatch,
-    relations: &BTreeMap<Pred, Relation>,
-    before_prev: &BTreeMap<Pred, usize>,
-    prev: &BTreeMap<Pred, usize>,
-    derived: &mut Vec<Fact>,
-    cap: usize,
-) {
-    if derived.len() >= cap {
-        return;
-    }
-    let Some(&index) = order.get(step) else {
-        finish_derivation(rule, pm, derived);
-        return;
-    };
-    let literal = &rule.body[index];
-    let pred = &literal.predicate;
-    let empty = Relation::new();
-    let relation = relations.get(pred).unwrap_or(&empty);
-    // Select the slice of facts visible to this literal under the semi-naive
-    // discipline (old facts before the delta literal, delta at the delta
-    // literal, everything known at the end of the previous iteration after).
-    // The naive round covers the facts present at the iteration boundary —
-    // the snapshot the `prev` counts captured — so the join reads the same
-    // slice whether the round's tasks run sequentially interleaved with
-    // absorption or all in parallel before it.
-    let (lo, hi) = if naive_round {
-        (0, prev.get(pred).copied().unwrap_or(0))
-    } else {
-        let before = before_prev.get(pred).copied().unwrap_or(0);
-        let end = prev.get(pred).copied().unwrap_or(0);
-        match index.cmp(&delta_pos) {
-            std::cmp::Ordering::Less => (0, before),
-            std::cmp::Ordering::Equal => (before, end),
-            std::cmp::Ordering::Greater => (0, end),
-        }
-    };
-    for fact_index in lo..hi.min(relation.len()) {
-        if let Some(next) = match_literal(&pm, literal, relation.fact_ref(fact_index)) {
-            join_legacy(
-                rule,
-                order,
-                step + 1,
-                delta_pos,
-                naive_round,
-                next,
-                relations,
-                before_prev,
-                prev,
-                derived,
-                cap,
-            );
         }
     }
 }
@@ -2488,37 +1866,15 @@ mod tests {
 
     fn eval(source: &str, db: &Database) -> EvalResult {
         let program = parse_program(source).unwrap();
-        Evaluator::new(&program, EvalOptions::indexed()).evaluate(db)
-    }
-
-    fn eval_legacy(source: &str, db: &Database) -> EvalResult {
-        let program = parse_program(source).unwrap();
-        Evaluator::new(&program, EvalOptions::legacy()).evaluate(db)
+        Evaluator::new(&program, EvalOptions::default()).evaluate(db)
     }
 
     #[test]
-    fn environment_settings_recognize_documented_spellings_only() {
-        for on in ["on", "1", "true", "indexed"] {
-            assert_eq!(parse_index_setting(on), Some(true));
-        }
-        for off in ["off", "0", "false", "legacy"] {
-            assert_eq!(parse_index_setting(off), Some(false));
-        }
-        assert_eq!(parse_index_setting("offf"), None);
-        assert_eq!(parse_index_setting(""), None);
+    fn thread_setting_recognizes_positive_counts_only() {
         assert_eq!(parse_threads_setting("4"), Some(4));
         assert_eq!(parse_threads_setting("0"), None);
         assert_eq!(parse_threads_setting("two"), None);
-        assert_eq!(parse_plan_setting("on"), Some(true));
-        assert_eq!(parse_plan_setting("1"), Some(true));
-        assert_eq!(parse_plan_setting("true"), Some(true));
-        assert_eq!(parse_plan_setting("off"), Some(false));
-        assert_eq!(parse_plan_setting("0"), Some(false));
-        assert_eq!(parse_plan_setting("false"), Some(false));
-        assert_eq!(parse_plan_setting("planned"), None);
-        assert_eq!(parse_plan_setting(""), None);
-        // The shared reader warns and falls back on unrecognized values.
-        assert!(env_setting("PCS_TEST_UNSET_VAR", "anything", || 7, |_| None) == 7);
+        assert_eq!(parse_threads_setting(""), None);
     }
 
     #[test]
@@ -2689,49 +2045,19 @@ mod tests {
         let source = "a(X, 5) :- X >= 0.\n\
                       b(Z) :- Z <= 2.\n\
                       q(X, Z) :- a(X, Y), b(Z), Y <= 7, Y <= 8, Y <= 9.";
-        for result in [eval(source, &db), eval_legacy(source, &db)] {
-            assert_eq!(result.count_for(&Pred::new("q")), 1);
-            let q = &result.facts_for(&Pred::new("q"))[0];
-            assert!(q
-                .constraint()
-                .implies_atom(&Atom::var_ge(Var::position(1), 0)));
-            assert!(q
-                .constraint()
-                .implies_atom(&Atom::var_le(Var::position(2), 2)));
-            // Under the collision, $1 inherited the b fact's upper bound.
-            assert!(!q
-                .constraint()
-                .implies_atom(&Atom::var_le(Var::position(1), 2)));
-        }
-    }
-
-    #[test]
-    fn indexed_and_legacy_cores_agree() {
-        let mut db = Database::new();
-        for (a, b) in [(1, 2), (2, 3), (3, 4), (4, 2), (1, 4)] {
-            db.add_ground("edge", vec![Value::num(a), Value::num(b)]);
-        }
-        let source = "path(X, Y) :- edge(X, Y).\n\
-                      path(X, Y) :- edge(X, Z), path(Z, Y).\n\
-                      short(X, Y) :- path(X, Y), X <= 2.";
-        let indexed = eval(source, &db);
-        let legacy = eval_legacy(source, &db);
-        assert_eq!(indexed.termination, legacy.termination);
-        for pred in ["path", "short"] {
-            let mut a: Vec<String> = indexed
-                .facts_for(&Pred::new(pred))
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect();
-            let mut b: Vec<String> = legacy
-                .facts_for(&Pred::new(pred))
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b);
-        }
+        let result = eval(source, &db);
+        assert_eq!(result.count_for(&Pred::new("q")), 1);
+        let q = &result.facts_for(&Pred::new("q"))[0];
+        assert!(q
+            .constraint()
+            .implies_atom(&Atom::var_ge(Var::position(1), 0)));
+        assert!(q
+            .constraint()
+            .implies_atom(&Atom::var_le(Var::position(2), 2)));
+        // Under the collision, $1 inherited the b fact's upper bound.
+        assert!(!q
+            .constraint()
+            .implies_atom(&Atom::var_le(Var::position(1), 2)));
     }
 
     /// Renders relations sorted so runs can be compared fact-for-fact.
@@ -2782,18 +2108,13 @@ mod tests {
                       path(X, Y) :- edge(X, Z), path(Z, Y).\n\
                       near(X, Y) :- path(X, Y), seed(X).";
         let program = parse_program(source).unwrap();
-        for index in [true, false] {
-            let base = EvalOptions {
-                index,
-                ..EvalOptions::default()
-            };
-            let sequential = Evaluator::new(&program, base.clone().with_threads(1)).evaluate(&db);
-            for threads in [2, 4, 7] {
-                // Force sharding even though the rounds are narrow.
-                let options = base.clone().with_threads(threads).with_min_parallel_work(0);
-                let parallel = Evaluator::new(&program, options).evaluate(&db);
-                assert_identical_runs(&sequential, &parallel);
-            }
+        let base = EvalOptions::default();
+        let sequential = Evaluator::new(&program, base.clone().with_threads(1)).evaluate(&db);
+        for threads in [2, 4, 7] {
+            // Force sharding even though the rounds are narrow.
+            let options = base.clone().with_threads(threads).with_min_parallel_work(0);
+            let parallel = Evaluator::new(&program, options).evaluate(&db);
+            assert_identical_runs(&sequential, &parallel);
         }
     }
 
@@ -2812,7 +2133,7 @@ mod tests {
                     max_facts: 20,
                     ..EvalLimits::default()
                 },
-                ..EvalOptions::indexed()
+                ..EvalOptions::default()
             }
             .with_threads(threads)
             .with_min_parallel_work(0);
@@ -2835,7 +2156,7 @@ mod tests {
                     max_derivations: 13,
                     ..EvalLimits::default()
                 },
-                ..EvalOptions::indexed()
+                ..EvalOptions::default()
             }
             .with_threads(threads)
             .with_min_parallel_work(0);
@@ -2956,17 +2277,15 @@ mod tests {
         for fact in &updates {
             full.add(fact.clone());
         }
-        for options in [EvalOptions::indexed(), EvalOptions::legacy()] {
-            let evaluator = Evaluator::new(&program, options);
-            let scratch = evaluator.evaluate(&full);
-            let materialized = evaluator.evaluate(&base);
-            let resumed = evaluator.resume(materialized.relations, updates.clone());
-            assert!(resumed.stats.resumed && !scratch.stats.resumed);
-            assert_eq!(resumed.termination, scratch.termination);
-            assert_eq!(rendered(&resumed), rendered(&scratch));
-            // The resumed run only re-derives what the updates reach.
-            assert!(resumed.stats.total_derivations() < scratch.stats.total_derivations());
-        }
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
+        let scratch = evaluator.evaluate(&full);
+        let materialized = evaluator.evaluate(&base);
+        let resumed = evaluator.resume(materialized.relations, updates.clone());
+        assert!(resumed.stats.resumed && !scratch.stats.resumed);
+        assert_eq!(resumed.termination, scratch.termination);
+        assert_eq!(rendered(&resumed), rendered(&scratch));
+        // The resumed run only re-derives what the updates reach.
+        assert!(resumed.stats.total_derivations() < scratch.stats.total_derivations());
     }
 
     #[test]
@@ -2980,7 +2299,7 @@ mod tests {
         for (a, b) in [(1, 2), (2, 3)] {
             base.add_ground("edge", vec![Value::num(a), Value::num(b)]);
         }
-        let evaluator = Evaluator::new(&program, EvalOptions::indexed());
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
         let materialized = evaluator.evaluate(&base);
         let total = materialized.total_facts();
         // Both updates are already in the materialization.
@@ -3004,25 +2323,19 @@ mod tests {
         )
         .unwrap();
         let updates = crate::database::parse_facts("edge(4, 5).\nedge(5, 6).").unwrap();
-        for index in [true, false] {
-            let base_options = EvalOptions {
-                index,
-                ..EvalOptions::default()
-            };
-            let sequential = {
-                let evaluator = Evaluator::new(&program, base_options.clone().with_threads(1));
-                evaluator.resume(evaluator.evaluate(&base).relations, updates.clone())
-            };
-            for threads in [2, 4] {
-                let options = base_options
-                    .clone()
-                    .with_threads(threads)
-                    .with_min_parallel_work(0);
-                let evaluator = Evaluator::new(&program, options);
-                let parallel =
-                    evaluator.resume(evaluator.evaluate(&base).relations, updates.clone());
-                assert_identical_runs(&sequential, &parallel);
-            }
+        let base_options = EvalOptions::default();
+        let sequential = {
+            let evaluator = Evaluator::new(&program, base_options.clone().with_threads(1));
+            evaluator.resume(evaluator.evaluate(&base).relations, updates.clone())
+        };
+        for threads in [2, 4] {
+            let options = base_options
+                .clone()
+                .with_threads(threads)
+                .with_min_parallel_work(0);
+            let evaluator = Evaluator::new(&program, options);
+            let parallel = evaluator.resume(evaluator.evaluate(&base).relations, updates.clone());
+            assert_identical_runs(&sequential, &parallel);
         }
     }
 
@@ -3040,18 +2353,15 @@ mod tests {
         let deletions = crate::database::parse_facts("edge(2, 3).").unwrap();
         let mut surviving = full.clone();
         assert_eq!(surviving.remove_facts(&deletions), 1);
-        for options in [EvalOptions::indexed(), EvalOptions::legacy()] {
-            let evaluator = Evaluator::new(&program, options);
-            let materialized = evaluator.evaluate(&full);
-            let retracted =
-                evaluator.retract(materialized.relations, deletions.clone(), &surviving);
-            let scratch = evaluator.evaluate(&surviving);
-            assert!(retracted.stats.retracted && !scratch.stats.retracted);
-            // edge(2, 3) plus the paths that only it supported are gone.
-            assert!(retracted.stats.removed_facts >= 4);
-            assert_eq!(retracted.termination, scratch.termination);
-            assert_eq!(rendered(&retracted), rendered(&scratch));
-        }
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
+        let materialized = evaluator.evaluate(&full);
+        let retracted = evaluator.retract(materialized.relations, deletions.clone(), &surviving);
+        let scratch = evaluator.evaluate(&surviving);
+        assert!(retracted.stats.retracted && !scratch.stats.retracted);
+        // edge(2, 3) plus the paths that only it supported are gone.
+        assert!(retracted.stats.removed_facts >= 4);
+        assert_eq!(retracted.termination, scratch.termination);
+        assert_eq!(rendered(&retracted), rendered(&scratch));
     }
 
     #[test]
@@ -3071,20 +2381,18 @@ mod tests {
         let deletions = crate::database::parse_facts("edge(1, 3).").unwrap();
         let mut surviving = full.clone();
         surviving.remove_facts(&deletions);
-        for options in [EvalOptions::indexed(), EvalOptions::legacy()] {
-            let evaluator = Evaluator::new(&program, options);
-            let retracted = evaluator.retract(
-                evaluator.evaluate(&full).relations,
-                deletions.clone(),
-                &surviving,
-            );
-            let path = Literal::new("path", vec![Term::num(1), Term::num(3)]);
-            assert_eq!(retracted.answers(&Query::new(path)).len(), 1);
-            assert_eq!(
-                rendered(&retracted),
-                rendered(&evaluator.evaluate(&surviving))
-            );
-        }
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
+        let retracted = evaluator.retract(
+            evaluator.evaluate(&full).relations,
+            deletions.clone(),
+            &surviving,
+        );
+        let path = Literal::new("path", vec![Term::num(1), Term::num(3)]);
+        assert_eq!(retracted.answers(&Query::new(path)).len(), 1);
+        assert_eq!(
+            rendered(&retracted),
+            rendered(&evaluator.evaluate(&surviving))
+        );
     }
 
     #[test]
@@ -3099,24 +2407,21 @@ mod tests {
         let deletions = crate::database::parse_facts("b(X) :- X >= 0, X <= 10.").unwrap();
         let mut surviving = full.clone();
         assert_eq!(surviving.remove_facts(&deletions), 1);
-        for options in [EvalOptions::indexed(), EvalOptions::legacy()] {
-            let evaluator = Evaluator::new(&program, options);
-            let materialized = evaluator.evaluate(&full);
-            // The subsumed ground fact is genuinely absent beforehand.
-            assert_eq!(materialized.count_for(&Pred::new("b")), 2);
-            let retracted =
-                evaluator.retract(materialized.relations, deletions.clone(), &surviving);
-            let scratch = evaluator.evaluate(&surviving);
-            assert_eq!(rendered(&retracted), rendered(&scratch));
-            assert_eq!(retracted.count_for(&Pred::new("b")), 2);
-            assert_eq!(
-                retracted
-                    .answers(&Query::new(Literal::new("p", vec![Term::num(5)])))
-                    .len(),
-                1
-            );
-            assert!(retracted.termination.is_fixpoint());
-        }
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
+        let materialized = evaluator.evaluate(&full);
+        // The subsumed ground fact is genuinely absent beforehand.
+        assert_eq!(materialized.count_for(&Pred::new("b")), 2);
+        let retracted = evaluator.retract(materialized.relations, deletions.clone(), &surviving);
+        let scratch = evaluator.evaluate(&surviving);
+        assert_eq!(rendered(&retracted), rendered(&scratch));
+        assert_eq!(retracted.count_for(&Pred::new("b")), 2);
+        assert_eq!(
+            retracted
+                .answers(&Query::new(Literal::new("p", vec![Term::num(5)])))
+                .len(),
+            1
+        );
+        assert!(retracted.termination.is_fixpoint());
     }
 
     #[test]
@@ -3140,7 +2445,7 @@ mod tests {
         let deletions = crate::database::parse_facts("edge(1, 3).").unwrap();
         let mut surviving = full.clone();
         surviving.remove_facts(&deletions);
-        let evaluator = Evaluator::new(&program, EvalOptions::indexed().with_threads(1));
+        let evaluator = Evaluator::new(&program, EvalOptions::default().with_threads(1));
         let unlimited = evaluator.retract(
             evaluator.evaluate(&full).relations,
             deletions.clone(),
@@ -3161,7 +2466,7 @@ mod tests {
                 max_derivations: spent - 1,
                 ..EvalLimits::default()
             },
-            ..EvalOptions::indexed().with_threads(1)
+            ..EvalOptions::default().with_threads(1)
         };
         let limited = Evaluator::new(&program, capped).retract(
             materialized.relations,
@@ -3177,7 +2482,7 @@ mod tests {
         let program = parse_program("p(X) :- b(X).").unwrap();
         let mut db = Database::new();
         db.add_ground("b", vec![Value::num(1)]);
-        let evaluator = Evaluator::new(&program, EvalOptions::indexed());
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
         let before = evaluator.evaluate(&db);
         let total = before.total_facts();
         let deletions = crate::database::parse_facts("b(9).").unwrap();
@@ -3201,55 +2506,24 @@ mod tests {
         let deletions = crate::database::parse_facts("edge(2, 3).\nedge(1, 4).").unwrap();
         let mut surviving = full.clone();
         surviving.remove_facts(&deletions);
-        for index in [true, false] {
-            let base = EvalOptions {
-                index,
-                ..EvalOptions::default()
-            };
-            let sequential = {
-                let evaluator = Evaluator::new(&program, base.clone().with_threads(1));
-                evaluator.retract(
-                    evaluator.evaluate(&full).relations,
-                    deletions.clone(),
-                    &surviving,
-                )
-            };
-            for threads in [2, 4] {
-                let options = base.clone().with_threads(threads).with_min_parallel_work(0);
-                let evaluator = Evaluator::new(&program, options);
-                let parallel = evaluator.retract(
-                    evaluator.evaluate(&full).relations,
-                    deletions.clone(),
-                    &surviving,
-                );
-                assert_identical_runs(&sequential, &parallel);
-            }
+        let base = EvalOptions::default();
+        let sequential = {
+            let evaluator = Evaluator::new(&program, base.clone().with_threads(1));
+            evaluator.retract(
+                evaluator.evaluate(&full).relations,
+                deletions.clone(),
+                &surviving,
+            )
+        };
+        for threads in [2, 4] {
+            let options = base.clone().with_threads(threads).with_min_parallel_work(0);
+            let evaluator = Evaluator::new(&program, options);
+            let parallel = evaluator.retract(
+                evaluator.evaluate(&full).relations,
+                deletions.clone(),
+                &surviving,
+            );
+            assert_identical_runs(&sequential, &parallel);
         }
-    }
-
-    #[test]
-    fn body_reordering_moves_bound_literals_first() {
-        let mut db = Database::new();
-        for i in 0..4 {
-            db.add_ground("big", vec![Value::num(i), Value::num(i + 1)]);
-        }
-        db.add_ground("tiny", vec![Value::num(1)]);
-        let program = parse_program("q(X, Y) :- big(X, Y), tiny(X).").unwrap();
-        let evaluator = Evaluator::new(&program, EvalOptions::indexed());
-        let mut relations = evaluator.seed_relations(&db);
-        for r in relations.values_mut() {
-            r.advance();
-        }
-        let rule = &evaluator.program().rules()[0];
-        // With the delta at `big`, `tiny` follows and probes on the bound X.
-        let order = order_body(rule, 0, &relations);
-        assert_eq!(order[0], (0, Window::Delta));
-        assert_eq!(order[1], (1, Window::Known));
-        // With the delta at `tiny`, it stays first and `big` probes on X.
-        let order = order_body(rule, 1, &relations);
-        assert_eq!(order[0], (1, Window::Delta));
-        assert_eq!(order[1], (0, Window::Stable));
-        let result = evaluator.evaluate(&db);
-        assert_eq!(result.count_for(&Pred::new("q")), 1);
     }
 }

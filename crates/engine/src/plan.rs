@@ -1,18 +1,18 @@
-//! Static join plans: each (rule × delta-position) body compiled once into a
-//! verified, reusable [`JoinPlan`] instead of being re-ordered on every
-//! fixpoint iteration.
+//! Static join plans: every join the evaluator runs is compiled once, per
+//! program, into a verified, reusable [`JoinPlan`] — the (rule ×
+//! delta-position) bodies of the semi-naive rounds and the three join shapes
+//! of a DRed retraction (see [`PlanShape`]).
 //!
-//! The planner mirrors the greedy most-bound-first discipline of the dynamic
-//! ordering, but replaces its run-time window-size tie-break with a static
-//! selectivity estimate derived from the analyzer's per-position interval
-//! bounds ([`SelectivityHints`], produced by `pcs-analysis` from its
-//! `Selectivity` summary): a body literal whose positions are pinned or
-//! bounded by the inferred constraints is a cheap probe and joins early.
-//! Each [`PlanStep`] additionally fixes, at compile time, which argument
-//! position probes the relation's hash index (the dynamic core re-scans every
-//! bound position per partial match to pick the shortest posting list) and
-//! whether the step is a pure existence check — a literal whose bindings are
-//! fully determined by the time it is reached can stop at its first match.
+//! One greedy planner orders them all: the literal with the most statically
+//! bound arguments joins next, ties broken by a static selectivity estimate
+//! derived from the analyzer's per-position interval bounds
+//! ([`SelectivityHints`], produced by `pcs-analysis` from its `Selectivity`
+//! summary): a body literal whose positions are pinned or bounded by the
+//! inferred constraints is a cheap probe and joins early.  Each [`PlanStep`]
+//! additionally fixes, at compile time, which argument position probes the
+//! relation's hash index and whether the step is a pure existence check — a
+//! literal whose bindings are fully determined by the time it is reached can
+//! stop at its first match.
 //!
 //! Plan compilation also reports structural join problems as
 //! [`PlanFinding`]s, which `pcs-analysis` converts into ordinary diagnostics:
@@ -22,15 +22,17 @@
 //! the whole plan degenerate.
 //!
 //! Every compiled plan is checked by [`JoinPlan::validate`] before it can be
-//! executed: the steps must be a permutation of the body with the correct
-//! semi-naive window discipline, and the bound-variable frontier must cover
-//! every head variable the body can bind — a planner bug panics at compile
-//! time instead of silently dropping derivations.
+//! executed: the steps must cover the body exactly once with the window
+//! discipline of the plan's shape, every probe column must be bound when its
+//! step runs, and the bound-variable frontier must cover every head variable
+//! the body can bind — a planner bug panics at compile time instead of
+//! silently dropping derivations.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+use pcs_constraints::Var;
 use pcs_lang::{Pred, Program, Rule, Term};
 
 use crate::relation::Window;
@@ -121,8 +123,8 @@ impl SelectivityHints {
         self.classes.is_empty() && self.empty.is_empty()
     }
 
-    /// The class of a literal's most selective position: the static stand-in
-    /// for the dynamic ordering's window-size tie-break.
+    /// The class of a literal's most selective position: the planner's
+    /// tie-break between equally bound literals.
     fn literal_class(&self, pred: &Pred, arity: usize) -> SelectivityClass {
         (0..arity)
             .map(|i| self.class(pred, i))
@@ -137,8 +139,7 @@ impl SelectivityHints {
 pub struct PlanStep {
     /// Index of the body literal (into [`Rule::body`]).
     pub literal: usize,
-    /// The semi-naive window the step reads, fixed by the literal's original
-    /// position relative to the plan's delta position.
+    /// The window the step reads, fixed by the plan's [`PlanShape`].
     pub window: Window,
     /// The statically chosen probe column (0-based argument position), when
     /// some argument is a constant or is bound by the frontier at this step.
@@ -161,23 +162,85 @@ pub struct PlanStep {
     pub class: SelectivityClass,
 }
 
-/// The compiled plan of one (rule × delta-position) body.
+/// What a [`JoinPlan`] joins: which variables are bound before its first
+/// step, which body literal (if any) it leaves out, and which window each
+/// literal reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanShape {
+    /// One semi-naive round: the literal at `delta_pos` reads
+    /// [`Window::Delta`] and is joined first, the literals before it read
+    /// [`Window::Stable`] and the ones after it [`Window::Known`], so every
+    /// new combination of facts is joined exactly once per iteration.
+    Round {
+        /// The body position whose relation supplies the delta facts.
+        delta_pos: usize,
+    },
+    /// DRed over-deletion: a deleted fact has already been matched against
+    /// the literal at `consumed` (binding its variables), and the plan joins
+    /// the *other* literals over the full sealed materialization.
+    Overdelete {
+        /// The body position the deleted fact was consumed at.
+        consumed: usize,
+    },
+    /// DRed re-derivation of one removed ground fact: the head has been
+    /// matched against it (binding the head's plain variables), and the plan
+    /// joins the whole body over the sealed survivors.
+    Pinned,
+    /// DRed re-derivation without a pin — the whole body over the sealed
+    /// survivors, nothing bound up front.  The fallback when a removed fact
+    /// is a proper constraint fact, which a pinned join could under-cover.
+    Full,
+}
+
+impl PlanShape {
+    /// The variables bound before the first step runs.
+    fn seed(self, rule: &Rule) -> BTreeSet<Var> {
+        match self {
+            PlanShape::Round { .. } | PlanShape::Full => BTreeSet::new(),
+            PlanShape::Overdelete { consumed } => rule.body[consumed].vars().into_iter().collect(),
+            PlanShape::Pinned => rule
+                .head
+                .args
+                .iter()
+                .filter_map(|term| match term {
+                    Term::Var(v) => Some(v.clone()),
+                    _ => None,
+                })
+                .collect(),
+        }
+    }
+
+    /// The body literal the plan leaves out, if any.
+    fn skip(self) -> Option<usize> {
+        match self {
+            PlanShape::Overdelete { consumed } => Some(consumed),
+            _ => None,
+        }
+    }
+
+    /// The window the literal at body position `literal` reads.
+    fn window_of(self, literal: usize) -> Window {
+        match self {
+            PlanShape::Round { delta_pos } => match literal.cmp(&delta_pos) {
+                std::cmp::Ordering::Less => Window::Stable,
+                std::cmp::Ordering::Equal => Window::Delta,
+                std::cmp::Ordering::Greater => Window::Known,
+            },
+            _ => Window::Known,
+        }
+    }
+}
+
+/// One compiled join of a rule body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinPlan {
     /// Rule index in the flattened program.
     pub rule: usize,
-    /// The body position whose relation supplies the delta facts.
-    pub delta_pos: usize,
-    /// The join steps; `steps[0]` is always the delta literal.
+    /// What the plan joins (seed bindings, skipped literal, windows).
+    pub shape: PlanShape,
+    /// The join steps, in execution order; a [`PlanShape::Round`] plan's
+    /// `steps[0]` is always the delta literal.
     pub steps: Vec<PlanStep>,
-    /// The literal visit order for the scan-only (legacy) core: the same
-    /// greedy cost model, but *without* hoisting the delta literal to the
-    /// front.  Hoisting only pays off when the later steps are O(1) index
-    /// probes; in a nested-loop core it turns every later literal into a
-    /// full window scan per delta tuple, so the scan order keeps the
-    /// binding-propagation order the greedy derives from the constraint
-    /// bindings alone (usually the author's original order).
-    pub scan_order: Vec<usize>,
 }
 
 /// The kinds of structural problems plan compilation reports.
@@ -209,34 +272,59 @@ pub struct PlanFinding {
     pub message: String,
 }
 
-/// Every compiled plan of a program, keyed by (rule, delta-position), plus
-/// the findings compilation produced.
+/// Every compiled plan of a program plus the findings compilation produced.
+///
+/// The round plans — the ones [`Self::plan`], [`Self::planned_rules`],
+/// [`Self::plans_for`] and `.explain` enumerate — are keyed by
+/// (rule, delta-position); the DRed plans of each rule live beside them.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramPlans {
     plans: BTreeMap<(usize, usize), JoinPlan>,
+    /// Over-deletion plans, keyed by (rule, consumed body position).
+    overdelete: BTreeMap<(usize, usize), JoinPlan>,
+    /// Head-pinned re-derivation plans, keyed by rule.
+    pinned: BTreeMap<usize, JoinPlan>,
+    /// Unpinned full-rule re-derivation plans, keyed by rule.
+    full: BTreeMap<usize, JoinPlan>,
     findings: Vec<PlanFinding>,
 }
 
 impl ProgramPlans {
-    /// The plan compiled for a (rule, delta-position) pair, if the rule has
-    /// a body.
+    /// The round plan compiled for a (rule, delta-position) pair, if the
+    /// rule has a body.
     pub fn plan(&self, rule: usize, delta_pos: usize) -> Option<&JoinPlan> {
         self.plans.get(&(rule, delta_pos))
     }
 
-    /// The rule indices that have at least one plan, in order.
+    /// The rule indices that have at least one round plan, in order.
     pub fn planned_rules(&self) -> Vec<usize> {
         let mut rules: Vec<usize> = self.plans.keys().map(|&(rule, _)| rule).collect();
         rules.dedup();
         rules
     }
 
-    /// All plans of one rule, by delta position.
+    /// All round plans of one rule, by delta position.
     pub fn plans_for(&self, rule: usize) -> Vec<&JoinPlan> {
         self.plans
             .range((rule, 0)..(rule + 1, 0))
             .map(|(_, plan)| plan)
             .collect()
+    }
+
+    /// The [`PlanShape::Overdelete`] plan of a rule for a deleted fact
+    /// consumed at body position `consumed`.
+    pub fn overdelete_plan(&self, rule: usize, consumed: usize) -> Option<&JoinPlan> {
+        self.overdelete.get(&(rule, consumed))
+    }
+
+    /// The [`PlanShape::Pinned`] plan of a rule, if the rule has a body.
+    pub fn pinned_plan(&self, rule: usize) -> Option<&JoinPlan> {
+        self.pinned.get(&rule)
+    }
+
+    /// The [`PlanShape::Full`] plan of a rule, if the rule has a body.
+    pub fn full_plan(&self, rule: usize) -> Option<&JoinPlan> {
+        self.full.get(&rule)
     }
 
     /// The findings plan compilation produced, in (rule, literal) order.
@@ -245,20 +333,23 @@ impl ProgramPlans {
     }
 }
 
-/// Compiles the join plans of every (rule × delta-position) body of a
-/// *flattened* program, using the analyzer-derived selectivity hints for the
-/// cost model.  Every plan is validated before it is returned; a validation
-/// failure is a planner bug and panics.
+/// Compiles every join plan of a *flattened* program — per rule with a body,
+/// one round plan per delta position, one over-deletion plan per consumed
+/// position, and the pinned and full re-derivation plans — using the
+/// analyzer-derived selectivity hints for the cost model.  Every plan is
+/// validated before it is returned; a validation failure is a planner bug
+/// and panics.  Findings are reported for the round plans only: they are
+/// where evaluation spends its time, and the DRed plans join the same
+/// literals.
 pub fn compile_plans(program: &Program, hints: &SelectivityHints) -> ProgramPlans {
-    let mut plans = BTreeMap::new();
-    let mut findings = Vec::new();
+    let mut compiled = ProgramPlans::default();
     let mut reported: BTreeSet<(usize, usize, PlanFindingKind)> = BTreeSet::new();
     for (rule_index, rule) in program.rules().iter().enumerate() {
         for (literal_index, literal) in rule.body.iter().enumerate() {
             if hints.is_provably_empty(&literal.predicate)
                 && reported.insert((rule_index, literal_index, PlanFindingKind::DegeneratePlan))
             {
-                findings.push(PlanFinding {
+                compiled.findings.push(PlanFinding {
                     rule: rule_index,
                     literal: literal_index,
                     kind: PlanFindingKind::DegeneratePlan,
@@ -271,192 +362,193 @@ pub fn compile_plans(program: &Program, hints: &SelectivityHints) -> ProgramPlan
                 });
             }
         }
-        for delta_pos in 0..rule.body.len() {
-            let plan = compile_plan(
-                rule,
-                rule_index,
-                delta_pos,
-                hints,
-                &mut findings,
-                &mut reported,
-            );
-            plan.validate(rule);
-            plans.insert((rule_index, delta_pos), plan);
+        if rule.body.is_empty() {
+            continue;
         }
+        let compile = |shape| compile_plan(rule, rule_index, shape, hints);
+        for position in 0..rule.body.len() {
+            let plan = compile(PlanShape::Round {
+                delta_pos: position,
+            });
+            report_findings(rule, &plan, hints, &mut compiled.findings, &mut reported);
+            compiled.plans.insert((rule_index, position), plan);
+            compiled.overdelete.insert(
+                (rule_index, position),
+                compile(PlanShape::Overdelete { consumed: position }),
+            );
+        }
+        compiled
+            .pinned
+            .insert(rule_index, compile(PlanShape::Pinned));
+        compiled.full.insert(rule_index, compile(PlanShape::Full));
     }
-    findings.sort_by_key(|f| (f.rule, f.literal, f.kind));
-    pcs_telemetry::add(pcs_telemetry::Counter::PlansCompiled, plans.len() as u64);
-    ProgramPlans { plans, findings }
+    compiled
+        .findings
+        .sort_by_key(|f| (f.rule, f.literal, f.kind));
+    let total = compiled.plans.len()
+        + compiled.overdelete.len()
+        + compiled.pinned.len()
+        + compiled.full.len();
+    pcs_telemetry::add(pcs_telemetry::Counter::PlansCompiled, total as u64);
+    compiled
 }
 
-/// Compiles one (rule × delta-position) plan: the delta literal first, then
-/// greedily the literal with the most statically bound arguments, breaking
-/// ties by the hint class of its most selective position and then by original
-/// position — the static mirror of the dynamic `order_body` discipline, with
-/// the run-time window-size tie-break replaced by the selectivity estimate.
+/// Compiles and validates the plan of one rule body for one shape.
 fn compile_plan(
     rule: &Rule,
     rule_index: usize,
-    delta_pos: usize,
+    shape: PlanShape,
     hints: &SelectivityHints,
-    findings: &mut Vec<PlanFinding>,
-    reported: &mut BTreeSet<(usize, usize, PlanFindingKind)>,
 ) -> JoinPlan {
-    let window_of = |i: usize| match i.cmp(&delta_pos) {
-        std::cmp::Ordering::Less => Window::Stable,
-        std::cmp::Ordering::Equal => Window::Delta,
-        std::cmp::Ordering::Greater => Window::Known,
+    let plan = JoinPlan {
+        rule: rule_index,
+        shape,
+        steps: order_steps(
+            rule,
+            shape.seed(rule),
+            shape.skip(),
+            &|literal| shape.window_of(literal),
+            hints,
+        ),
     };
-    // Variables the rule's own constraints pin to a constant are bound before
-    // any literal is placed, exactly as in the dynamic ordering.
-    let mut frontier: BTreeSet<pcs_constraints::Var> = BTreeSet::new();
-    for atom in rule.constraint.atoms() {
-        if let Some((v, _)) = atom.as_ground_binding() {
-            frontier.insert(v);
-        }
-    }
-    let mut steps = Vec::with_capacity(rule.body.len());
-    let place = |i: usize, frontier: &BTreeSet<pcs_constraints::Var>| -> PlanStep {
-        let literal = &rule.body[i];
-        let bound_args = literal
+    plan.validate(rule);
+    plan
+}
+
+/// The one greedy join ordering: starting from the `seed` frontier (plus the
+/// variables the rule's own constraints pin to a constant), repeatedly place
+/// the body literal — `skip` excluded — with the most statically bound
+/// arguments, breaking ties by the hint class of its most selective position
+/// and then by original position.  A literal reading [`Window::Delta`] always
+/// leads: its window is the smallest by construction.  Each placed literal
+/// records its probe column and existence flag against the frontier it was
+/// placed under, then adds its variables to it.
+fn order_steps(
+    rule: &Rule,
+    seed: BTreeSet<Var>,
+    skip: Option<usize>,
+    window_of: &dyn Fn(usize) -> Window,
+    hints: &SelectivityHints,
+) -> Vec<PlanStep> {
+    let mut frontier = seed;
+    frontier.extend(constraint_pinned_vars(rule));
+    let bound_args = |i: usize, frontier: &BTreeSet<Var>| {
+        rule.body[i]
             .args
             .iter()
             .filter(|t| term_statically_bound(t, frontier))
-            .count();
+            .count()
+    };
+    let class = |i: usize| hints.literal_class(&rule.body[i].predicate, rule.body[i].arity());
+    let mut remaining: Vec<usize> = (0..rule.body.len()).filter(|&i| Some(i) != skip).collect();
+    let mut steps = Vec::with_capacity(remaining.len());
+    while !remaining.is_empty() {
+        let (slot, &pick) = remaining
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &i)| {
+                (
+                    window_of(i) != Window::Delta,
+                    Reverse(bound_args(i, &frontier)),
+                    class(i).rank(),
+                    i,
+                )
+            })
+            .expect("remaining is non-empty");
+        remaining.remove(slot);
+        let literal = &rule.body[pick];
+        let bound = bound_args(pick, &frontier);
         // Probe the most selective bound column (by hint class, then lowest
         // position) — chosen once here instead of per partial match.
         let probe = literal
             .args
             .iter()
             .enumerate()
-            .filter(|(_, t)| term_statically_bound(t, frontier))
+            .filter(|(_, t)| term_statically_bound(t, &frontier))
             .min_by_key(|&(pos, _)| (hints.class(&literal.predicate, pos).rank(), pos))
             .map(|(pos, _)| pos);
-        PlanStep {
-            literal: i,
-            window: window_of(i),
+        steps.push(PlanStep {
+            literal: pick,
+            window: window_of(pick),
             probe,
-            existence: bound_args == literal.arity() && i != delta_pos,
-            bound_args,
-            class: hints.literal_class(&literal.predicate, literal.arity()),
-        }
+            existence: bound == literal.arity() && window_of(pick) != Window::Delta,
+            bound_args: bound,
+            class: class(pick),
+        });
+        frontier.extend(literal.vars());
+    }
+    steps
+}
+
+/// Reports the structural problems of one round plan: every step after the
+/// delta literal that has no bound probe column is either a cross product
+/// (it shares no variable with the literals joined before it) or an
+/// unbounded scan (it does, but the analyzer knows no bounded position for
+/// its predicate).  Each (rule, literal, kind) is reported once, for the
+/// first delta position that exhibits it.
+fn report_findings(
+    rule: &Rule,
+    plan: &JoinPlan,
+    hints: &SelectivityHints,
+    findings: &mut Vec<PlanFinding>,
+    reported: &mut BTreeSet<(usize, usize, PlanFindingKind)>,
+) {
+    let PlanShape::Round { delta_pos } = plan.shape else {
+        return;
     };
-    let first = place(delta_pos, &frontier);
-    frontier.extend(rule.body[delta_pos].vars());
-    steps.push(first);
-    let mut remaining: Vec<usize> = (0..rule.body.len()).filter(|&i| i != delta_pos).collect();
-    while !remaining.is_empty() {
-        let (slot, &pick) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &i)| {
-                let bound_args = rule.body[i]
-                    .args
-                    .iter()
-                    .filter(|t| term_statically_bound(t, &frontier))
-                    .count();
-                (
-                    Reverse(bound_args),
-                    hints
-                        .literal_class(&rule.body[i].predicate, rule.body[i].arity())
-                        .rank(),
-                    i,
-                )
-            })
-            .expect("remaining is non-empty");
-        remaining.remove(slot);
-        let step = place(pick, &frontier);
-        let literal = &rule.body[pick];
-        if step.probe.is_none() && literal.arity() > 0 {
+    let mut frontier = constraint_pinned_vars(rule);
+    for (index, step) in plan.steps.iter().enumerate() {
+        let literal = &rule.body[step.literal];
+        if index > 0 && step.probe.is_none() && literal.arity() > 0 {
             // Flattening moves arithmetic into the constraint conjunction, so
             // two literals may be linked only through a constraint atom; close
             // the frontier over constraint connectivity before calling a join
             // a cross product.
             let connected = constraint_connected(&frontier, rule);
             let shares_frontier = literal.vars().iter().any(|v| connected.contains(v));
-            if !shares_frontier {
-                if reported.insert((rule_index, pick, PlanFindingKind::CrossProductJoin)) {
-                    findings.push(PlanFinding {
-                        rule: rule_index,
-                        literal: pick,
-                        kind: PlanFindingKind::CrossProductJoin,
-                        message: format!(
-                            "body literal {}@{} shares no variables with the literals joined before it (delta position {}): no indexed order exists and the join degrades to a cross product",
-                            literal.predicate,
-                            pick + 1,
-                            delta_pos + 1
-                        ),
-                    });
-                }
+            let kind = if !shares_frontier {
+                Some(PlanFindingKind::CrossProductJoin)
             } else if (0..literal.arity())
                 .all(|i| hints.class(&literal.predicate, i) == SelectivityClass::Unbounded)
-                && reported.insert((rule_index, pick, PlanFindingKind::UnboundedProbe))
             {
-                findings.push(PlanFinding {
-                    rule: rule_index,
-                    literal: pick,
-                    kind: PlanFindingKind::UnboundedProbe,
-                    message: format!(
-                        "body literal {}@{} is probed with no bound column and no constraint interval (delta position {}): the step scans the whole window",
-                        literal.predicate,
-                        pick + 1,
-                        delta_pos + 1
+                Some(PlanFindingKind::UnboundedProbe)
+            } else {
+                None
+            };
+            if let Some(kind) =
+                kind.filter(|&kind| reported.insert((plan.rule, step.literal, kind)))
+            {
+                let (at, delta) = (step.literal + 1, delta_pos + 1);
+                let message = match kind {
+                    PlanFindingKind::CrossProductJoin => format!(
+                        "body literal {}@{at} shares no variables with the literals joined before it (delta position {delta}): no indexed order exists and the join degrades to a cross product",
+                        literal.predicate
                     ),
+                    _ => format!(
+                        "body literal {}@{at} is probed with no bound column and no constraint interval (delta position {delta}): the step scans the whole window",
+                        literal.predicate
+                    ),
+                };
+                findings.push(PlanFinding {
+                    rule: plan.rule,
+                    literal: step.literal,
+                    kind,
+                    message,
                 });
             }
         }
         frontier.extend(literal.vars());
-        steps.push(step);
-    }
-    let scan_order = compile_scan_order(rule, hints);
-    JoinPlan {
-        rule: rule_index,
-        delta_pos,
-        steps,
-        scan_order,
     }
 }
 
-/// The nested-loop visit order: the same greedy most-bound-first discipline,
-/// seeded only from the rule's ground constraint bindings and *not* forcing
-/// the delta literal first (the legacy core's count slices are keyed by
-/// original positions, so any permutation enumerates the same combinations).
-/// With no constraint bindings this degenerates to the original body order —
-/// for a scan-only core, the order the author (or the magic rewrite) wrote
-/// the guards in is the binding-propagation order.
-fn compile_scan_order(rule: &Rule, hints: &SelectivityHints) -> Vec<usize> {
-    let mut frontier: BTreeSet<pcs_constraints::Var> = BTreeSet::new();
-    for atom in rule.constraint.atoms() {
-        if let Some((v, _)) = atom.as_ground_binding() {
-            frontier.insert(v);
-        }
-    }
-    let mut order = Vec::with_capacity(rule.body.len());
-    let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
-    while !remaining.is_empty() {
-        let (slot, &pick) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &i)| {
-                let bound_args = rule.body[i]
-                    .args
-                    .iter()
-                    .filter(|t| term_statically_bound(t, &frontier))
-                    .count();
-                (
-                    Reverse(bound_args),
-                    hints
-                        .literal_class(&rule.body[i].predicate, rule.body[i].arity())
-                        .rank(),
-                    i,
-                )
-            })
-            .expect("remaining is non-empty");
-        remaining.remove(slot);
-        frontier.extend(rule.body[pick].vars());
-        order.push(pick);
-    }
-    order
+/// The variables the rule's own constraints pin to a constant: bound before
+/// any literal is placed.
+fn constraint_pinned_vars(rule: &Rule) -> BTreeSet<Var> {
+    rule.constraint
+        .atoms()
+        .iter()
+        .filter_map(|atom| atom.as_ground_binding().map(|(v, _)| v))
+        .collect()
 }
 
 /// The frontier closed over constraint-atom connectivity: a variable that
@@ -464,10 +556,7 @@ fn compile_scan_order(rule: &Rule, hints: &SelectivityHints) -> Vec<usize> {
 /// Used only to decide whether a probe-less join is a true cross product —
 /// probe selection still requires direct frontier membership, because only
 /// those bindings are resolvable from the partial match at run time.
-fn constraint_connected(
-    frontier: &BTreeSet<pcs_constraints::Var>,
-    rule: &Rule,
-) -> BTreeSet<pcs_constraints::Var> {
+fn constraint_connected(frontier: &BTreeSet<Var>, rule: &Rule) -> BTreeSet<Var> {
     let mut connected = frontier.clone();
     loop {
         let mut changed = false;
@@ -488,7 +577,7 @@ fn constraint_connected(
 /// Whether every variable of `term` is in the frontier (constants count as
 /// bound) — the static counterpart of the evaluator's run-time boundness
 /// check.
-fn term_statically_bound(term: &Term, frontier: &BTreeSet<pcs_constraints::Var>) -> bool {
+fn term_statically_bound(term: &Term, frontier: &BTreeSet<Var>) -> bool {
     match term {
         Term::Sym(_) | Term::Num(_) => true,
         Term::Var(v) => frontier.contains(v),
@@ -497,45 +586,45 @@ fn term_statically_bound(term: &Term, frontier: &BTreeSet<pcs_constraints::Var>)
 }
 
 impl JoinPlan {
-    /// Checks the plan against its rule: the steps must be a permutation of
-    /// the body literals, the delta literal must come first, every step's
-    /// window must match its literal's original position relative to the
-    /// delta position, every probe column must exist, and the bound-variable
-    /// frontier after all steps must cover every head variable the body can
-    /// bind.  A violation is a planner bug, not a user error — it panics so
-    /// it cannot silently drop derivations.
+    /// Checks the plan against its rule and [`PlanShape`]: the steps must
+    /// cover every body literal except the shape's skipped one exactly once,
+    /// a round plan's delta literal must come first, every step's window
+    /// must be the one its shape prescribes, every probe column must exist
+    /// and be bound by the seed or an earlier step, an existence step must
+    /// have every argument bound, and the bound-variable frontier after all
+    /// steps must cover every head variable the body can bind.  A violation
+    /// is a planner bug, not a user error — it panics so it cannot silently
+    /// drop derivations.
     pub fn validate(&self, rule: &Rule) {
+        let skip = self.shape.skip();
         assert_eq!(
-            self.steps.len(),
+            self.steps.len() + usize::from(skip.is_some()),
             rule.body.len(),
-            "plan for delta position {} must cover every body literal",
-            self.delta_pos
+            "{:?} plan must cover every body literal it does not skip",
+            self.shape
         );
-        assert_eq!(
-            self.steps.first().map(|s| s.literal),
-            Some(self.delta_pos),
-            "the delta literal must be joined first"
-        );
-        let mut frontier: BTreeSet<pcs_constraints::Var> = BTreeSet::new();
-        for atom in rule.constraint.atoms() {
-            if let Some((v, _)) = atom.as_ground_binding() {
-                frontier.insert(v);
-            }
-        }
-        let mut seen = BTreeSet::new();
-        for (index, step) in self.steps.iter().enumerate() {
-            assert!(
-                step.literal < rule.body.len() && seen.insert(step.literal),
-                "plan step repeats or exceeds the body literals"
-            );
-            let expected = match step.literal.cmp(&self.delta_pos) {
-                std::cmp::Ordering::Less => Window::Stable,
-                std::cmp::Ordering::Equal => Window::Delta,
-                std::cmp::Ordering::Greater => Window::Known,
-            };
+        if let PlanShape::Round { delta_pos } = self.shape {
             assert_eq!(
-                step.window, expected,
-                "plan step window violates the semi-naive discipline"
+                self.steps.first().map(|s| s.literal),
+                Some(delta_pos),
+                "the delta literal must be joined first"
+            );
+        }
+        let mut frontier = self.shape.seed(rule);
+        frontier.extend(constraint_pinned_vars(rule));
+        let mut seen = BTreeSet::new();
+        for step in &self.steps {
+            assert!(
+                step.literal < rule.body.len()
+                    && Some(step.literal) != skip
+                    && seen.insert(step.literal),
+                "plan step repeats, exceeds, or joins the skipped body literal"
+            );
+            assert_eq!(
+                step.window,
+                self.shape.window_of(step.literal),
+                "plan step window violates the {:?} discipline",
+                self.shape
             );
             let literal = &rule.body[step.literal];
             if let Some(pos) = step.probe {
@@ -550,7 +639,7 @@ impl JoinPlan {
             }
             if step.existence {
                 assert!(
-                    index > 0
+                    step.window != Window::Delta
                         && literal
                             .args
                             .iter()
@@ -568,21 +657,19 @@ impl JoinPlan {
                 );
             }
         }
-        let mut scan_sorted = self.scan_order.clone();
-        scan_sorted.sort_unstable();
-        assert!(
-            scan_sorted.iter().copied().eq(0..rule.body.len()),
-            "scan order is not a permutation of the body literals"
-        );
     }
 
     /// Renders the plan as one deterministic line (no timings, no sizes), for
-    /// `.explain` and its golden tests: the delta literal and each join step
-    /// with its window, probe choice, and static cost annotation.
+    /// `.explain` and its golden tests: what the join starts from and each
+    /// step with its window, probe choice, and static cost annotation.
     pub fn render(&self, rule: &Rule) -> String {
-        let mut out = String::new();
-        let delta = &rule.body[self.delta_pos];
-        let _ = write!(out, "delta {}@{}:", delta.predicate, self.delta_pos + 1);
+        let at = |i: usize| format!("{}@{}", rule.body[i].predicate, i + 1);
+        let mut out = match self.shape {
+            PlanShape::Round { delta_pos } => format!("delta {}:", at(delta_pos)),
+            PlanShape::Overdelete { consumed } => format!("overdelete {}:", at(consumed)),
+            PlanShape::Pinned => "rederive pinned:".to_string(),
+            PlanShape::Full => "rederive full:".to_string(),
+        };
         for (i, step) in self.steps.iter().enumerate() {
             let literal = &rule.body[step.literal];
             let window = match step.window {
@@ -597,25 +684,13 @@ impl JoinPlan {
             let exists = if step.existence { " exists" } else { "" };
             let _ = write!(
                 out,
-                "{} {}@{} {window} {access}{exists} [bound {}/{}, {}]",
+                "{} {} {window} {access}{exists} [bound {}/{}, {}]",
                 if i == 0 { "" } else { " ->" },
-                literal.predicate,
-                step.literal + 1,
+                at(step.literal),
                 step.bound_args,
                 literal.arity(),
                 step.class,
             );
-        }
-        // The legacy core visits in scan order; only worth a mention when it
-        // differs from the probe order above.
-        let probe_order: Vec<usize> = self.steps.iter().map(|s| s.literal).collect();
-        if self.scan_order != probe_order {
-            let rendered: Vec<String> = self
-                .scan_order
-                .iter()
-                .map(|&i| format!("{}@{}", rule.body[i].predicate, i + 1))
-                .collect();
-            let _ = write!(out, " | scan order {}", rendered.join(", "));
         }
         out
     }
@@ -830,22 +905,102 @@ mod tests {
                 "plan for rule r2 (line 1): r2: a(X, Y) :- b1(X, Z), b2(Z, Y).".to_string(),
                 "  delta b1@1: b1@1 delta scan [bound 0/2, unbounded] -> b2@2 known probe $1 [bound 1/2, unbounded]"
                     .to_string(),
-                "  delta b2@2: b2@2 delta scan [bound 0/2, unbounded] -> b1@1 stable probe $2 [bound 1/2, unbounded] | scan order b1@1, b2@2"
+                "  delta b2@2: b2@2 delta scan [bound 0/2, unbounded] -> b1@1 stable probe $2 [bound 1/2, unbounded]"
                     .to_string(),
             ]
         );
     }
 
     #[test]
-    #[should_panic(expected = "delta literal must be joined first")]
-    fn validation_rejects_misordered_plans() {
-        let program = parse_program("q(X) :- a(X), b(X).\n?- q(U).")
+    fn dred_plans_seed_skip_and_read_known_windows() {
+        let program = parse_program("r: h(X, W) :- a(X, Y), b(Y, Z), c(Z, W).\n?- h(U, V).")
             .unwrap()
             .flattened();
         let rule = &program.rules()[0];
         let plans = compile_plans(&program, &SelectivityHints::new());
-        let mut plan = plans.plan(0, 0).unwrap().clone();
-        plan.steps.swap(0, 1);
-        plan.validate(rule);
+        let order = |plan: &JoinPlan| -> Vec<(usize, Option<usize>)> {
+            assert!(plan.steps.iter().all(|s| s.window == Window::Known));
+            plan.steps.iter().map(|s| (s.literal, s.probe)).collect()
+        };
+        // A deleted b fact binds Y and Z: a probes its Y column, c its Z
+        // column, and b itself is not joined again.
+        let overdelete = plans.overdelete_plan(0, 1).unwrap();
+        assert_eq!(overdelete.shape, PlanShape::Overdelete { consumed: 1 });
+        assert_eq!(order(overdelete), vec![(0, Some(1)), (2, Some(0))]);
+        // Pinning the head binds X and W: every step probes, and the last
+        // one only checks existence.
+        let pinned = plans.pinned_plan(0).unwrap();
+        assert_eq!(
+            order(pinned),
+            vec![(0, Some(0)), (1, Some(0)), (2, Some(0))]
+        );
+        assert!(pinned.steps[2].existence, "c(Z, W) is fully bound by then");
+        // Nothing bound up front: the first literal scans.
+        let full = plans.full_plan(0).unwrap();
+        assert_eq!(order(full), vec![(0, None), (1, Some(0)), (2, Some(0))]);
+        assert_eq!(
+            overdelete.render(rule),
+            "overdelete b@2: a@1 known probe $2 [bound 1/2, unbounded] -> c@3 known probe $1 [bound 1/2, unbounded]"
+        );
+        // Only the round plans are enumerated (and rendered by `.explain`).
+        assert_eq!(plans.plans_for(0).len(), 3);
+        // A rule without a body has no plans of any shape.
+        let facts_only = parse_program("p(1).\n?- p(X).").unwrap().flattened();
+        let plans = compile_plans(&facts_only, &SelectivityHints::new());
+        assert!(plans.pinned_plan(0).is_none() && plans.full_plan(0).is_none());
+    }
+
+    /// Asserts `plan.validate(rule)` panics with a message containing
+    /// `expected`.
+    fn assert_rejected(plan: &JoinPlan, rule: &Rule, expected: &str) {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.validate(rule)));
+        let payload = result.expect_err("validation should reject the plan");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains(expected), "{message:?} lacks {expected:?}");
+    }
+
+    #[test]
+    fn validation_rejects_misordered_plans() {
+        let program = parse_program("q(X) :- a(X), b(X, Y), c(Y).\n?- q(U).")
+            .unwrap()
+            .flattened();
+        let rule = &program.rules()[0];
+        let plans = compile_plans(&program, &SelectivityHints::new());
+
+        // Round: the delta literal must lead.
+        let mut round = plans.plan(0, 0).unwrap().clone();
+        round.steps.swap(0, 1);
+        assert_rejected(&round, rule, "delta literal must be joined first");
+
+        // Over-deletion: the consumed literal is not joined again...
+        let overdelete = plans.overdelete_plan(0, 0).unwrap();
+        let mut rejoined = overdelete.clone();
+        rejoined.steps[0].literal = 0;
+        assert_rejected(&rejoined, rule, "joins the skipped body literal");
+        // ...and every other literal appears.
+        let mut short = overdelete.clone();
+        short.steps.pop();
+        assert_rejected(&short, rule, "must cover every body literal");
+
+        // Every DRed step reads the whole sealed materialization.
+        let mut windowed = plans.pinned_plan(0).unwrap().clone();
+        windowed.steps[1].window = Window::Stable;
+        assert_rejected(&windowed, rule, "window violates");
+
+        // Probe columns must be bound by the seed or an earlier step: the
+        // pinned plan may probe a(X) first (the head binds X), the full plan
+        // may not probe c(Y) before b binds Y.
+        let mut full = plans.full_plan(0).unwrap().clone();
+        assert_eq!(full.steps[2].literal, 2);
+        full.steps.swap(1, 2);
+        assert_rejected(&full, rule, "probe column is not bound");
+        let mut unseeded = plans.pinned_plan(0).unwrap().clone();
+        assert_eq!(unseeded.steps[0].probe, Some(0));
+        unseeded.shape = PlanShape::Full;
+        assert_rejected(&unseeded, rule, "probe column is not bound");
     }
 }

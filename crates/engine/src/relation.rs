@@ -18,10 +18,7 @@
 //! the old dedup hash set).
 //!
 //! Reads hand out [`FactRef`] views; [`FactRef::to_fact`] materializes an
-//! owned [`Fact`] for the slow paths that need one.  The columnar layout can
-//! be disabled per relation ([`Relation::with_columnar`]) or process-wide
-//! (`PCS_COLUMNAR=0`), which stores every fact in the tail — the
-//! conformance suites run both layouts differentially.
+//! owned [`Fact`] for the slow paths that need one.
 
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
@@ -76,8 +73,8 @@ pub enum FactRef<'a> {
         /// The ground values, one per argument position.
         row: &'a [Value],
     },
-    /// A fact stored in full (constraint facts; every fact when the
-    /// columnar layout is disabled).
+    /// A fact stored in full (constraint facts, and ground facts the
+    /// columnar store cannot hold).
     Stored(&'a Fact),
 }
 
@@ -187,15 +184,6 @@ impl GroundStore {
     }
 }
 
-/// Reads the process-wide columnar default from `PCS_COLUMNAR` (any value
-/// other than `0`/`false`/`off` enables it; unset means enabled).
-fn columnar_default() -> bool {
-    match std::env::var("PCS_COLUMNAR") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    }
-}
-
 fn row_hash(values: &[Value]) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     values.hash(&mut hasher);
@@ -211,9 +199,8 @@ fn row_hash(values: &[Value]) -> u64 {
 /// facts holding it at that position, plus the list of facts that are *free*
 /// (constrained) there; joins probe the index with the values bound so far
 /// and fall back to scanning only that constraint-fact tail.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Relation {
-    columnar: bool,
     /// Logical fact index → storage location.
     slots: Vec<Slot>,
     ground: GroundStore,
@@ -234,41 +221,10 @@ pub struct Relation {
     constraint_fact_indices: Vec<usize>,
 }
 
-impl Default for Relation {
-    fn default() -> Self {
-        Relation::with_columnar(columnar_default())
-    }
-}
-
 impl Relation {
-    /// Creates an empty relation with the process-default storage layout
-    /// (columnar unless `PCS_COLUMNAR=0`).
+    /// Creates an empty relation.
     pub fn new() -> Self {
         Relation::default()
-    }
-
-    /// Creates an empty relation with the columnar ground store explicitly
-    /// enabled or disabled (disabled stores every fact in the full-fact
-    /// tail — the pre-interning layout, kept for differential testing).
-    pub fn with_columnar(columnar: bool) -> Self {
-        Relation {
-            columnar,
-            slots: Vec::new(),
-            ground: GroundStore::default(),
-            tail: Vec::new(),
-            row_index: HashMap::new(),
-            constraint_fact_count: 0,
-            stable_end: 0,
-            delta_end: 0,
-            value_index: Vec::new(),
-            free_index: Vec::new(),
-            constraint_fact_indices: Vec::new(),
-        }
-    }
-
-    /// Whether this relation stores ground facts columnar.
-    pub fn is_columnar(&self) -> bool {
-        self.columnar
     }
 
     /// The fact at a logical index, as a borrowed view.
@@ -409,8 +365,7 @@ impl Relation {
                 .entry(row_hash(&values))
                 .or_default()
                 .push(index);
-            let fits = self.columnar && self.ground.accepts(fact.predicate(), fact.arity());
-            if fits {
+            if self.ground.accepts(fact.predicate(), fact.arity()) {
                 let start = u32::try_from(self.ground.values.len()).expect("ground store overflow");
                 self.ground.values.extend(values);
                 self.slots.push(Slot::Ground { start });
@@ -457,7 +412,7 @@ impl Relation {
             .filter(|index| !removed.contains(index))
             .map(|index| self.fact_at(index))
             .collect();
-        *self = Relation::with_columnar(self.columnar);
+        *self = Relation::new();
         for fact in survivors {
             self.store(fact);
         }
@@ -499,15 +454,6 @@ impl Relation {
     pub fn window_refs(&self, window: Window) -> impl Iterator<Item = FactRef<'_>> {
         self.window_range(window)
             .map(move |index| self.fact_ref(index))
-    }
-
-    /// Number of candidate facts a [`Self::probe`] with the same arguments
-    /// would yield, without materializing them (used to pick the most
-    /// selective probe position).
-    pub fn probe_len(&self, window: Window, position: usize, value: &Value) -> usize {
-        let range = self.window_range(window);
-        clip(self.exact_entries(position, value), &range).len()
-            + clip(self.free_entries(position), &range).len()
     }
 
     /// The facts in `window` that can hold `value` at `position`: facts bound
@@ -557,9 +503,9 @@ impl Relation {
     }
 
     /// Deterministic estimate of the heap bytes held by the fact storage:
-    /// the columnar rows, the full-fact tail, and the slot table.  Index
-    /// structures are excluded — they are identical across layouts — so the
-    /// number isolates exactly what the columnar representation changes.
+    /// the columnar rows, the full-fact tail, the slot table, and the
+    /// row-hash dedup index.  The per-position probe indexes are excluded,
+    /// so the number isolates the cost of the fact representation itself.
     pub fn approx_fact_bytes(&self) -> usize {
         use std::mem::size_of;
         let slots = self.slots.len() * size_of::<Slot>();
@@ -571,9 +517,8 @@ impl Relation {
                 .map(Value::heap_bytes)
                 .sum::<usize>();
         let tail: usize = self.tail.iter().map(Fact::approx_bytes).sum();
-        // The row-hash dedup index is part of the storage contract (the old
-        // layout kept a full second copy of every ground tuple for dedup;
-        // the columnar one keeps an 8-byte hash and a 8-byte index).
+        // The row-hash dedup index is part of the storage contract: an
+        // 8-byte hash and an 8-byte index per ground tuple.
         let dedup = self
             .row_index
             .values()
@@ -611,157 +556,117 @@ mod tests {
     use super::*;
     use pcs_constraints::{Atom, Conjunction, Var};
 
-    fn layouts() -> [Relation; 2] {
-        [
-            Relation::with_columnar(true),
-            Relation::with_columnar(false),
-        ]
-    }
-
     #[test]
     fn duplicate_ground_facts_are_subsumed() {
-        for mut rel in layouts() {
-            let fact = Fact::ground("p", vec![Value::num(1), Value::sym("a")]);
-            assert_eq!(rel.insert(fact.clone()), InsertOutcome::Added);
-            assert_eq!(rel.insert(fact), InsertOutcome::Subsumed);
-            assert_eq!(rel.len(), 1);
-            assert_eq!(rel.constraint_fact_count(), 0);
-        }
+        let mut rel = Relation::new();
+        let fact = Fact::ground("p", vec![Value::num(1), Value::sym("a")]);
+        assert_eq!(rel.insert(fact.clone()), InsertOutcome::Added);
+        assert_eq!(rel.insert(fact), InsertOutcome::Subsumed);
+        assert_eq!(rel.len(), 1);
+        assert_eq!(rel.constraint_fact_count(), 0);
     }
 
     #[test]
     fn constraint_facts_subsume_ground_instances() {
-        for mut rel in layouts() {
-            let broad = Fact::constrained(
-                "m_fib",
-                1,
-                Conjunction::of(Atom::var_gt(Var::position(1), 0)),
-            )
-            .unwrap();
-            assert_eq!(rel.insert(broad), InsertOutcome::Added);
-            assert_eq!(rel.constraint_fact_count(), 1);
-            // A ground instance inside the constraint fact is subsumed.
-            let inside = Fact::ground("m_fib", vec![Value::num(3)]);
-            assert_eq!(rel.insert(inside), InsertOutcome::Subsumed);
-            // A ground fact outside is added.
-            let outside = Fact::ground("m_fib", vec![Value::num(0)]);
-            assert_eq!(rel.insert(outside), InsertOutcome::Added);
-            assert_eq!(rel.len(), 2);
-        }
+        let mut rel = Relation::new();
+        let broad = Fact::constrained(
+            "m_fib",
+            1,
+            Conjunction::of(Atom::var_gt(Var::position(1), 0)),
+        )
+        .unwrap();
+        assert_eq!(rel.insert(broad), InsertOutcome::Added);
+        assert_eq!(rel.constraint_fact_count(), 1);
+        // A ground instance inside the constraint fact is subsumed.
+        let inside = Fact::ground("m_fib", vec![Value::num(3)]);
+        assert_eq!(rel.insert(inside), InsertOutcome::Subsumed);
+        // A ground fact outside is added.
+        let outside = Fact::ground("m_fib", vec![Value::num(0)]);
+        assert_eq!(rel.insert(outside), InsertOutcome::Added);
+        assert_eq!(rel.len(), 2);
     }
 
     #[test]
     fn ground_facts_do_not_subsume_constraint_facts() {
-        for mut rel in layouts() {
-            rel.insert(Fact::ground("m_fib", vec![Value::num(3)]));
-            let broad = Fact::constrained(
-                "m_fib",
-                1,
-                Conjunction::of(Atom::var_gt(Var::position(1), 0)),
-            )
-            .unwrap();
-            assert_eq!(rel.insert(broad), InsertOutcome::Added);
-        }
+        let mut rel = Relation::new();
+        rel.insert(Fact::ground("m_fib", vec![Value::num(3)]));
+        let broad = Fact::constrained(
+            "m_fib",
+            1,
+            Conjunction::of(Atom::var_gt(Var::position(1), 0)),
+        )
+        .unwrap();
+        assert_eq!(rel.insert(broad), InsertOutcome::Added);
     }
 
     #[test]
     fn windows_track_the_stable_delta_pending_partition() {
-        for mut rel in layouts() {
-            rel.insert(Fact::ground("e", vec![Value::num(1)]));
-            // Nothing is visible until the first advance.
-            assert_eq!(rel.window_refs(Window::Known).count(), 0);
-            assert!(rel.delta_is_empty());
-            rel.advance();
-            assert_eq!(rel.window_refs(Window::Delta).count(), 1);
-            assert_eq!(rel.window_refs(Window::Stable).count(), 0);
-            rel.insert(Fact::ground("e", vec![Value::num(2)]));
-            // The new fact is pending: delta and known are unchanged.
-            assert_eq!(rel.window_refs(Window::Delta).count(), 1);
-            assert_eq!(rel.window_refs(Window::Known).count(), 1);
-            rel.advance();
-            assert_eq!(rel.window_refs(Window::Stable).count(), 1);
-            assert_eq!(rel.window_refs(Window::Delta).count(), 1);
-            assert_eq!(rel.window_refs(Window::Known).count(), 2);
-            rel.advance();
-            assert!(rel.delta_is_empty());
-            assert_eq!(rel.window_refs(Window::Stable).count(), 2);
-        }
+        let mut rel = Relation::new();
+        rel.insert(Fact::ground("e", vec![Value::num(1)]));
+        // Nothing is visible until the first advance.
+        assert_eq!(rel.window_refs(Window::Known).count(), 0);
+        assert!(rel.delta_is_empty());
+        rel.advance();
+        assert_eq!(rel.window_refs(Window::Delta).count(), 1);
+        assert_eq!(rel.window_refs(Window::Stable).count(), 0);
+        rel.insert(Fact::ground("e", vec![Value::num(2)]));
+        // The new fact is pending: delta and known are unchanged.
+        assert_eq!(rel.window_refs(Window::Delta).count(), 1);
+        assert_eq!(rel.window_refs(Window::Known).count(), 1);
+        rel.advance();
+        assert_eq!(rel.window_refs(Window::Stable).count(), 1);
+        assert_eq!(rel.window_refs(Window::Delta).count(), 1);
+        assert_eq!(rel.window_refs(Window::Known).count(), 2);
+        rel.advance();
+        assert!(rel.delta_is_empty());
+        assert_eq!(rel.window_refs(Window::Stable).count(), 2);
     }
 
     #[test]
     fn probe_finds_exact_matches_and_the_constraint_tail() {
-        for mut rel in layouts() {
-            rel.insert(Fact::ground("p", vec![Value::sym("a"), Value::num(1)]));
-            rel.insert(Fact::ground("p", vec![Value::sym("b"), Value::num(2)]));
-            let tail = Fact::new(
-                "p".into(),
-                vec![Binding::Free, Binding::Bound(Value::num(3))],
-                Conjunction::of(Atom::var_le(Var::position(1), 0)),
-            )
-            .unwrap();
-            rel.insert(tail);
-            rel.advance();
-            // Probing position 1 for `a` sees the exact match plus the free
-            // fact.
-            let hits: Vec<_> = rel.probe(Window::Delta, 0, &Value::sym("a")).collect();
-            assert_eq!(hits.len(), 2);
-            assert_eq!(rel.probe_len(Window::Delta, 0, &Value::sym("a")), 2);
-            // Probing position 2 for 2 sees only the exact match.
-            let hits: Vec<_> = rel.probe(Window::Delta, 1, &Value::num(2)).collect();
-            assert_eq!(hits.len(), 1);
-            // A value nobody holds still yields the constraint-fact tail.
-            assert_eq!(rel.probe_len(Window::Delta, 0, &Value::sym("zzz")), 1);
-            // Probes respect windows.
-            assert_eq!(rel.probe_len(Window::Stable, 0, &Value::sym("a")), 0);
-        }
+        let mut rel = Relation::new();
+        rel.insert(Fact::ground("p", vec![Value::sym("a"), Value::num(1)]));
+        rel.insert(Fact::ground("p", vec![Value::sym("b"), Value::num(2)]));
+        let tail = Fact::new(
+            "p".into(),
+            vec![Binding::Free, Binding::Bound(Value::num(3))],
+            Conjunction::of(Atom::var_le(Var::position(1), 0)),
+        )
+        .unwrap();
+        rel.insert(tail);
+        rel.advance();
+        // Probing position 1 for `a` sees the exact match plus the free
+        // fact.
+        let hits: Vec<_> = rel.probe(Window::Delta, 0, &Value::sym("a")).collect();
+        assert_eq!(hits.len(), 2);
+        // Probing position 2 for 2 sees only the exact match.
+        let hits: Vec<_> = rel.probe(Window::Delta, 1, &Value::num(2)).collect();
+        assert_eq!(hits.len(), 1);
+        // A value nobody holds still yields the constraint-fact tail.
+        assert_eq!(rel.probe(Window::Delta, 0, &Value::sym("zzz")).count(), 1);
+        // Probes respect windows.
+        assert_eq!(rel.probe(Window::Stable, 0, &Value::sym("a")).count(), 0);
     }
 
     #[test]
-    fn layouts_materialize_identical_facts() {
-        let facts = vec![
-            Fact::ground("p", vec![Value::sym("a"), Value::num(1)]),
-            Fact::ground("p", vec![Value::sym("b"), Value::num(2)]),
-            Fact::new(
-                "p".into(),
-                vec![Binding::Free, Binding::Bound(Value::num(3))],
-                Conjunction::of(Atom::var_le(Var::position(1), 0)),
-            )
-            .unwrap(),
-        ];
-        let mut columnar = Relation::with_columnar(true);
-        let mut rowwise = Relation::with_columnar(false);
-        for fact in &facts {
-            columnar.insert(fact.clone());
-            rowwise.insert(fact.clone());
+    fn removal_preserves_survivors_and_rebuilds_the_indexes() {
+        let mut rel = Relation::new();
+        for i in 0..5 {
+            rel.insert(Fact::ground("p", vec![Value::num(i)]));
         }
-        assert_eq!(columnar.to_facts(), rowwise.to_facts());
-        assert_eq!(columnar.to_facts(), facts);
-        // The columnar layout is strictly smaller on the ground prefix.
-        assert!(columnar.approx_fact_bytes() < rowwise.approx_fact_bytes());
-    }
-
-    #[test]
-    fn removal_preserves_layout_and_survivors() {
-        for mut rel in layouts() {
-            let was_columnar = rel.is_columnar();
-            for i in 0..5 {
-                rel.insert(Fact::ground("p", vec![Value::num(i)]));
-            }
-            let removed: BTreeSet<usize> = [1usize, 3].into_iter().collect();
-            assert_eq!(rel.remove_indices(&removed), 2);
-            assert_eq!(rel.is_columnar(), was_columnar);
-            let survivors: Vec<String> = rel.iter().map(|f| f.to_string()).collect();
-            assert_eq!(survivors, vec!["p(0)", "p(2)", "p(4)"]);
-            // The rebuilt indexes still answer probes.
-            assert_eq!(
-                rel.find_equivalent(&Fact::ground("p", vec![Value::num(2)])),
-                Some(1)
-            );
-            assert_eq!(
-                rel.find_equivalent(&Fact::ground("p", vec![Value::num(3)])),
-                None
-            );
-        }
+        let removed: BTreeSet<usize> = [1usize, 3].into_iter().collect();
+        assert_eq!(rel.remove_indices(&removed), 2);
+        let survivors: Vec<String> = rel.iter().map(|f| f.to_string()).collect();
+        assert_eq!(survivors, vec!["p(0)", "p(2)", "p(4)"]);
+        // The rebuilt indexes still answer probes.
+        assert_eq!(
+            rel.find_equivalent(&Fact::ground("p", vec![Value::num(2)])),
+            Some(1)
+        );
+        assert_eq!(
+            rel.find_equivalent(&Fact::ground("p", vec![Value::num(3)])),
+            None
+        );
     }
 
     #[test]
@@ -769,7 +674,7 @@ mod tests {
         // A relation is keyed by predicate in practice, but nothing enforces
         // it; rows that do not fit the adopted store shape take the slow
         // path and stay fully correct.
-        let mut rel = Relation::with_columnar(true);
+        let mut rel = Relation::new();
         rel.insert(Fact::ground("p", vec![Value::num(1)]));
         rel.insert(Fact::ground("q", vec![Value::num(1), Value::num(2)]));
         rel.insert(Fact::ground("p", vec![Value::num(2)]));

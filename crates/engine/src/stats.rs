@@ -31,9 +31,10 @@ pub struct IterationStats {
     pub new_facts: usize,
     /// Number of derivations whose fact was subsumed.
     pub subsumed: usize,
-    /// Total size of the per-relation deltas driving this iteration
-    /// (populated by the indexed join core only; the legacy core slices on
-    /// fact counts and leaves it at zero).
+    /// Total size of the per-relation deltas driving this iteration: the
+    /// seeded facts for the opening naive round, the update facts for a
+    /// resumed run's first round, and the previous iteration's new facts
+    /// everywhere else.
     pub delta_facts: usize,
     /// Wall-clock time of this iteration in nanoseconds, measured only when
     /// telemetry is enabled ([`EvalOptions::telemetry`]) and zero otherwise.
@@ -56,8 +57,6 @@ pub struct EvalStats {
     pub facts_per_predicate: BTreeMap<Pred, usize>,
     /// Number of stored facts that are not ground (proper constraint facts).
     pub constraint_facts: usize,
-    /// Whether the indexed join core produced these statistics.
-    pub indexed: bool,
     /// Whether the evaluation resumed from a previous materialization (its
     /// iterations then cover only the update delta, not the base facts).
     pub resumed: bool,
@@ -126,7 +125,6 @@ mod tests {
             ],
             facts_per_predicate: [(Pred::new("p"), 7)].into_iter().collect(),
             constraint_facts: 0,
-            indexed: true,
             ..EvalStats::default()
         };
         assert_eq!(stats.total_derivations(), 8);

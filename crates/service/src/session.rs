@@ -376,7 +376,7 @@ impl Session {
     ///
     /// This is the `Optimizer` → `Session` handoff: any of the rewriting
     /// strategies can back a session, and the evaluation options configured
-    /// on the optimizer (join core, threads, limits) carry over to both the
+    /// on the optimizer (threads, limits, tracing) carry over to both the
     /// base materialization and every resumed update.
     pub fn materialize(optimizer: &Optimizer, db: &Database) -> Result<Session, SessionError> {
         Session::materialize_at(optimizer, db, 0)

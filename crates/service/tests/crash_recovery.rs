@@ -4,9 +4,7 @@
 //!
 //! The scenarios cover both ends of the durability pipeline — a snapshot
 //! cadence so long the restart replays pure WAL, and one so short the
-//! restart is mostly snapshot — and run under both join cores (the default
-//! indexed evaluator and the `PCS_EVAL_INDEX=legacy` nested-loop core),
-//! since recovery re-runs the fixpoint from scratch.
+//! restart is mostly snapshot.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -24,7 +22,7 @@ struct ServerProcess {
 impl ServerProcess {
     /// Spawns the real binary on an ephemeral port over `data_dir` and
     /// waits for its listening line.
-    fn spawn(data_dir: &Path, snapshot_every: u64, eval_index: Option<&str>) -> ServerProcess {
+    fn spawn(data_dir: &Path, snapshot_every: u64) -> ServerProcess {
         let mut command = Command::new(env!("CARGO_BIN_EXE_pcs-serve"));
         command
             .arg("127.0.0.1:0")
@@ -34,10 +32,6 @@ impl ServerProcess {
             .arg(snapshot_every.to_string())
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
-        match eval_index {
-            Some(core) => command.env("PCS_EVAL_INDEX", core),
-            None => command.env_remove("PCS_EVAL_INDEX"),
-        };
         let mut child = command.spawn().expect("spawn pcs-serve");
         let stdout = child.stdout.take().expect("piped stdout");
         let mut reader = BufReader::new(stdout);
@@ -181,27 +175,27 @@ fn answers(client: &mut Client) -> Vec<Vec<String>> {
         .collect()
 }
 
-fn crash_and_recover_scenario(tag: &str, snapshot_every: u64, eval_index: Option<&str>) {
+fn crash_and_recover_scenario(tag: &str, snapshot_every: u64) {
     let crash_dir = temp_dir(&format!("{tag}-crashed"));
     let control_dir = temp_dir(&format!("{tag}-control"));
 
     // The victim: load, churn with every update acknowledged, then die
     // without any shutdown grace.
-    let mut victim = ServerProcess::spawn(&crash_dir, snapshot_every, eval_index);
+    let mut victim = ServerProcess::spawn(&crash_dir, snapshot_every);
     let mut client = Client::connect(victim.addr);
     load_and_churn(&mut client);
     victim.kill();
     drop(client);
 
     // The control: same program, same churn, never killed.
-    let control = ServerProcess::spawn(&control_dir, snapshot_every, eval_index);
+    let control = ServerProcess::spawn(&control_dir, snapshot_every);
     let mut control_client = Client::connect(control.addr);
     load_and_churn(&mut control_client);
     let expected = answers(&mut control_client);
 
     // The survivor: a fresh process over the crashed directory must report
     // the recovery and answer exactly like the control.
-    let survivor = ServerProcess::spawn(&crash_dir, snapshot_every, eval_index);
+    let survivor = ServerProcess::spawn(&crash_dir, snapshot_every);
     assert!(
         survivor
             .startup_lines
@@ -224,21 +218,13 @@ fn crash_and_recover_scenario(tag: &str, snapshot_every: u64, eval_index: Option
 #[test]
 fn killed_server_answers_identically_after_wal_replay() {
     // Cadence far beyond the churn: recovery is pure WAL replay.
-    crash_and_recover_scenario("wal", 1000, None);
+    crash_and_recover_scenario("wal", 1000);
 }
 
 #[test]
 fn killed_server_answers_identically_after_snapshot_plus_wal() {
     // Cadence of 2: recovery mixes a recent snapshot with WAL tail records.
-    crash_and_recover_scenario("snap", 2, None);
-}
-
-#[test]
-fn recovery_is_core_independent() {
-    // The legacy nested-loop join core must recover the same answers the
-    // indexed core persisted (and vice versa: the WAL/snapshot format is
-    // core-agnostic, so mixing cores across the crash is fair game).
-    crash_and_recover_scenario("legacy", 2, Some("legacy"));
+    crash_and_recover_scenario("snap", 2);
 }
 
 #[test]
@@ -247,7 +233,7 @@ fn an_unacknowledged_update_never_tears() {
     // the restarted server must hold either the pre-update state or the
     // complete post-update state — never half a batch.
     let dir = temp_dir("torn");
-    let mut victim = ServerProcess::spawn(&dir, 1000, None);
+    let mut victim = ServerProcess::spawn(&dir, 1000);
     let mut client = Client::connect(victim.addr);
     for line in LOAD {
         client.send(line);
@@ -258,7 +244,7 @@ fn an_unacknowledged_update_never_tears() {
     victim.kill();
     drop(client);
 
-    let survivor = ServerProcess::spawn(&dir, 1000, None);
+    let survivor = ServerProcess::spawn(&dir, 1000);
     let mut client = Client::connect(survivor.addr);
     let out = client.send("?- path(2, Y).");
     let has_old = out.iter().any(|l| l.contains("path(2, 3)"));

@@ -199,11 +199,9 @@ fn golden_explain_renders_the_compiled_plans() {
         "  delta m_p_f@1: m_p_f@1 delta scan [bound 0/0, unbounded] -> b@2 known scan \
          [bound 0/1, unbounded] -> c@3 known probe $1 [bound 1/2, unbounded]",
         "  delta b@2: b@2 delta scan [bound 0/1, unbounded] -> c@3 known probe $1 \
-         [bound 1/2, unbounded] -> m_p_f@1 stable scan exists [bound 0/0, unbounded] \
-         | scan order m_p_f@1, b@2, c@3",
+         [bound 1/2, unbounded] -> m_p_f@1 stable scan exists [bound 0/0, unbounded]",
         "  delta c@3: c@3 delta scan [bound 0/2, unbounded] -> b@2 stable probe $1 exists \
-         [bound 1/1, unbounded] -> m_p_f@1 stable scan exists [bound 0/0, unbounded] \
-         | scan order m_p_f@1, b@2, c@3",
+         [bound 1/1, unbounded] -> m_p_f@1 stable scan exists [bound 0/0, unbounded]",
     ];
     assert_eq!(actual, expected, "transcript diverged from the golden copy");
 }

@@ -130,7 +130,7 @@ pub fn enabled() -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Hash-index probe operations issued by the join cores.
+    /// Hash-index probe operations issued by the join executor.
     IndexProbes = 0,
     /// Probed or scanned candidate facts that extended a partial match.
     ProbeHits,

@@ -2,8 +2,8 @@
 //!
 //! Three claims are checked here, across crates:
 //!
-//! * **Pruning is invisible.**  For every rewriting strategy and both join
-//!   cores, evaluating with [`EvalOptions::prune_dead`] enabled must produce
+//! * **Pruning is invisible.**  For every rewriting strategy, on one thread
+//!   and on four, evaluating with [`EvalOptions::prune_dead`] enabled must produce
 //!   exactly the same answers and the same termination as evaluating with it
 //!   disabled.  Dead rules (unsatisfiable constraints, impossible bodies)
 //!   derive nothing, so removing them before rewriting may only change
@@ -34,17 +34,8 @@ use pushing_constraint_selections::prelude::*;
 // optimizer's enum.
 use pushing_constraint_selections::Strategy as OptStrategy;
 
-fn all_strategies() -> Vec<OptStrategy> {
-    vec![
-        OptStrategy::None,
-        OptStrategy::ConstraintRewrite,
-        OptStrategy::MagicOnly,
-        OptStrategy::Optimal,
-        OptStrategy::Sequence(vec![Step::Qrp, Step::Magic]),
-        OptStrategy::Sequence(vec![Step::Magic, Step::Qrp]),
-        OptStrategy::Sequence(vec![Step::Magic, Step::Pred, Step::Qrp]),
-    ]
-}
+mod common;
+use common::all_strategies;
 
 /// A program with three kinds of dead weight on top of two live rules:
 /// a directly unsatisfiable rule (`r2`), a rule whose only body predicate is
@@ -107,23 +98,23 @@ fn nonempty_relations(result: &EvalResult) -> BTreeMap<String, Vec<String>> {
         .collect()
 }
 
-/// Asserts pruning-on and pruning-off agree for every strategy and both join
-/// cores: same answers, same termination, and — under `Strategy::None`,
-/// where no rewriting can introduce strategy-specific intermediate
-/// predicates — the same non-empty relations.
+/// Asserts pruning-on and pruning-off agree for every strategy, on one
+/// thread and on a 4-thread pool: same answers, same termination, and —
+/// under `Strategy::None`, where no rewriting can introduce
+/// strategy-specific intermediate predicates — the same non-empty relations.
 fn assert_pruning_sound(program: &Program, db: &Database) {
     for strategy in all_strategies() {
-        for (core_name, core) in [
-            ("indexed", EvalOptions::indexed()),
-            ("legacy", EvalOptions::legacy()),
-        ] {
+        for threads in [1, 4] {
+            let options = EvalOptions::default()
+                .with_threads(threads)
+                .with_min_parallel_work(0);
             let unpruned = Optimizer::new(program.clone())
                 .strategy(strategy.clone())
-                .eval_options(core.clone().with_prune_dead(false))
+                .eval_options(options.clone().with_prune_dead(false))
                 .optimize();
             let pruned = Optimizer::new(program.clone())
                 .strategy(strategy.clone())
-                .eval_options(core.clone().with_prune_dead(true))
+                .eval_options(options.with_prune_dead(true))
                 .optimize();
             match (unpruned, pruned) {
                 (Ok(unpruned), Ok(pruned)) => {
@@ -131,19 +122,19 @@ fn assert_pruning_sound(program: &Program, db: &Database) {
                     let opt = pruned.evaluate(db);
                     assert_eq!(
                         base.termination, opt.termination,
-                        "termination diverged under {strategy:?} on the {core_name} core"
+                        "termination diverged under {strategy:?} on {threads} thread(s)"
                     );
                     assert_eq!(
                         rendered_answers(&unpruned, &base),
                         rendered_answers(&pruned, &opt),
-                        "answers diverged under {strategy:?} on the {core_name} core"
+                        "answers diverged under {strategy:?} on {threads} thread(s)"
                     );
                     if strategy == OptStrategy::None {
                         assert_eq!(
                             nonempty_relations(&base),
                             nonempty_relations(&opt),
-                            "non-empty relations diverged under Strategy::None on the \
-                             {core_name} core"
+                            "non-empty relations diverged under Strategy::None on \
+                             {threads} thread(s)"
                         );
                     }
                 }
@@ -157,7 +148,7 @@ fn assert_pruning_sound(program: &Program, db: &Database) {
                         assert!(
                             rendered_answers(&optimized, &result).is_empty(),
                             "one pipeline was rejected but the other found answers \
-                             under {strategy:?} on the {core_name} core"
+                             under {strategy:?} on {threads} thread(s)"
                         );
                     }
                 }

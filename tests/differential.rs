@@ -1,143 +1,41 @@
-//! Differential tests for the evaluator configurations.
+//! Differential test of parallel versus sequential evaluation.
 //!
-//! Two axes are compared, across every rewriting strategy, on deterministic
-//! and on randomly generated EDBs:
-//!
-//! * the two **join cores** — the indexed evaluator (per-position hash
-//!   indexes, explicit delta windows, body reordering) and the legacy
-//!   nested-loop evaluator — must produce identical relations, stats-level
-//!   fact counts, and termination;
-//! * **parallel versus sequential** evaluation — for each core, sharding the
-//!   per-iteration derivation work across worker threads must be
-//!   *bit-for-bit* identical to the sequential evaluation: same relations,
-//!   same per-iteration derivation/new/subsumed/delta statistics, same
-//!   termination.  The deterministic (rule, delta-position, delta-fact)
-//!   merge order at the iteration barrier is what the stronger comparison
-//!   pins down.
-
-use std::collections::BTreeMap;
+//! Across every rewriting strategy, on deterministic and on randomly
+//! generated EDBs, sharding the per-iteration derivation work across four
+//! worker threads must be *bit-for-bit* identical to evaluating on one:
+//! same relations, same per-iteration derivation/new/subsumed/delta
+//! statistics, same termination.  The deterministic (rule, delta-position,
+//! delta-fact) merge order at the iteration barrier is what the comparison
+//! pins down.  (Whether either run is *right* is `oracle_conformance.rs`'s
+//! question; the "cores" in the test names below are CPU cores.)
 
 use proptest::prelude::*;
 
-use pushing_constraint_selections::engine::EvalResult;
 use pushing_constraint_selections::prelude::*;
-// proptest's prelude also exports a `Strategy` trait; disambiguate the
-// optimizer's enum.
-use pushing_constraint_selections::Strategy as OptStrategy;
 
-fn all_strategies() -> Vec<OptStrategy> {
-    vec![
-        OptStrategy::None,
-        OptStrategy::ConstraintRewrite,
-        OptStrategy::MagicOnly,
-        OptStrategy::Optimal,
-        OptStrategy::Sequence(vec![Step::Qrp, Step::Magic]),
-        OptStrategy::Sequence(vec![Step::Magic, Step::Qrp]),
-        OptStrategy::Sequence(vec![Step::Magic, Step::Pred, Step::Qrp]),
-    ]
-}
+mod common;
+use common::{all_strategies, assert_identical};
 
-/// Renders every relation as a sorted list of fact strings, keyed by
-/// predicate, so the stored fact sets of two evaluations can be compared
-/// independently of derivation order.
-fn rendered_relations(result: &EvalResult) -> BTreeMap<String, Vec<String>> {
-    result
-        .relations
-        .iter()
-        .map(|(pred, relation)| {
-            let mut facts: Vec<String> = relation.iter().map(|f| f.to_string()).collect();
-            facts.sort();
-            (pred.to_string(), facts)
-        })
-        .collect()
-}
-
-/// Asserts `parallel` is bit-for-bit identical to `sequential`: relations,
-/// termination, and every per-iteration statistic.
-fn assert_identical(sequential: &EvalResult, parallel: &EvalResult, context: &str) {
-    assert_eq!(
-        sequential.termination, parallel.termination,
-        "termination diverged {context}"
-    );
-    assert_eq!(
-        rendered_relations(sequential),
-        rendered_relations(parallel),
-        "stored relations diverged {context}"
-    );
-    assert_eq!(
-        sequential.stats.facts_per_predicate, parallel.stats.facts_per_predicate,
-        "stats-level fact counts diverged {context}"
-    );
-    assert_eq!(
-        sequential.stats.constraint_facts, parallel.stats.constraint_facts,
-        "constraint fact counts diverged {context}"
-    );
-    assert_eq!(
-        sequential.stats.iterations.len(),
-        parallel.stats.iterations.len(),
-        "iteration counts diverged {context}"
-    );
-    for (i, (a, b)) in sequential
-        .stats
-        .iterations
-        .iter()
-        .zip(&parallel.stats.iterations)
-        .enumerate()
-    {
-        assert_eq!(
-            (a.derivations, a.new_facts, a.subsumed, a.delta_facts),
-            (b.derivations, b.new_facts, b.subsumed, b.delta_facts),
-            "iteration {i} statistics diverged {context}"
-        );
-    }
-}
-
-/// Evaluates `program` against `db` under every strategy with both join
-/// cores, sequentially and with a 4-thread worker pool, and asserts that
-/// (a) the cores agree on relations, fact counts, and termination, and
-/// (b) for each core the parallel evaluation is identical to the sequential
-/// one down to the per-iteration statistics.
+/// Evaluates `program` against `db` under every strategy on one thread and
+/// on a 4-thread worker pool (sharding forced even for narrow rounds), and
+/// asserts the two runs are identical down to the per-iteration statistics.
 fn assert_cores_agree(program: &Program, db: &Database) {
     for strategy in all_strategies() {
         let optimized = Optimizer::new(program.clone())
             .strategy(strategy.clone())
             .optimize()
             .expect("optimization succeeds");
-        let indexed = optimized.evaluate_with(db, EvalOptions::indexed().with_threads(1));
-        let legacy = optimized.evaluate_with(db, EvalOptions::legacy().with_threads(1));
-        assert_eq!(
-            indexed.termination, legacy.termination,
-            "termination diverged under {strategy:?}"
-        );
-        assert_eq!(
-            rendered_relations(&indexed),
-            rendered_relations(&legacy),
-            "stored relations diverged under {strategy:?}"
-        );
-        assert_eq!(
-            indexed.stats.facts_per_predicate, legacy.stats.facts_per_predicate,
-            "stats-level fact counts diverged under {strategy:?}"
-        );
-        assert_eq!(
-            indexed.stats.constraint_facts, legacy.stats.constraint_facts,
-            "constraint fact counts diverged under {strategy:?}"
-        );
-        let indexed_parallel = optimized.evaluate_with(db, EvalOptions::indexed().with_threads(4));
-        assert_identical(
-            &indexed,
-            &indexed_parallel,
-            &format!("between sequential and parallel indexed cores under {strategy:?}"),
-        );
-        let legacy_parallel = optimized.evaluate_with(
+        let sequential = optimized.evaluate_with(db, EvalOptions::default().with_threads(1));
+        let parallel = optimized.evaluate_with(
             db,
-            EvalOptions::legacy()
+            EvalOptions::default()
                 .with_threads(4)
                 .with_min_parallel_work(0),
         );
         assert_identical(
-            &legacy,
-            &legacy_parallel,
-            &format!("between sequential and parallel legacy cores under {strategy:?}"),
+            &sequential,
+            &parallel,
+            &format!("between 1 and 4 threads under {strategy:?}"),
         );
     }
 }

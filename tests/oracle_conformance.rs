@@ -1,11 +1,11 @@
-//! Conformance of the production evaluators against the naive reference
+//! Conformance of the production evaluator against the naive reference
 //! interpreter (`pcs_engine::naive`).
 //!
-//! The oracle shares nothing with the production join cores beyond the
+//! The oracle shares nothing with the production join executor beyond the
 //! constraint algebra and fact normalization: no indexes, no semi-naive
-//! deltas, no body reordering, no threads, no subsumption shortcuts.  For
-//! every rewriting strategy, on deterministic, random, and constraint-fact
-//! EDBs, both production cores (sequential and 4-thread) must compute a
+//! deltas, no join plans, no threads, no subsumption shortcuts.  For every
+//! rewriting strategy, on deterministic, random, and constraint-fact EDBs,
+//! the production evaluator (on one CPU core and on four) must compute a
 //! materialization *denotationally identical* to the oracle's:
 //!
 //! * the same termination behavior (all workloads here reach a fixpoint),
@@ -15,102 +15,16 @@
 //! * on evaluations that compute only ground facts, the stored fact sets
 //!   are *identical* (ground facts have one canonical rendering).
 
-use std::collections::BTreeSet;
-
 use proptest::prelude::*;
 
-use pushing_constraint_selections::engine::naive::{self, NaiveResult};
-use pushing_constraint_selections::engine::EvalResult;
+use pushing_constraint_selections::engine::naive;
 use pushing_constraint_selections::prelude::*;
-// proptest's prelude also exports a `Strategy` trait; disambiguate the
-// optimizer's enum.
-use pushing_constraint_selections::Strategy as OptStrategy;
 
-fn all_strategies() -> Vec<OptStrategy> {
-    vec![
-        OptStrategy::None,
-        OptStrategy::ConstraintRewrite,
-        OptStrategy::MagicOnly,
-        OptStrategy::Optimal,
-        OptStrategy::Sequence(vec![Step::Qrp, Step::Magic]),
-        OptStrategy::Sequence(vec![Step::Magic, Step::Qrp]),
-        OptStrategy::Sequence(vec![Step::Magic, Step::Pred, Step::Qrp]),
-    ]
-}
+mod common;
+use common::{all_strategies, assert_matches_oracle};
 
-/// Asserts the production result and the oracle result store the same
-/// denotations, predicate by predicate.
-fn assert_matches_oracle(production: &EvalResult, oracle: &NaiveResult, context: &str) {
-    assert_eq!(
-        production.termination.is_fixpoint(),
-        oracle.termination.is_fixpoint(),
-        "termination diverged {context}"
-    );
-    let preds: BTreeSet<&Pred> = production
-        .relations
-        .keys()
-        .chain(oracle.relations.keys())
-        .collect();
-    for pred in preds {
-        let prod_facts = production.facts_for(pred);
-        let oracle_facts = oracle.facts_for(pred);
-        for fact in &prod_facts {
-            assert!(
-                oracle_facts.iter().any(|o| o.subsumes(fact)),
-                "production fact `{fact}` of `{pred}` is not covered by the oracle {context}\n\
-                 oracle stores: {oracle_facts:?}"
-            );
-        }
-        for fact in oracle_facts {
-            assert!(
-                prod_facts.iter().any(|p| p.subsumes(fact)),
-                "oracle fact `{fact}` of `{pred}` is not covered by the production run {context}\n\
-                 production stores: {prod_facts:?}"
-            );
-        }
-        // Ground-only relations have canonical renderings: require the
-        // exact same stored set, not just mutual coverage.
-        let ground_only =
-            prod_facts.iter().all(Fact::is_ground) && oracle_facts.iter().all(Fact::is_ground);
-        if ground_only {
-            let mut a: Vec<String> = prod_facts.iter().map(ToString::to_string).collect();
-            let mut b: Vec<String> = oracle_facts.iter().map(ToString::to_string).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "ground facts of `{pred}` diverged {context}");
-        }
-    }
-}
-
-/// Every production configuration under test: both join cores, sequential
-/// and 4-thread, each with the columnar ground store forced on and forced
-/// off.  Interning is unconditional, so together these rows prove that
-/// neither the interned representation nor the storage layout changes any
-/// answer.
-fn production_options() -> Vec<(String, EvalOptions)> {
-    let mut rows = Vec::new();
-    for (core, base) in [
-        ("indexed", EvalOptions::indexed()),
-        ("legacy", EvalOptions::legacy()),
-    ] {
-        for threads in [1, 4] {
-            for columnar in [true, false] {
-                let layout = if columnar { "columnar" } else { "row-wise" };
-                rows.push((
-                    format!("{core} {threads}-thread {layout}"),
-                    base.clone()
-                        .with_columnar(columnar)
-                        .with_threads(threads)
-                        .with_min_parallel_work(0),
-                ));
-            }
-        }
-    }
-    rows
-}
-
-/// Runs every strategy with both production cores (sequential and 4-thread,
-/// columnar and row-wise storage) against the oracle.
+/// Runs every strategy, sequentially and on a 4-thread pool (sharding
+/// forced even for narrow rounds), against the oracle.
 fn assert_conformance(program: &Program, db: &Database) {
     for strategy in all_strategies() {
         let optimized = Optimizer::new(program.clone())
@@ -122,12 +36,15 @@ fn assert_conformance(program: &Program, db: &Database) {
             oracle.termination.is_fixpoint(),
             "oracle diverged under {strategy:?}; pick a terminating workload"
         );
-        for (label, options) in production_options() {
+        for threads in [1, 4] {
+            let options = EvalOptions::default()
+                .with_threads(threads)
+                .with_min_parallel_work(0);
             let production = Evaluator::new(&optimized.program, options).evaluate(db);
             assert_matches_oracle(
                 &production,
                 &oracle,
-                &format!("under {strategy:?} with the {label} core"),
+                &format!("under {strategy:?} on {threads} thread(s)"),
             );
         }
     }

@@ -1,159 +1,88 @@
 //! Differential tests for the resumable fixpoint and for incremental
 //! retraction.
 //!
-//! The contract behind `pcs-service` sessions: for every rewriting strategy
-//! and both join cores, *(materialize base; insert update batch; resume)*
-//! stores exactly the relations a from-scratch evaluation of base + updates
-//! stores, with the same per-predicate fact counts and the same
-//! termination.  Randomized EDBs and update batches (seeded, reproducible)
-//! probe the property beyond the deterministic paper workloads, and a
-//! 4-thread resume must be bit-for-bit identical to the sequential one.
+//! The contract behind `pcs-service` sessions: for every rewriting strategy,
+//! *(materialize base; apply updates incrementally)* stores exactly the
+//! relations a from-scratch evaluation of the resulting EDB stores, with the
+//! same per-predicate fact counts and the same termination; what it stores
+//! denotes exactly what the naive oracle computes for that EDB; and a
+//! 4-thread maintained run is bit-for-bit identical to the sequential one.
+//! Randomized EDBs and update batches (seeded, reproducible) probe the
+//! property beyond the deterministic paper workloads.
 //!
-//! The mixed-update differential extends the same contract to *arbitrary
-//! interleavings* of insert and retract batches: however the extensional
-//! database reached its final state, the maintained materialization must be
-//! identical to evaluating the surviving EDB from scratch — including the
-//! resurrection of facts a retracted constraint fact had subsumed at seed
-//! time.
-
-use std::collections::BTreeMap;
+//! The updates are insert batches (`resume`), *arbitrary interleavings* of
+//! insert and retract batches, and single mixed batches (`apply`): however
+//! the extensional database reached its final state, the maintained
+//! materialization must be identical to evaluating the surviving EDB from
+//! scratch — including the resurrection of facts a retracted constraint
+//! fact had subsumed at seed time.  The last section aims at the three
+//! corners where a DRed retraction leans on the run-time guards of its
+//! statically planned joins.
 
 use proptest::prelude::*;
 
-use pushing_constraint_selections::engine::EvalResult;
+use pushing_constraint_selections::engine::{
+    compile_plans, naive, EvalResult, ProgramPlans, SelectivityHints,
+};
 use pushing_constraint_selections::prelude::*;
-// proptest's prelude also exports a `Strategy` trait; disambiguate the
-// optimizer's enum.
-use pushing_constraint_selections::Strategy as OptStrategy;
 
-/// Both join cores, each with the columnar ground store forced on and
-/// forced off.  Interning is unconditional, so these rows prove the
-/// maintained materialization is independent of the storage layout too.
-fn core_options() -> Vec<EvalOptions> {
-    vec![
-        EvalOptions::indexed().with_columnar(true).with_threads(1),
-        EvalOptions::indexed().with_columnar(false).with_threads(1),
-        EvalOptions::legacy().with_columnar(true).with_threads(1),
-        EvalOptions::legacy().with_columnar(false).with_threads(1),
-    ]
-}
+mod common;
+use common::{
+    all_strategies, assert_identical, assert_matches_oracle, assert_same_facts, rendered_relations,
+};
 
-/// Human-readable label for a `core_options()` row.
-fn options_label(options: &EvalOptions) -> String {
-    format!(
-        "{} {}",
-        if options.index { "indexed" } else { "legacy" },
-        match options.columnar {
-            Some(true) => "columnar",
-            Some(false) => "row-wise",
-            None => "default-layout",
-        }
-    )
-}
-
-fn all_strategies() -> Vec<OptStrategy> {
-    vec![
-        OptStrategy::None,
-        OptStrategy::ConstraintRewrite,
-        OptStrategy::MagicOnly,
-        OptStrategy::Optimal,
-        OptStrategy::Sequence(vec![Step::Qrp, Step::Magic]),
-        OptStrategy::Sequence(vec![Step::Magic, Step::Qrp]),
-        OptStrategy::Sequence(vec![Step::Magic, Step::Pred, Step::Qrp]),
-    ]
-}
-
-/// Renders every relation as a sorted list of fact strings, keyed by
-/// predicate, so stored fact sets can be compared independently of
-/// derivation order.
-fn rendered_relations(result: &EvalResult) -> BTreeMap<String, Vec<String>> {
-    result
-        .relations
-        .iter()
-        .map(|(pred, relation)| {
-            let mut facts: Vec<String> = relation.iter().map(|f| f.to_string()).collect();
-            facts.sort();
-            (pred.to_string(), facts)
-        })
-        .collect()
-}
-
-/// For every strategy and both join cores: materialize `base`, resume with
-/// `updates`, and require relations, fact counts, and termination identical
-/// to evaluating base + updates from scratch.  Also requires the resumed
-/// evaluation to be bit-for-bit deterministic under a 4-thread worker pool.
-fn assert_resume_matches_scratch(program: &Program, base: &Database, updates: &[Fact]) {
-    let mut full = base.clone();
-    for fact in updates {
-        full.add(fact.clone());
-    }
+/// For every strategy: runs `maintain` (materialize, then update
+/// incrementally) on a sequential evaluator and requires the result to
+/// store exactly what evaluating `expected_edb` from scratch stores and to
+/// denote what the naive oracle computes for it; then runs it again on a
+/// 4-thread evaluator (sharding forced even for narrow rounds) and requires
+/// that run to be bit-for-bit identical to the sequential one.
+fn assert_maintained_matches_scratch(
+    program: &Program,
+    expected_edb: &Database,
+    maintain: impl Fn(&Evaluator) -> EvalResult,
+) {
     for strategy in all_strategies() {
         let optimized = Optimizer::new(program.clone())
             .strategy(strategy.clone())
             .optimize()
             .expect("optimization succeeds");
-        for options in core_options() {
-            let evaluator = Evaluator::new(&optimized.program, options.clone());
-            let scratch = evaluator.evaluate(&full);
-            let materialized = evaluator.evaluate(base);
-            let resumed = evaluator.resume(materialized.relations, updates.to_vec());
-            let context = format!("under {strategy:?} with {} core", options_label(&options));
-            assert_eq!(
-                resumed.termination, scratch.termination,
-                "termination diverged {context}"
-            );
-            assert_eq!(
-                rendered_relations(&resumed),
-                rendered_relations(&scratch),
-                "stored relations diverged {context}"
-            );
-            assert_eq!(
-                resumed.stats.facts_per_predicate, scratch.stats.facts_per_predicate,
-                "fact counts diverged {context}"
-            );
-            assert_eq!(
-                resumed.stats.constraint_facts, scratch.stats.constraint_facts,
-                "constraint fact counts diverged {context}"
-            );
-
-            // Parallel resume is bit-for-bit identical to sequential resume.
-            let parallel_evaluator = Evaluator::new(
-                &optimized.program,
-                options.clone().with_threads(4).with_min_parallel_work(0),
-            );
-            let parallel = parallel_evaluator.resume(
-                parallel_evaluator.evaluate(base).relations,
-                updates.to_vec(),
-            );
-            assert_eq!(
-                resumed.termination, parallel.termination,
-                "parallel resume termination diverged {context}"
-            );
-            assert_eq!(
-                rendered_relations(&resumed),
-                rendered_relations(&parallel),
-                "parallel resume relations diverged {context}"
-            );
-            assert_eq!(
-                resumed.stats.iterations.len(),
-                parallel.stats.iterations.len(),
-                "parallel resume iteration counts diverged {context}"
-            );
-            for (i, (a, b)) in resumed
-                .stats
-                .iterations
-                .iter()
-                .zip(&parallel.stats.iterations)
-                .enumerate()
-            {
-                assert_eq!(
-                    (a.derivations, a.new_facts, a.subsumed, a.delta_facts),
-                    (b.derivations, b.new_facts, b.subsumed, b.delta_facts),
-                    "parallel resume iteration {i} statistics diverged {context}"
-                );
-            }
-        }
+        let evaluator = |threads: usize| {
+            let options = optimized
+                .eval
+                .clone()
+                .with_threads(threads)
+                .with_min_parallel_work(0);
+            Evaluator::new(&optimized.program, options)
+        };
+        let context = format!("under {strategy:?}");
+        let sequential = evaluator(1);
+        let maintained = maintain(&sequential);
+        assert_same_facts(
+            &maintained,
+            &sequential.evaluate(expected_edb),
+            &format!("between maintained and scratch {context}"),
+        );
+        let oracle = naive::evaluate(&optimized.program, expected_edb, &EvalLimits::default());
+        assert_matches_oracle(&maintained, &oracle, &context);
+        assert_identical(
+            &maintained,
+            &maintain(&evaluator(4)),
+            &format!("between 1 and 4 threads {context}"),
+        );
     }
+}
+
+/// Materialize `base`, resume with `updates`: must match evaluating
+/// base + updates from scratch.
+fn assert_resume_matches_scratch(program: &Program, base: &Database, updates: &[Fact]) {
+    let mut full = base.clone();
+    for fact in updates {
+        full.add(fact.clone());
+    }
+    assert_maintained_matches_scratch(program, &full, |evaluator| {
+        evaluator.resume(evaluator.evaluate(base).relations, updates.to_vec())
+    });
 }
 
 /// New flight legs as update facts.
@@ -260,10 +189,8 @@ enum Update {
 
 /// Applies an interleaving of insert/retract batches to a maintained
 /// materialization (mirroring the EDB alongside, exactly as a
-/// `pcs-service` session does) and requires the result to be identical to
-/// evaluating the surviving EDB from scratch — for every strategy, both
-/// join cores, and with a 4-thread maintained run bit-for-bit identical to
-/// the sequential one.
+/// `pcs-service` session does): must match evaluating the surviving EDB
+/// from scratch.
 fn assert_interleaving_matches_scratch(program: &Program, base: &Database, updates: &[Update]) {
     let mut surviving = base.clone();
     for update in updates {
@@ -278,89 +205,25 @@ fn assert_interleaving_matches_scratch(program: &Program, base: &Database, updat
             }
         }
     }
-    for strategy in all_strategies() {
-        let optimized = Optimizer::new(program.clone())
-            .strategy(strategy.clone())
-            .optimize()
-            .expect("optimization succeeds");
-        for options in core_options() {
-            let context = format!("under {strategy:?} with {} core", options_label(&options));
-            let evaluator = Evaluator::new(&optimized.program, options.clone());
-            let scratch = evaluator.evaluate(&surviving);
-            let maintain = |evaluator: &Evaluator| {
-                let mut edb = base.clone();
-                let mut rolling = evaluator.evaluate(base);
-                for update in updates {
-                    rolling = match update {
-                        Update::Insert(facts) => {
-                            for fact in facts {
-                                edb.add(fact.clone());
-                            }
-                            evaluator.resume(rolling.relations, facts.clone())
-                        }
-                        Update::Retract(facts) => {
-                            edb.remove_facts(facts);
-                            evaluator.retract(rolling.relations, facts.clone(), &edb)
-                        }
-                    };
+    assert_maintained_matches_scratch(program, &surviving, |evaluator| {
+        let mut edb = base.clone();
+        let mut rolling = evaluator.evaluate(base);
+        for update in updates {
+            rolling = match update {
+                Update::Insert(facts) => {
+                    for fact in facts {
+                        edb.add(fact.clone());
+                    }
+                    evaluator.resume(rolling.relations, facts.clone())
                 }
-                rolling
+                Update::Retract(facts) => {
+                    edb.remove_facts(facts);
+                    evaluator.retract(rolling.relations, facts.clone(), &edb)
+                }
             };
-            let rolling = maintain(&evaluator);
-            assert_eq!(
-                rolling.termination, scratch.termination,
-                "termination diverged {context}"
-            );
-            assert_eq!(
-                rendered_relations(&rolling),
-                rendered_relations(&scratch),
-                "maintained relations diverged from scratch {context}"
-            );
-            assert_eq!(
-                rolling.stats.facts_per_predicate, scratch.stats.facts_per_predicate,
-                "fact counts diverged {context}"
-            );
-            assert_eq!(
-                rolling.stats.constraint_facts, scratch.stats.constraint_facts,
-                "constraint fact counts diverged {context}"
-            );
-
-            // The maintained sequence is bit-for-bit deterministic under a
-            // 4-thread worker pool.
-            let parallel_evaluator = Evaluator::new(
-                &optimized.program,
-                options.clone().with_threads(4).with_min_parallel_work(0),
-            );
-            let parallel = maintain(&parallel_evaluator);
-            assert_eq!(
-                rolling.termination, parallel.termination,
-                "parallel maintained termination diverged {context}"
-            );
-            assert_eq!(
-                rendered_relations(&rolling),
-                rendered_relations(&parallel),
-                "parallel maintained relations diverged {context}"
-            );
-            assert_eq!(
-                rolling.stats.iterations.len(),
-                parallel.stats.iterations.len(),
-                "parallel maintained iteration counts diverged {context}"
-            );
-            for (i, (a, b)) in rolling
-                .stats
-                .iterations
-                .iter()
-                .zip(&parallel.stats.iterations)
-                .enumerate()
-            {
-                assert_eq!(
-                    (a.derivations, a.new_facts, a.subsumed),
-                    (b.derivations, b.new_facts, b.subsumed),
-                    "parallel maintained iteration {i} statistics diverged {context}"
-                );
-            }
         }
-    }
+        rolling
+    });
 }
 
 #[test]
@@ -427,9 +290,8 @@ fn retracting_a_constraint_fact_resurrects_what_it_subsumed() {
 
 /// The unified one-epoch path: `Evaluator::apply` on a single mixed
 /// `UpdateBatch { inserts, retracts }` — retractions first, insertions
-/// seeded into the same resumed fixpoint — must store exactly what a
-/// from-scratch evaluation of the surviving EDB stores, for every strategy,
-/// both join cores, both storage layouts, and bit-for-bit under 4 threads.
+/// seeded into the same resumed fixpoint — must match evaluating the
+/// surviving EDB plus the insertions from scratch.
 fn assert_batch_matches_scratch(program: &Program, base: &Database, batch: &UpdateBatch) {
     let mut surviving = base.clone();
     surviving.remove_facts(&batch.retracts);
@@ -437,50 +299,13 @@ fn assert_batch_matches_scratch(program: &Program, base: &Database, batch: &Upda
     for fact in &batch.inserts {
         full.add(fact.clone());
     }
-    for strategy in all_strategies() {
-        let optimized = Optimizer::new(program.clone())
-            .strategy(strategy.clone())
-            .optimize()
-            .expect("optimization succeeds");
-        for options in core_options() {
-            let context = format!("under {strategy:?} with {} core", options_label(&options));
-            let evaluator = Evaluator::new(&optimized.program, options.clone());
-            let scratch = evaluator.evaluate(&full);
-            let applied = evaluator.apply(
-                evaluator.evaluate(base).relations,
-                batch.clone(),
-                &surviving,
-            );
-            assert_eq!(
-                applied.termination, scratch.termination,
-                "termination diverged {context}"
-            );
-            assert_eq!(
-                rendered_relations(&applied),
-                rendered_relations(&scratch),
-                "one-batch apply diverged from scratch {context}"
-            );
-            assert_eq!(
-                applied.stats.facts_per_predicate, scratch.stats.facts_per_predicate,
-                "fact counts diverged {context}"
-            );
-
-            let parallel_evaluator = Evaluator::new(
-                &optimized.program,
-                options.clone().with_threads(4).with_min_parallel_work(0),
-            );
-            let parallel = parallel_evaluator.apply(
-                parallel_evaluator.evaluate(base).relations,
-                batch.clone(),
-                &surviving,
-            );
-            assert_eq!(
-                rendered_relations(&applied),
-                rendered_relations(&parallel),
-                "parallel one-batch apply diverged {context}"
-            );
-        }
-    }
+    assert_maintained_matches_scratch(program, &full, |evaluator| {
+        evaluator.apply(
+            evaluator.evaluate(base).relations,
+            batch.clone(),
+            &surviving,
+        )
+    });
 }
 
 #[test]
@@ -521,7 +346,7 @@ fn degenerate_batches_match_the_dedicated_entry_points() {
     let inserts = leg_updates(&[("madison", "hubx", 30, 30), ("hubx", "seattle", 40, 40)]);
     let retracts = leg_updates(&[("madison", "seattle", 200, 90)]);
     let evaluator = Optimizer::new(program)
-        .strategy(OptStrategy::Optimal)
+        .strategy(pushing_constraint_selections::Strategy::Optimal)
         .optimize()
         .unwrap()
         .evaluator();
@@ -564,6 +389,101 @@ fn retracting_everything_empties_the_materialization() {
     let legs: Vec<Fact> = base.facts_for(&Pred::new("singleleg")).to_vec();
     let updates = [Update::Retract(legs)];
     assert_interleaving_matches_scratch(&program, &base, &updates);
+}
+
+// --- DRed through static plans -------------------------------------------
+//
+// Over-deletion and re-derivation run precompiled plans whose probe columns
+// and existence checks were chosen without knowing which facts are
+// constraint facts or which are about to go.  Each case below builds the
+// situation one of the executor's run-time guards exists for, checks (on the
+// unrewritten program, without analyzer hints) that the plan really has the
+// shape the case is about, and then holds the retraction to the usual
+// standard: every strategy, scratch and oracle, 1 and 4 threads.
+
+/// The plans of `program` as written (flattened, no rewriting, no hints).
+fn plans_as_written(program: &Program) -> ProgramPlans {
+    compile_plans(&program.flattened(), &SelectivityHints::new())
+}
+
+#[test]
+fn pinned_rederivation_scans_when_a_constraint_fact_leaves_its_probe_column_open() {
+    // r1's pinned plan joins a(X, Z) first (the head binds X) and plans to
+    // probe b on Z.  The constraint fact a(1, Z; 5 <= Z <= 7) matches without
+    // giving Z a value, so that probe has nothing to look up and the step
+    // must scan b instead — and this is the only support p(1) has left once
+    // b(9) is retracted.  p(2) has none and must stay gone.
+    let program = parse_program("r1: p(X) :- a(X, Z), b(Z).\n?- p(X).").unwrap();
+    let plans = plans_as_written(&program);
+    let pinned = plans.pinned_plan(0).expect("r1 has a body");
+    let order: Vec<_> = pinned.steps.iter().map(|s| (s.literal, s.probe)).collect();
+    assert_eq!(order, vec![(0, Some(0)), (1, Some(0))]);
+
+    let mut base = Database::new();
+    base.add_facts_str("a(1, Z) :- Z >= 5, Z <= 7.\na(1, 9).\na(2, 9).\nb(6).\nb(9).")
+        .unwrap();
+    let updates = [Update::Retract(parse_facts("b(9).").unwrap())];
+    assert_interleaving_matches_scratch(&program, &base, &updates);
+}
+
+#[test]
+fn removing_a_derived_constraint_fact_falls_back_to_the_full_rule_plan() {
+    // r1 derives the broad constraint fact p(X; 0 <= X <= 5), which swallows
+    // r2's p(1) but not its p(6).  Retracting r1's support over-deletes a
+    // *proper constraint fact*: no head-pinned join can stand in for it, so
+    // r2 must re-run unpinned over the survivors to bring p(1) back.  (r2's
+    // second step is planned as a probe on X, which the constraint fact
+    // c(X; 1 <= X <= 7) leaves open: it scans, too.)
+    let program = parse_program("r1: p(X) :- wide(X).\nr2: p(X) :- c(X), d(X).\n?- p(X).").unwrap();
+    let plans = plans_as_written(&program);
+    let full = plans.full_plan(1).expect("r2 has a body");
+    let order: Vec<_> = full.steps.iter().map(|s| (s.literal, s.probe)).collect();
+    assert_eq!(order, vec![(0, None), (1, Some(0))]);
+
+    let mut base = Database::new();
+    base.add_facts_str("wide(X) :- X >= 0, X <= 5.\nc(X) :- X >= 1, X <= 7.\nd(1).\nd(6).\nd(9).")
+        .unwrap();
+    let wide = parse_facts("wide(X) :- X >= 0, X <= 5.").unwrap();
+
+    // The unpinned join shows in the re-derivation round's statistics: it
+    // re-derives the surviving p(6) as well (subsumed), which a join pinned
+    // inside 0 <= X <= 5 never would.
+    let mut surviving = base.clone();
+    surviving.remove_facts(&wide);
+    let evaluator = Evaluator::new(&program, EvalOptions::default().with_threads(1));
+    let retracted = evaluator.retract(
+        evaluator.evaluate(&base).relations,
+        wide.clone(),
+        &surviving,
+    );
+    let rederivation = &retracted.stats.iterations[0];
+    assert_eq!((rederivation.new_facts, rederivation.subsumed), (1, 1));
+
+    assert_interleaving_matches_scratch(&program, &base, &[Update::Retract(wide)]);
+}
+
+#[test]
+fn overdeletion_existence_steps_see_support_that_is_itself_being_removed() {
+    // Consuming the retracted a(1) at r1's first literal leaves b(X) fully
+    // bound, so the over-deletion plan only checks that b(1) exists.  b(1)
+    // is retracted in the same batch, but over-deletion reads the
+    // materialization as it stood: the check must still find it and mark
+    // p(1) — which r2 then re-derives from c(1), while q(1), whose only
+    // derivation joined the removed b(1), stays gone.
+    let program = parse_program(
+        "r1: p(X) :- a(X), b(X).\nr2: p(X) :- c(X).\nr3: q(X) :- p(X), b(X).\n?- q(X).",
+    )
+    .unwrap();
+    let plans = plans_as_written(&program);
+    let overdelete = plans.overdelete_plan(0, 0).expect("r1 consumes a@1");
+    assert_eq!(overdelete.steps.len(), 1);
+    assert!(overdelete.steps[0].existence && overdelete.steps[0].literal == 1);
+
+    let mut base = Database::new();
+    base.add_facts_str("a(1).\na(2).\nb(1).\nb(2).\nc(1).")
+        .unwrap();
+    let batch = UpdateBatch::retracting(parse_facts("a(1).\nb(1).").unwrap());
+    assert_batch_matches_scratch(&program, &base, &batch);
 }
 
 proptest! {

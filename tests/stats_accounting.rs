@@ -1,7 +1,9 @@
-//! Per-iteration statistics accounting under the indexed join core: the
-//! delta sizes driving each iteration must match the new-fact counts of the
-//! previous iteration, and the totals must tie out against the stored facts
-//! — on the flights workload, sequentially and with a parallel worker pool.
+//! Per-iteration statistics accounting: the delta sizes driving each
+//! iteration must match the new-fact counts of the previous iteration, and
+//! the totals must tie out against the stored facts — on the flights
+//! workload, sequentially and with a parallel worker pool.  (The `indexed_`
+//! prefix of the test names dates from when a second, legacy join core left
+//! `delta_facts` at zero; there is one core now and it always counts.)
 
 use pushing_constraint_selections::prelude::*;
 
@@ -9,13 +11,12 @@ fn assert_delta_accounting(threads: usize) {
     let program = programs::flights();
     let db = programs::flights_database(6, 20);
     // min_parallel_work = 0 forces sharding even on these narrow rounds.
-    let options = EvalOptions::indexed()
+    let options = EvalOptions::default()
         .with_threads(threads)
         .with_min_parallel_work(0);
     let result = Evaluator::new(&program, options).evaluate(&db);
     assert!(result.termination.is_fixpoint());
     let stats = &result.stats;
-    assert!(stats.indexed);
     let iterations = &stats.iterations;
     assert!(iterations.len() >= 3, "flights closure iterates");
 
@@ -49,20 +50,4 @@ fn indexed_delta_accounting_matches_total_fact_deltas() {
 #[test]
 fn indexed_delta_accounting_is_unchanged_by_parallelism() {
     assert_delta_accounting(4);
-}
-
-#[test]
-fn legacy_core_reports_zero_deltas_but_matching_totals() {
-    let program = programs::flights();
-    let db = programs::flights_database(6, 20);
-    let indexed = Evaluator::new(&program, EvalOptions::indexed().with_threads(1)).evaluate(&db);
-    let legacy = Evaluator::new(&program, EvalOptions::legacy().with_threads(1)).evaluate(&db);
-    // The legacy core slices on fact counts and leaves `delta_facts` at
-    // zero; everything it stores still matches the indexed core.
-    assert!(legacy.stats.iterations.iter().all(|i| i.delta_facts == 0));
-    assert_eq!(
-        legacy.stats.facts_per_predicate,
-        indexed.stats.facts_per_predicate
-    );
-    assert_eq!(legacy.stats.total_facts(), indexed.stats.total_facts());
 }
