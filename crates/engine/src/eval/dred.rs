@@ -1,0 +1,478 @@
+//! Incremental updates of a completed materialization: DRed-style
+//! over-deletion and re-derivation for the retractions, then one resumed
+//! fixpoint propagating them together with the insertions.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use pcs_telemetry as telemetry;
+
+use pcs_lang::{Pred, Rule};
+
+use super::matching::{match_literal, PartialMatch};
+use super::round::{join, run_and_absorb, EvalTotals, RoundTask, TaskKind};
+use super::{rule_label, EvalResult, Evaluator, Start};
+use crate::database::Database;
+use crate::fact::Fact;
+use crate::plan::PlanStep;
+use crate::relation::{FactRef, Relation, Window};
+use crate::stats::{EvalStats, IterationStats};
+
+impl Evaluator {
+    /// The shared incremental-update engine behind [`Self::resume`],
+    /// [`Self::retract`], and [`Self::apply`]: DRed phases 1–2 for the
+    /// deletions, insertions seeded into the pending segment alongside the
+    /// re-derived facts, then one resumed fixpoint propagating the combined
+    /// delta.  `mark_retracted` controls whether the result carries the
+    /// retraction stats shape (the leading re-derivation iteration and the
+    /// `retracted`/`removed_facts` fields).
+    pub(super) fn apply_impl(
+        &self,
+        mut relations: BTreeMap<Pred, Relation>,
+        deletions: Vec<Fact>,
+        inserts: Vec<Fact>,
+        surviving_edb: &Database,
+        mark_retracted: bool,
+    ) -> EvalResult {
+        let _phase_span = telemetry::span_if(
+            self.options.telemetry,
+            if mark_retracted {
+                telemetry::Phase::Retract
+            } else {
+                telemetry::Phase::Resume
+            },
+        );
+        for pred in self.program.all_predicates() {
+            relations.entry(pred).or_default();
+        }
+        for relation in relations.values_mut() {
+            relation.seal();
+        }
+
+        // Phase 1: transitive over-deletion.  `removed` collects the stored
+        // fact indices to drop; the frontier of each round holds the facts
+        // newly marked in the previous round.  Joins read the full original
+        // materialization (removal is deferred), so a derivation consuming
+        // several deleted facts still propagates.
+        let mut removed: BTreeMap<Pred, BTreeSet<usize>> = BTreeMap::new();
+        let mut frontier: Vec<Fact> = Vec::new();
+        for deletion in &deletions {
+            if let Some(relation) = relations.get(deletion.predicate()) {
+                if let Some(index) = relation.find_equivalent(deletion) {
+                    if removed
+                        .entry(deletion.predicate().clone())
+                        .or_default()
+                        .insert(index)
+                    {
+                        frontier.push(relation.fact_at(index));
+                    }
+                }
+            }
+        }
+        while !frontier.is_empty() {
+            let mut by_pred: BTreeMap<&Pred, Vec<&Fact>> = BTreeMap::new();
+            for fact in &frontier {
+                by_pred.entry(fact.predicate()).or_default().push(fact);
+            }
+            let mut next: Vec<Fact> = Vec::new();
+            for (rule_index, rule) in self.program.rules().iter().enumerate() {
+                for consumed in 0..rule.body.len() {
+                    let Some(deleted_here) = by_pred.get(&rule.body[consumed].predicate) else {
+                        continue;
+                    };
+                    let steps = &self
+                        .plans
+                        .overdelete_plan(rule_index, consumed)
+                        .expect("every body position has an over-deletion plan")
+                        .steps;
+                    for deleted in deleted_here {
+                        for head in
+                            overdelete_derivations(rule, consumed, steps, deleted, &relations)
+                        {
+                            let Some(relation) = relations.get(head.predicate()) else {
+                                continue;
+                            };
+                            let Some(index) = relation.find_equivalent(&head) else {
+                                continue;
+                            };
+                            if removed
+                                .entry(head.predicate().clone())
+                                .or_default()
+                                .insert(index)
+                            {
+                                next.push(relation.fact_at(index));
+                            }
+                        }
+                    }
+                }
+            }
+            frontier = next;
+        }
+
+        // The removed facts themselves (in stored order) drive the pinned
+        // re-derivation targets below; collect them before the indices go
+        // stale.
+        let mut removed_facts: BTreeMap<Pred, Vec<Fact>> = BTreeMap::new();
+        for (pred, indices) in &removed {
+            let relation = &relations[pred];
+            removed_facts
+                .entry(pred.clone())
+                .or_default()
+                .extend(indices.iter().map(|&index| relation.fact_at(index)));
+        }
+        let mut removed_total = 0;
+        for (pred, indices) in &removed {
+            removed_total += relations
+                .get_mut(pred)
+                .expect("marked relations exist")
+                .remove_indices(indices);
+        }
+
+        // The batch insertions land in the pending segment next to whatever
+        // phase 2 re-derives: invisible to the re-derivation joins (which
+        // read the sealed windows), they join the combined delta at the
+        // phase-3 advance, so retracts and inserts share one resumed
+        // fixpoint.
+        for fact in inserts {
+            relations
+                .entry(fact.predicate().clone())
+                .or_default()
+                .insert(fact);
+        }
+
+        // Phase 2: resurrection and the re-derivation round.  Everything
+        // inserted here lands in the pending segment and becomes the delta
+        // of the resumed fixpoint.
+        let mut rederive_stats = IterationStats::default();
+        let mut totals = EvalTotals {
+            derivations: 0,
+            facts: relations.values().map(Relation::len).sum(),
+        };
+        let mut hit_limit = None;
+        if removed_total > 0 {
+            for pred in removed_facts.keys() {
+                for fact in surviving_edb.facts_for(pred) {
+                    relations
+                        .get_mut(pred)
+                        .expect("affected relations exist")
+                        .insert(fact.clone());
+                }
+            }
+            let mut tasks: Vec<RoundTask<'_>> = Vec::new();
+            for (rule_index, rule) in self.program.rules().iter().enumerate() {
+                let Some(targets) = removed_facts.get(&rule.head.predicate) else {
+                    continue;
+                };
+                let label = rule_label(rule, rule_index);
+                if rule.body.is_empty() {
+                    tasks.push(RoundTask {
+                        rule,
+                        label,
+                        kind: TaskKind::Seed,
+                    });
+                } else if targets.iter().any(|target| !target.is_ground()) {
+                    // A removed proper constraint fact could cover facts a
+                    // pinned join would miss: fall back to the full join.
+                    let plan = self
+                        .plans
+                        .full_plan(rule_index)
+                        .expect("every rule with a body has a full plan");
+                    tasks.push(RoundTask {
+                        rule,
+                        label,
+                        kind: TaskKind::Pinned {
+                            steps: &plan.steps,
+                            start: PartialMatch::start(rule),
+                        },
+                    });
+                } else {
+                    let plan = self
+                        .plans
+                        .pinned_plan(rule_index)
+                        .expect("every rule with a body has a pinned plan");
+                    for target in targets {
+                        let Some(start) = match_literal(
+                            &PartialMatch::start(rule),
+                            &rule.head,
+                            FactRef::Stored(target),
+                        ) else {
+                            continue;
+                        };
+                        tasks.push(RoundTask {
+                            rule,
+                            label: label.clone(),
+                            kind: TaskKind::Pinned {
+                                steps: &plan.steps,
+                                start,
+                            },
+                        });
+                    }
+                }
+            }
+            let work: usize = tasks
+                .iter()
+                .map(|task| match &task.kind {
+                    TaskKind::Pinned { steps, .. } => relations
+                        .get(&task.rule.body[steps[0].literal].predicate)
+                        .map_or(0, |r| r.window_range(Window::Known).len()),
+                    _ => 1,
+                })
+                .sum();
+            let threads = self.options.threads.max(1);
+            let pool = (threads > 1 && work >= self.options.min_parallel_work).then_some(threads);
+            hit_limit = run_and_absorb(
+                &tasks,
+                pool,
+                &self.options,
+                &mut relations,
+                &mut rederive_stats,
+                &mut totals,
+            );
+        }
+
+        // Phase 3: the resurrected and re-derived facts become the delta of
+        // the resumed semi-naive fixpoint (empty delta = one quiescent
+        // iteration confirming the fixpoint).
+        for relation in relations.values_mut() {
+            relation.advance();
+        }
+        if let Some(limit) = hit_limit {
+            let stats = EvalStats {
+                iterations: vec![rederive_stats],
+                resumed: true,
+                retracted: mark_retracted,
+                removed_facts: removed_total,
+                ..EvalStats::default()
+            };
+            telemetry::flush_thread();
+            return Evaluator::finalize(relations, stats, limit);
+        }
+        let mut result = self.run_fixpoint(Start::Resume(relations), rederive_stats.derivations);
+        if mark_retracted {
+            result.stats.iterations.insert(0, rederive_stats);
+            result.stats.retracted = true;
+            result.stats.removed_facts = removed_total;
+        }
+        result
+    }
+}
+
+/// The head facts of every derivation of `rule` that consumes `deleted` at
+/// body position `consumed` and — along `steps`, the rule's over-deletion
+/// plan for that position — arbitrary stored facts (the full sealed
+/// materialization, removed facts included) at the other positions: the
+/// one-step support propagation of the DRed over-deletion phase.
+fn overdelete_derivations(
+    rule: &Rule,
+    consumed: usize,
+    steps: &[PlanStep],
+    deleted: &Fact,
+    relations: &BTreeMap<Pred, Relation>,
+) -> Vec<Fact> {
+    let mut derived = Vec::new();
+    if let Some(pm) = match_literal(
+        &PartialMatch::start(rule),
+        &rule.body[consumed],
+        FactRef::Stored(deleted),
+    ) {
+        join(rule, steps, 0, pm, relations, &mut derived, usize::MAX);
+    }
+    derived
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::test_support::{assert_identical_runs, rendered};
+    use super::super::{EvalOptions, Evaluator};
+    use crate::database::Database;
+    use crate::limits::{EvalLimits, Termination};
+    use crate::value::Value;
+    use pcs_lang::{parse_program, Literal, Pred, Query, Term};
+
+    #[test]
+    fn retracting_an_edge_matches_scratch_evaluation_of_the_surviving_edb() {
+        let program = parse_program(
+            "path(X, Y) :- edge(X, Y).\n\
+             path(X, Y) :- edge(X, Z), path(Z, Y).",
+        )
+        .unwrap();
+        let mut full = Database::new();
+        for (a, b) in [(1, 2), (2, 3), (3, 4), (1, 4)] {
+            full.add_ground("edge", vec![Value::num(a), Value::num(b)]);
+        }
+        let deletions = crate::database::parse_facts("edge(2, 3).").unwrap();
+        let mut surviving = full.clone();
+        assert_eq!(surviving.remove_facts(&deletions), 1);
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
+        let materialized = evaluator.evaluate(&full);
+        let retracted = evaluator.retract(materialized.relations, deletions.clone(), &surviving);
+        let scratch = evaluator.evaluate(&surviving);
+        assert!(retracted.stats.retracted && !scratch.stats.retracted);
+        // edge(2, 3) plus the paths that only it supported are gone.
+        assert!(retracted.stats.removed_facts >= 4);
+        assert_eq!(retracted.termination, scratch.termination);
+        assert_eq!(rendered(&retracted), rendered(&scratch));
+    }
+
+    #[test]
+    fn facts_with_alternative_derivations_survive_retraction() {
+        // path(1, 3) is derivable both directly from edge(1, 3) and through
+        // edge(1, 2), edge(2, 3): DRed over-deletes it, re-derivation must
+        // bring it back.
+        let program = parse_program(
+            "path(X, Y) :- edge(X, Y).\n\
+             path(X, Y) :- edge(X, Z), path(Z, Y).",
+        )
+        .unwrap();
+        let mut full = Database::new();
+        for (a, b) in [(1, 2), (2, 3), (1, 3)] {
+            full.add_ground("edge", vec![Value::num(a), Value::num(b)]);
+        }
+        let deletions = crate::database::parse_facts("edge(1, 3).").unwrap();
+        let mut surviving = full.clone();
+        surviving.remove_facts(&deletions);
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
+        let retracted = evaluator.retract(
+            evaluator.evaluate(&full).relations,
+            deletions.clone(),
+            &surviving,
+        );
+        let path = Literal::new("path", vec![Term::num(1), Term::num(3)]);
+        assert_eq!(retracted.answers(&Query::new(path)).len(), 1);
+        assert_eq!(
+            rendered(&retracted),
+            rendered(&evaluator.evaluate(&surviving))
+        );
+    }
+
+    #[test]
+    fn retracting_a_subsuming_fact_resurrects_subsumed_facts() {
+        // The ground EDB fact b(5) is swallowed by the constraint fact at
+        // seed time and never stored; retracting the constraint fact must
+        // resurrect it (and its consequences).
+        let program = parse_program("p(X) :- b(X).").unwrap();
+        let mut full = Database::new();
+        full.add_facts_str("b(X) :- X >= 0, X <= 10.\nb(5).\nb(99).")
+            .unwrap();
+        let deletions = crate::database::parse_facts("b(X) :- X >= 0, X <= 10.").unwrap();
+        let mut surviving = full.clone();
+        assert_eq!(surviving.remove_facts(&deletions), 1);
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
+        let materialized = evaluator.evaluate(&full);
+        // The subsumed ground fact is genuinely absent beforehand.
+        assert_eq!(materialized.count_for(&Pred::new("b")), 2);
+        let retracted = evaluator.retract(materialized.relations, deletions.clone(), &surviving);
+        let scratch = evaluator.evaluate(&surviving);
+        assert_eq!(rendered(&retracted), rendered(&scratch));
+        assert_eq!(retracted.count_for(&Pred::new("b")), 2);
+        assert_eq!(
+            retracted
+                .answers(&Query::new(Literal::new("p", vec![Term::num(5)])))
+                .len(),
+            1
+        );
+        assert!(retracted.termination.is_fixpoint());
+    }
+
+    #[test]
+    fn retraction_shares_one_derivation_budget_across_its_phases() {
+        // The re-derivation round pre-charges the resumed fixpoint's
+        // budget: capping max_derivations one below a full retraction's
+        // spending must stop at exactly the cap, not grant each phase the
+        // cap separately.
+        let program = parse_program(
+            "path(X, Y) :- edge(X, Y).\n\
+             path(X, Y) :- edge(X, Z), path(Z, Y).",
+        )
+        .unwrap();
+        // edge(0, 1) feeds the resumed phase: path(0, 3) is over-deleted
+        // (its derivation passes through the removed path(1, 3)) and only
+        // comes back once the re-derived path(1, 3) enters the delta.
+        let mut full = Database::new();
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)] {
+            full.add_ground("edge", vec![Value::num(a), Value::num(b)]);
+        }
+        let deletions = crate::database::parse_facts("edge(1, 3).").unwrap();
+        let mut surviving = full.clone();
+        surviving.remove_facts(&deletions);
+        let evaluator = Evaluator::new(&program, EvalOptions::default().with_threads(1));
+        let unlimited = evaluator.retract(
+            evaluator.evaluate(&full).relations,
+            deletions.clone(),
+            &surviving,
+        );
+        let spent = unlimited.stats.total_derivations();
+        assert!(unlimited.termination.is_fixpoint() && spent >= 2, "{spent}");
+        // Both the re-derivation round and the resumed fixpoint derive
+        // something in this workload, so the cap spans the phase boundary.
+        assert!(unlimited.stats.iterations[0].derivations >= 1);
+        assert!(spent > unlimited.stats.iterations[0].derivations);
+        // Materialize the base with the *unlimited* evaluator (retraction
+        // from a partial materialization is out of contract); only the
+        // retraction itself runs capped.
+        let materialized = evaluator.evaluate(&full);
+        let capped = EvalOptions {
+            limits: EvalLimits {
+                max_derivations: spent - 1,
+                ..EvalLimits::default()
+            },
+            ..EvalOptions::default().with_threads(1)
+        };
+        let limited = Evaluator::new(&program, capped).retract(
+            materialized.relations,
+            deletions.clone(),
+            &surviving,
+        );
+        assert_eq!(limited.termination, Termination::DerivationLimit);
+        assert_eq!(limited.stats.total_derivations(), spent - 1);
+    }
+
+    #[test]
+    fn retracting_an_absent_fact_changes_nothing() {
+        let program = parse_program("p(X) :- b(X).").unwrap();
+        let mut db = Database::new();
+        db.add_ground("b", vec![Value::num(1)]);
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
+        let before = evaluator.evaluate(&db);
+        let total = before.total_facts();
+        let deletions = crate::database::parse_facts("b(9).").unwrap();
+        let retracted = evaluator.retract(before.relations, deletions, &db);
+        assert_eq!(retracted.stats.removed_facts, 0);
+        assert_eq!(retracted.total_facts(), total);
+        assert!(retracted.termination.is_fixpoint());
+    }
+
+    #[test]
+    fn parallel_retraction_matches_the_sequential_retraction_exactly() {
+        let program = parse_program(
+            "path(X, Y) :- edge(X, Y).\n\
+             path(X, Y) :- edge(X, Z), path(Z, Y).",
+        )
+        .unwrap();
+        let mut full = Database::new();
+        for (a, b) in [(1, 2), (2, 3), (3, 4), (4, 5), (1, 4), (2, 5)] {
+            full.add_ground("edge", vec![Value::num(a), Value::num(b)]);
+        }
+        let deletions = crate::database::parse_facts("edge(2, 3).\nedge(1, 4).").unwrap();
+        let mut surviving = full.clone();
+        surviving.remove_facts(&deletions);
+        let base = EvalOptions::default();
+        let sequential = {
+            let evaluator = Evaluator::new(&program, base.clone().with_threads(1));
+            evaluator.retract(
+                evaluator.evaluate(&full).relations,
+                deletions.clone(),
+                &surviving,
+            )
+        };
+        for threads in [2, 4] {
+            let options = base.clone().with_threads(threads).with_min_parallel_work(0);
+            let evaluator = Evaluator::new(&program, options);
+            let parallel = evaluator.retract(
+                evaluator.evaluate(&full).relations,
+                deletions.clone(),
+                &surviving,
+            );
+            assert_identical_runs(&sequential, &parallel);
+        }
+    }
+}

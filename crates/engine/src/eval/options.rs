@@ -1,0 +1,168 @@
+//! Evaluation options, and the one environment variable the evaluator
+//! reads (`PCS_EVAL_THREADS`).
+
+use crate::limits::EvalLimits;
+use crate::plan::SelectivityHints;
+
+/// Options controlling an evaluation.
+#[derive(Debug, Clone)]
+pub struct EvalOptions {
+    /// Resource limits.
+    pub limits: EvalLimits,
+    /// When `true`, every derivation is recorded in the statistics
+    /// (needed to regenerate Tables 1 and 2; expensive for large workloads).
+    pub trace: bool,
+    /// Number of worker threads for the derivation rounds inside each
+    /// iteration.  `1` evaluates on the calling thread through the exact
+    /// sequential code path; larger values shard the
+    /// (rule × delta-position × delta-fact) work of every iteration across a
+    /// scoped worker pool whose thread-local buffers are merged in
+    /// deterministic (rule, delta-position, delta-fact) order, so the
+    /// computed relations, statistics, and termination are identical to the
+    /// sequential evaluation.  Defaults to the machine's available
+    /// parallelism; the `PCS_EVAL_THREADS` environment variable overrides
+    /// the default.
+    pub threads: usize,
+    /// Minimum per-iteration derivation work (delta candidates summed over
+    /// all rules and delta positions) before a multi-thread evaluation
+    /// actually shards the round across the worker pool; narrower rounds
+    /// run on the calling thread, since spawning workers would cost more
+    /// than the round itself.  Purely a scheduling knob — the results are
+    /// identical either way.  Defaults to [`MIN_PARALLEL_ROUND_WORK`]; set
+    /// to `0` to shard every round.
+    pub min_parallel_work: usize,
+    /// When `true`, the optimizer prunes rules the static analyzer proves
+    /// dead (unsatisfiable constraints, provably empty body predicates)
+    /// before rewriting.  Purely an optimization knob — dead rules derive
+    /// nothing, so the computed answers are identical either way (the
+    /// property `tests/analysis_differential.rs` checks).  Off by default.
+    pub prune_dead: bool,
+    /// Analyzer-derived per-position selectivity classes consumed by the
+    /// plan compiler (see [`SelectivityHints`]).  Empty by default — the
+    /// planner then falls back to the purely structural most-bound-first
+    /// order; `Optimizer::optimize()` fills the hints from the converged
+    /// constraint analysis.
+    pub hints: SelectivityHints,
+    /// When `true`, this evaluator records phase spans (plan-compile,
+    /// fixpoint, resume, retract) and per-iteration wall time into the
+    /// process-wide `pcs-telemetry` registry.  Purely observational — the
+    /// computed relations, the non-timing statistics, and the termination
+    /// are identical either way (the property
+    /// `tests/telemetry_differential.rs` checks).  Defaults to the
+    /// process-wide `PCS_TELEMETRY` setting (`off` unless set to `on` or
+    /// `trace`).  The deep join-loop counters (index probes, probe
+    /// hits/misses, subsumption checks, FM satisfiability calls) are gated
+    /// on the global mode alone, so flipping only this flag affects spans
+    /// and iteration timing.
+    pub telemetry: bool,
+}
+
+impl Default for EvalOptions {
+    fn default() -> Self {
+        EvalOptions {
+            limits: EvalLimits::default(),
+            trace: false,
+            threads: threads_from_env(),
+            min_parallel_work: MIN_PARALLEL_ROUND_WORK,
+            prune_dead: false,
+            hints: SelectivityHints::default(),
+            telemetry: pcs_telemetry::enabled(),
+        }
+    }
+}
+
+/// Default for [`EvalOptions::min_parallel_work`]: rounds with fewer total
+/// delta candidates than this evaluate on the calling thread even when a
+/// worker pool is configured, because per-iteration thread spawning would
+/// dominate such narrow rounds (e.g. the magic Fibonacci programs derive a
+/// handful of facts per iteration across hundreds of iterations).
+pub const MIN_PARALLEL_ROUND_WORK: usize = 256;
+
+/// Recognized values of the `PCS_EVAL_THREADS` worker-count override.
+fn parse_threads_setting(value: &str) -> Option<usize> {
+    value.parse::<usize>().ok().filter(|&n| n >= 1)
+}
+
+/// Reads the `PCS_EVAL_THREADS` environment variable — the only one the
+/// evaluator consults.  A positive integer selects that many evaluation
+/// worker threads; unset falls back to the machine's available parallelism,
+/// and so does an unrecognized value, but with a visible warning on stderr:
+/// a misspelled `PCS_EVAL_THREADS=two` must not silently select the default.
+fn threads_from_env() -> usize {
+    let default = || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    match std::env::var("PCS_EVAL_THREADS") {
+        Ok(raw) => {
+            let value = raw.trim();
+            parse_threads_setting(value).unwrap_or_else(|| {
+                eprintln!(
+                    "warning: ignoring invalid PCS_EVAL_THREADS={value:?}: expected a positive thread count"
+                );
+                default()
+            })
+        }
+        Err(_) => default(),
+    }
+}
+
+impl EvalOptions {
+    /// Options with an iteration cap and tracing enabled.
+    pub fn traced(max_iterations: usize) -> Self {
+        EvalOptions {
+            limits: EvalLimits::capped(max_iterations),
+            trace: true,
+            ..EvalOptions::default()
+        }
+    }
+
+    /// Returns these options with the given number of evaluation worker
+    /// threads (clamped to at least one; `1` selects the exact sequential
+    /// code path regardless of the environment).
+    pub fn with_threads(self, threads: usize) -> Self {
+        EvalOptions {
+            threads: threads.max(1),
+            ..self
+        }
+    }
+
+    /// Returns these options with the given sharding threshold (see
+    /// [`EvalOptions::min_parallel_work`]); `0` shards every round through
+    /// the worker pool, however narrow.
+    pub fn with_min_parallel_work(self, min_parallel_work: usize) -> Self {
+        EvalOptions {
+            min_parallel_work,
+            ..self
+        }
+    }
+
+    /// Returns these options with analyzer-driven dead-rule pruning switched
+    /// on or off (see [`EvalOptions::prune_dead`]).
+    pub fn with_prune_dead(self, prune_dead: bool) -> Self {
+        EvalOptions { prune_dead, ..self }
+    }
+
+    /// Returns these options with the given analyzer-derived selectivity
+    /// hints for the plan compiler (see [`EvalOptions::hints`]).
+    pub fn with_hints(self, hints: SelectivityHints) -> Self {
+        EvalOptions { hints, ..self }
+    }
+
+    /// Returns these options with phase spans and per-iteration wall-time
+    /// recording switched on or off regardless of the process-wide
+    /// `PCS_TELEMETRY` setting (see [`EvalOptions::telemetry`]).
+    pub fn with_telemetry(self, telemetry: bool) -> Self {
+        EvalOptions { telemetry, ..self }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn thread_setting_recognizes_positive_counts_only() {
+        assert_eq!(parse_threads_setting("4"), Some(4));
+        assert_eq!(parse_threads_setting("0"), None);
+        assert_eq!(parse_threads_setting("two"), None);
+        assert_eq!(parse_threads_setting(""), None);
+    }
+}

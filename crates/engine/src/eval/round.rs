@@ -1,0 +1,525 @@
+//! One round of derivation work: the tasks an iteration decomposes into,
+//! the worker pool that runs them, the join executor they run, and the
+//! deterministic in-order absorption of what they derive.
+
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::Mutex;
+
+use pcs_telemetry as telemetry;
+
+use pcs_lang::{Literal, Pred, Rule};
+
+use super::matching::{finish_derivation, match_literal, term_value, PartialMatch};
+use super::EvalOptions;
+use crate::fact::Fact;
+use crate::limits::{EvalLimits, Termination};
+use crate::plan::PlanStep;
+use crate::relation::{InsertOutcome, Relation};
+use crate::stats::{DerivationRecord, IterationStats};
+use crate::value::Value;
+
+/// One unit of derivation work inside an iteration.  Tasks only read the
+/// relations; their buffers are absorbed in task order at the barrier.
+pub(super) struct RoundTask<'a> {
+    pub(super) rule: &'a Rule,
+    /// The rule's display label for derivation records.
+    pub(super) label: String,
+    pub(super) kind: TaskKind<'a>,
+}
+
+/// What a [`RoundTask`] joins.  The steps are borrowed from the evaluator's
+/// precompiled [`ProgramPlans`]: the literal order, the per-literal probe
+/// column, and the existence-shortcut flags were all fixed at
+/// plan-compilation time.
+pub(super) enum TaskKind<'a> {
+    /// An empty-body rule (fact or constraint fact), fired in iteration 0.
+    Seed,
+    /// One semi-naive round body: the steps of this (rule × delta-position)
+    /// plan and the chunk of delta-window fact indices (into the delta
+    /// literal's relation) this task covers.
+    Planned {
+        steps: &'a [PlanStep],
+        candidates: Vec<usize>,
+    },
+    /// A retraction re-derivation join over the sealed survivor relations:
+    /// the rule's pinned plan, starting from a partial match whose head
+    /// bindings were pinned to an over-deleted target fact — or the rule's
+    /// full plan, starting from an empty match.
+    Pinned {
+        steps: &'a [PlanStep],
+        start: PartialMatch,
+    },
+}
+
+/// Splits the delta-candidate list of every planned task into at most
+/// `threads × TASK_CHUNKS_PER_THREAD` chunks, for load balancing across the
+/// worker pool.  The chunk boundaries cannot affect results: the chunks of
+/// one task stay adjacent, so the merged absorb order is unchanged.
+pub(super) fn chunk_tasks(tasks: Vec<RoundTask<'_>>, threads: usize) -> Vec<RoundTask<'_>> {
+    let mut out = Vec::with_capacity(tasks.len());
+    for task in tasks {
+        let TaskKind::Planned { steps, candidates } = &task.kind else {
+            out.push(task);
+            continue;
+        };
+        let chunk = candidates
+            .len()
+            .div_ceil(threads * TASK_CHUNKS_PER_THREAD)
+            .max(1);
+        if chunk >= candidates.len() {
+            out.push(task);
+            continue;
+        }
+        for slice in candidates.chunks(chunk) {
+            out.push(RoundTask {
+                rule: task.rule,
+                label: task.label.clone(),
+                kind: TaskKind::Planned {
+                    steps,
+                    candidates: slice.to_vec(),
+                },
+            });
+        }
+    }
+    out
+}
+
+/// Ceiling on how many chunks the delta candidates of one
+/// (rule, delta-position) pair are split into, per worker thread.  More
+/// chunks balance skewed candidate workloads better at a small bookkeeping
+/// cost; the value does not affect results, only scheduling.
+const TASK_CHUNKS_PER_THREAD: usize = 4;
+
+/// Runs the tasks of one round — on the calling thread, or on a worker pool
+/// of `pool` threads — and absorbs their derivations strictly in task order,
+/// stopping at the first limit hit.  Tasks only read the relations and
+/// pending insertions are invisible to every [`Window`], so the sequential
+/// path (which interleaves running and absorbing) and the pool (which runs
+/// everything first) absorb the exact same sequence.
+///
+/// No task generates more than the derivation budget left in `totals`:
+/// anything beyond it is guaranteed to be discarded by the in-order
+/// absorption, so a single round cannot buffer unboundedly past
+/// `max_derivations`.
+pub(super) fn run_and_absorb(
+    tasks: &[RoundTask<'_>],
+    pool: Option<usize>,
+    options: &EvalOptions,
+    relations: &mut BTreeMap<Pred, Relation>,
+    iter_stats: &mut IterationStats,
+    totals: &mut EvalTotals,
+) -> Option<Termination> {
+    let budget = options
+        .limits
+        .max_derivations
+        .saturating_sub(totals.derivations);
+    let mut buffers = match pool {
+        Some(threads) if tasks.len() > 1 => {
+            Some(run_tasks_parallel(tasks, relations, budget, threads).into_iter())
+        }
+        _ => None,
+    };
+    for task in tasks {
+        let derived = match &mut buffers {
+            Some(buffers) => buffers.next().expect("one buffer per task"),
+            None => run_task(task, relations, budget),
+        };
+        let hit_limit = absorb_derived(
+            derived,
+            &task.label,
+            options.trace,
+            &options.limits,
+            relations,
+            iter_stats,
+            totals,
+        );
+        if hit_limit.is_some() {
+            return hit_limit;
+        }
+    }
+    None
+}
+
+/// Runs one task to completion, collecting at most `cap` derived facts.
+fn run_task(task: &RoundTask<'_>, relations: &BTreeMap<Pred, Relation>, cap: usize) -> Vec<Fact> {
+    let mut derived = Vec::new();
+    let rule = task.rule;
+    match &task.kind {
+        TaskKind::Seed => finish_derivation(rule, PartialMatch::start(rule), &mut derived),
+        TaskKind::Planned { steps, candidates } => {
+            let literal = &rule.body[steps[0].literal];
+            let Some(relation) = relations.get(&literal.predicate) else {
+                return derived;
+            };
+            let start = PartialMatch::start(rule);
+            for &index in candidates {
+                if derived.len() >= cap {
+                    break;
+                }
+                if let Some(next) = match_literal(&start, literal, relation.fact_ref(index)) {
+                    join(rule, steps, 1, next, relations, &mut derived, cap);
+                }
+            }
+        }
+        TaskKind::Pinned { steps, start } => {
+            join(rule, steps, 0, start.clone(), relations, &mut derived, cap);
+        }
+    }
+    derived
+}
+
+/// Runs the tasks of one iteration on a scoped worker pool and returns one
+/// buffer per task, positionally.
+///
+/// Workers pull task ordinals from a shared cursor (so tasks start in
+/// order), accumulate into thread-local buffers, and the buffers are merged
+/// back in task order — scheduling therefore cannot influence the absorb
+/// sequence.  A worker about to start a task first consults the completed
+/// *prefix* of the task list: once the tasks before some point have already
+/// derived `budget` facts, every later task's buffer is guaranteed to be
+/// discarded by the in-order absorption, so it is skipped outright.
+fn run_tasks_parallel(
+    tasks: &[RoundTask<'_>],
+    relations: &BTreeMap<Pred, Relation>,
+    budget: usize,
+    threads: usize,
+) -> Vec<Vec<Fact>> {
+    let workers = threads.min(tasks.len());
+    let cursor = AtomicUsize::new(0);
+    let progress = RoundProgress::new(tasks.len());
+    let collected: Vec<(usize, Vec<Fact>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local: Vec<(usize, Vec<Fact>)> = Vec::new();
+                    loop {
+                        let ordinal = cursor.fetch_add(1, AtomicOrdering::Relaxed);
+                        let Some(task) = tasks.get(ordinal) else {
+                            break;
+                        };
+                        let derived = if progress.prefix_derivations() >= budget {
+                            Vec::new()
+                        } else {
+                            run_task(task, relations, budget)
+                        };
+                        progress.record(ordinal, derived.len());
+                        local.push((ordinal, derived));
+                    }
+                    // Fold this worker's thread-local telemetry counters into
+                    // the shared registry before the thread exits.
+                    telemetry::flush_thread();
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                // Re-raise a worker panic with its original payload so that
+                // e.g. the descriptive rational-overflow messages survive
+                // the thread boundary.
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    });
+    let mut buffers: Vec<Vec<Fact>> = Vec::new();
+    buffers.resize_with(tasks.len(), Vec::new);
+    for (ordinal, derived) in collected {
+        buffers[ordinal] = derived;
+    }
+    buffers
+}
+
+/// Tracks, across workers, how many facts the completed contiguous *prefix*
+/// of the task list has derived.  The prefix count is monotone and
+/// independent of scheduling, so gating on it never skips a task whose
+/// buffer could still be absorbed.
+struct RoundProgress {
+    inner: Mutex<RoundProgressInner>,
+}
+
+struct RoundProgressInner {
+    /// Per-task derivation counts; `None` until the task finishes.
+    counts: Vec<Option<usize>>,
+    /// Number of contiguous finished tasks from the front.
+    prefix_tasks: usize,
+    /// Total derivations of that finished prefix.
+    prefix_derivations: usize,
+}
+
+impl RoundProgress {
+    fn new(tasks: usize) -> Self {
+        RoundProgress {
+            inner: Mutex::new(RoundProgressInner {
+                counts: vec![None; tasks],
+                prefix_tasks: 0,
+                prefix_derivations: 0,
+            }),
+        }
+    }
+
+    fn record(&self, ordinal: usize, derivations: usize) {
+        let mut inner = self.inner.lock().expect("round progress poisoned");
+        inner.counts[ordinal] = Some(derivations);
+        while let Some(Some(count)) = inner.counts.get(inner.prefix_tasks).copied() {
+            inner.prefix_derivations += count;
+            inner.prefix_tasks += 1;
+        }
+    }
+
+    fn prefix_derivations(&self) -> usize {
+        self.inner
+            .lock()
+            .expect("round progress poisoned")
+            .prefix_derivations
+    }
+}
+
+/// Running totals of an evaluation, shared by the limit checks.
+pub(super) struct EvalTotals {
+    /// Derivations absorbed so far (across all iterations).
+    pub(super) derivations: usize,
+    /// Facts currently stored across all relations.
+    pub(super) facts: usize,
+}
+
+/// Inserts the derivations made by one round task, updating the
+/// per-iteration statistics.  Returns the limit that was hit, if any.
+///
+/// Both limits are enforced *per fact*: the first insertion that reaches
+/// `max_facts` (or the first derivation that reaches `max_derivations`)
+/// stops the absorption immediately, so a single huge iteration cannot
+/// overshoot the caps by the size of its buffered round.  The fact limit
+/// takes precedence when both trip on the same fact.
+fn absorb_derived(
+    derived: Vec<Fact>,
+    rule_label: &str,
+    trace: bool,
+    limits: &EvalLimits,
+    relations: &mut BTreeMap<Pred, Relation>,
+    iter_stats: &mut IterationStats,
+    totals: &mut EvalTotals,
+) -> Option<Termination> {
+    for fact in derived {
+        totals.derivations += 1;
+        iter_stats.derivations += 1;
+        let rendered = trace.then(|| fact.to_string());
+        let outcome = relations
+            .entry(fact.predicate().clone())
+            .or_default()
+            .insert(fact);
+        let is_new = outcome == InsertOutcome::Added;
+        if is_new {
+            iter_stats.new_facts += 1;
+            totals.facts += 1;
+        } else {
+            iter_stats.subsumed += 1;
+        }
+        if let Some(fact) = rendered {
+            iter_stats.records.push(DerivationRecord {
+                rule: rule_label.to_string(),
+                fact,
+                new: is_new,
+            });
+        }
+        if totals.facts >= limits.max_facts {
+            return Some(Termination::FactLimit);
+        }
+        if totals.derivations >= limits.max_derivations {
+            return Some(Termination::DerivationLimit);
+        }
+    }
+    // A database over the fact limit before any rule fires is caught by the
+    // loop-top check in `run_fixpoint`, so reaching here means under-limit.
+    None
+}
+
+/// The statically planned probe of `step`, resolved against a partial match:
+/// the probe column and the concrete value the match determines for it.
+/// `None` when the plan chose no column, or when an earlier constraint-fact
+/// match left the chosen column without a concrete value — the step then
+/// scans its window.
+fn resolved_probe(step: &PlanStep, literal: &Literal, pm: &PartialMatch) -> Option<(usize, Value)> {
+    let pos = step.probe?;
+    term_value(pm, &literal.args[pos]).map(|value| (pos, value))
+}
+
+/// The delta-window fact indices the first (delta) step of a round plan can
+/// match, in the exact order the join visits them: the planned probe column
+/// (a constant of the literal; the partial match is still empty at step 0)
+/// probes the relation's hash index, and a literal with no bound argument
+/// falls back to scanning the delta window.
+///
+/// This is the sharding axis of a parallel round: the candidate list is
+/// chunked across tasks, and concatenating the per-chunk results in order
+/// reproduces the sequential derivation sequence.
+pub(super) fn delta_candidates(
+    rule: &Rule,
+    step: &PlanStep,
+    relations: &BTreeMap<Pred, Relation>,
+) -> Vec<usize> {
+    let literal = &rule.body[step.literal];
+    let Some(relation) = relations.get(&literal.predicate) else {
+        return Vec::new();
+    };
+    match resolved_probe(step, literal, &PartialMatch::start(rule)) {
+        Some((pos, value)) => {
+            telemetry::bump(telemetry::Counter::IndexProbes);
+            relation.probe_indices(step.window, pos, &value).collect()
+        }
+        None => relation.window_range(step.window).collect(),
+    }
+}
+
+/// The one join executor: recursively joins the body literals of `rule`
+/// along a precompiled plan from `step` onwards, collecting the facts of
+/// every completed derivation into `derived` until `cap` facts have been
+/// collected.  Round tasks enter at step 1 (step 0, the delta literal, is
+/// enumerated by [`delta_candidates`]); the DRed joins enter at step 0 with
+/// a partial match that already carries their seed bindings.
+///
+/// The probe column of every step was fixed at plan-compilation time; if a
+/// constraint-fact match left that column without a concrete value at run
+/// time, the step falls back to scanning its window.  A step the plan marked
+/// as an existence check stops at its first match — guarded to the case
+/// where every argument resolves to a concrete value and the relation holds
+/// no constraint facts, in which ground deduplication guarantees at most one
+/// matching row anyway, so the shortcut saves the rest of the scan without
+/// changing any statistics.  Those two run-time guards are what makes a
+/// static plan safe for every input, constraint facts included.
+pub(super) fn join(
+    rule: &Rule,
+    steps: &[PlanStep],
+    step: usize,
+    pm: PartialMatch,
+    relations: &BTreeMap<Pred, Relation>,
+    derived: &mut Vec<Fact>,
+    cap: usize,
+) {
+    if derived.len() >= cap {
+        return;
+    }
+    let Some(plan_step) = steps.get(step) else {
+        finish_derivation(rule, pm, derived);
+        return;
+    };
+    let literal = &rule.body[plan_step.literal];
+    let Some(relation) = relations.get(&literal.predicate) else {
+        return;
+    };
+    let exists_only = plan_step.existence
+        && relation.constraint_fact_count() == 0
+        && literal.args.iter().all(|t| term_value(&pm, t).is_some());
+    match resolved_probe(plan_step, literal, &pm) {
+        Some((pos, value)) => {
+            telemetry::bump(telemetry::Counter::IndexProbes);
+            for fact in relation.probe(plan_step.window, pos, &value) {
+                if let Some(next) = match_literal(&pm, literal, fact) {
+                    telemetry::bump(telemetry::Counter::ProbeHits);
+                    join(rule, steps, step + 1, next, relations, derived, cap);
+                    if exists_only {
+                        telemetry::bump(telemetry::Counter::ExistenceShortcuts);
+                        break;
+                    }
+                } else {
+                    telemetry::bump(telemetry::Counter::ProbeMisses);
+                }
+            }
+        }
+        None => {
+            for fact in relation.window_refs(plan_step.window) {
+                if let Some(next) = match_literal(&pm, literal, fact) {
+                    join(rule, steps, step + 1, next, relations, derived, cap);
+                    if exists_only {
+                        telemetry::bump(telemetry::Counter::ExistenceShortcuts);
+                        break;
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::test_support::assert_identical_runs;
+    use super::super::{EvalOptions, Evaluator};
+    use crate::database::Database;
+    use crate::limits::{EvalLimits, Termination};
+    use crate::value::Value;
+    use pcs_lang::parse_program;
+
+    #[test]
+    fn parallel_rounds_match_the_sequential_evaluation_exactly() {
+        // Ground joins plus constraint facts, so both the hash-probe path
+        // and the constraint-fact tail cross the worker boundary.
+        let mut db = Database::new();
+        for (a, b) in [(1, 2), (2, 3), (3, 4), (4, 2), (1, 4), (2, 5), (5, 6)] {
+            db.add_ground("edge", vec![Value::num(a), Value::num(b)]);
+        }
+        let source = "seed(X) :- X >= 4, X <= 5.\n\
+                      path(X, Y) :- edge(X, Y).\n\
+                      path(X, Y) :- edge(X, Z), path(Z, Y).\n\
+                      near(X, Y) :- path(X, Y), seed(X).";
+        let program = parse_program(source).unwrap();
+        let base = EvalOptions::default();
+        let sequential = Evaluator::new(&program, base.clone().with_threads(1)).evaluate(&db);
+        for threads in [2, 4, 7] {
+            // Force sharding even though the rounds are narrow.
+            let options = base.clone().with_threads(threads).with_min_parallel_work(0);
+            let parallel = Evaluator::new(&program, options).evaluate(&db);
+            assert_identical_runs(&sequential, &parallel);
+        }
+    }
+
+    #[test]
+    fn fact_limit_is_enforced_inside_an_iteration() {
+        // One iteration of the cross-product rule derives 100 facts; the cap
+        // must stop the round mid-iteration, not after absorbing all of it.
+        let mut db = Database::new();
+        for i in 0..10 {
+            db.add_ground("p", vec![Value::num(i)]);
+        }
+        let program = parse_program("q(X, Y) :- p(X), p(Y).").unwrap();
+        for threads in [1, 4] {
+            let options = EvalOptions {
+                limits: EvalLimits {
+                    max_facts: 20,
+                    ..EvalLimits::default()
+                },
+                ..EvalOptions::default()
+            }
+            .with_threads(threads)
+            .with_min_parallel_work(0);
+            let result = Evaluator::new(&program, options).evaluate(&db);
+            assert_eq!(result.termination, Termination::FactLimit);
+            assert_eq!(result.total_facts(), 20, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn derivation_limit_is_enforced_inside_an_iteration() {
+        let mut db = Database::new();
+        for i in 0..10 {
+            db.add_ground("p", vec![Value::num(i)]);
+        }
+        let program = parse_program("q(X, Y) :- p(X), p(Y).").unwrap();
+        for threads in [1, 4] {
+            let options = EvalOptions {
+                limits: EvalLimits {
+                    max_derivations: 13,
+                    ..EvalLimits::default()
+                },
+                ..EvalOptions::default()
+            }
+            .with_threads(threads)
+            .with_min_parallel_work(0);
+            let result = Evaluator::new(&program, options).evaluate(&db);
+            assert_eq!(result.termination, Termination::DerivationLimit);
+            assert_eq!(result.stats.total_derivations(), 13, "threads = {threads}");
+        }
+    }
+}
