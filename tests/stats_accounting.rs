@@ -1,9 +1,7 @@
 //! Per-iteration statistics accounting: the delta sizes driving each
 //! iteration must match the new-fact counts of the previous iteration, and
 //! the totals must tie out against the stored facts — on the flights
-//! workload, sequentially and with a parallel worker pool.  (The `indexed_`
-//! prefix of the test names dates from when a second, legacy join core left
-//! `delta_facts` at zero; there is one core now and it always counts.)
+//! workload, sequentially and with a parallel worker pool.
 
 use pushing_constraint_selections::prelude::*;
 
