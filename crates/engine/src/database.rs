@@ -369,16 +369,34 @@ impl Database {
     /// assert_eq!(db.len(), 2);
     /// ```
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<(), Fact> {
-        let mut staged = self.clone();
+        // Validate before touching anything: every retraction claims one
+        // *distinct* stored occurrence (the first unclaimed one, which is
+        // the one a sequence of `remove` calls would take), so retracting a
+        // singly-stored fact twice is refused.
+        let mut claimed: BTreeMap<&Pred, Vec<usize>> = BTreeMap::new();
         for fact in &batch.retracts {
-            if !staged.remove(fact) {
-                return Err(fact.clone());
+            let taken = claimed.entry(fact.predicate()).or_default();
+            let position = self
+                .facts_for(fact.predicate())
+                .iter()
+                .enumerate()
+                .position(|(i, stored)| stored.equivalent(fact) && !taken.contains(&i))
+                .ok_or_else(|| fact.clone())?;
+            taken.push(position);
+        }
+        for (pred, mut taken) in claimed {
+            let facts = self.facts.get_mut(pred).expect("claimed facts are stored");
+            taken.sort_unstable();
+            for position in taken.into_iter().rev() {
+                facts.remove(position);
+            }
+            if facts.is_empty() {
+                self.facts.remove(pred);
             }
         }
         for fact in &batch.inserts {
-            staged.add(fact.clone());
+            self.add(fact.clone());
         }
-        *self = staged;
         Ok(())
     }
 
@@ -532,6 +550,41 @@ mod tests {
         let err = UpdateBatch::parse("leg(a, b, 3).").unwrap_err();
         assert!(matches!(err, FactsError::Unsigned(_)));
         assert!(err.to_string().contains("`+` or `-`"));
+    }
+
+    #[test]
+    fn apply_claims_one_distinct_occurrence_per_retraction() {
+        let mut db = Database::new();
+        db.add_facts_str("leg(a, b). leg(b, c). leg(b, c).")
+            .unwrap();
+        let rendered = |db: &Database| format!("{db:?}");
+        let before = rendered(&db);
+        // A singly-stored fact cannot be retracted twice: the whole batch is
+        // refused and nothing changes, the insertion included.
+        let twice = UpdateBatch::new()
+            .retract_str("leg(a, b). leg(a, b).")
+            .unwrap()
+            .insert_str("leg(x, y).")
+            .unwrap();
+        let refused = db.apply(&twice).unwrap_err();
+        assert_eq!(refused.to_string(), "leg(a, b)");
+        assert_eq!(rendered(&db), before);
+        // A doubly-stored fact can, and survivors keep their order.
+        let both = UpdateBatch::new()
+            .retract_str("leg(b, c). leg(b, c).")
+            .unwrap()
+            .insert_str("leg(x, y).")
+            .unwrap();
+        db.apply(&both).unwrap();
+        assert_eq!(rendered(&db), "leg(a, b).\nleg(x, y).\n");
+        // Emptied predicates disappear, as with `remove`.
+        db.apply(
+            &UpdateBatch::new()
+                .retract_str("leg(a, b). leg(x, y).")
+                .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(db.predicates().count(), 0);
     }
 
     #[test]

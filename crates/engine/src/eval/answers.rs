@@ -1,193 +1,60 @@
-//! Query answering over a computed [`EvalResult`]: which stored facts are
-//! compatible with a query literal and its side constraints.
+//! Query answering over a computed [`EvalResult`]: a query is a rule body
+//! without a head, so it is matched by the join core's own matcher.
 
-use std::collections::BTreeMap;
+use pcs_lang::Query;
 
-use pcs_telemetry as telemetry;
-
-use pcs_constraints::{Atom, CmpOp, Conjunction, LinearExpr, Var};
-use pcs_lang::{Literal, Query, Term};
-
+use super::matching::{match_literal, term_value, PartialMatch};
 use super::EvalResult;
-use crate::fact::{Binding, Fact};
-use crate::value::Value;
+use crate::fact::Fact;
 
 impl EvalResult {
-    /// The answers to a query: facts for the query literal's predicate that
-    /// are compatible with its ground arguments and variable-repetition
-    /// pattern, and satisfiable together with the query's side constraints.
+    /// The answers to a query: the stored facts of the query literal's
+    /// predicate that a rule body `L, C` would join with — compatible with
+    /// the literal's constants, repeated variables (`?- q(X, X)`) and
+    /// expression arguments (`?- q(X + 1)`), and satisfiable together with
+    /// the side constraints (`?- q(X, Y), X <= 3`) — in insertion order.
     ///
-    /// This is the single query entry point — ground-argument filtering,
-    /// repeated variables (`?- q(X, X)`), and side constraints
-    /// (`?- q(X, Y), X <= 3`) are all handled here.  The query is expected
-    /// to have exactly one literal (the shape [`pcs_lang::parse_query`]
-    /// produces for interactive queries; multi-literal queries are rewritten
-    /// to a single query predicate before evaluation); extra literals are
-    /// ignored, and a query with no literals has no answers.
+    /// This is the single query entry point.  The query is expected to have
+    /// exactly one literal (the shape [`pcs_lang::parse_query`] produces for
+    /// interactive queries; multi-literal queries are rewritten to a single
+    /// query predicate before evaluation); extra literals are ignored, and a
+    /// query with no literals has no answers.
+    ///
+    /// Every stored fact is read, whatever the relation's stable/delta/
+    /// pending partition: candidates come from the index on the first
+    /// argument the side constraints resolve to a value (else all facts).
     pub fn answers(&self, query: &Query) -> Vec<Fact> {
         let Some(literal) = query.literals.first() else {
             return Vec::new();
         };
-        self.facts_for(&literal.predicate)
+        let Some(relation) = self.relations.get(&literal.predicate) else {
+            return Vec::new();
+        };
+        // Resolved up front, so that `?- q(X), X = 5` probes for 5.
+        let mut start = PartialMatch::start(&query.constraint);
+        if !start.resolve() {
+            return Vec::new();
+        }
+        let probe = literal
+            .args
+            .iter()
+            .enumerate()
+            .find_map(|(pos, term)| term_value(&start, term).map(|value| (pos, value)));
+        let probe_ref = probe.as_ref().map(|(pos, value)| (*pos, value));
+        let mut candidates: Vec<usize> =
+            relation.candidates(0..relation.len(), probe_ref).collect();
+        // A probe yields exact matches before the constraint-fact tail;
+        // answers come back in insertion order.
+        candidates.sort_unstable();
+        candidates
             .into_iter()
-            .filter(|fact| fact_matches_pattern(fact, literal, &query.constraint))
+            .filter(|&index| {
+                match_literal(&start, literal, relation.fact_ref(index))
+                    .is_some_and(|matched| matched.is_consistent())
+            })
+            .map(|index| relation.fact_at(index))
             .collect()
     }
-
-    /// Facts for the predicate of `query` that are compatible with its ground
-    /// arguments (the "answers" to the query).
-    #[deprecated(since = "0.1.0", note = "use `answers(&Query::new(literal))` instead")]
-    pub fn answers_to(&self, query: &Literal) -> Vec<Fact> {
-        self.answers(&Query::new(query.clone()))
-    }
-
-    /// Like `answers_to`, but additionally requires the side constraints
-    /// `side` (over the query literal's variables) to be satisfiable
-    /// together with the fact.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `answers(&Query::with_constraint(vec![literal], side))` instead"
-    )]
-    pub fn answers_to_constrained(&self, query: &Literal, side: &Conjunction) -> Vec<Fact> {
-        self.answers(&Query::with_constraint(vec![query.clone()], side.clone()))
-    }
-}
-
-/// Decides whether `fact` is compatible with the ground arguments and the
-/// variable-repetition pattern of `query`.
-///
-/// A ground query constant against a free fact position is accepted only if
-/// the fact's residual constraint is satisfiable with that position pinned to
-/// the constant — `?- q(5)` must not match a fact constrained to `$1 <= 3`.
-/// A query variable occurring more than once (`?- q(X, X)`) requires all its
-/// positions to be able to hold one common value: equal ground values, or a
-/// satisfiable conjunction of position equalities over the free slots.
-/// Side constraints over the query variables (`side`) are rewritten onto the
-/// fact's positions and conjoined before the final satisfiability check.
-fn fact_matches_pattern(fact: &Fact, query: &Literal, side: &Conjunction) -> bool {
-    if fact.arity() != query.arity() {
-        return false;
-    }
-    let mut constraint = fact.constraint().clone();
-    // A free position can hold a symbol only when the residual constraint
-    // does not restrict it to numbers.
-    let free_accepts_sym = |slot: usize| !fact.constraint().contains_var(&Var::position(slot));
-    // Per query variable: the ground value some occurrence is bound to (if
-    // any) and the 1-based free slots its occurrences cover.
-    #[derive(Default)]
-    struct VarGroup {
-        value: Option<Value>,
-        slots: Vec<usize>,
-    }
-    let mut groups: BTreeMap<&Var, VarGroup> = BTreeMap::new();
-    // Equalities induced by expression arguments (`?- q(X + 1)`), kept
-    // aside until the groups are complete so their variables can be
-    // rewritten onto the fact's positions alongside the side constraints.
-    let mut expr_atoms: Vec<Atom> = Vec::new();
-    for (i, (binding, term)) in fact.bindings().iter().zip(&query.args).enumerate() {
-        let slot = i + 1;
-        match term {
-            Term::Sym(s) => match binding {
-                Binding::Bound(Value::Sym(fs)) if fs == s => {}
-                Binding::Free => {
-                    if !free_accepts_sym(slot) {
-                        return false;
-                    }
-                }
-                _ => return false,
-            },
-            Term::Num(n) => match binding {
-                Binding::Bound(v) if v.as_num() == Some(*n) => {}
-                Binding::Free => constraint.push(Atom::var_eq(Var::position(slot), *n)),
-                _ => return false,
-            },
-            Term::Var(x) => {
-                let group = groups.entry(x).or_default();
-                match binding {
-                    Binding::Bound(value) => match &group.value {
-                        Some(existing) if existing != value => return false,
-                        _ => group.value = Some(value.clone()),
-                    },
-                    Binding::Free => group.slots.push(slot),
-                }
-            }
-            // An arithmetic expression argument must equal the fact's value
-            // at this position; a symbol can never satisfy arithmetic.
-            Term::Expr(e) => match binding {
-                Binding::Bound(v) => match v.as_num() {
-                    Some(n) => expr_atoms.push(Atom::compare(
-                        e.clone(),
-                        CmpOp::Eq,
-                        LinearExpr::constant(n),
-                    )),
-                    None => return false,
-                },
-                Binding::Free => expr_atoms.push(Atom::compare(
-                    e.clone(),
-                    CmpOp::Eq,
-                    LinearExpr::var(Var::position(slot)),
-                )),
-            },
-        }
-    }
-    for group in groups.values() {
-        match &group.value {
-            Some(v) => match v.as_num() {
-                // Pin every free slot of the group to the number.
-                Some(n) => {
-                    for &slot in &group.slots {
-                        constraint.push(Atom::var_eq(Var::position(slot), n));
-                    }
-                }
-                // Every free slot of the group must be able to hold the
-                // symbol.
-                None => {
-                    if !group.slots.iter().all(|&slot| free_accepts_sym(slot)) {
-                        return false;
-                    }
-                }
-            },
-            // No ground occurrence: the free slots must agree pairwise.
-            None => {
-                for pair in group.slots.windows(2) {
-                    constraint.push(Atom::compare(
-                        LinearExpr::var(Var::position(pair[0])),
-                        CmpOp::Eq,
-                        LinearExpr::var(Var::position(pair[1])),
-                    ));
-                }
-            }
-        }
-    }
-    // Rewrite the expression-argument equalities and the side constraints
-    // onto the fact's positions: a query variable bound to a number
-    // substitutes as a constant, one covering a free slot substitutes as
-    // that slot's position variable, and one bound to a symbol cannot
-    // appear in arithmetic at all.  Variables the query literal's
-    // non-expression arguments do not mention stay as they are
-    // (existential), linked to the rest through the conjoined atoms — so
-    // `?- q(X + 1), X >= 100` pins the fact's value to `>= 101` even
-    // though `X` itself covers no position.
-    for atom in expr_atoms.iter().chain(side.atoms()) {
-        let mut current = atom.clone();
-        for var in atom.vars() {
-            if let Some(group) = groups.get(var) {
-                match (&group.value, group.slots.first()) {
-                    (Some(v), _) => match v.as_num() {
-                        Some(n) => current = current.substitute(var, &LinearExpr::constant(n)),
-                        None => return false,
-                    },
-                    (None, Some(&slot)) => {
-                        current = current.substitute(var, &LinearExpr::var(Var::position(slot)));
-                    }
-                    (None, None) => {}
-                }
-            }
-        }
-        constraint.push(current);
-    }
-    telemetry::bump(telemetry::Counter::FmSatCalls);
-    constraint.is_satisfiable()
 }
 
 #[cfg(test)]
@@ -270,8 +137,8 @@ mod tests {
         assert_eq!(answers("disjoint(X, Y), X = Y"), 0);
         // An unconstrained position can repeat into a constrained one...
         assert_eq!(answers("half(X, X)"), 1);
-        // ...and can hold a symbol, while a constrained position cannot.
-        assert_eq!(answers("half(madison, X)"), 1);
+        // ...but, as in a rule body, no free position holds a symbol.
+        assert_eq!(answers("half(madison, X)"), 0);
         assert_eq!(answers("half(X, madison)"), 0);
     }
 

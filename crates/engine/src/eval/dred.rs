@@ -181,7 +181,7 @@ impl Evaluator {
                         label,
                         kind: TaskKind::Pinned {
                             steps: &plan.steps,
-                            start: PartialMatch::start(rule),
+                            start: PartialMatch::start(&rule.constraint),
                         },
                     });
                 } else {
@@ -191,7 +191,7 @@ impl Evaluator {
                         .expect("every rule with a body has a pinned plan");
                     for target in targets {
                         let Some(start) = match_literal(
-                            &PartialMatch::start(rule),
+                            &PartialMatch::start(&rule.constraint),
                             &rule.head,
                             FactRef::Stored(target),
                         ) else {
@@ -270,7 +270,7 @@ fn overdelete_derivations(
 ) -> Vec<Fact> {
     let mut derived = Vec::new();
     if let Some(pm) = match_literal(
-        &PartialMatch::start(rule),
+        &PartialMatch::start(&rule.constraint),
         &rule.body[consumed],
         FactRef::Stored(deleted),
     ) {

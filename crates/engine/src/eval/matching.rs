@@ -29,11 +29,13 @@ pub(super) struct PartialMatch {
 }
 
 impl PartialMatch {
-    pub(super) fn start(rule: &Rule) -> Self {
+    /// The empty match a rule body — or a query, which is a rule body
+    /// without a head — starts from: nothing bound, `constraint` residual.
+    pub(super) fn start(constraint: &Conjunction) -> Self {
         PartialMatch {
             sym: BTreeMap::new(),
             num: BTreeMap::new(),
-            extra: rule.constraint.clone(),
+            extra: constraint.clone(),
             fresh: 0,
         }
     }
@@ -82,7 +84,7 @@ impl PartialMatch {
     /// Substitutes known numeric bindings into the residual conjunction,
     /// evaluates atoms that became ground, and extracts newly pinned
     /// variables.  Returns `false` if a ground atom evaluates to false.
-    fn resolve(&mut self) -> bool {
+    pub(super) fn resolve(&mut self) -> bool {
         loop {
             let mut rewritten = Conjunction::truth();
             let mut new_bindings: Vec<(Var, Rational)> = Vec::new();
@@ -118,7 +120,7 @@ impl PartialMatch {
     }
 
     /// Final satisfiability check over the residual (non-ground) constraints.
-    fn is_consistent(&self) -> bool {
+    pub(super) fn is_consistent(&self) -> bool {
         telemetry::bump(telemetry::Counter::FmSatCalls);
         self.extra.is_satisfiable()
     }
@@ -177,6 +179,31 @@ pub(super) fn match_literal(
     }
 }
 
+/// The one place a literal argument meets the concrete value a fact holds
+/// there: constants must agree with it, a variable is bound to it, and an
+/// arithmetic expression is equated with it (a symbol never satisfies
+/// arithmetic).
+fn match_bound(pm: &mut PartialMatch, term: &Term, value: &Value) -> bool {
+    match value.as_num() {
+        None => {
+            let sym = value.as_sym().expect("non-numeric value is a symbol");
+            match term {
+                Term::Sym(s) => s == sym,
+                Term::Var(x) => pm.bind_sym(x, sym),
+                Term::Num(_) | Term::Expr(_) => false,
+            }
+        }
+        Some(n) => match term {
+            Term::Sym(_) => false,
+            Term::Num(k) => *k == n,
+            Term::Var(x) => pm.bind_num(x, n),
+            Term::Expr(e) => {
+                pm.add_atom(Atom::compare(e.clone(), CmpOp::Eq, LinearExpr::constant(n)))
+            }
+        },
+    }
+}
+
 /// The ground fast path of [`match_literal`]: every position holds a value.
 fn match_ground_row(pm: &PartialMatch, literal: &Literal, row: &[Value]) -> Option<PartialMatch> {
     if row.len() != literal.arity() {
@@ -184,51 +211,15 @@ fn match_ground_row(pm: &PartialMatch, literal: &Literal, row: &[Value]) -> Opti
     }
     let mut pm = pm.clone();
     for (term, value) in literal.args.iter().zip(row) {
-        match value.as_num() {
-            None => {
-                let sym = value.as_sym().expect("non-numeric value is a symbol");
-                match term {
-                    Term::Sym(s) => {
-                        if s != sym {
-                            return None;
-                        }
-                    }
-                    Term::Var(x) => {
-                        if !pm.bind_sym(x, sym) {
-                            return None;
-                        }
-                    }
-                    Term::Num(_) | Term::Expr(_) => return None,
-                }
-            }
-            Some(n) => match term {
-                Term::Sym(_) => return None,
-                Term::Num(k) => {
-                    if *k != n {
-                        return None;
-                    }
-                }
-                Term::Var(x) => {
-                    if !pm.bind_num(x, n) {
-                        return None;
-                    }
-                }
-                Term::Expr(e) => {
-                    if !pm.add_atom(Atom::compare(e.clone(), CmpOp::Eq, LinearExpr::constant(n))) {
-                        return None;
-                    }
-                }
-            },
+        if !match_bound(&mut pm, term, value) {
+            return None;
         }
     }
     // Propagate the new bindings into the residual constraint right away,
     // exactly as the stored-fact path does: an atom that just became
     // trivially false prunes the partial match *before* the join enumerates
     // candidates for the next body literal.
-    if !pm.resolve() {
-        return None;
-    }
-    Some(pm)
+    pm.resolve().then_some(pm)
 }
 
 /// The general path of [`match_literal`] for facts stored in full.
@@ -264,84 +255,34 @@ fn match_stored_fact(pm: &PartialMatch, literal: &Literal, fact: &Fact) -> Optio
     }
 
     for (i, (term, binding)) in literal.args.iter().zip(fact.bindings()).enumerate() {
-        match binding {
-            Binding::Bound(bound) => match bound.as_num() {
-                None => {
-                    let sym = bound.as_sym().expect("non-numeric value is a symbol");
-                    match term {
-                        Term::Sym(s) => {
-                            if s != sym {
-                                return None;
-                            }
-                        }
-                        Term::Var(x) => {
-                            if !pm.bind_sym(x, sym) {
-                                return None;
-                            }
-                        }
-                        Term::Num(_) | Term::Expr(_) => return None,
-                    }
-                }
-                Some(value) => match term {
-                    Term::Sym(_) => return None,
-                    Term::Num(n) => {
-                        if *n != value {
-                            return None;
-                        }
-                    }
-                    Term::Var(x) => {
-                        if !pm.bind_num(x, value) {
-                            return None;
-                        }
-                    }
-                    Term::Expr(e) => {
-                        if !pm.add_atom(Atom::compare(
-                            e.clone(),
-                            CmpOp::Eq,
-                            LinearExpr::constant(value),
-                        )) {
-                            return None;
-                        }
-                    }
-                },
-            },
+        let matched = match binding {
+            Binding::Bound(value) => match_bound(&mut pm, term, value),
             Binding::Free => {
                 let fresh = position_vars[i]
                     .clone()
                     .expect("free positions have fresh variables");
                 match term {
-                    Term::Sym(_) => return None,
-                    Term::Num(n) => {
-                        if !pm.add_atom(Atom::var_eq(fresh, *n)) {
-                            return None;
-                        }
-                    }
+                    Term::Sym(_) => false,
+                    Term::Num(n) => pm.add_atom(Atom::var_eq(fresh, *n)),
                     Term::Var(x) => {
-                        if pm.sym.contains_key(x) {
-                            return None;
-                        }
-                        if !pm.add_atom(Atom::compare(
-                            LinearExpr::var(x.clone()),
-                            CmpOp::Eq,
-                            LinearExpr::var(fresh),
-                        )) {
-                            return None;
-                        }
+                        !pm.sym.contains_key(x)
+                            && pm.add_atom(Atom::compare(
+                                LinearExpr::var(x.clone()),
+                                CmpOp::Eq,
+                                LinearExpr::var(fresh),
+                            ))
                     }
                     Term::Expr(e) => {
-                        if !pm.add_atom(Atom::compare(e.clone(), CmpOp::Eq, LinearExpr::var(fresh)))
-                        {
-                            return None;
-                        }
+                        pm.add_atom(Atom::compare(e.clone(), CmpOp::Eq, LinearExpr::var(fresh)))
                     }
                 }
             }
+        };
+        if !matched {
+            return None;
         }
     }
-    if !pm.resolve() {
-        return None;
-    }
-    Some(pm)
+    pm.resolve().then_some(pm)
 }
 
 /// Builds the head fact of a completed derivation.

@@ -17,7 +17,6 @@ use crate::limits::{EvalLimits, Termination};
 use crate::plan::PlanStep;
 use crate::relation::{InsertOutcome, Relation};
 use crate::stats::{DerivationRecord, IterationStats};
-use crate::value::Value;
 
 /// One unit of derivation work inside an iteration.  Tasks only read the
 /// relations; their buffers are absorbed in task order at the barrier.
@@ -146,13 +145,15 @@ fn run_task(task: &RoundTask<'_>, relations: &BTreeMap<Pred, Relation>, cap: usi
     let mut derived = Vec::new();
     let rule = task.rule;
     match &task.kind {
-        TaskKind::Seed => finish_derivation(rule, PartialMatch::start(rule), &mut derived),
+        TaskKind::Seed => {
+            finish_derivation(rule, PartialMatch::start(&rule.constraint), &mut derived)
+        }
         TaskKind::Planned { steps, candidates } => {
             let literal = &rule.body[steps[0].literal];
             let Some(relation) = relations.get(&literal.predicate) else {
                 return derived;
             };
-            let start = PartialMatch::start(rule);
+            let start = PartialMatch::start(&rule.constraint);
             for &index in candidates {
                 if derived.len() >= cap {
                     break;
@@ -337,14 +338,26 @@ fn absorb_derived(
     None
 }
 
-/// The statically planned probe of `step`, resolved against a partial match:
-/// the probe column and the concrete value the match determines for it.
-/// `None` when the plan chose no column, or when an earlier constraint-fact
-/// match left the chosen column without a concrete value — the step then
-/// scans its window.
-fn resolved_probe(step: &PlanStep, literal: &Literal, pm: &PartialMatch) -> Option<(usize, Value)> {
-    let pos = step.probe?;
-    term_value(pm, &literal.args[pos]).map(|value| (pos, value))
+/// The fact indices `step` can match under a partial match, in visit order,
+/// and whether they came from the index: the statically planned probe column
+/// is probed with the concrete value the match determines for it; when the
+/// plan chose no column, or an earlier constraint-fact match left the chosen
+/// column without a concrete value, the step scans its window.
+fn step_candidates<'r>(
+    step: &PlanStep,
+    literal: &Literal,
+    pm: &PartialMatch,
+    relation: &'r Relation,
+) -> (bool, impl Iterator<Item = usize> + 'r) {
+    let probe = step
+        .probe
+        .and_then(|pos| term_value(pm, &literal.args[pos]).map(|value| (pos, value)));
+    if probe.is_some() {
+        telemetry::bump(telemetry::Counter::IndexProbes);
+    }
+    let range = relation.window_range(step.window);
+    let probe_ref = probe.as_ref().map(|(pos, value)| (*pos, value));
+    (probe.is_some(), relation.candidates(range, probe_ref))
 }
 
 /// The delta-window fact indices the first (delta) step of a round plan can
@@ -365,13 +378,8 @@ pub(super) fn delta_candidates(
     let Some(relation) = relations.get(&literal.predicate) else {
         return Vec::new();
     };
-    match resolved_probe(step, literal, &PartialMatch::start(rule)) {
-        Some((pos, value)) => {
-            telemetry::bump(telemetry::Counter::IndexProbes);
-            relation.probe_indices(step.window, pos, &value).collect()
-        }
-        None => relation.window_range(step.window).collect(),
-    }
+    let start = PartialMatch::start(&rule.constraint);
+    step_candidates(step, literal, &start, relation).1.collect()
 }
 
 /// The one join executor: recursively joins the body literals of `rule`
@@ -413,32 +421,19 @@ pub(super) fn join(
     let exists_only = plan_step.existence
         && relation.constraint_fact_count() == 0
         && literal.args.iter().all(|t| term_value(&pm, t).is_some());
-    match resolved_probe(plan_step, literal, &pm) {
-        Some((pos, value)) => {
-            telemetry::bump(telemetry::Counter::IndexProbes);
-            for fact in relation.probe(plan_step.window, pos, &value) {
-                if let Some(next) = match_literal(&pm, literal, fact) {
-                    telemetry::bump(telemetry::Counter::ProbeHits);
-                    join(rule, steps, step + 1, next, relations, derived, cap);
-                    if exists_only {
-                        telemetry::bump(telemetry::Counter::ExistenceShortcuts);
-                        break;
-                    }
-                } else {
-                    telemetry::bump(telemetry::Counter::ProbeMisses);
-                }
+    let (probed, candidates) = step_candidates(plan_step, literal, &pm, relation);
+    for index in candidates {
+        if let Some(next) = match_literal(&pm, literal, relation.fact_ref(index)) {
+            if probed {
+                telemetry::bump(telemetry::Counter::ProbeHits);
             }
-        }
-        None => {
-            for fact in relation.window_refs(plan_step.window) {
-                if let Some(next) = match_literal(&pm, literal, fact) {
-                    join(rule, steps, step + 1, next, relations, derived, cap);
-                    if exists_only {
-                        telemetry::bump(telemetry::Counter::ExistenceShortcuts);
-                        break;
-                    }
-                }
+            join(rule, steps, step + 1, next, relations, derived, cap);
+            if exists_only {
+                telemetry::bump(telemetry::Counter::ExistenceShortcuts);
+                break;
             }
+        } else if probed {
+            telemetry::bump(telemetry::Counter::ProbeMisses);
         }
     }
 }

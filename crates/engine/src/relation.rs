@@ -465,25 +465,33 @@ impl Relation {
         position: usize,
         value: &Value,
     ) -> impl Iterator<Item = FactRef<'_>> {
-        self.probe_indices(window, position, value)
+        self.candidates(self.window_range(window), Some((position, value)))
             .map(move |index| self.fact_ref(index))
     }
 
-    /// The fact indices a [`Self::probe`] with the same arguments yields, in
-    /// probe order (exact matches first, then the free/constraint-fact
-    /// tail).  Parallel evaluation rounds shard these index lists across
-    /// worker threads; the probe path is `&self`-only, so a `&Relation` can
-    /// be shared freely.
-    pub fn probe_indices(
+    /// The one candidate enumeration every reader goes through — join steps,
+    /// the delta sharding of a parallel round, and query answering: the fact
+    /// indices inside `range` that can match a literal.  With a `probe`
+    /// (an argument position and the value the literal holds there) those
+    /// are the facts bound to exactly that value, followed by the
+    /// constraint-fact tail of facts free at the position; without one,
+    /// every index of `range` in order.  The path is `&self`-only, so a
+    /// `&Relation` can be shared freely across worker threads.
+    pub(crate) fn candidates(
         &self,
-        window: Window,
-        position: usize,
-        value: &Value,
+        range: Range<usize>,
+        probe: Option<(usize, &Value)>,
     ) -> impl Iterator<Item = usize> + '_ {
-        let range = self.window_range(window);
-        let exact = clip(self.exact_entries(position, value), &range);
-        let free = clip(self.free_entries(position), &range);
-        exact.iter().chain(free.iter()).copied()
+        let (scan, exact, free) = match probe {
+            Some((position, value)) => (
+                0..0,
+                clip(self.exact_entries(position, value), &range),
+                clip(self.free_entries(position), &range),
+            ),
+            None => (range, &[][..], &[][..]),
+        };
+        scan.chain(exact.iter().copied())
+            .chain(free.iter().copied())
     }
 
     fn exact_entries(&self, position: usize, value: &Value) -> &[usize] {

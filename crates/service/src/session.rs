@@ -488,10 +488,10 @@ impl Session {
         read_recovered(&self.current).clone()
     }
 
-    /// Resolves an interactive query against this session's materialization:
+    /// Resolves an interactive query against `snapshot`'s materialization:
     /// single literal only, and queries phrased against the source program's
     /// query predicate are rerouted to the rewritten query predicate.
-    pub fn resolve_query(&self, query: &Query) -> Result<Query, SessionError> {
+    fn resolve_query(&self, snapshot: &Snapshot, query: &Query) -> Result<Query, SessionError> {
         if query.literals.len() != 1 {
             return Err(SessionError::UnsupportedQuery(format!(
                 "sessions answer single-literal queries from the materialization, got {}",
@@ -499,11 +499,7 @@ impl Session {
             )));
         }
         let literal = &query.literals[0];
-        let known = {
-            let snapshot = self.snapshot();
-            snapshot.result.relations.contains_key(&literal.predicate)
-        };
-        if known {
+        if snapshot.result.relations.contains_key(&literal.predicate) {
             return Ok(query.clone());
         }
         // `?- cheaporshort(...)` against a magic-rewritten program: the
@@ -557,8 +553,10 @@ impl Session {
     /// caller does not borrow the snapshot).
     pub fn query(&self, query: &Query) -> Result<(Query, Snapshot, Vec<Fact>), SessionError> {
         let start = telemetry::enabled().then(Instant::now);
-        let resolved = self.resolve_query(query)?;
+        // One read of the published snapshot serves both the predicate
+        // lookup and the answer.
         let snapshot = self.snapshot();
+        let resolved = self.resolve_query(&snapshot, query)?;
         let answers = snapshot.answers(&resolved);
         if let Some(start) = start {
             let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -706,8 +704,12 @@ impl Session {
                     continue;
                 }
             }
+            // The cap bounds the EDB *after* the batch: its own retractions
+            // make room for its insertions (a replace-one-fact batch at the
+            // cap does not grow anything).
             let limit = self.max_facts.load(Ordering::Relaxed);
-            if limit > 0 && mirror.len() + batch.inserts.len() > limit {
+            let after = (mirror.len() + batch.inserts.len()).saturating_sub(batch.retracts.len());
+            if limit > 0 && after > limit {
                 slot.fill(Err(SessionError::FactLimit(limit)));
                 continue;
             }
@@ -1394,6 +1396,32 @@ mod tests {
         session
             .insert_str("singleleg(madison, cap2, 10, 10).")
             .unwrap();
+    }
+
+    #[test]
+    fn fact_limits_count_a_batchs_net_growth() {
+        // Regression: the cap check added the batch's insertions but ignored
+        // its own retractions, so replacing one fact at the cap was refused
+        // although the EDB would not grow.
+        let session = flights_session(Strategy::ConstraintRewrite);
+        let edb_size = session.snapshot().base().len();
+        session.set_fact_limit(edb_size);
+        let replace = UpdateBatch::new()
+            .retract_str("singleleg(madison, seattle, 200, 90).")
+            .unwrap()
+            .insert_str("singleleg(madison, cap1, 10, 10).")
+            .unwrap();
+        session.apply(replace).unwrap();
+        assert_eq!(session.snapshot().base().len(), edb_size);
+        // A batch that nets one more fact than it retracts is still refused.
+        let grow = UpdateBatch::new()
+            .retract_str("singleleg(madison, cap1, 10, 10).")
+            .unwrap()
+            .insert_str("singleleg(madison, cap2, 10, 10).\nsingleleg(madison, cap3, 10, 10).")
+            .unwrap();
+        let err = session.apply(grow).unwrap_err();
+        assert!(matches!(err, SessionError::FactLimit(_)), "{err}");
+        assert_eq!(session.snapshot().epoch(), 1);
     }
 
     #[test]

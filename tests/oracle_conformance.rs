@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 
-use pushing_constraint_selections::engine::naive;
+use pushing_constraint_selections::engine::{naive, EvalResult, EvalStats};
 use pushing_constraint_selections::prelude::*;
 
 mod common;
@@ -119,5 +119,161 @@ proptest! {
             );
         }
         assert_conformance(&programs::flights(), &db);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Query ≡ rule: `answers(?- L, C)` against the rule Section 2 turns the query
+// into.
+// ---------------------------------------------------------------------------
+
+/// Answers `body` (a query without its `?-`) over `db` three ways and
+/// asserts they agree: `EvalResult::answers`, and the query rule
+/// `q#(V̄) :- L, C.` ([`Program::attach_query_rule`]) under the production
+/// evaluator and under the oracle.  Some answer exists exactly when the rule
+/// derives a fact; over a ground relation every matching fact gives its own
+/// derivation, so the counts are equal too.  The same answers must come
+/// back, in the same order, from a relation filled by bare
+/// [`Relation::insert`] — never advanced or sealed.  Returns the number of
+/// answers.
+fn assert_query_matches_rule(db: &Database, body: &str) -> usize {
+    let query = parse_query(body).expect("the corpus parses");
+    let (program, ans) = Program::new()
+        .with_query(query.clone())
+        .attach_query_rule()
+        .expect("the program has a query");
+    let production = Evaluator::new(&program, EvalOptions::default()).evaluate(db);
+    let oracle = naive::evaluate(&program, db, &EvalLimits::default());
+    let answers = production.answers(&query);
+    let derived = production.count_for(&ans);
+    assert_eq!(
+        derived == 0,
+        oracle.count_for(&ans) == 0,
+        "`{body}`: the production rule and the oracle's disagree"
+    );
+    assert_eq!(
+        answers.is_empty(),
+        derived == 0,
+        "`{body}`: {} answers but the query rule derives {derived} facts",
+        answers.len()
+    );
+    let pred = &query.literals[0].predicate;
+    if db.facts_for(pred).iter().all(Fact::is_ground) {
+        assert_eq!(answers.len(), derived, "`{body}` over a ground relation");
+        assert_eq!(answers.len(), oracle.count_for(&ans), "`{body}` (oracle)");
+    }
+
+    let mut bare = Relation::new();
+    for fact in db.facts_for(pred) {
+        bare.insert(fact.clone());
+    }
+    let unsealed = EvalResult {
+        relations: [(pred.clone(), bare)].into_iter().collect(),
+        stats: EvalStats::default(),
+        termination: Termination::Fixpoint,
+    };
+    let rendered = |facts: &[Fact]| facts.iter().map(ToString::to_string).collect::<Vec<_>>();
+    assert_eq!(
+        rendered(&unsealed.answers(&query)),
+        rendered(&answers),
+        "`{body}` over a never-advanced relation"
+    );
+    answers.len()
+}
+
+#[test]
+fn queries_match_the_rule_they_abbreviate_on_the_answers_corpus() {
+    // The relations and queries of the `answers` unit tests, with the
+    // expected answer counts pinned.
+    let mut db = Database::new();
+    db.add_facts_str(
+        "r(1, 1). r(1, 2). r(a, a). r(a, b).\n\
+         s(1). s(7). s(a).\n\
+         q(X) :- X <= 3.\n\
+         t(X) :- X <= 5.\n\
+         disjoint(X, Y) :- X <= 3, Y >= 5.\n\
+         band(X, Y) :- X <= 3, Y <= 3.\n\
+         half(X, Y) :- Y <= 3.\n\
+         free(X, Y).\n\
+         capped(a, Y) :- Y <= 3.",
+    )
+    .unwrap();
+    for (body, expected) in [
+        ("r(X, Y)", 4),
+        ("r(X, X)", 2),
+        ("r(1, X)", 2),
+        ("r(a, Y)", 2),
+        ("r(X, Y), Y >= 2", 1),
+        ("q(2)", 1),
+        ("q(5)", 0),
+        ("q(madison)", 0),
+        ("disjoint(X, X)", 0),
+        ("disjoint(X, Y)", 1),
+        ("disjoint(X, Y), X = Y", 0),
+        ("band(X, X)", 1),
+        ("band(2, X)", 1),
+        ("band(5, X)", 0),
+        ("band(2, X), X >= 1", 1),
+        ("band(2, X), X >= 99", 0),
+        ("half(X, X)", 1),
+        // A symbol against a free position: no match in a rule body, so
+        // none in a query — constrained position or not.
+        ("half(madison, X)", 0),
+        ("half(X, madison)", 0),
+        ("s(X + 1)", 2),
+        ("s(X + 1), X >= 100", 0),
+        ("s(Y + 1), Y = 0", 1),
+        ("s(2 * Z), Z >= 3", 1),
+        ("t(W + 10), W <= -5", 1),
+        ("t(W + 10), W >= 0", 0),
+        ("free(X, X)", 1),
+        ("capped(X, X)", 0),
+        ("capped(a, X)", 1),
+        ("capped(X, Y), X <= 3", 0),
+    ] {
+        assert_eq!(assert_query_matches_rule(&db, body), expected, "`{body}`");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn queries_match_the_rule_they_abbreviate_on_seeded_relations(
+        rows in proptest::collection::vec((0u8..6, 0u8..6), 1..8),
+        shapes in proptest::collection::vec((0u8..5, 0i64..4, 1i64..6), 1..6)
+    ) {
+        // `g`: ground rows over {0..3, a, b}.  `k`: constraint facts of a
+        // few shapes (both positions constrained; a bound symbol; a bound
+        // number; an unconstrained free position) beside ground rows.
+        let value = |v: u8| match v {
+            4 => "a".to_string(),
+            5 => "b".to_string(),
+            n => n.to_string(),
+        };
+        let mut text = String::new();
+        for (x, y) in &rows {
+            text.push_str(&format!("g({}, {}).\n", value(*x), value(*y)));
+        }
+        for (shape, lo, hi) in &shapes {
+            text.push_str(&match shape {
+                0 => format!("k(X, Y) :- X >= {lo}, Y <= {hi}.\n"),
+                1 => format!("k(a, Y) :- Y >= {lo}, Y <= {hi}.\n"),
+                2 => format!("k(X, {lo}) :- X <= {hi}.\n"),
+                3 => format!("k(X, Y) :- Y <= {hi}.\n"),
+                _ => format!("k({lo}, {hi}).\n"),
+            });
+        }
+        let mut db = Database::new();
+        db.add_facts_str(&text).unwrap();
+        for pred in ["g", "k"] {
+            for first in ["X", "Y", "1", "a", "X + 1"] {
+                for second in ["X", "Y", "2", "b", "Y + 1"] {
+                    for side in ["", ", X <= 2", ", X = 1", ", Y >= X", ", Z >= 3, Z <= Y"] {
+                        assert_query_matches_rule(&db, &format!("{pred}({first}, {second}){side}"));
+                    }
+                }
+            }
+        }
     }
 }
