@@ -171,6 +171,10 @@ impl Rational {
 
     /// Checked addition.
     pub fn checked_add(&self, other: &Self) -> Option<Self> {
+        // Integers (the common case in evaluation) need no gcd.
+        if self.denom == 1 && other.denom == 1 {
+            return Some(Rational::from_int(self.numer.checked_add(other.numer)?));
+        }
         // a/b + c/d = (a*d + c*b) / (b*d); reduce b,d by their gcd first.
         let g = gcd(self.denom, other.denom);
         let lhs_den = self.denom / g;
@@ -193,6 +197,9 @@ impl Rational {
 
     /// Checked multiplication with cross-gcd reduction.
     pub fn checked_mul(&self, other: &Self) -> Option<Self> {
+        if self.denom == 1 && other.denom == 1 {
+            return Some(Rational::from_int(self.numer.checked_mul(other.numer)?));
+        }
         let g1 = gcd(self.numer, other.denom).max(1);
         let g2 = gcd(other.numer, self.denom).max(1);
         let numer = (self.numer / g1).checked_mul(other.numer / g2)?;

@@ -76,6 +76,49 @@ fn run(
     (result, answers)
 }
 
+/// How many Fourier–Motzkin satisfiability checks one evaluation makes,
+/// read from the process-wide counter at its single call site.
+fn fm_sat_calls(program: &pcs_lang::Program, db: &pcs_engine::Database, strategy: Strategy) -> u64 {
+    pcs_telemetry::set_mode(TelemetryMode::On);
+    pcs_telemetry::reset();
+    let optimized = Optimizer::new(program.clone())
+        .strategy(strategy)
+        .optimize()
+        .expect("optimization succeeds");
+    let result = optimized.evaluate_with(db, EvalOptions::default().with_threads(1));
+    assert!(result.termination.is_fixpoint());
+    pcs_telemetry::flush_thread();
+    pcs_telemetry::counter(pcs_telemetry::Counter::FmSatCalls)
+}
+
+/// The FM contract of the slot-compiled join: a derivation over ground
+/// facts whose atoms all become ground is decided by plain arithmetic, so a
+/// pure-ground program never reaches Fourier–Motzkin; only derivations that
+/// really leave a non-ground residual do.
+fn assert_fm_runs_only_for_non_ground_residuals() {
+    let closure = pcs_lang::parse_program(
+        "path(X, Y) :- edge(X, Y).\n\
+         path(X, Y) :- edge(X, Z), path(Z, Y).\n\
+         ?- path(X, Y).",
+    )
+    .expect("the closure program parses");
+    let mut edges = pcs_engine::Database::new();
+    edges
+        .add_facts_str("edge(1, 2). edge(2, 3). edge(3, 4). edge(4, 2).")
+        .expect("the edges parse");
+    assert_eq!(fm_sat_calls(&closure, &edges, Strategy::None), 0);
+    let flights = programs::flights_database(8, 40);
+    assert_eq!(
+        fm_sat_calls(&programs::flights(), &flights, Strategy::ConstraintRewrite),
+        0,
+        "flights under pred,qrp computes only ground facts"
+    );
+    // p is a constraint fact; q's derivation joins it and stays symbolic.
+    let symbolic = pcs_lang::parse_program("p(X) :- X <= 10.\nq(X) :- p(X), X >= 8.\n?- q(X).")
+        .expect("the constraint-fact program parses");
+    assert!(fm_sat_calls(&symbolic, &pcs_engine::Database::new(), Strategy::None) > 0);
+}
+
 /// One test function (not one per configuration) because the telemetry mode
 /// is process-global: parallel test threads flipping it would race.
 #[test]
@@ -124,5 +167,6 @@ fn telemetry_changes_no_answers_and_no_stats() {
             }
         }
     }
+    assert_fm_runs_only_for_non_ground_residuals();
     pcs_telemetry::set_mode(previous);
 }

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use pcs_telemetry as telemetry;
 
-use pcs_lang::{Pred, Program, Rule};
+use pcs_lang::{Pred, Program};
 
 use crate::database::{Database, UpdateBatch};
 use crate::fact::Fact;
@@ -97,6 +97,9 @@ pub struct Evaluator {
     options: EvalOptions,
     /// The static join plans of every rule, compiled once per evaluator.
     plans: ProgramPlans,
+    /// Per rule, its display label in derivation records: its own label, or
+    /// its 1-based index in the program.
+    labels: Vec<String>,
 }
 
 impl Evaluator {
@@ -110,10 +113,21 @@ impl Evaluator {
             let _span = telemetry::span_if(options.telemetry, telemetry::Phase::PlanCompile);
             compile_plans(&program, &options.hints)
         };
+        let labels = program
+            .rules()
+            .iter()
+            .enumerate()
+            .map(|(index, rule)| {
+                rule.label
+                    .clone()
+                    .unwrap_or_else(|| format!("rule{}", index + 1))
+            })
+            .collect();
         Evaluator {
             program,
             options,
             plans,
+            labels,
         }
     }
 
@@ -252,11 +266,11 @@ impl Evaluator {
         for pred in self.program.all_predicates() {
             relations.entry(pred).or_default();
         }
-        for fact in db.all_facts() {
-            relations
-                .entry(fact.predicate().clone())
-                .or_default()
-                .insert(fact.clone());
+        for pred in db.predicates() {
+            let relation = relations.entry(pred.clone()).or_default();
+            for fact in db.facts_for(pred) {
+                relation.insert_ref(fact);
+            }
         }
         relations
     }
@@ -418,57 +432,57 @@ impl Evaluator {
         let mut tasks = Vec::new();
         let mut work = 0usize;
         for (rule_index, rule) in self.program.rules().iter().enumerate() {
-            let label = rule_label(rule, rule_index);
+            let label = self.labels[rule_index].as_str();
             if rule.body.is_empty() {
                 // Facts and constraint facts fire only in the naive round
                 // (never in a resumed run, whose materialization already
                 // holds them).
                 if naive_round {
                     work += 1;
-                    tasks.push(RoundTask {
-                        rule,
-                        label,
-                        kind: TaskKind::Seed,
-                    });
+                    tasks.push(self.fact_task(rule_index));
                 }
                 continue;
             }
             for delta_pos in 0..rule.body.len() {
-                let has_delta = relations
+                let Some(relation) = relations
                     .get(&rule.body[delta_pos].predicate)
-                    .is_some_and(|r| !r.delta_is_empty());
-                if !has_delta {
+                    .filter(|r| !r.delta_is_empty())
+                else {
                     continue;
-                }
+                };
                 let plan = self
                     .plans
                     .plan(rule_index, delta_pos)
                     .expect("every body position has a round plan");
-                let candidates = delta_candidates(rule, &plan.steps[0], relations);
+                let candidates = delta_candidates(plan, relation);
                 if candidates.is_empty() {
                     continue;
                 }
                 work += candidates.len();
                 tasks.push(RoundTask {
                     rule,
-                    label: label.clone(),
-                    kind: TaskKind::Planned {
-                        steps: &plan.steps,
-                        candidates,
-                    },
+                    label,
+                    plan,
+                    kind: TaskKind::Delta { candidates },
                 });
             }
         }
         (tasks, work)
     }
-}
 
-/// The display label of a rule in derivation records: its own label, or its
-/// 1-based index in the program.
-fn rule_label(rule: &Rule, rule_index: usize) -> String {
-    rule.label
-        .clone()
-        .unwrap_or_else(|| format!("rule{}", rule_index + 1))
+    /// The task firing the body-less rule `rule_index` (a fact or
+    /// constraint fact).
+    fn fact_task(&self, rule_index: usize) -> RoundTask<'_> {
+        RoundTask {
+            rule: &self.program.rules()[rule_index],
+            label: &self.labels[rule_index],
+            plan: self
+                .plans
+                .fact_plan(rule_index)
+                .expect("every body-less rule has a fact plan"),
+            kind: TaskKind::Entry { seed: None },
+        }
+    }
 }
 
 /// How a fixpoint run begins.

@@ -1,11 +1,12 @@
 //! Query answering over a computed [`EvalResult`]: a query is a rule body
-//! without a head, so it is matched by the join core's own matcher.
+//! without a head, so it is compiled and matched like one.
 
 use pcs_lang::Query;
 
-use super::matching::{match_literal, term_value, PartialMatch};
+use super::matching::Frame;
 use super::EvalResult;
 use crate::fact::Fact;
+use crate::plan::compile_query;
 
 impl EvalResult {
     /// The answers to a query: the stored facts of the query literal's
@@ -30,16 +31,16 @@ impl EvalResult {
         let Some(relation) = self.relations.get(&literal.predicate) else {
             return Vec::new();
         };
+        let plan = compile_query(literal, &query.constraint);
+        let mut frame = Frame::new(&plan);
         // Resolved up front, so that `?- q(X), X = 5` probes for 5.
-        let mut start = PartialMatch::start(&query.constraint);
-        if !start.resolve() {
+        if !frame.enter(&plan, None) {
             return Vec::new();
         }
-        let probe = literal
-            .args
-            .iter()
-            .enumerate()
-            .find_map(|(pos, term)| term_value(&start, term).map(|value| (pos, value)));
+        let step = &plan.steps[0];
+        let probe = step
+            .probe
+            .and_then(|pos| frame.key(&step.args[pos]).map(|value| (pos, value)));
         let probe_ref = probe.as_ref().map(|(pos, value)| (*pos, value));
         let mut candidates: Vec<usize> =
             relation.candidates(0..relation.len(), probe_ref).collect();
@@ -49,8 +50,11 @@ impl EvalResult {
         candidates
             .into_iter()
             .filter(|&index| {
-                match_literal(&start, literal, relation.fact_ref(index))
-                    .is_some_and(|matched| matched.is_consistent())
+                let mark = frame.mark();
+                let matched = frame.match_literal(&plan, 1, literal, relation.fact_ref(index))
+                    && frame.is_consistent(&plan);
+                frame.undo(mark);
+                matched
             })
             .map(|index| relation.fact_at(index))
             .collect()

@@ -6,14 +6,13 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use pcs_telemetry as telemetry;
 
-use pcs_lang::{Pred, Rule};
+use pcs_lang::Pred;
 
-use super::matching::{match_literal, PartialMatch};
-use super::round::{join, run_and_absorb, EvalTotals, RoundTask, TaskKind};
-use super::{rule_label, EvalResult, Evaluator, Start};
+use super::matching::Derived;
+use super::round::{run_and_absorb, EvalTotals, Executor, RoundTask, TaskKind};
+use super::{EvalResult, Evaluator, Start};
 use crate::database::Database;
 use crate::fact::Fact;
-use crate::plan::PlanStep;
 use crate::relation::{FactRef, Relation, Window};
 use crate::stats::{EvalStats, IterationStats};
 
@@ -79,23 +78,31 @@ impl Evaluator {
                     let Some(deleted_here) = by_pred.get(&rule.body[consumed].predicate) else {
                         continue;
                     };
-                    let steps = &self
+                    let plan = self
                         .plans
                         .overdelete_plan(rule_index, consumed)
-                        .expect("every body position has an over-deletion plan")
-                        .steps;
+                        .expect("every body position has an over-deletion plan");
+                    let Some(relation) = relations.get(&rule.head.predicate) else {
+                        continue;
+                    };
+                    let mut executor = Executor::new(rule, plan, &relations, usize::MAX);
                     for deleted in deleted_here {
-                        for head in
-                            overdelete_derivations(rule, consumed, steps, deleted, &relations)
-                        {
-                            let Some(relation) = relations.get(head.predicate()) else {
-                                continue;
+                        // The head of every derivation of `rule` that
+                        // consumes `deleted` at this position and arbitrary
+                        // stored facts (the full sealed materialization,
+                        // removed facts included) at the others: one step of
+                        // support propagation.
+                        executor.join_from_entry(Some(FactRef::Stored(deleted)));
+                        for head in executor.derived.drain(..) {
+                            let index = match &head {
+                                Derived::Row(row) => relation.find_row(row),
+                                Derived::Fact(fact) => relation.find_equivalent(fact),
                             };
-                            let Some(index) = relation.find_equivalent(&head) else {
+                            let Some(index) = index else {
                                 continue;
                             };
                             if removed
-                                .entry(head.predicate().clone())
+                                .entry(rule.head.predicate.clone())
                                 .or_default()
                                 .insert(index)
                             {
@@ -150,11 +157,9 @@ impl Evaluator {
         let mut hit_limit = None;
         if removed_total > 0 {
             for pred in removed_facts.keys() {
+                let relation = relations.get_mut(pred).expect("affected relations exist");
                 for fact in surviving_edb.facts_for(pred) {
-                    relations
-                        .get_mut(pred)
-                        .expect("affected relations exist")
-                        .insert(fact.clone());
+                    relation.insert_ref(fact);
                 }
             }
             let mut tasks: Vec<RoundTask<'_>> = Vec::new();
@@ -162,59 +167,39 @@ impl Evaluator {
                 let Some(targets) = removed_facts.get(&rule.head.predicate) else {
                     continue;
                 };
-                let label = rule_label(rule, rule_index);
                 if rule.body.is_empty() {
-                    tasks.push(RoundTask {
-                        rule,
-                        label,
-                        kind: TaskKind::Seed,
-                    });
-                } else if targets.iter().any(|target| !target.is_ground()) {
+                    tasks.push(self.fact_task(rule_index));
+                    continue;
+                }
+                let entry = |plan, seed| RoundTask {
+                    rule,
+                    label: &self.labels[rule_index],
+                    plan,
+                    kind: TaskKind::Entry { seed },
+                };
+                if targets.iter().any(|target| !target.is_ground()) {
                     // A removed proper constraint fact could cover facts a
                     // pinned join would miss: fall back to the full join.
                     let plan = self
                         .plans
                         .full_plan(rule_index)
                         .expect("every rule with a body has a full plan");
-                    tasks.push(RoundTask {
-                        rule,
-                        label,
-                        kind: TaskKind::Pinned {
-                            steps: &plan.steps,
-                            start: PartialMatch::start(&rule.constraint),
-                        },
-                    });
+                    tasks.push(entry(plan, None));
                 } else {
                     let plan = self
                         .plans
                         .pinned_plan(rule_index)
                         .expect("every rule with a body has a pinned plan");
-                    for target in targets {
-                        let Some(start) = match_literal(
-                            &PartialMatch::start(&rule.constraint),
-                            &rule.head,
-                            FactRef::Stored(target),
-                        ) else {
-                            continue;
-                        };
-                        tasks.push(RoundTask {
-                            rule,
-                            label: label.clone(),
-                            kind: TaskKind::Pinned {
-                                steps: &plan.steps,
-                                start,
-                            },
-                        });
-                    }
+                    tasks.extend(targets.iter().map(|target| entry(plan, Some(target))));
                 }
             }
             let work: usize = tasks
                 .iter()
-                .map(|task| match &task.kind {
-                    TaskKind::Pinned { steps, .. } => relations
-                        .get(&task.rule.body[steps[0].literal].predicate)
+                .map(|task| match task.plan.steps.first() {
+                    Some(step) => relations
+                        .get(&task.rule.body[step.literal].predicate)
                         .map_or(0, |r| r.window_range(Window::Known).len()),
-                    _ => 1,
+                    None => 1,
                 })
                 .sum();
             let threads = self.options.threads.max(1);
@@ -254,29 +239,6 @@ impl Evaluator {
         }
         result
     }
-}
-
-/// The head facts of every derivation of `rule` that consumes `deleted` at
-/// body position `consumed` and — along `steps`, the rule's over-deletion
-/// plan for that position — arbitrary stored facts (the full sealed
-/// materialization, removed facts included) at the other positions: the
-/// one-step support propagation of the DRed over-deletion phase.
-fn overdelete_derivations(
-    rule: &Rule,
-    consumed: usize,
-    steps: &[PlanStep],
-    deleted: &Fact,
-    relations: &BTreeMap<Pred, Relation>,
-) -> Vec<Fact> {
-    let mut derived = Vec::new();
-    if let Some(pm) = match_literal(
-        &PartialMatch::start(&rule.constraint),
-        &rule.body[consumed],
-        FactRef::Stored(deleted),
-    ) {
-        join(rule, steps, 0, pm, relations, &mut derived, usize::MAX);
-    }
-    derived
 }
 
 #[cfg(test)]

@@ -76,7 +76,17 @@ impl Default for EvalOptions {
 /// worker pool is configured, because per-iteration thread spawning would
 /// dominate such narrow rounds (e.g. the magic Fibonacci programs derive a
 /// handful of facts per iteration across hundreds of iterations).
-pub const MIN_PARALLEL_ROUND_WORK: usize = 256;
+///
+/// Measured for the slot-compiled matcher (DESIGN.md, "Slot-compiled
+/// frames"): a `std::thread::scope` spawn per round costs about 0.1 ms on two
+/// threads, which a candidate of a few hundred nanoseconds amortizes only
+/// past several hundred candidates.  Example 7.1 at three EDB densities and
+/// the flights closure put the smallest worst-case loss at 1024: the wide
+/// rounds of a closure are far above it, the ≈350 narrow rounds of the
+/// sparser Example 7.1 shapes run 20–28 % faster than under the former 256,
+/// and the densest shape — whose candidates each fan out into several
+/// derivations — gives up 8 % of the gain sharding had there.
+pub const MIN_PARALLEL_ROUND_WORK: usize = 1024;
 
 /// Recognized values of the `PCS_EVAL_THREADS` worker-count override.
 fn parse_threads_setting(value: &str) -> Option<usize> {

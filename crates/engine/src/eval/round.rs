@@ -8,14 +8,14 @@ use std::sync::Mutex;
 
 use pcs_telemetry as telemetry;
 
-use pcs_lang::{Literal, Pred, Rule};
+use pcs_lang::{Pred, Rule};
 
-use super::matching::{finish_derivation, match_literal, term_value, PartialMatch};
+use super::matching::{Derived, Frame};
 use super::EvalOptions;
 use crate::fact::Fact;
 use crate::limits::{EvalLimits, Termination};
-use crate::plan::PlanStep;
-use crate::relation::{InsertOutcome, Relation};
+use crate::plan::{JoinPlan, PlanStep};
+use crate::relation::{FactRef, InsertOutcome, Relation};
 use crate::stats::{DerivationRecord, IterationStats};
 
 /// One unit of derivation work inside an iteration.  Tasks only read the
@@ -23,42 +23,35 @@ use crate::stats::{DerivationRecord, IterationStats};
 pub(super) struct RoundTask<'a> {
     pub(super) rule: &'a Rule,
     /// The rule's display label for derivation records.
-    pub(super) label: String,
+    pub(super) label: &'a str,
+    /// The plan the task runs, borrowed from the evaluator's precompiled
+    /// [`ProgramPlans`](crate::plan::ProgramPlans): the literal order, the
+    /// per-literal probe column, the existence-shortcut flags and the slot
+    /// program were all fixed at plan-compilation time.
+    pub(super) plan: &'a JoinPlan,
     pub(super) kind: TaskKind<'a>,
 }
 
-/// What a [`RoundTask`] joins.  The steps are borrowed from the evaluator's
-/// precompiled [`ProgramPlans`]: the literal order, the per-literal probe
-/// column, and the existence-shortcut flags were all fixed at
-/// plan-compilation time.
+/// Where a [`RoundTask`] starts its plan.
 pub(super) enum TaskKind<'a> {
-    /// An empty-body rule (fact or constraint fact), fired in iteration 0.
-    Seed,
-    /// One semi-naive round body: the steps of this (rule × delta-position)
-    /// plan and the chunk of delta-window fact indices (into the delta
-    /// literal's relation) this task covers.
-    Planned {
-        steps: &'a [PlanStep],
-        candidates: Vec<usize>,
-    },
-    /// A retraction re-derivation join over the sealed survivor relations:
-    /// the rule's pinned plan, starting from a partial match whose head
-    /// bindings were pinned to an over-deleted target fact — or the rule's
-    /// full plan, starting from an empty match.
-    Pinned {
-        steps: &'a [PlanStep],
-        start: PartialMatch,
-    },
+    /// One semi-naive round body: the chunk of delta-window fact indices
+    /// (into the delta literal's relation) this task feeds to step 0.
+    Delta { candidates: Vec<usize> },
+    /// From the plan's entry stage.  With a `seed`, a retraction
+    /// re-derivation whose head is pinned to that over-deleted fact; without
+    /// one, a rule's full re-derivation join, or the step-less plan of a
+    /// body-less rule (a fact or constraint fact, fired in iteration 0).
+    Entry { seed: Option<&'a Fact> },
 }
 
-/// Splits the delta-candidate list of every planned task into at most
+/// Splits the delta-candidate list of every delta task into at most
 /// `threads × TASK_CHUNKS_PER_THREAD` chunks, for load balancing across the
 /// worker pool.  The chunk boundaries cannot affect results: the chunks of
 /// one task stay adjacent, so the merged absorb order is unchanged.
 pub(super) fn chunk_tasks(tasks: Vec<RoundTask<'_>>, threads: usize) -> Vec<RoundTask<'_>> {
     let mut out = Vec::with_capacity(tasks.len());
     for task in tasks {
-        let TaskKind::Planned { steps, candidates } = &task.kind else {
+        let TaskKind::Delta { candidates } = &task.kind else {
             out.push(task);
             continue;
         };
@@ -72,12 +65,10 @@ pub(super) fn chunk_tasks(tasks: Vec<RoundTask<'_>>, threads: usize) -> Vec<Roun
         }
         for slice in candidates.chunks(chunk) {
             out.push(RoundTask {
-                rule: task.rule,
-                label: task.label.clone(),
-                kind: TaskKind::Planned {
-                    steps,
+                kind: TaskKind::Delta {
                     candidates: slice.to_vec(),
                 },
+                ..task
             });
         }
     }
@@ -93,9 +84,9 @@ const TASK_CHUNKS_PER_THREAD: usize = 4;
 /// Runs the tasks of one round — on the calling thread, or on a worker pool
 /// of `pool` threads — and absorbs their derivations strictly in task order,
 /// stopping at the first limit hit.  Tasks only read the relations and
-/// pending insertions are invisible to every [`Window`], so the sequential
-/// path (which interleaves running and absorbing) and the pool (which runs
-/// everything first) absorb the exact same sequence.
+/// pending insertions are invisible to every [`Window`](crate::Window), so
+/// the sequential path (which interleaves running and absorbing) and the
+/// pool (which runs everything first) absorb the exact same sequence.
 ///
 /// No task generates more than the derivation budget left in `totals`:
 /// anything beyond it is guaranteed to be discarded by the in-order
@@ -126,7 +117,7 @@ pub(super) fn run_and_absorb(
         };
         let hit_limit = absorb_derived(
             derived,
-            &task.label,
+            task,
             options.trace,
             &options.limits,
             relations,
@@ -140,34 +131,18 @@ pub(super) fn run_and_absorb(
     None
 }
 
-/// Runs one task to completion, collecting at most `cap` derived facts.
-fn run_task(task: &RoundTask<'_>, relations: &BTreeMap<Pred, Relation>, cap: usize) -> Vec<Fact> {
-    let mut derived = Vec::new();
-    let rule = task.rule;
+/// Runs one task to completion, collecting at most `cap` derivations.
+fn run_task(
+    task: &RoundTask<'_>,
+    relations: &BTreeMap<Pred, Relation>,
+    cap: usize,
+) -> Vec<Derived> {
+    let mut executor = Executor::new(task.rule, task.plan, relations, cap);
     match &task.kind {
-        TaskKind::Seed => {
-            finish_derivation(rule, PartialMatch::start(&rule.constraint), &mut derived)
-        }
-        TaskKind::Planned { steps, candidates } => {
-            let literal = &rule.body[steps[0].literal];
-            let Some(relation) = relations.get(&literal.predicate) else {
-                return derived;
-            };
-            let start = PartialMatch::start(&rule.constraint);
-            for &index in candidates {
-                if derived.len() >= cap {
-                    break;
-                }
-                if let Some(next) = match_literal(&start, literal, relation.fact_ref(index)) {
-                    join(rule, steps, 1, next, relations, &mut derived, cap);
-                }
-            }
-        }
-        TaskKind::Pinned { steps, start } => {
-            join(rule, steps, 0, start.clone(), relations, &mut derived, cap);
-        }
+        TaskKind::Delta { candidates } => executor.join_delta(candidates),
+        TaskKind::Entry { seed } => executor.join_from_entry(seed.map(FactRef::Stored)),
     }
-    derived
+    executor.derived
 }
 
 /// Runs the tasks of one iteration on a scoped worker pool and returns one
@@ -185,15 +160,15 @@ fn run_tasks_parallel(
     relations: &BTreeMap<Pred, Relation>,
     budget: usize,
     threads: usize,
-) -> Vec<Vec<Fact>> {
+) -> Vec<Vec<Derived>> {
     let workers = threads.min(tasks.len());
     let cursor = AtomicUsize::new(0);
     let progress = RoundProgress::new(tasks.len());
-    let collected: Vec<(usize, Vec<Fact>)> = std::thread::scope(|scope| {
+    let collected: Vec<(usize, Vec<Derived>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut local: Vec<(usize, Vec<Fact>)> = Vec::new();
+                    let mut local: Vec<(usize, Vec<Derived>)> = Vec::new();
                     loop {
                         let ordinal = cursor.fetch_add(1, AtomicOrdering::Relaxed);
                         let Some(task) = tasks.get(ordinal) else {
@@ -226,7 +201,7 @@ fn run_tasks_parallel(
             })
             .collect()
     });
-    let mut buffers: Vec<Vec<Fact>> = Vec::new();
+    let mut buffers: Vec<Vec<Derived>> = Vec::new();
     buffers.resize_with(tasks.len(), Vec::new);
     for (ordinal, derived) in collected {
         buffers[ordinal] = derived;
@@ -296,22 +271,36 @@ pub(super) struct EvalTotals {
 /// overshoot the caps by the size of its buffered round.  The fact limit
 /// takes precedence when both trip on the same fact.
 fn absorb_derived(
-    derived: Vec<Fact>,
-    rule_label: &str,
+    derived: Vec<Derived>,
+    task: &RoundTask<'_>,
     trace: bool,
     limits: &EvalLimits,
     relations: &mut BTreeMap<Pred, Relation>,
     iter_stats: &mut IterationStats,
     totals: &mut EvalTotals,
 ) -> Option<Termination> {
-    for fact in derived {
+    if derived.is_empty() {
+        return None;
+    }
+    // Every derivation of a task has the rule's head predicate.
+    let predicate = &task.rule.head.predicate;
+    let relation = relations.entry(predicate.clone()).or_default();
+    for derived in derived {
         totals.derivations += 1;
         iter_stats.derivations += 1;
-        let rendered = trace.then(|| fact.to_string());
-        let outcome = relations
-            .entry(fact.predicate().clone())
-            .or_default()
-            .insert(fact);
+        let (rendered, outcome) = match derived {
+            Derived::Row(row) => (
+                trace.then(|| {
+                    FactRef::Ground {
+                        predicate,
+                        row: &row,
+                    }
+                    .to_string()
+                }),
+                relation.insert_row(predicate, row),
+            ),
+            Derived::Fact(fact) => (trace.then(|| fact.to_string()), relation.insert(fact)),
+        };
         let is_new = outcome == InsertOutcome::Added;
         if is_new {
             iter_stats.new_facts += 1;
@@ -321,7 +310,7 @@ fn absorb_derived(
         }
         if let Some(fact) = rendered {
             iter_stats.records.push(DerivationRecord {
-                rule: rule_label.to_string(),
+                rule: task.label.to_string(),
                 fact,
                 new: is_new,
             });
@@ -338,20 +327,20 @@ fn absorb_derived(
     None
 }
 
-/// The fact indices `step` can match under a partial match, in visit order,
-/// and whether they came from the index: the statically planned probe column
-/// is probed with the concrete value the match determines for it; when the
-/// plan chose no column, or an earlier constraint-fact match left the chosen
-/// column without a concrete value, the step scans its window.
+/// The fact indices `step` can match under the frame's registers, in visit
+/// order, and whether they came from the index: the statically planned probe
+/// column is probed with the concrete value the registers determine for it;
+/// when the plan chose no column, or the column's slot is still empty —
+/// step 0 of a round, or a variable an earlier constraint-fact match bound
+/// only symbolically — the step scans its window.
 fn step_candidates<'r>(
     step: &PlanStep,
-    literal: &Literal,
-    pm: &PartialMatch,
+    frame: &Frame,
     relation: &'r Relation,
 ) -> (bool, impl Iterator<Item = usize> + 'r) {
     let probe = step
         .probe
-        .and_then(|pos| term_value(pm, &literal.args[pos]).map(|value| (pos, value)));
+        .and_then(|pos| frame.key(&step.args[pos]).map(|value| (pos, value)));
     if probe.is_some() {
         telemetry::bump(telemetry::Counter::IndexProbes);
     }
@@ -362,78 +351,137 @@ fn step_candidates<'r>(
 
 /// The delta-window fact indices the first (delta) step of a round plan can
 /// match, in the exact order the join visits them: the planned probe column
-/// (a constant of the literal; the partial match is still empty at step 0)
-/// probes the relation's hash index, and a literal with no bound argument
-/// falls back to scanning the delta window.
+/// (a constant of the literal; the frame is still empty at step 0) probes
+/// the relation's hash index, and a literal with no constant argument falls
+/// back to scanning the delta window.
 ///
 /// This is the sharding axis of a parallel round: the candidate list is
 /// chunked across tasks, and concatenating the per-chunk results in order
 /// reproduces the sequential derivation sequence.
-pub(super) fn delta_candidates(
-    rule: &Rule,
-    step: &PlanStep,
-    relations: &BTreeMap<Pred, Relation>,
-) -> Vec<usize> {
-    let literal = &rule.body[step.literal];
-    let Some(relation) = relations.get(&literal.predicate) else {
-        return Vec::new();
-    };
-    let start = PartialMatch::start(&rule.constraint);
-    step_candidates(step, literal, &start, relation).1.collect()
+pub(super) fn delta_candidates(plan: &JoinPlan, relation: &Relation) -> Vec<usize> {
+    step_candidates(&plan.steps[0], &Frame::new(plan), relation)
+        .1
+        .collect()
 }
 
-/// The one join executor: recursively joins the body literals of `rule`
-/// along a precompiled plan from `step` onwards, collecting the facts of
-/// every completed derivation into `derived` until `cap` facts have been
-/// collected.  Round tasks enter at step 1 (step 0, the delta literal, is
-/// enumerated by [`delta_candidates`]); the DRed joins enter at step 0 with
-/// a partial match that already carries their seed bindings.
-///
-/// The probe column of every step was fixed at plan-compilation time; if a
-/// constraint-fact match left that column without a concrete value at run
-/// time, the step falls back to scanning its window.  A step the plan marked
-/// as an existence check stops at its first match — guarded to the case
-/// where every argument resolves to a concrete value and the relation holds
-/// no constraint facts, in which ground deduplication guarantees at most one
-/// matching row anyway, so the shortcut saves the rest of the scan without
-/// changing any statistics.  Those two run-time guards are what makes a
-/// static plan safe for every input, constraint facts included.
-pub(super) fn join(
-    rule: &Rule,
-    steps: &[PlanStep],
-    step: usize,
-    pm: PartialMatch,
-    relations: &BTreeMap<Pred, Relation>,
-    derived: &mut Vec<Fact>,
+/// The one join executor: one task's frame, the relation each step of its
+/// plan reads (resolved once, not per partial match), and the derivations
+/// collected so far.
+pub(super) struct Executor<'a> {
+    rule: &'a Rule,
+    plan: &'a JoinPlan,
+    /// Per step: the relation of its literal, if the program has facts for
+    /// it.
+    relations: Vec<Option<&'a Relation>>,
+    frame: Frame,
+    pub(super) derived: Vec<Derived>,
     cap: usize,
-) {
-    if derived.len() >= cap {
-        return;
+}
+
+impl<'a> Executor<'a> {
+    pub(super) fn new(
+        rule: &'a Rule,
+        plan: &'a JoinPlan,
+        relations: &'a BTreeMap<Pred, Relation>,
+        cap: usize,
+    ) -> Self {
+        Executor {
+            rule,
+            plan,
+            relations: plan
+                .steps
+                .iter()
+                .map(|step| relations.get(&rule.body[step.literal].predicate))
+                .collect(),
+            frame: Frame::new(plan),
+            derived: Vec::new(),
+            cap,
+        }
     }
-    let Some(plan_step) = steps.get(step) else {
-        finish_derivation(rule, pm, derived);
-        return;
-    };
-    let literal = &rule.body[plan_step.literal];
-    let Some(relation) = relations.get(&literal.predicate) else {
-        return;
-    };
-    let exists_only = plan_step.existence
-        && relation.constraint_fact_count() == 0
-        && literal.args.iter().all(|t| term_value(&pm, t).is_some());
-    let (probed, candidates) = step_candidates(plan_step, literal, &pm, relation);
-    for index in candidates {
-        if let Some(next) = match_literal(&pm, literal, relation.fact_ref(index)) {
-            if probed {
-                telemetry::bump(telemetry::Counter::ProbeHits);
+
+    /// Runs a round plan over a chunk of its delta candidates (step 0 is
+    /// enumerated by [`delta_candidates`], so it counts no probe hits).
+    fn join_delta(&mut self, candidates: &[usize]) {
+        let Some(relation) = self.relations[0] else {
+            return;
+        };
+        let literal = &self.rule.body[self.plan.steps[0].literal];
+        for &index in candidates {
+            if self.derived.len() >= self.cap {
+                break;
             }
-            join(rule, steps, step + 1, next, relations, derived, cap);
-            if exists_only {
+            let mark = self.frame.mark();
+            if self
+                .frame
+                .match_literal(self.plan, 1, literal, relation.fact_ref(index))
+            {
+                self.join(1);
+            }
+            self.frame.undo(mark);
+        }
+    }
+
+    /// Runs a plan from its entry stage: matches `seed` against the shape's
+    /// seed literal (a pinned head, an over-deletion's consumed literal),
+    /// resolves the atoms ground up front, then joins every step.
+    pub(super) fn join_from_entry(&mut self, seed: Option<FactRef<'_>>) {
+        let seed = self.plan.shape.seed_literal(self.rule).zip(seed);
+        let mark = self.frame.mark();
+        if self.frame.enter(self.plan, seed) {
+            self.join(0);
+        }
+        self.frame.undo(mark);
+    }
+
+    /// Recursively joins the body literals along the plan from `step`
+    /// onwards, collecting the head of every completed derivation until
+    /// `cap` have been collected.
+    ///
+    /// The probe column of every step was fixed at plan-compilation time; if
+    /// a constraint-fact match left that column without a concrete value at
+    /// run time, the step falls back to scanning its window.  A step the
+    /// plan marked as an existence check stops at its first match — guarded
+    /// to the case where every argument resolves to a concrete value and the
+    /// relation holds no constraint facts, in which ground deduplication
+    /// guarantees at most one matching row anyway, so the shortcut saves the
+    /// rest of the scan without changing any statistics.  Those two run-time
+    /// guards are what makes a static plan safe for every input, constraint
+    /// facts included.
+    fn join(&mut self, step: usize) {
+        if self.derived.len() >= self.cap {
+            return;
+        }
+        let Some(plan_step) = self.plan.steps.get(step) else {
+            self.derived
+                .extend(self.frame.finish(self.plan, &self.rule.head));
+            return;
+        };
+        let Some(relation) = self.relations[step] else {
+            return;
+        };
+        let literal = &self.rule.body[plan_step.literal];
+        let exists_only = plan_step.existence
+            && relation.constraint_fact_count() == 0
+            && plan_step.args.iter().all(|op| self.frame.key(op).is_some());
+        let (probed, candidates) = step_candidates(plan_step, &self.frame, relation);
+        for index in candidates {
+            let mark = self.frame.mark();
+            let matched =
+                self.frame
+                    .match_literal(self.plan, step + 1, literal, relation.fact_ref(index));
+            if matched {
+                if probed {
+                    telemetry::bump(telemetry::Counter::ProbeHits);
+                }
+                self.join(step + 1);
+            } else if probed {
+                telemetry::bump(telemetry::Counter::ProbeMisses);
+            }
+            self.frame.undo(mark);
+            if matched && exists_only {
                 telemetry::bump(telemetry::Counter::ExistenceShortcuts);
                 break;
             }
-        } else if probed {
-            telemetry::bump(telemetry::Counter::ProbeMisses);
         }
     }
 }
@@ -515,6 +563,37 @@ mod tests {
             let result = Evaluator::new(&program, options).evaluate(&db);
             assert_eq!(result.termination, Termination::DerivationLimit);
             assert_eq!(result.stats.total_derivations(), 13, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn arithmetic_overflow_in_a_worker_panics_with_its_descriptive_message() {
+        // `Y := 2·X` is compiled arithmetic; doubling i128::MAX overflows
+        // inside a pool worker, and the panic must reach the caller with the
+        // rational layer's message, not as an anonymous join error.
+        let mut db = Database::new();
+        for x in [1, i128::MAX] {
+            db.add_ground(
+                "n",
+                vec![Value::num(pcs_constraints::Rational::from_int(x))],
+            );
+        }
+        let program = parse_program("m(Y) :- n(X), Y = X + X.").unwrap();
+        for threads in [1, 4] {
+            let options = EvalOptions::default()
+                .with_threads(threads)
+                .with_min_parallel_work(0);
+            let evaluator = Evaluator::new(&program, options);
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluator.evaluate(&db)))
+                    .expect_err("doubling i128::MAX overflows");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("the rational layer panics with a formatted message");
+            assert!(
+                message.contains("overflowed i128"),
+                "threads = {threads}: {message}"
+            );
         }
     }
 }

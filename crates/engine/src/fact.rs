@@ -147,6 +147,24 @@ impl Fact {
             .collect()
     }
 
+    /// Splits a ground fact into its predicate and row of values — the form
+    /// [`crate::Relation::insert_row`] stores — or hands a proper constraint
+    /// fact back unchanged.
+    pub fn into_ground_row(self) -> Result<(Pred, Vec<Value>), Fact> {
+        if !self.is_ground() {
+            return Err(self);
+        }
+        let row = self
+            .bindings
+            .into_iter()
+            .map(|b| match b {
+                Binding::Bound(value) => value,
+                Binding::Free => unreachable!("ground facts have no free position"),
+            })
+            .collect();
+        Ok((self.predicate, row))
+    }
+
     /// Expresses the whole fact as a conjunction over the positions `$1..$n`
     /// (symbolic values excepted, which are reported separately).
     fn numeric_view(&self) -> (Conjunction, Vec<Option<&Value>>) {

@@ -43,8 +43,9 @@ pub use eval::{EvalOptions, EvalResult, Evaluator};
 pub use fact::{Binding, Fact};
 pub use limits::{EvalLimits, Termination};
 pub use plan::{
-    compile_plans, render_plans, JoinPlan, PlanFinding, PlanFindingKind, PlanStep, ProgramPlans,
-    SelectivityClass, SelectivityHints,
+    compile_plans, render_plans, ArgOp, AtomOp, HeadOp, JoinPlan, PlanAtom, PlanFinding,
+    PlanFindingKind, PlanStep, ProgramPlans, SelectivityClass, SelectivityHints, Slot, SlotExpr,
+    Stage,
 };
 pub use relation::{FactRef, InsertOutcome, Relation, Window};
 pub use stats::{DerivationRecord, EvalStats, IterationStats};

@@ -19,7 +19,7 @@
 //! One deliberate semantic mirror: like the production cores' rule
 //! application, a symbolic constant in a body literal does not match a
 //! *free* fact position (free positions range over the reals as soon as a
-//! rule body inspects them) — see `match_literal` in `eval.rs`.
+//! rule body inspects them) — see `match_stored_fact` in `eval/matching.rs`.
 
 use std::collections::BTreeMap;
 

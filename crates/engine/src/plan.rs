@@ -14,6 +14,15 @@
 //! literal whose bindings are fully determined by the time it is reached can
 //! stop at its first match.
 //!
+//! Every ordered plan is then compiled down to register slots
+//! (`SlotCompiler`): the rule's variables are numbered once, each literal
+//! argument becomes an [`ArgOp`] (check a constant, check a slot, bind a
+//! slot), each constraint atom is scheduled as an [`AtomOp`] at the earliest
+//! stage after which all its variables are bound (an equality with one
+//! unbound variable becomes a definition, `slot := expr`), and the head
+//! becomes a row of [`HeadOp`]s — so that matching ground facts needs no
+//! names, no maps and no symbolic substitution.
+//!
 //! Plan compilation also reports structural join problems as
 //! [`PlanFinding`]s, which `pcs-analysis` converts into ordinary diagnostics:
 //! a step with no bound probe and no shared variables degrades to a cross
@@ -24,18 +33,20 @@
 //! Every compiled plan is checked by [`JoinPlan::validate`] before it can be
 //! executed: the steps must cover the body exactly once with the window
 //! discipline of the plan's shape, every probe column must be bound when its
-//! step runs, and the bound-variable frontier must cover every head variable
-//! the body can bind — a planner bug panics at compile time instead of
-//! silently dropping derivations.
+//! step runs, the bound-variable frontier must cover every head variable
+//! the body can bind, and the slot program must write every slot before it
+//! reads it and discharge every atom at most once — a planner bug panics at
+//! compile time instead of silently dropping derivations.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use pcs_constraints::Var;
-use pcs_lang::{Pred, Program, Rule, Term};
+use pcs_constraints::{Atom, CmpOp, Conjunction, LinearExpr, Rational, Rel, Var};
+use pcs_lang::{Literal, Pred, Program, Rule, Term};
 
 use crate::relation::Window;
+use crate::value::Value;
 
 /// Static per-position selectivity classes handed to the planner.
 ///
@@ -143,9 +154,9 @@ pub struct PlanStep {
     pub window: Window,
     /// The statically chosen probe column (0-based argument position), when
     /// some argument is a constant or is bound by the frontier at this step.
-    /// `None` means the step scans its window.  Execution resolves the
-    /// column's value from the partial match and falls back to a scan if an
-    /// earlier constraint-fact match left it undetermined.
+    /// `None` means the step scans its window.  Execution reads the
+    /// column's value from the frame and falls back to a scan if its slot is
+    /// empty — an earlier constraint-fact match bound it only symbolically.
     pub probe: Option<usize>,
     /// `true` when every argument of the literal is statically bound by the
     /// time this step runs: the step can stop at its first match (an
@@ -160,6 +171,121 @@ pub struct PlanStep {
     /// The literal's most selective position class (the greedy tie-break;
     /// recorded for `.explain`).
     pub class: SelectivityClass,
+    /// One op per argument of the literal: what a ground fact's value at
+    /// that position is checked against or bound to (see [`ArgOp`]).
+    pub args: Vec<ArgOp>,
+    /// The constraint atoms that become ground once this step's arguments
+    /// are bound, in an order that runs every definition before its uses.
+    pub atoms: Vec<AtomOp>,
+}
+
+/// A register of a task's frame: the dense number the slot compiler gives a
+/// rule variable (see [`JoinPlan::slots`]).
+pub type Slot = usize;
+
+/// A linear expression over frame slots, `Σ coeff·slot + constant`: the
+/// compile-time image of a [`LinearExpr`] over rule variables.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlotExpr {
+    /// The `(slot, coefficient)` terms; no coefficient is zero.
+    pub terms: Vec<(Slot, Rational)>,
+    /// The constant part.
+    pub constant: Rational,
+}
+
+/// What a literal argument does with the value a ground fact holds at its
+/// position.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgOp {
+    /// A constant argument: the fact must hold exactly this value.
+    Const(Value),
+    /// A variable bound by an earlier op: the fact must hold the slot's
+    /// value.
+    Check(Slot),
+    /// The first occurrence of a variable: the fact's value is written to
+    /// the slot.  `numeric` is set when the variable occurs in arithmetic (a
+    /// constraint atom, or an expression argument joined by then), where a
+    /// symbol can never stand: the step rejects one right here.
+    Bind {
+        /// The slot written.
+        slot: Slot,
+        /// Whether only a number may be bound.
+        numeric: bool,
+    },
+    /// An arithmetic argument (`p(X + 1)`): the fact's value, which must be
+    /// a number, is written to the hidden slot `column`, and the equality
+    /// `expr = column` is scheduled among the atoms like any other
+    /// constraint.  `expr` is the argument itself, for probing and the
+    /// existence guard.
+    Expr {
+        /// The hidden slot holding the fact's value at this position.
+        column: Slot,
+        /// The argument, over slots.
+        expr: SlotExpr,
+    },
+}
+
+/// A constraint atom scheduled at the earliest stage after which every one
+/// of its variables is bound (`atom` indexes [`JoinPlan::atoms`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AtomOp {
+    /// Every slot is bound: `expr rel 0` is evaluated as plain arithmetic.
+    Check {
+        /// Which atom this discharges.
+        atom: usize,
+        /// The atom's left-hand side, over slots.
+        expr: SlotExpr,
+        /// Its relation against zero.
+        rel: Rel,
+    },
+    /// An equality with exactly one unbound slot: `slot := value`, the
+    /// compile-time image of [`Atom::as_ground_binding`].
+    Define {
+        /// Which atom this discharges.
+        atom: usize,
+        /// The slot defined.
+        slot: Slot,
+        /// The equality solved for the slot.
+        value: SlotExpr,
+    },
+}
+
+/// One constraint atom of a plan, over slots, with its place in the
+/// schedule.  Stages are numbered `0` for [`JoinPlan::entry`] and `i + 1`
+/// for `steps[i]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanAtom {
+    /// The atom's canonical left-hand side (`expr rel 0`), over slots.
+    pub expr: SlotExpr,
+    /// Its relation against zero.
+    pub rel: Rel,
+    /// The stage whose expression argument introduced the atom; `None` for
+    /// the rule's own constraint atoms, present from the start.
+    pub origin: Option<usize>,
+    /// The stage that discharges it; `None` if some variable of it is never
+    /// bound, so it stays symbolic until the derivation's residual check.
+    pub due: Option<usize>,
+}
+
+/// The ops that run when one literal is matched, or — with no arguments —
+/// when a plan resolves the atoms that are ground up front.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Stage {
+    /// One op per argument of the matched literal.
+    pub args: Vec<ArgOp>,
+    /// The atoms scheduled once those arguments are bound.
+    pub atoms: Vec<AtomOp>,
+}
+
+/// What a compiled head argument emits into the derived row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HeadOp {
+    /// A constant.
+    Const(Value),
+    /// The value of a slot.
+    Slot(Slot),
+    /// An arithmetic expression over slots.
+    Expr(SlotExpr),
 }
 
 /// What a [`JoinPlan`] joins: which variables are bound before its first
@@ -210,6 +336,15 @@ impl PlanShape {
         }
     }
 
+    /// The literal a seed fact is matched against before the first step.
+    pub(crate) fn seed_literal(self, rule: &Rule) -> Option<&Literal> {
+        match self {
+            PlanShape::Round { .. } | PlanShape::Full => None,
+            PlanShape::Overdelete { consumed } => Some(&rule.body[consumed]),
+            PlanShape::Pinned => Some(&rule.head),
+        }
+    }
+
     /// The body literal the plan leaves out, if any.
     fn skip(self) -> Option<usize> {
         match self {
@@ -241,6 +376,28 @@ pub struct JoinPlan {
     /// The join steps, in execution order; a [`PlanShape::Round`] plan's
     /// `steps[0]` is always the delta literal.
     pub steps: Vec<PlanStep>,
+    /// The frame layout: slot → the rule variable it holds (expression
+    /// arguments get a hidden `_a…` column slot each).  Names are resolved
+    /// to slots here, once; execution never looks a variable up.
+    pub slots: Vec<Var>,
+    /// What runs before the first step.  [`PlanShape::Pinned`] and
+    /// [`PlanShape::Overdelete`] match their seed literal (the head, the
+    /// consumed body literal) against a fact here; the plan of a body-less
+    /// rule and the plan of a query have no seed literal but resolve the
+    /// atoms that are ground up front.  `None` for [`PlanShape::Round`] and
+    /// an unpinned [`PlanShape::Full`] join, whose frame starts empty: atoms
+    /// ground from the start wait for the first step, so step 0 probes only
+    /// on constants.
+    pub entry: Option<Stage>,
+    /// Every constraint atom the plan evaluates — the rule's own, then one
+    /// per expression argument — each scheduled at most once.
+    pub atoms: Vec<PlanAtom>,
+    /// The compiled head, one op per argument (empty for a query).
+    pub head: Vec<HeadOp>,
+    /// Whether a derivation over ground facts ends ground: every atom is
+    /// scheduled and every head variable is bound, so the head is emitted as
+    /// a plain row and no symbolic residual is ever built.
+    pub ground_finish: bool,
 }
 
 /// The kinds of structural problems plan compilation reports.
@@ -286,6 +443,9 @@ pub struct ProgramPlans {
     pinned: BTreeMap<usize, JoinPlan>,
     /// Unpinned full-rule re-derivation plans, keyed by rule.
     full: BTreeMap<usize, JoinPlan>,
+    /// The step-less plans of the body-less rules (facts and constraint
+    /// facts), keyed by rule: their atoms and compiled head.
+    facts: BTreeMap<usize, JoinPlan>,
     findings: Vec<PlanFinding>,
 }
 
@@ -327,6 +487,12 @@ impl ProgramPlans {
         self.full.get(&rule)
     }
 
+    /// The step-less plan of a body-less rule: nothing to join, only the
+    /// rule's constraint atoms to resolve and its head to emit.
+    pub fn fact_plan(&self, rule: usize) -> Option<&JoinPlan> {
+        self.facts.get(&rule)
+    }
+
     /// The findings plan compilation produced, in (rule, literal) order.
     pub fn findings(&self) -> &[PlanFinding] {
         &self.findings
@@ -363,6 +529,9 @@ pub fn compile_plans(program: &Program, hints: &SelectivityHints) -> ProgramPlan
             }
         }
         if rule.body.is_empty() {
+            // Not a join, so not counted among the compiled join plans.
+            let plan = compile_slots(rule_index, PlanShape::Full, Vec::new(), true, rule);
+            compiled.facts.insert(rule_index, plan);
             continue;
         }
         let compile = |shape| compile_plan(rule, rule_index, shape, hints);
@@ -400,17 +569,14 @@ fn compile_plan(
     shape: PlanShape,
     hints: &SelectivityHints,
 ) -> JoinPlan {
-    let plan = JoinPlan {
-        rule: rule_index,
-        shape,
-        steps: order_steps(
-            rule,
-            shape.seed(rule),
-            shape.skip(),
-            &|literal| shape.window_of(literal),
-            hints,
-        ),
-    };
+    let steps = order_steps(
+        rule,
+        shape.seed(rule),
+        shape.skip(),
+        &|literal| shape.window_of(literal),
+        hints,
+    );
+    let plan = compile_slots(rule_index, shape, steps, false, rule);
     plan.validate(rule);
     plan
 }
@@ -474,6 +640,8 @@ fn order_steps(
             existence: bound == literal.arity() && window_of(pick) != Window::Delta,
             bound_args: bound,
             class: class(pick),
+            args: Vec::new(),
+            atoms: Vec::new(),
         });
         frontier.extend(literal.vars());
     }
@@ -554,8 +722,7 @@ fn constraint_pinned_vars(rule: &Rule) -> BTreeSet<Var> {
 /// The frontier closed over constraint-atom connectivity: a variable that
 /// shares a constraint atom with a connected variable is itself connected.
 /// Used only to decide whether a probe-less join is a true cross product —
-/// probe selection still requires direct frontier membership, because only
-/// those bindings are resolvable from the partial match at run time.
+/// probe selection still requires direct frontier membership.
 fn constraint_connected(frontier: &BTreeSet<Var>, rule: &Rule) -> BTreeSet<Var> {
     let mut connected = frontier.clone();
     loop {
@@ -585,7 +752,307 @@ fn term_statically_bound(term: &Term, frontier: &BTreeSet<Var>) -> bool {
     }
 }
 
+/// Compiles an ordered rule plan down to register slots (see
+/// [`SlotCompiler`]).  The entry stage matches the shape's seed literal, if
+/// it has one; `resolve_up_front` gives a seedless plan an entry stage that
+/// resolves the atoms ground from the start (body-less rules).
+fn compile_slots(
+    rule_index: usize,
+    shape: PlanShape,
+    steps: Vec<PlanStep>,
+    resolve_up_front: bool,
+    rule: &Rule,
+) -> JoinPlan {
+    let mut compiler = SlotCompiler::new(&rule.constraint);
+    let seed = shape.seed_literal(rule);
+    let entry = (seed.is_some() || resolve_up_front).then(|| compiler.stage(0, seed));
+    compiler.finish(
+        rule_index,
+        shape,
+        steps,
+        entry,
+        &rule.body,
+        Some(&rule.head),
+    )
+}
+
+/// Compiles the one-literal plan of a query `?- L, C`: an entry stage that
+/// resolves what the side constraints pin up front (so `?- q(X), X = 5`
+/// probes for 5), then one step over the literal, probing the first argument
+/// the entry stage determines.
+pub(crate) fn compile_query(literal: &Literal, constraint: &Conjunction) -> JoinPlan {
+    let mut compiler = SlotCompiler::new(constraint);
+    let entry = compiler.stage(0, None);
+    let bound: Vec<bool> = literal
+        .args
+        .iter()
+        .map(|term| compiler.term_bound(term))
+        .collect();
+    let step = PlanStep {
+        literal: 0,
+        window: Window::Known,
+        probe: bound.iter().position(|&b| b),
+        existence: false,
+        bound_args: bound.iter().filter(|&&b| b).count(),
+        class: SelectivityClass::Unbounded,
+        args: Vec::new(),
+        atoms: Vec::new(),
+    };
+    compiler.finish(
+        0,
+        PlanShape::Full,
+        vec![step],
+        Some(entry),
+        std::slice::from_ref(literal),
+        None,
+    )
+}
+
+/// The slot compiler: numbers the variables of one rule (or query) into
+/// dense frame slots and walks the plan's stages in execution order,
+/// turning every literal argument into an [`ArgOp`] and scheduling every
+/// constraint atom at the earliest stage after which all its variables are
+/// bound — so that execution over ground facts is register moves and plain
+/// rational arithmetic, with no names, maps or symbolic substitution.
+struct SlotCompiler {
+    /// Slot → variable.
+    slots: Vec<Var>,
+    /// Per slot: bound by a stage compiled so far.
+    bound: Vec<bool>,
+    /// Per slot: occurs in arithmetic seen so far, so only a number fits.
+    numeric: Vec<bool>,
+    atoms: Vec<PlanAtom>,
+}
+
+impl SlotCompiler {
+    fn new(constraint: &Conjunction) -> Self {
+        let mut compiler = SlotCompiler {
+            slots: Vec::new(),
+            bound: Vec::new(),
+            numeric: Vec::new(),
+            atoms: Vec::new(),
+        };
+        for atom in constraint.atoms() {
+            compiler.push_atom(atom, None);
+        }
+        compiler
+    }
+
+    /// The slot of `var`, allocated on first sight.
+    fn slot(&mut self, var: &Var) -> Slot {
+        if let Some(slot) = self.slots.iter().position(|v| v == var) {
+            return slot;
+        }
+        self.slots.push(var.clone());
+        self.bound.push(false);
+        self.numeric.push(false);
+        self.slots.len() - 1
+    }
+
+    /// `expr` over slots; its variables occur in arithmetic from here on.
+    fn slot_expr(&mut self, expr: &LinearExpr) -> SlotExpr {
+        let terms = expr
+            .terms()
+            .map(|(var, coeff)| {
+                let slot = self.slot(var);
+                self.numeric[slot] = true;
+                (slot, *coeff)
+            })
+            .collect();
+        SlotExpr {
+            terms,
+            constant: expr.constant_part(),
+        }
+    }
+
+    fn push_atom(&mut self, atom: &Atom, origin: Option<usize>) {
+        let expr = self.slot_expr(atom.expr());
+        self.atoms.push(PlanAtom {
+            expr,
+            rel: atom.rel(),
+            origin,
+            due: None,
+        });
+    }
+
+    /// Whether a term's value is determined by the stages compiled so far.
+    fn term_bound(&mut self, term: &Term) -> bool {
+        match term {
+            Term::Sym(_) | Term::Num(_) => true,
+            Term::Var(v) => {
+                let slot = self.slot(v);
+                self.bound[slot]
+            }
+            Term::Expr(e) => e.vars().all(|v| {
+                let slot = self.slot(v);
+                self.bound[slot]
+            }),
+        }
+    }
+
+    /// Compiles stage `index`: the argument ops of `literal` (none for a
+    /// stage that only resolves atoms), then every atom that has just become
+    /// ground.
+    fn stage(&mut self, index: usize, literal: Option<&Literal>) -> Stage {
+        let terms = literal.map_or(&[][..], |l| &l.args[..]);
+        // The hidden slot holding the fact's value under an expression
+        // argument.
+        let column = |position: usize| Var::new(format!("_a{index}p{}", position + 1));
+        for (position, term) in terms.iter().enumerate() {
+            if let Term::Expr(e) = term {
+                // `e = column`, exactly the equality flattening would add;
+                // pushed before any argument binds so that `p(X, X + 1)`
+                // already treats X as arithmetic.
+                let equality =
+                    Atom::compare(e.clone(), CmpOp::Eq, LinearExpr::var(column(position)));
+                self.push_atom(&equality, Some(index));
+            }
+        }
+        let mut args = Vec::with_capacity(terms.len());
+        for (position, term) in terms.iter().enumerate() {
+            args.push(match term {
+                Term::Sym(s) => ArgOp::Const(Value::Sym(*s)),
+                Term::Num(n) => ArgOp::Const(Value::num(*n)),
+                Term::Var(v) => {
+                    let slot = self.slot(v);
+                    if self.bound[slot] {
+                        ArgOp::Check(slot)
+                    } else {
+                        self.bound[slot] = true;
+                        ArgOp::Bind {
+                            slot,
+                            numeric: self.numeric[slot],
+                        }
+                    }
+                }
+                Term::Expr(e) => {
+                    let expr = self.slot_expr(e);
+                    let column = self.slot(&column(position));
+                    self.bound[column] = true;
+                    ArgOp::Expr { column, expr }
+                }
+            });
+        }
+        Stage {
+            args,
+            atoms: self.schedule(index),
+        }
+    }
+
+    /// Schedules every pending atom that stage `index` makes ground, to a
+    /// fixpoint: an equality with one unbound slot defines it, which may
+    /// ground further atoms.  Ops come out in dependency order.
+    fn schedule(&mut self, index: usize) -> Vec<AtomOp> {
+        let mut ops = Vec::new();
+        loop {
+            let mut defined = false;
+            for (atom, pending) in self.atoms.iter_mut().enumerate() {
+                if pending.due.is_some() {
+                    continue;
+                }
+                let mut unbound = pending
+                    .expr
+                    .terms
+                    .iter()
+                    .filter(|(slot, _)| !self.bound[*slot]);
+                match (unbound.next(), unbound.next()) {
+                    (None, _) => ops.push(AtomOp::Check {
+                        atom,
+                        expr: pending.expr.clone(),
+                        rel: pending.rel,
+                    }),
+                    (Some(&(slot, coeff)), None) if pending.rel == Rel::Eq => {
+                        // coeff·slot + rest = 0  =>  slot = -rest / coeff
+                        let factor = -(Rational::ONE / coeff);
+                        let value = SlotExpr {
+                            terms: pending
+                                .expr
+                                .terms
+                                .iter()
+                                .filter(|(s, _)| *s != slot)
+                                .map(|(s, c)| (*s, *c * factor))
+                                .collect(),
+                            constant: pending.expr.constant * factor,
+                        };
+                        self.bound[slot] = true;
+                        defined = true;
+                        ops.push(AtomOp::Define { atom, slot, value });
+                    }
+                    _ => continue,
+                }
+                pending.due = Some(index);
+            }
+            if !defined {
+                return ops;
+            }
+        }
+    }
+
+    /// Compiles the steps in order and the head, and assembles the plan.
+    fn finish(
+        mut self,
+        rule: usize,
+        shape: PlanShape,
+        mut steps: Vec<PlanStep>,
+        entry: Option<Stage>,
+        body: &[Literal],
+        head: Option<&Literal>,
+    ) -> JoinPlan {
+        for (index, step) in steps.iter_mut().enumerate() {
+            let stage = self.stage(index + 1, Some(&body[step.literal]));
+            step.args = stage.args;
+            step.atoms = stage.atoms;
+        }
+        assert!(
+            entry.is_some() || !steps.is_empty(),
+            "a plan without steps resolves its atoms at entry"
+        );
+        let mut ground_finish = self.atoms.iter().all(|atom| atom.due.is_some());
+        let head = head.map_or(Vec::new(), |head| {
+            head.args
+                .iter()
+                .map(|term| {
+                    ground_finish &= self.term_bound(term);
+                    match term {
+                        Term::Sym(s) => HeadOp::Const(Value::Sym(*s)),
+                        Term::Num(n) => HeadOp::Const(Value::num(*n)),
+                        Term::Var(v) => HeadOp::Slot(self.slot(v)),
+                        Term::Expr(e) => HeadOp::Expr(self.slot_expr(e)),
+                    }
+                })
+                .collect()
+        });
+        JoinPlan {
+            rule,
+            shape,
+            steps,
+            slots: self.slots,
+            entry,
+            atoms: self.atoms,
+            head,
+            ground_finish,
+        }
+    }
+}
+
 impl JoinPlan {
+    /// The slot holding `var`, if the plan's rule mentions it.
+    pub fn slot_of(&self, var: &Var) -> Option<Slot> {
+        self.slots.iter().position(|v| v == var)
+    }
+
+    /// The ops of stage `index`: `0` is the entry stage, `i + 1` is
+    /// `steps[i]`.
+    pub fn stage(&self, index: usize) -> (&[ArgOp], &[AtomOp]) {
+        match index.checked_sub(1) {
+            None => self
+                .entry
+                .as_ref()
+                .map_or((&[][..], &[][..]), |s| (&s.args, &s.atoms)),
+            Some(step) => (&self.steps[step].args, &self.steps[step].atoms),
+        }
+    }
+
     /// Checks the plan against its rule and [`PlanShape`]: the steps must
     /// cover every body literal except the shape's skipped one exactly once,
     /// a round plan's delta literal must come first, every step's window
@@ -657,19 +1124,78 @@ impl JoinPlan {
                 );
             }
         }
+        self.validate_slots();
+    }
+
+    /// Replays the slot program stage by stage: no op may read a slot before
+    /// some op has written it or write one twice, and every atom must be
+    /// discharged exactly once, at the stage it records — or never.
+    fn validate_slots(&self) {
+        let mut bound = vec![false; self.slots.len()];
+        fn bind(slot: Slot, bound: &mut [bool]) {
+            assert!(
+                !std::mem::replace(&mut bound[slot], true),
+                "slot program binds a slot twice"
+            );
+        }
+        let mut discharged = vec![false; self.atoms.len()];
+        for index in 0..=self.steps.len() {
+            let (args, atoms) = self.stage(index);
+            for op in args {
+                match op {
+                    ArgOp::Const(_) => {}
+                    ArgOp::Check(slot) => {
+                        assert!(bound[*slot], "slot program checks an unbound slot");
+                    }
+                    ArgOp::Bind { slot, .. } | ArgOp::Expr { column: slot, .. } => {
+                        bind(*slot, &mut bound);
+                    }
+                }
+            }
+            for op in atoms {
+                let (atom, reads) = match op {
+                    AtomOp::Check { atom, expr, .. } => (*atom, expr),
+                    AtomOp::Define { atom, value, .. } => (*atom, value),
+                };
+                assert!(
+                    reads.terms.iter().all(|(slot, _)| bound[*slot]),
+                    "slot program evaluates an atom before its slots are bound"
+                );
+                if let AtomOp::Define { slot, .. } = op {
+                    bind(*slot, &mut bound);
+                }
+                assert!(
+                    self.atoms[atom].due == Some(index)
+                        && !std::mem::replace(&mut discharged[atom], true),
+                    "slot program discharges an atom twice or at the wrong stage"
+                );
+            }
+        }
+        for (atom, done) in discharged.iter().enumerate() {
+            assert_eq!(
+                *done,
+                self.atoms[atom].due.is_some(),
+                "slot program loses a scheduled atom"
+            );
+        }
     }
 
     /// Renders the plan as one deterministic line (no timings, no sizes), for
     /// `.explain` and its golden tests: what the join starts from and each
-    /// step with its window, probe choice, and static cost annotation.
+    /// step with its window, probe choice, static cost annotation and — in
+    /// braces — the slot program it runs: the variables it binds, the atoms
+    /// it defines a variable from (`T := T1 + T2 + 30`) and the atoms it
+    /// checks.
     pub fn render(&self, rule: &Rule) -> String {
         let at = |i: usize| format!("{}@{}", rule.body[i].predicate, i + 1);
         let mut out = match self.shape {
-            PlanShape::Round { delta_pos } => format!("delta {}:", at(delta_pos)),
-            PlanShape::Overdelete { consumed } => format!("overdelete {}:", at(consumed)),
-            PlanShape::Pinned => "rederive pinned:".to_string(),
-            PlanShape::Full => "rederive full:".to_string(),
+            PlanShape::Round { delta_pos } => format!("delta {}", at(delta_pos)),
+            PlanShape::Overdelete { consumed } => format!("overdelete {}", at(consumed)),
+            PlanShape::Pinned => "rederive pinned".to_string(),
+            PlanShape::Full => "rederive full".to_string(),
         };
+        out.push_str(&self.render_ops(0));
+        out.push(':');
         for (i, step) in self.steps.iter().enumerate() {
             let literal = &rule.body[step.literal];
             let window = match step.window {
@@ -684,15 +1210,58 @@ impl JoinPlan {
             let exists = if step.existence { " exists" } else { "" };
             let _ = write!(
                 out,
-                "{} {} {window} {access}{exists} [bound {}/{}, {}]",
+                "{} {} {window} {access}{exists} [bound {}/{}, {}]{}",
                 if i == 0 { "" } else { " ->" },
                 at(step.literal),
                 step.bound_args,
                 literal.arity(),
                 step.class,
+                self.render_ops(i + 1),
             );
         }
         out
+    }
+
+    /// The slot program of one stage as ` {bind X, Y; T := …; check …}`, or
+    /// nothing for a stage that binds and evaluates nothing.
+    fn render_ops(&self, stage: usize) -> String {
+        let (args, atoms) = self.stage(stage);
+        let linear = |expr: &SlotExpr| {
+            LinearExpr::from_terms(
+                expr.terms
+                    .iter()
+                    .map(|(slot, coeff)| (*coeff, self.slots[*slot].clone())),
+                expr.constant,
+            )
+        };
+        let binds: Vec<String> = args
+            .iter()
+            .filter_map(|op| match op {
+                ArgOp::Bind { slot, .. } | ArgOp::Expr { column: slot, .. } => {
+                    Some(self.slots[*slot].to_string())
+                }
+                ArgOp::Const(_) | ArgOp::Check(_) => None,
+            })
+            .collect();
+        let mut parts = Vec::new();
+        if !binds.is_empty() {
+            parts.push(format!("bind {}", binds.join(", ")));
+        }
+        for op in atoms {
+            parts.push(match op {
+                AtomOp::Define { slot, value, .. } => {
+                    format!("{} := {}", self.slots[*slot], linear(value))
+                }
+                AtomOp::Check { expr, rel, .. } => {
+                    format!("check {}", Atom::new(linear(expr), *rel))
+                }
+            });
+        }
+        if parts.is_empty() {
+            String::new()
+        } else {
+            format!(" {{{}}}", parts.join("; "))
+        }
     }
 }
 
@@ -903,9 +1472,9 @@ mod tests {
             lines,
             vec![
                 "plan for rule r2 (line 1): r2: a(X, Y) :- b1(X, Z), b2(Z, Y).".to_string(),
-                "  delta b1@1: b1@1 delta scan [bound 0/2, unbounded] -> b2@2 known probe $1 [bound 1/2, unbounded]"
+                "  delta b1@1: b1@1 delta scan [bound 0/2, unbounded] {bind X, Z} -> b2@2 known probe $1 [bound 1/2, unbounded] {bind Y}"
                     .to_string(),
-                "  delta b2@2: b2@2 delta scan [bound 0/2, unbounded] -> b1@1 stable probe $2 [bound 1/2, unbounded]"
+                "  delta b2@2: b2@2 delta scan [bound 0/2, unbounded] {bind Z, Y} -> b1@1 stable probe $2 [bound 1/2, unbounded] {bind X}"
                     .to_string(),
             ]
         );
@@ -940,7 +1509,7 @@ mod tests {
         assert_eq!(order(full), vec![(0, None), (1, Some(0)), (2, Some(0))]);
         assert_eq!(
             overdelete.render(rule),
-            "overdelete b@2: a@1 known probe $2 [bound 1/2, unbounded] -> c@3 known probe $1 [bound 1/2, unbounded]"
+            "overdelete b@2 {bind Y, Z}: a@1 known probe $2 [bound 1/2, unbounded] {bind X} -> c@3 known probe $1 [bound 1/2, unbounded] {bind W}"
         );
         // Only the round plans are enumerated (and rendered by `.explain`).
         assert_eq!(plans.plans_for(0).len(), 3);
@@ -948,6 +1517,258 @@ mod tests {
         let facts_only = parse_program("p(1).\n?- p(X).").unwrap().flattened();
         let plans = compile_plans(&facts_only, &SelectivityHints::new());
         assert!(plans.pinned_plan(0).is_none() && plans.full_plan(0).is_none());
+    }
+
+    /// The slot program of every stage of `plan`, rendered (entry first).
+    fn slot_program(plan: &JoinPlan) -> Vec<String> {
+        (0..=plan.steps.len())
+            .map(|stage| plan.render_ops(stage))
+            .collect()
+    }
+
+    /// Every plan `compile_plans` builds for rule 0, of every shape.
+    fn all_plans(plans: &ProgramPlans, body: usize) -> Vec<&JoinPlan> {
+        let mut all: Vec<&JoinPlan> = Vec::new();
+        for position in 0..body {
+            all.push(plans.plan(0, position).unwrap());
+            all.push(plans.overdelete_plan(0, position).unwrap());
+        }
+        all.push(plans.pinned_plan(0).unwrap());
+        all.push(plans.full_plan(0).unwrap());
+        all
+    }
+
+    #[test]
+    fn every_atom_is_scheduled_once_at_the_earliest_ground_stage() {
+        let program = parse_program(
+            "r: h(X, T) :- a(X, Y), b(Y, Z), c(Z, W), Y <= 5, T = Y + Z, W >= T, X = 1.\n\
+             ?- h(U, V).",
+        )
+        .unwrap()
+        .flattened();
+        let rule = &program.rules()[0];
+        let plans = compile_plans(&program, &SelectivityHints::new());
+        for plan in all_plans(&plans, 3) {
+            // Replay: the slots bound after each stage.
+            let mut bound: Vec<BTreeSet<Slot>> = Vec::new();
+            let mut current = BTreeSet::new();
+            let mut ops_per_atom = vec![0; plan.atoms.len()];
+            for stage in 0..=plan.steps.len() {
+                let (args, atoms) = plan.stage(stage);
+                for op in args {
+                    if let ArgOp::Bind { slot, .. } = op {
+                        current.insert(*slot);
+                    }
+                }
+                for op in atoms {
+                    match op {
+                        AtomOp::Check { atom, .. } => ops_per_atom[*atom] += 1,
+                        AtomOp::Define { atom, slot, .. } => {
+                            ops_per_atom[*atom] += 1;
+                            current.insert(*slot);
+                        }
+                    }
+                }
+                bound.push(current.clone());
+            }
+            // The first stage that runs anything: the entry stage if the
+            // plan has one, else step 0.
+            let first = usize::from(plan.entry.is_none());
+            for (index, atom) in plan.atoms.iter().enumerate() {
+                let shape = plan.shape;
+                assert_eq!(ops_per_atom[index], 1, "{shape:?}: atom {index} op count");
+                let due = atom.due.expect("every variable of this rule gets bound");
+                if due == first {
+                    continue;
+                }
+                // One stage earlier the atom was not yet dischargeable: a
+                // check still missed a slot, a definition missed two.
+                let missing = atom
+                    .expr
+                    .terms
+                    .iter()
+                    .filter(|(slot, _)| !bound[due - 1].contains(slot))
+                    .count();
+                let defines = plan
+                    .stage(due)
+                    .1
+                    .iter()
+                    .any(|op| matches!(op, AtomOp::Define { atom, .. } if *atom == index));
+                assert!(
+                    missing > usize::from(defines),
+                    "{shape:?}: atom {index} could have run at stage {}",
+                    due - 1
+                );
+            }
+            assert!(plan.ground_finish, "{:?}", plan.shape);
+            plan.validate(rule);
+        }
+        // Spot checks.  From delta a: X = 1 and Y <= 5 are checked as soon
+        // as `a` binds X and Y, `b` defines T, `c` completes W >= T.
+        assert_eq!(
+            slot_program(plans.plan(0, 0).unwrap()),
+            vec![
+                "",
+                " {bind X, Y; check Y <= 5; check X = 1}",
+                " {bind Z; T := Y + Z}",
+                " {bind W; check T - W <= 0}",
+            ]
+        );
+        // From delta c nothing but W is comparable yet; `b` then brings in
+        // Y, and with it T.
+        assert_eq!(
+            slot_program(plans.plan(0, 2).unwrap())[1..3],
+            [
+                " {bind Z, W; X := 1}",
+                " {bind Y; check Y <= 5; T := Y + Z; check T - W <= 0}"
+            ]
+        );
+    }
+
+    #[test]
+    fn equalities_with_one_unbound_variable_become_definitions() {
+        // The flights composition: both sums are definitions, run as soon
+        // as the second leg binds their last operand — never carried
+        // symbolically — and the head is a row of four slots.
+        let program = parse_program(
+            "r4: flight(S, D, T, C) :- flight(S, D1, T1, C1), flight(D1, D, T2, C2), \
+                 T = T1 + T2 + 30, C = C1 + C2, T <= 240.\n\
+             ?- flight(A, B, U, V).",
+        )
+        .unwrap()
+        .flattened();
+        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plan = plans.plan(0, 0).unwrap();
+        assert_eq!(
+            slot_program(plan),
+            vec![
+                "",
+                " {bind S, D1, T1, C1}",
+                " {bind D, T2, C2; T := T1 + T2 + 30; C := C1 + C2; check T <= 240}",
+            ]
+        );
+        assert!(plan.ground_finish);
+        assert!(plan.head.iter().all(|op| matches!(op, HeadOp::Slot(_))));
+        // Definitions chain within one stage, in dependency order, even
+        // when the rule lists them the other way round.
+        let chained = parse_program("p(Z) :- Z = Y + 1, Y = X + 1, X = 5.")
+            .unwrap()
+            .flattened();
+        let plans = compile_plans(&chained, &SelectivityHints::new());
+        assert_eq!(
+            slot_program(plans.fact_plan(0).unwrap()),
+            vec![" {X := 5; Y := X + 1; Z := Y + 1}"]
+        );
+        // A variable nothing binds keeps its atoms out of the schedule: the
+        // derivation ends in the symbolic residual.
+        let open = parse_program("q(X, Y) :- a(X), Y >= X.")
+            .unwrap()
+            .flattened();
+        let plans = compile_plans(&open, &SelectivityHints::new());
+        let plan = plans.plan(0, 0).unwrap();
+        assert_eq!(plan.atoms[0].due, None);
+        assert!(!plan.ground_finish);
+    }
+
+    #[test]
+    fn repeated_constant_and_expression_arguments_compile_to_ops() {
+        // Not flattened: expression arguments reach the slot compiler as a
+        // query's do.
+        let program = parse_program("q(X) :- p(X, X, 7, madison), r(X + 1, Y, 2 * Y).").unwrap();
+        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plan = plans.plan(0, 0).unwrap();
+        let x = plan.slot_of(&Var::new("X")).unwrap();
+        let y = plan.slot_of(&Var::new("Y")).unwrap();
+        // X is arithmetic only from the step that joins `r(X + 1, …)`.
+        assert_eq!(
+            plan.steps[0].args,
+            vec![
+                ArgOp::Bind {
+                    slot: x,
+                    numeric: false
+                },
+                ArgOp::Check(x),
+                ArgOp::Const(Value::num(7)),
+                ArgOp::Const(Value::sym("madison")),
+            ]
+        );
+        // The expression arguments bind hidden column slots; their
+        // equalities are scheduled like constraint atoms: X + 1 = column is
+        // a check (X is bound), 2·Y = column too once the plain Y binds.
+        let r = &plan.steps[1];
+        assert!(
+            matches!(&r.args[0], ArgOp::Expr { expr, .. } if expr.terms == vec![(x, Rational::ONE)])
+        );
+        assert_eq!(
+            r.args[1],
+            ArgOp::Bind {
+                slot: y,
+                numeric: true
+            }
+        );
+        assert_eq!(
+            slot_program(plan)[2],
+            " {bind _a2p1, Y, _a2p3; check X - _a2p1 = -1; check Y - 1/2*_a2p3 = 0}"
+        );
+        // Alone, an expression argument defines its variable.
+        let alone = parse_program("q(X) :- s(X + 1).").unwrap();
+        let plans = compile_plans(&alone, &SelectivityHints::new());
+        assert_eq!(
+            slot_program(plans.plan(0, 0).unwrap())[1],
+            " {bind _a1p1; X := _a1p1 - 1}"
+        );
+        // A query resolves its side constraints before the literal: X is a
+        // check — and the probe column — by the time `q` is matched.
+        let query = pcs_lang::parse_query("q(X, Y), X = 5, Y <= X").unwrap();
+        let plan = compile_query(&query.literals[0], &query.constraint);
+        assert_eq!(
+            slot_program(&plan),
+            vec![" {X := 5}", " {bind Y; check -X + Y <= 0}"]
+        );
+        assert_eq!(plan.steps[0].probe, Some(0));
+        assert!(matches!(plan.steps[0].args[0], ArgOp::Check(_)));
+    }
+
+    #[test]
+    fn dred_seeds_bind_their_slots_at_entry() {
+        let program =
+            parse_program("r: h(X, T) :- a(X, Y), b(Y, Z), T = Y + Z, X <= 9.\n?- h(U, V).")
+                .unwrap()
+                .flattened();
+        let plans = compile_plans(&program, &SelectivityHints::new());
+        // Pinned: the head binds X and T, X <= 9 is decided before any join,
+        // and the steps compare against the pinned slots — with T known,
+        // T = Y + Z defines Z as soon as `a` binds Y, so `b` only checks.
+        let pinned = plans.pinned_plan(0).unwrap();
+        assert_eq!(
+            slot_program(pinned),
+            vec![" {bind X, T; check X <= 9}", " {bind Y; Z := T - Y}", ""]
+        );
+        assert!(matches!(pinned.steps[0].args[0], ArgOp::Check(_)));
+        assert!(pinned.steps[1]
+            .args
+            .iter()
+            .all(|op| matches!(op, ArgOp::Check(_))));
+        // Over-deletion: the consumed literal's variables are bound by the
+        // deleted fact, and the remaining literal is joined against them.
+        let overdelete = plans.overdelete_plan(0, 1).unwrap();
+        assert_eq!(
+            slot_program(overdelete),
+            vec![" {bind Y, Z; T := Y + Z}", " {bind X; check X <= 9}"]
+        );
+        assert_eq!(
+            overdelete.steps[0].args,
+            vec![
+                ArgOp::Bind {
+                    slot: overdelete.slot_of(&Var::new("X")).unwrap(),
+                    numeric: true
+                },
+                ArgOp::Check(overdelete.slot_of(&Var::new("Y")).unwrap()),
+            ]
+        );
+        // Round and full plans start from an empty frame.
+        assert!(plans.plan(0, 0).unwrap().entry.is_none());
+        assert!(plans.full_plan(0).unwrap().entry.is_none());
     }
 
     /// Asserts `plan.validate(rule)` panics with a message containing

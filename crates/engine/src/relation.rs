@@ -122,19 +122,24 @@ impl<'a> FactRef<'a> {
     }
 }
 
+/// Writes the ground fact `predicate(row)` exactly as [`Fact`]'s `Display`
+/// does (a bare predicate name at arity zero).
+fn fmt_row(f: &mut std::fmt::Formatter<'_>, predicate: &Pred, row: &[Value]) -> std::fmt::Result {
+    write!(f, "{predicate}")?;
+    for (i, value) in row.iter().enumerate() {
+        write!(f, "{}{value}", if i == 0 { "(" } else { ", " })?;
+    }
+    if row.is_empty() {
+        Ok(())
+    } else {
+        write!(f, ")")
+    }
+}
+
 impl std::fmt::Display for FactRef<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FactRef::Ground { predicate, row } => {
-                write!(f, "{predicate}(")?;
-                for (i, value) in row.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{value}")?;
-                }
-                write!(f, ")")
-            }
+            FactRef::Ground { predicate, row } => fmt_row(f, predicate, row),
             FactRef::Stored(fact) => write!(f, "{fact}"),
         }
     }
@@ -294,28 +299,25 @@ impl Relation {
     }
 
     /// The logical index of the ground fact with exactly these values.
-    fn find_ground_row(&self, values: &[Value]) -> Option<usize> {
+    pub(crate) fn find_row(&self, values: &[Value]) -> Option<usize> {
+        self.find_row_hashed(row_hash(values), values)
+    }
+
+    fn find_row_hashed(&self, hash: u64, values: &[Value]) -> Option<usize> {
         self.row_index
-            .get(&row_hash(values))?
+            .get(&hash)?
             .iter()
             .copied()
             .find(|&index| self.ground_row_eq(index, values))
     }
 
-    /// Returns `true` if the relation contains a fact that subsumes `fact`.
-    ///
-    /// Ground duplicates are answered by the row-hash index; beyond that
-    /// only proper constraint facts can subsume (normalization pins
-    /// single-valued positions, so a ground fact subsumes exactly its own
-    /// duplicate), which keeps insertion linear in the number of constraint
-    /// facts instead of the relation size.
-    pub fn covers(&self, fact: &Fact) -> bool {
-        pcs_telemetry::bump(pcs_telemetry::Counter::SubsumptionChecks);
-        if let Some(values) = fact.ground_values() {
-            if self.find_ground_row(&values).is_some() {
-                return true;
-            }
-        }
+    /// Whether a stored proper constraint fact subsumes `fact`.  Beyond an
+    /// exact ground duplicate (answered by the row-hash index) only these
+    /// can subsume anything: normalization pins single-valued positions, so
+    /// a ground fact subsumes exactly its own duplicate.  That keeps
+    /// insertion linear in the number of constraint facts instead of the
+    /// relation size.
+    fn constraint_fact_subsumes(&self, fact: &Fact) -> bool {
         self.constraint_fact_indices
             .iter()
             .any(|&index| self.tail_fact(index).subsumes(fact))
@@ -325,12 +327,46 @@ impl Relation {
     ///
     /// The fact lands in the *pending* segment: it is stored (and visible
     /// through [`Self::iter`]) immediately, but no [`Window`] exposes it
-    /// until the next [`Self::advance`].
+    /// until the next [`Self::advance`].  Ground facts go through
+    /// [`Self::insert_row`].
     pub fn insert(&mut self, fact: Fact) -> InsertOutcome {
-        if self.covers(&fact) {
+        match fact.into_ground_row() {
+            Ok((predicate, row)) => self.insert_row(&predicate, row),
+            Err(fact) => {
+                pcs_telemetry::bump(pcs_telemetry::Counter::SubsumptionChecks);
+                if self.constraint_fact_subsumes(&fact) {
+                    return InsertOutcome::Subsumed;
+                }
+                self.store_constraint_fact(fact);
+                InsertOutcome::Added
+            }
+        }
+    }
+
+    /// [`Self::insert`] for a borrowed fact (an EDB fact being seeded): a
+    /// ground fact's values are copied straight into a row, with no clone of
+    /// the [`Fact`] around them.
+    pub fn insert_ref(&mut self, fact: &Fact) -> InsertOutcome {
+        match fact.ground_values() {
+            Some(row) => self.insert_row(fact.predicate(), row),
+            None => self.insert(fact.clone()),
+        }
+    }
+
+    /// Inserts the ground fact `predicate(row)` unless it is already present
+    /// or a stored constraint fact subsumes it — the path every ground
+    /// derivation and every ground EDB fact takes: one row hash, and no
+    /// [`Fact`] unless the relation holds constraint facts to ask.
+    pub fn insert_row(&mut self, predicate: &Pred, row: Vec<Value>) -> InsertOutcome {
+        pcs_telemetry::bump(pcs_telemetry::Counter::SubsumptionChecks);
+        let hash = row_hash(&row);
+        if self.find_row_hashed(hash, &row).is_some()
+            || (!self.constraint_fact_indices.is_empty()
+                && self.constraint_fact_subsumes(&Fact::ground(predicate.clone(), row.clone())))
+        {
             return InsertOutcome::Subsumed;
         }
-        self.store(fact);
+        self.store_row(predicate, row, hash);
         InsertOutcome::Added
     }
 
@@ -341,16 +377,48 @@ impl Relation {
     /// be subsumed by other survivors (the narrower fact was stored first),
     /// and re-checking would silently drop them.
     fn store(&mut self, fact: Fact) {
+        match fact.into_ground_row() {
+            Ok((predicate, row)) => {
+                let hash = row_hash(&row);
+                self.store_row(&predicate, row, hash);
+            }
+            Err(fact) => self.store_constraint_fact(fact),
+        }
+    }
+
+    fn grow_indexes(&mut self, arity: usize) {
+        if self.value_index.len() < arity {
+            self.value_index.resize_with(arity, HashMap::new);
+            self.free_index.resize_with(arity, Vec::new);
+        }
+    }
+
+    /// Appends a ground row (whose hash is `hash`) and indexes it.
+    fn store_row(&mut self, predicate: &Pred, row: Vec<Value>, hash: u64) {
         let index = self.slots.len();
-        let ground_values = fact.ground_values();
-        if ground_values.is_none() {
-            self.constraint_fact_count += 1;
-            self.constraint_fact_indices.push(index);
+        self.grow_indexes(row.len());
+        for (position, value) in row.iter().enumerate() {
+            self.value_index[position]
+                .entry(value.clone())
+                .or_default()
+                .push(index);
         }
-        if self.value_index.len() < fact.arity() {
-            self.value_index.resize_with(fact.arity(), HashMap::new);
-            self.free_index.resize_with(fact.arity(), Vec::new);
+        self.row_index.entry(hash).or_default().push(index);
+        if self.ground.accepts(predicate, row.len()) {
+            let start = u32::try_from(self.ground.values.len()).expect("ground store overflow");
+            self.ground.values.extend(row);
+            self.slots.push(Slot::Ground { start });
+        } else {
+            self.push_tail(Fact::ground(predicate.clone(), row));
         }
+    }
+
+    /// Appends a proper constraint fact and indexes it.
+    fn store_constraint_fact(&mut self, fact: Fact) {
+        let index = self.slots.len();
+        self.constraint_fact_count += 1;
+        self.constraint_fact_indices.push(index);
+        self.grow_indexes(fact.arity());
         for (position, binding) in fact.bindings().iter().enumerate() {
             match binding {
                 Binding::Bound(value) => self.value_index[position]
@@ -360,18 +428,10 @@ impl Relation {
                 Binding::Free => self.free_index[position].push(index),
             }
         }
-        if let Some(values) = ground_values {
-            self.row_index
-                .entry(row_hash(&values))
-                .or_default()
-                .push(index);
-            if self.ground.accepts(fact.predicate(), fact.arity()) {
-                let start = u32::try_from(self.ground.values.len()).expect("ground store overflow");
-                self.ground.values.extend(values);
-                self.slots.push(Slot::Ground { start });
-                return;
-            }
-        }
+        self.push_tail(fact);
+    }
+
+    fn push_tail(&mut self, fact: Fact) {
         let tail = u32::try_from(self.tail.len()).expect("tail overflow");
         self.tail.push(fact);
         self.slots.push(Slot::Stored { tail });
@@ -386,7 +446,7 @@ impl Relation {
     /// constraint-fact tail needs a scan.
     pub fn find_equivalent(&self, fact: &Fact) -> Option<usize> {
         if let Some(values) = fact.ground_values() {
-            if let Some(index) = self.find_ground_row(&values) {
+            if let Some(index) = self.find_row(&values) {
                 return Some(index);
             }
         }
@@ -407,17 +467,17 @@ impl Relation {
             self.seal();
             return 0;
         }
-        let before = self.slots.len();
-        let survivors: Vec<Fact> = (0..self.slots.len())
-            .filter(|index| !removed.contains(index))
-            .map(|index| self.fact_at(index))
-            .collect();
-        *self = Relation::new();
-        for fact in survivors {
-            self.store(fact);
+        let old = std::mem::take(self);
+        for index in (0..old.len()).filter(|index| !removed.contains(index)) {
+            match old.fact_ref(index) {
+                FactRef::Ground { predicate, row } => {
+                    self.store_row(predicate, row.to_vec(), row_hash(row));
+                }
+                FactRef::Stored(fact) => self.store(fact.clone()),
+            }
         }
         self.seal();
-        before - self.slots.len()
+        old.len() - self.slots.len()
     }
 
     /// Rotates the partition at an iteration boundary: the delta becomes

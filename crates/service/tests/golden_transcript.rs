@@ -164,8 +164,10 @@ fn golden_updates_against_a_partial_materialization() {
 fn golden_explain_renders_the_compiled_plans() {
     // `.explain` before any `.load` is a plain error; after a
     // materialization it prints one header per rule and one plan line per
-    // delta position, with probe columns, existence shortcuts, and the
-    // analyzer's selectivity classes — all deterministic, no durations.
+    // delta position, with probe columns, existence shortcuts, the
+    // analyzer's selectivity classes and — in braces — the slot program of
+    // each step (the variables it binds, the constraint atoms it checks or
+    // defines a variable from) — all deterministic, no durations.
     let mut shell = Shell::new();
     let actual = transcript(
         &mut shell,
@@ -197,11 +199,14 @@ fn golden_explain_renders_the_compiled_plans() {
         ">>> .explain",
         "plan for rule r1: r1: p_f(X) :- -X <= 0, m_p_f, b(X), c(X, Y).",
         "  delta m_p_f@1: m_p_f@1 delta scan [bound 0/0, unbounded] -> b@2 known scan \
-         [bound 0/1, unbounded] -> c@3 known probe $1 [bound 1/2, unbounded]",
-        "  delta b@2: b@2 delta scan [bound 0/1, unbounded] -> c@3 known probe $1 \
-         [bound 1/2, unbounded] -> m_p_f@1 stable scan exists [bound 0/0, unbounded]",
-        "  delta c@3: c@3 delta scan [bound 0/2, unbounded] -> b@2 stable probe $1 exists \
-         [bound 1/1, unbounded] -> m_p_f@1 stable scan exists [bound 0/0, unbounded]",
+         [bound 0/1, unbounded] {bind X; check -X <= 0} -> c@3 known probe $1 \
+         [bound 1/2, unbounded] {bind Y}",
+        "  delta b@2: b@2 delta scan [bound 0/1, unbounded] {bind X; check -X <= 0} -> c@3 \
+         known probe $1 [bound 1/2, unbounded] {bind Y} -> m_p_f@1 stable scan exists \
+         [bound 0/0, unbounded]",
+        "  delta c@3: c@3 delta scan [bound 0/2, unbounded] {bind X, Y; check -X <= 0} -> b@2 \
+         stable probe $1 exists [bound 1/1, unbounded] -> m_p_f@1 stable scan exists \
+         [bound 0/0, unbounded]",
     ];
     assert_eq!(actual, expected, "transcript diverged from the golden copy");
 }

@@ -17,7 +17,9 @@
 
 use proptest::prelude::*;
 
-use pushing_constraint_selections::engine::{naive, EvalResult, EvalStats};
+use pushing_constraint_selections::engine::{
+    compile_plans, naive, AtomOp, EvalResult, EvalStats, SelectivityHints,
+};
 use pushing_constraint_selections::prelude::*;
 
 mod common;
@@ -76,6 +78,53 @@ fn production_cores_conform_on_constraint_fact_edbs() {
     ));
     db.add_facts_str("b1(1, 1000).").unwrap();
     assert_conformance(&programs::example_71(), &db);
+}
+
+/// The EDB of the run-time-guard regressions: `a` holds a constraint fact
+/// beside a ground one, everything else is ground.
+const GUARD_EDB: &str = "a(X) :- X >= 0, X <= 10.\na(20).\n\
+                         b(3).\nb(7).\nb(15).\nb(20).\n\
+                         c(4).\nc(8).\nc(16).\nc(21).";
+
+#[test]
+fn a_constraint_fact_matched_early_defers_scheduled_atoms_to_the_residual() {
+    // From delta `a` the slot compiler schedules `Y := X + 1` right at `a`,
+    // the step that binds X — statically.  The constraint fact a(X; 0 <= X
+    // <= 10) matches without giving X a value: the definition cannot run
+    // and moves to the residual, `b`'s probe on X finds an empty slot and
+    // scans, the ground b(3) then fills X, which re-resolves the waiting
+    // atom (Y = 4) in time for `c` to be compared against it.  b(15) falls
+    // outside the interval and must be pruned by the residual, not joined.
+    let program =
+        parse_program("r1: q(X, Y) :- a(X), b(X), c(Y), Y = X + 1.\n?- q(X, Y).").unwrap();
+    let plans = compile_plans(&program.flattened(), &SelectivityHints::new());
+    let from_a = plans.plan(0, 0).expect("r1 has a body");
+    assert!(matches!(from_a.steps[0].atoms[..], [AtomOp::Define { .. }]));
+    assert_eq!(
+        from_a.steps.iter().map(|s| s.probe).collect::<Vec<_>>(),
+        vec![None, Some(0), None]
+    );
+
+    let mut db = Database::new();
+    db.add_facts_str(GUARD_EDB).unwrap();
+    assert_conformance(&program, &db);
+    for threads in [1, 4] {
+        let options = EvalOptions::default()
+            .with_threads(threads)
+            .with_min_parallel_work(0);
+        let result = Evaluator::new(&program, options).evaluate(&db);
+        let mut q: Vec<String> = result
+            .facts_for(&Pred::new("q"))
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        q.sort();
+        assert_eq!(
+            q,
+            ["q(20, 21)", "q(3, 4)", "q(7, 8)"],
+            "{threads} thread(s)"
+        );
+    }
 }
 
 proptest! {
@@ -275,5 +324,26 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn queries_re_resolve_atoms_a_constraint_fact_left_waiting() {
+    // `Y = X + 1` is scheduled as a check once the literal binds X and Y.
+    // Against r(X, 5; X >= 0) the literal gives X no value, so the atom
+    // waits in the residual, where Y = 5 resolves it to X = 4 (inside the
+    // fact's constraint: an answer); against r(X, 0; X >= 0) it resolves to
+    // X = -1 (outside: none).  The ground r(2, 3) never leaves the slots.
+    let mut db = Database::new();
+    db.add_facts_str("r(X, 5) :- X >= 0.\nr(X, 0) :- X >= 0.\nr(2, 3).\nr(2, 9).")
+        .unwrap();
+    for (body, expected) in [
+        ("r(X, Y), Y = X + 1", 2),
+        ("r(X, Y), Y = X + 1, X >= 3", 1),
+        ("r(X, Y), Y = X + 1, X >= 5", 0),
+        ("r(X, Y), X = 4, Y = X + 1", 1),
+        ("r(X + 1, Y), Y = X + 2", 2),
+    ] {
+        assert_eq!(assert_query_matches_rule(&db, body), expected, "`{body}`");
     }
 }

@@ -22,7 +22,7 @@
 use proptest::prelude::*;
 
 use pushing_constraint_selections::engine::{
-    compile_plans, naive, EvalResult, ProgramPlans, SelectivityHints,
+    compile_plans, naive, AtomOp, EvalResult, ProgramPlans, SelectivityHints,
 };
 use pushing_constraint_selections::prelude::*;
 
@@ -577,5 +577,49 @@ proptest! {
             }
         }
         assert_resume_matches_scratch(&programs::flights(), &base, &updates);
+    }
+}
+
+#[test]
+fn updates_through_a_constraint_fact_re_resolve_the_atoms_it_left_waiting() {
+    // `Y = X + 1` is scheduled, statically, at whichever stage binds X.
+    // Wherever the constraint fact a(X; 0 <= X <= 10) is the fact matched
+    // there, X gets no value and the atom must wait in the residual until
+    // the ground `b` fact fills the slot:
+    //   * retracting the constraint fact consumes it at r1's over-deletion
+    //     entry stage — q(3, 4) and q(7, 8) are only found, and removed, if
+    //     the deferred definition still produces Y; q(3, 4) comes back
+    //     through r2, q(20, 21) through the ground a(20);
+    //   * re-inserting it makes it the delta fact of a resumed round;
+    //   * retracting d(3, 4) then leaves q(3, 4) to r1's pinned
+    //     re-derivation, which probes `a` with X = 3 and meets the
+    //     constraint fact with the slots already full.
+    let program = parse_program(
+        "r1: q(X, Y) :- a(X), b(X), c(Y), Y = X + 1.\n\
+         r2: q(X, Y) :- d(X, Y).\n\
+         ?- q(X, Y).",
+    )
+    .unwrap();
+    let plans = plans_as_written(&program);
+    let overdelete = plans.overdelete_plan(0, 0).expect("r1 has a body");
+    let entry = overdelete.entry.as_ref().expect("over-deletion is seeded");
+    assert!(matches!(entry.atoms[..], [AtomOp::Define { .. }]));
+
+    let mut base = Database::new();
+    base.add_facts_str(
+        "a(X) :- X >= 0, X <= 10.\na(20).\n\
+         b(3).\nb(7).\nb(15).\nb(20).\n\
+         c(4).\nc(8).\nc(16).\nc(21).\n\
+         d(3, 4).",
+    )
+    .unwrap();
+    let interval = parse_facts("a(X) :- X >= 0, X <= 10.").unwrap();
+    let updates = [
+        Update::Retract(interval.clone()),
+        Update::Insert(interval),
+        Update::Retract(parse_facts("d(3, 4).").unwrap()),
+    ];
+    for prefix in 1..=updates.len() {
+        assert_interleaving_matches_scratch(&program, &base, &updates[..prefix]);
     }
 }
