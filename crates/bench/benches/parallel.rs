@@ -26,7 +26,12 @@ fn bench_threads(
     db: &Database,
 ) {
     for threads in THREADS {
-        let evaluator = Evaluator::new(program, EvalOptions::default().with_threads(threads));
+        // The default threshold keeps rounds this narrow on the calling
+        // thread; 1024 candidates is the break-even of the spawn alone.
+        let options = EvalOptions::default()
+            .with_threads(threads)
+            .with_min_parallel_work(1024);
+        let evaluator = Evaluator::new(program, options);
         group.bench_with_input(BenchmarkId::new(label.to_string(), threads), db, |b, db| {
             b.iter(|| black_box(&evaluator).evaluate(black_box(db)));
         });

@@ -345,7 +345,13 @@ pub fn parallel_scaling(thread_counts: &[usize]) -> String {
         );
         let mut baseline: Option<Duration> = None;
         for &threads in thread_counts {
-            let evaluator = Evaluator::new(&program, EvalOptions::default().with_threads(threads));
+            // The default threshold keeps rounds this narrow on the calling
+            // thread (DESIGN.md, "Slot-compiled frames"); 1024 candidates is
+            // the break-even of the spawn alone, so the pool is what is timed.
+            let options = EvalOptions::default()
+                .with_threads(threads)
+                .with_min_parallel_work(1024);
+            let evaluator = Evaluator::new(&program, options);
             let mut best = Duration::MAX;
             let mut total_facts = 0;
             for _ in 0..3 {

@@ -15,7 +15,8 @@ pub struct EvalOptions {
     /// Number of worker threads for the derivation rounds inside each
     /// iteration.  `1` evaluates on the calling thread through the exact
     /// sequential code path; larger values shard the
-    /// (rule × delta-position × delta-fact) work of every iteration across a
+    /// (rule × delta-position × delta-fact) work of every iteration at
+    /// least [`min_parallel_work`](Self::min_parallel_work) wide across a
     /// scoped worker pool whose thread-local buffers are merged in
     /// deterministic (rule, delta-position, delta-fact) order, so the
     /// computed relations, statistics, and termination are identical to the
@@ -26,8 +27,9 @@ pub struct EvalOptions {
     /// Minimum per-iteration derivation work (delta candidates summed over
     /// all rules and delta positions) before a multi-thread evaluation
     /// actually shards the round across the worker pool; narrower rounds
-    /// run on the calling thread, since spawning workers would cost more
-    /// than the round itself.  Purely a scheduling knob — the results are
+    /// run on the calling thread, since spawning workers and waiting for the
+    /// kernel to place them would cost more than the round gains.  Purely a
+    /// scheduling knob — the results are
     /// identical either way.  Defaults to [`MIN_PARALLEL_ROUND_WORK`]; set
     /// to `0` to shard every round.
     pub min_parallel_work: usize,
@@ -73,20 +75,24 @@ impl Default for EvalOptions {
 
 /// Default for [`EvalOptions::min_parallel_work`]: rounds with fewer total
 /// delta candidates than this evaluate on the calling thread even when a
-/// worker pool is configured, because per-iteration thread spawning would
-/// dominate such narrow rounds (e.g. the magic Fibonacci programs derive a
-/// handful of facts per iteration across hundreds of iterations).
+/// worker pool is configured.
 ///
-/// Measured for the slot-compiled matcher (DESIGN.md, "Slot-compiled
-/// frames"): a `std::thread::scope` spawn per round costs about 0.1 ms on two
-/// threads, which a candidate of a few hundred nanoseconds amortizes only
-/// past several hundred candidates.  Example 7.1 at three EDB densities and
-/// the flights closure put the smallest worst-case loss at 1024: the wide
-/// rounds of a closure are far above it, the ≈350 narrow rounds of the
-/// sparser Example 7.1 shapes run 20–28 % faster than under the former 256,
-/// and the densest shape — whose candidates each fan out into several
-/// derivations — gives up 8 % of the gain sharding had there.
-pub const MIN_PARALLEL_ROUND_WORK: usize = 1024;
+/// Two costs set it (DESIGN.md, "Slot-compiled frames").  The spawn itself
+/// — about 0.1 ms per round on two threads — is amortized past roughly a
+/// thousand candidates of the slot-compiled matcher.  The larger one is
+/// *placement*: a scoped worker starts on its parent's CPU and gains
+/// nothing until the kernel moves it to an idle one.  Where that is not
+/// immediate (a cpuset with load balancing relaxed, as in the container this
+/// was measured in: 1–4 ms when the other CPU was busy a moment ago, up to
+/// a second when it was not), a sharded round of tens of milliseconds is
+/// either 30 % faster or no faster than the calling thread alone, depending
+/// on what the machine did before — the same evaluation timed 122 ms or
+/// 171 ms.  The default therefore shards only rounds that are long on that
+/// scale (2¹⁸ candidates, upwards of 50 ms of matching); below it the
+/// evaluation is single-threaded and its timing does not depend on the
+/// scheduler.  Lower it with [`EvalOptions::with_min_parallel_work`] on a
+/// host that places new threads at once.
+pub const MIN_PARALLEL_ROUND_WORK: usize = 1 << 18;
 
 /// Recognized values of the `PCS_EVAL_THREADS` worker-count override.
 fn parse_threads_setting(value: &str) -> Option<usize> {
