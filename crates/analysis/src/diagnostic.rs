@@ -19,7 +19,7 @@ pub enum Severity {
     Warning,
     /// The program is broken: evaluating it would misbehave or the text
     /// almost certainly does not mean what was written (an unsafe rule, an
-    /// arity mismatch).  `PCS_ANALYZE=strict` aborts optimization on these.
+    /// arity mismatch).  `pcs-lint` exits non-zero on these.
     Error,
 }
 

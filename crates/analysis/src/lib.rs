@@ -96,12 +96,6 @@ impl AnalyzeOptions {
         self
     }
 
-    /// Overrides the constraint-inference iteration budget.
-    pub fn with_max_iterations(mut self, budget: usize) -> Self {
-        self.max_iterations = budget;
-        self
-    }
-
     fn normalized(&self) -> AnalyzeOptions {
         let mut options = self.clone();
         if options.max_iterations == 0 {

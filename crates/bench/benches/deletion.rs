@@ -13,7 +13,7 @@ use std::hint::black_box;
 
 use pcs_bench::workload;
 use pcs_core::programs;
-use pcs_engine::{EvalOptions, Evaluator};
+use pcs_engine::{EvalOptions, Evaluator, UpdateBatch};
 
 fn bench_deletion(c: &mut Criterion) {
     let mut group = c.benchmark_group("deletion");
@@ -31,9 +31,9 @@ fn bench_deletion(c: &mut Criterion) {
         let materialized = evaluator.evaluate(&base);
         assert_eq!(
             evaluator
-                .retract(
+                .apply(
                     materialized.relations.clone(),
-                    deletions.clone(),
+                    UpdateBatch::retracting(deletions.clone()),
                     &surviving
                 )
                 .total_facts(),
@@ -49,9 +49,9 @@ fn bench_deletion(c: &mut Criterion) {
             &materialized.relations,
             |b, relations| {
                 b.iter(|| {
-                    black_box(&evaluator).retract(
+                    black_box(&evaluator).apply(
                         black_box(relations.clone()),
-                        deletions.clone(),
+                        UpdateBatch::retracting(deletions.clone()),
                         &surviving,
                     )
                 });

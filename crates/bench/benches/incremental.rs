@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 use pcs_bench::workload;
 use pcs_core::programs;
-use pcs_engine::{EvalOptions, Evaluator};
+use pcs_engine::{EvalOptions, Evaluator, UpdateBatch};
 
 fn bench_incremental(c: &mut Criterion) {
     let mut group = c.benchmark_group("incremental");
@@ -32,7 +32,11 @@ fn bench_incremental(c: &mut Criterion) {
         let materialized = evaluator.evaluate(&base);
         assert_eq!(
             evaluator
-                .resume(materialized.relations.clone(), updates.clone())
+                .apply(
+                    materialized.relations.clone(),
+                    UpdateBatch::inserting(updates.clone()),
+                    &base
+                )
                 .total_facts(),
             evaluator.evaluate(&full).total_facts(),
             "resume and scratch must agree before timing them"
@@ -46,7 +50,11 @@ fn bench_incremental(c: &mut Criterion) {
             &materialized.relations,
             |b, relations| {
                 b.iter(|| {
-                    black_box(&evaluator).resume(black_box(relations.clone()), updates.clone())
+                    black_box(&evaluator).apply(
+                        black_box(relations.clone()),
+                        UpdateBatch::inserting(updates.clone()),
+                        &base,
+                    )
                 });
             },
         );

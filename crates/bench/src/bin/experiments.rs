@@ -8,12 +8,11 @@
 //! ```
 //!
 //! Available experiment names: `table1`, `table2`, `flights`, `ex41`, `ex42`,
-//! `balbin`, `orderings`, `overlap`, `parallel`, `incremental`, `deletion`,
-//! `telemetry`, `analyze`, `all`.
+//! `balbin`, `orderings`, `overlap`, `telemetry`, `analyze`, `all`.
 //!
 //! The `telemetry` experiment (and `all`, which includes it) additionally
 //! writes the machine-readable `BENCH_9.json` artifact to the current
-//! directory (override the path with `PCS_BENCH_TELEMETRY_JSON`).
+//! directory.
 
 use pcs_bench::experiments;
 
@@ -24,9 +23,8 @@ fn telemetry_with_artifact() -> String {
         experiments::TELEMETRY_FLIGHTS_SCALES,
         experiments::TELEMETRY_7X_EDGES,
     );
-    let path =
-        std::env::var("PCS_BENCH_TELEMETRY_JSON").unwrap_or_else(|_| "BENCH_9.json".to_string());
-    match std::fs::write(&path, experiments::bench9_json(&rows)) {
+    let path = "BENCH_9.json";
+    match std::fs::write(path, experiments::bench9_json(&rows)) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
@@ -44,15 +42,12 @@ fn main() {
         "balbin" => experiments::balbin(),
         "orderings" | "optimal" => experiments::orderings(),
         "overlap" => experiments::overlap(),
-        "parallel" | "threads" => experiments::parallel_scaling(&[1, 2, 4, 8]),
-        "incremental" | "resume" => experiments::incremental(&[(60, 120, 4), (100, 200, 8)]),
-        "deletion" | "retract" => experiments::deletion(&[(60, 120, 4), (100, 200, 8)]),
         "telemetry" | "overhead" => telemetry_with_artifact(),
         "analyze" | "lint" => experiments::analyze(),
         "all" => format!("{}\n{}", experiments::all(), telemetry_with_artifact()),
         other => {
             eprintln!(
-                "unknown experiment `{other}`; expected one of table1, table2, flights, ex41, ex42, balbin, orderings, overlap, parallel, incremental, deletion, telemetry, analyze, all"
+                "unknown experiment `{other}`; expected one of table1, table2, flights, ex41, ex42, balbin, orderings, overlap, telemetry, analyze, all"
             );
             std::process::exit(2);
         }

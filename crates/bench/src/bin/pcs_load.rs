@@ -11,8 +11,7 @@
 //! queries, one insert, one retract per cycle).  It reports sustained
 //! throughput and p50/p95/p99 latency from the `pcs-telemetry` histograms
 //! the session layer already feeds, prints the table, and writes the
-//! machine-readable `BENCH_10.json` artifact (override the path with
-//! `PCS_BENCH_LOAD_JSON`).
+//! machine-readable `BENCH_10.json` artifact to the current directory.
 //!
 //! With `--addr`, an external already-running `pcs-serve` is driven
 //! instead; latencies are then measured client-side (wire round-trip) and
@@ -269,8 +268,8 @@ fn main() {
         pcs_telemetry::counter(pcs_telemetry::Counter::CoalescedUpdates),
     );
 
-    let path = std::env::var("PCS_BENCH_LOAD_JSON").unwrap_or_else(|_| "BENCH_10.json".to_string());
-    match std::fs::write(&path, bench10_json(&rows)) {
+    let path = "BENCH_10.json";
+    match std::fs::write(path, bench10_json(&rows)) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }

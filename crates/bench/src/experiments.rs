@@ -312,234 +312,6 @@ pub fn overlap() -> String {
     out
 }
 
-/// E13 (PR 3): thread-scaling of the parallel semi-naive fixpoint on scaled
-/// flights workloads.  Reports wall-clock per thread count (best of three
-/// runs) and the speedup over one thread, plus the fact totals as a live
-/// check that every configuration computed the identical result.
-pub fn parallel_scaling(thread_counts: &[usize]) -> String {
-    use std::time::{Duration, Instant};
-
-    let program = programs::flights();
-    let hardware = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Parallel fixpoint thread-scaling (this machine has {hardware} hardware thread{})",
-        if hardware == 1 { "" } else { "s" }
-    );
-    for (label, db) in [
-        (
-            "random flights, 120 cities / 260 legs",
-            crate::workload::random_flights_database(120, 260, 0xC0FFEE),
-        ),
-        (
-            "layered flights, 4 layers x 8 cities",
-            crate::workload::layered_flights_database(4, 8, 0xF00D),
-        ),
-    ] {
-        let _ = writeln!(out, "workload: {label} ({} EDB facts)", db.len());
-        let _ = writeln!(
-            out,
-            "{:<10} {:>12} {:>10} {:>12}",
-            "threads", "best of 3", "speedup", "total facts"
-        );
-        let mut baseline: Option<Duration> = None;
-        for &threads in thread_counts {
-            // The default threshold keeps rounds this narrow on the calling
-            // thread (DESIGN.md, "Slot-compiled frames"); 1024 candidates is
-            // the break-even of the spawn alone, so the pool is what is timed.
-            let options = EvalOptions::default()
-                .with_threads(threads)
-                .with_min_parallel_work(1024);
-            let evaluator = Evaluator::new(&program, options);
-            let mut best = Duration::MAX;
-            let mut total_facts = 0;
-            for _ in 0..3 {
-                let start = Instant::now();
-                let result = evaluator.evaluate(&db);
-                best = best.min(start.elapsed());
-                total_facts = result.total_facts();
-            }
-            let baseline = *baseline.get_or_insert(best);
-            let _ = writeln!(
-                out,
-                "{:<10} {:>10.1}ms {:>9.2}x {:>12}",
-                threads,
-                best.as_secs_f64() * 1e3,
-                baseline.as_secs_f64() / best.as_secs_f64(),
-                total_facts
-            );
-        }
-    }
-    out
-}
-
-/// E14 (PR 4): incremental update latency — resuming the semi-naive
-/// fixpoint from a materialization versus re-evaluating base + updates from
-/// scratch, on random flights workloads across strategies.  The resumed
-/// timing includes cloning the materialized relations, i.e. the full
-/// copy-on-update path a live `pcs-service` session pays per batch.  The
-/// fact totals double as a live check that both paths computed the same
-/// result.
-pub fn incremental(scales: &[(usize, usize, usize)]) -> String {
-    use std::time::{Duration, Instant};
-
-    let program = programs::flights();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Incremental updates (resume from materialization vs from-scratch re-evaluation; best of 3)"
-    );
-    for &(cities, legs, batch) in scales {
-        let base = crate::workload::random_flights_database(cities, legs, 0xC0FFEE);
-        let updates = crate::workload::flights_update_legs(cities, batch, 0xBEEF);
-        let mut full = base.clone();
-        for fact in &updates {
-            full.add(fact.clone());
-        }
-        let _ = writeln!(
-            out,
-            "workload: {cities} cities / {legs} legs + {batch} update legs ({} EDB facts)",
-            full.len()
-        );
-        let _ = writeln!(
-            out,
-            "   {:<30} {:>12} {:>12} {:>9} {:>12}",
-            "strategy", "scratch", "resume", "speedup", "total facts"
-        );
-        for (name, strategy) in [
-            ("original", Strategy::None),
-            ("pred,qrp (Constraint_rewrite)", Strategy::ConstraintRewrite),
-            ("pred,qrp,mg (optimal)", Strategy::Optimal),
-        ] {
-            let optimized = Optimizer::new(program.clone())
-                .strategy(strategy)
-                .optimize()
-                .expect("optimization succeeds");
-            let evaluator = optimized.evaluator();
-            let materialized = evaluator.evaluate(&base);
-            let mut scratch_best = Duration::MAX;
-            let mut scratch_facts = 0;
-            for _ in 0..3 {
-                let start = Instant::now();
-                let result = evaluator.evaluate(&full);
-                scratch_best = scratch_best.min(start.elapsed());
-                scratch_facts = result.total_facts();
-            }
-            let mut resume_best = Duration::MAX;
-            let mut resume_facts = 0;
-            for _ in 0..3 {
-                let start = Instant::now();
-                // Clone inside the timed section: a live session clones the
-                // current epoch's relations for every update batch.
-                let result = evaluator.resume(materialized.relations.clone(), updates.clone());
-                resume_best = resume_best.min(start.elapsed());
-                resume_facts = result.total_facts();
-            }
-            assert_eq!(
-                scratch_facts, resume_facts,
-                "resume diverged from scratch in the incremental experiment"
-            );
-            let _ = writeln!(
-                out,
-                "   {:<30} {:>10.2}ms {:>10.2}ms {:>8.1}x {:>12}",
-                name,
-                scratch_best.as_secs_f64() * 1e3,
-                resume_best.as_secs_f64() * 1e3,
-                scratch_best.as_secs_f64() / resume_best.as_secs_f64(),
-                resume_facts
-            );
-        }
-    }
-    out
-}
-
-/// E15 (PR 5): incremental deletion latency — DRed-style retraction
-/// (`Evaluator::retract`: over-delete through the indexes, pinned
-/// re-derivation, resumed fixpoint) versus re-evaluating the surviving EDB
-/// from scratch, on random flights workloads across strategies.  The
-/// retract timing includes cloning the materialized relations, i.e. the
-/// full copy-on-update path a live `pcs-service` session pays per batch.
-/// The fact totals double as a live check that both paths computed the same
-/// result.
-pub fn deletion(scales: &[(usize, usize, usize)]) -> String {
-    use std::time::{Duration, Instant};
-
-    let program = programs::flights();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Incremental deletion (DRed retract from materialization vs from-scratch re-evaluation; best of 3)"
-    );
-    for &(cities, legs, batch) in scales {
-        let base = crate::workload::random_flights_database(cities, legs, 0xC0FFEE);
-        let deletions = crate::workload::flights_remove_legs(&base, batch, 0xD00D);
-        let mut surviving = base.clone();
-        let removed = surviving.remove_facts(&deletions);
-        let _ = writeln!(
-            out,
-            "workload: {cities} cities / {legs} legs - {removed} retracted legs ({} surviving EDB facts)",
-            surviving.len()
-        );
-        let _ = writeln!(
-            out,
-            "   {:<30} {:>12} {:>12} {:>9} {:>9} {:>12}",
-            "strategy", "scratch", "retract", "speedup", "removed", "total facts"
-        );
-        for (name, strategy) in [
-            ("original", Strategy::None),
-            ("pred,qrp (Constraint_rewrite)", Strategy::ConstraintRewrite),
-            ("pred,qrp,mg (optimal)", Strategy::Optimal),
-        ] {
-            let optimized = Optimizer::new(program.clone())
-                .strategy(strategy)
-                .optimize()
-                .expect("optimization succeeds");
-            let evaluator = optimized.evaluator();
-            let materialized = evaluator.evaluate(&base);
-            let mut scratch_best = Duration::MAX;
-            let mut scratch_facts = 0;
-            for _ in 0..3 {
-                let start = Instant::now();
-                let result = evaluator.evaluate(&surviving);
-                scratch_best = scratch_best.min(start.elapsed());
-                scratch_facts = result.total_facts();
-            }
-            let mut retract_best = Duration::MAX;
-            let mut retract_facts = 0;
-            let mut over_deleted = 0;
-            for _ in 0..3 {
-                let start = Instant::now();
-                // Clone inside the timed section: a live session clones the
-                // current epoch's relations for every update batch.
-                let result = evaluator.retract(
-                    materialized.relations.clone(),
-                    deletions.clone(),
-                    &surviving,
-                );
-                retract_best = retract_best.min(start.elapsed());
-                retract_facts = result.total_facts();
-                over_deleted = result.stats.removed_facts;
-            }
-            assert_eq!(
-                scratch_facts, retract_facts,
-                "retract diverged from scratch in the deletion experiment"
-            );
-            let _ = writeln!(
-                out,
-                "   {:<30} {:>10.2}ms {:>10.2}ms {:>8.1}x {:>9} {:>12}",
-                name,
-                scratch_best.as_secs_f64() * 1e3,
-                retract_best.as_secs_f64() * 1e3,
-                scratch_best.as_secs_f64() / retract_best.as_secs_f64(),
-                over_deleted,
-                retract_facts
-            );
-        }
-    }
-    out
-}
-
 /// A scalar cell of a machine-readable `BENCH_*.json` artifact row.
 pub enum BenchField {
     /// Rendered as a quoted JSON string (the value must not need escaping).
@@ -595,7 +367,7 @@ pub struct TelemetryRow {
     /// Workload label, e.g. `flights 100c/200l`.
     pub workload: String,
     /// Telemetry state under measurement: `off` (no-op fast path) or `on`
-    /// (global counter mode plus per-evaluation phase spans).
+    /// (counters, phase spans and per-iteration timing).
     pub telemetry: &'static str,
     /// Median wall-clock evaluation time over the timed runs, milliseconds.
     pub median_ms: f64,
@@ -611,9 +383,9 @@ pub struct TelemetryRow {
 /// E9 (PR 9): wall-clock overhead of the telemetry layer — hot-path
 /// counters, phase spans, and per-iteration timing — on the default engine
 /// configuration over the join-planning workloads.  Every workload runs
-/// with telemetry fully off and fully on (`set_mode` plus
-/// `EvalOptions::with_telemetry`); the fact totals double as a live check
-/// that instrumentation changes no answers.
+/// with the process-wide mode off and on (`pcs_telemetry::set_mode`); the
+/// fact totals double as a live check that instrumentation changes no
+/// answers.
 pub fn telemetry_rows(
     flights_scales: &[(usize, usize)],
     ex71_edges: &[usize],
@@ -650,12 +422,11 @@ pub fn telemetry_rows(
             } else {
                 pcs_telemetry::TelemetryMode::Off
             });
-            let options = EvalOptions::default().with_telemetry(on);
             let mut times = Vec::new();
             let (mut facts, mut derivations) = (0, 0);
             for _ in 0..5 {
                 let start = Instant::now();
-                let result = optimized.evaluate_with(&db, options.clone());
+                let result = optimized.evaluate(&db);
                 times.push(start.elapsed());
                 facts = result.total_facts();
                 derivations = result.stats.total_derivations();
@@ -864,9 +635,6 @@ pub fn all() -> String {
         balbin(),
         orderings(),
         overlap(),
-        parallel_scaling(&[1, 2, 4, 8]),
-        incremental(&[(60, 120, 4), (100, 200, 8)]),
-        deletion(&[(60, 120, 4), (100, 200, 8)]),
         analyze(),
     ] {
         out.push_str(&section);
@@ -892,23 +660,6 @@ mod tests {
     fn flights_report_lists_all_strategies() {
         let report = flights(&[(5, 10)]);
         assert!(report.contains("original"));
-        assert!(report.contains("pred,qrp,mg (optimal)"));
-    }
-
-    #[test]
-    fn incremental_report_compares_resume_to_scratch() {
-        let report = incremental(&[(12, 20, 3)]);
-        assert!(report.contains("scratch"));
-        assert!(report.contains("resume"));
-        assert!(report.contains("pred,qrp,mg (optimal)"));
-    }
-
-    #[test]
-    fn deletion_report_compares_retract_to_scratch() {
-        let report = deletion(&[(12, 20, 3)]);
-        assert!(report.contains("scratch"));
-        assert!(report.contains("retract"));
-        assert!(report.contains("retracted legs"));
         assert!(report.contains("pred,qrp,mg (optimal)"));
     }
 

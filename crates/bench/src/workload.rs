@@ -81,11 +81,11 @@ pub fn layered_flights_database(layers: usize, width: usize, seed: u64) -> Datab
     db
 }
 
-/// A batch of update legs for the incremental experiments: `num_legs` new
+/// A batch of update legs for the incremental benches: `num_legs` new
 /// legs between random cities of a `num_cities` flight network, oriented
 /// from the lower- to the higher-numbered city so the grown network stays a
 /// DAG (the same invariant as [`random_flights_database`]).  Returned as
-/// facts ready for `Evaluator::resume` or `Session::insert`.  Seeded and
+/// facts ready for `UpdateBatch::inserting` or `Session::insert`.  Seeded and
 /// reproducible; use a different seed than the base database so the batch
 /// is mostly genuinely new legs.
 pub fn flights_update_legs(num_cities: usize, num_legs: usize, seed: u64) -> Vec<Fact> {
@@ -113,8 +113,8 @@ pub fn flights_update_legs(num_cities: usize, num_legs: usize, seed: u64) -> Vec
 }
 
 /// A batch of *existing* legs sampled from a flight database, for the
-/// deletion experiments: `num_legs` distinct `singleleg` facts drawn
-/// uniformly (seeded, reproducible), ready for `Evaluator::retract` or
+/// deletion benches: `num_legs` distinct `singleleg` facts drawn
+/// uniformly (seeded, reproducible), ready for `UpdateBatch::retracting` or
 /// `Session::remove`.  Panics if the database has fewer legs than asked
 /// for.
 pub fn flights_remove_legs(db: &Database, num_legs: usize, seed: u64) -> Vec<Fact> {

@@ -224,11 +224,6 @@ impl Rational {
     pub fn ceil(&self) -> i128 {
         -((-self.numer).div_euclid(self.denom))
     }
-
-    /// Approximate conversion to `f64`, for reporting only.
-    pub fn to_f64(&self) -> f64 {
-        self.numer as f64 / self.denom as f64
-    }
 }
 
 impl Default for Rational {

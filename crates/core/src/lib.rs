@@ -31,7 +31,7 @@
 pub mod optimizer;
 pub mod programs;
 
-pub use optimizer::{AnalyzeMode, Optimized, Optimizer, Strategy};
+pub use optimizer::{Optimized, Optimizer, Strategy};
 
 pub use pcs_analysis as analysis;
 pub use pcs_constraints as constraints;
@@ -41,7 +41,7 @@ pub use pcs_transform as transform;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::optimizer::{AnalyzeMode, Optimized, Optimizer, Strategy};
+    pub use crate::optimizer::{Optimized, Optimizer, Strategy};
     pub use crate::programs;
     pub use pcs_analysis::{
         analyze, analyze_with, AnalyzeOptions, Code, Diagnostic, Interval, ProgramAnalysis,

@@ -5,7 +5,7 @@
 //! constraints, and obtain an [`Optimized`] program that can be evaluated
 //! directly against a [`Database`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use pcs_analysis::{
     analyze_with, program_selectivity, selectivity_hints, AnalyzeOptions, Diagnostic,
@@ -18,54 +18,6 @@ use pcs_transform::{
     apply_sequence, constraint_rewrite, MagicOptions, Result, RewriteOptions, SequenceOptions,
     Step, TransformError,
 };
-
-/// When the optimizer runs the static analyzer, read from the `PCS_ANALYZE`
-/// environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnalyzeMode {
-    /// Skip analysis entirely (dead-rule pruning still analyzes on demand).
-    Off,
-    /// Analyze and attach the findings to the [`Optimized`] program without
-    /// failing — the default.
-    #[default]
-    Warn,
-    /// Analyze and refuse to optimize a program with error-severity findings
-    /// ([`TransformError::AnalysisRejected`]).
-    Strict,
-}
-
-impl AnalyzeMode {
-    /// Reads `PCS_ANALYZE` (`off`, `warn`, `strict`); unset selects
-    /// [`AnalyzeMode::Warn`], an unrecognized value falls back to the
-    /// default with a visible warning.
-    pub fn from_env() -> Self {
-        match std::env::var("PCS_ANALYZE") {
-            Ok(raw) => {
-                let value = raw.trim();
-                match Self::parse(value) {
-                    Some(mode) => mode,
-                    None => {
-                        eprintln!(
-                            "warning: ignoring invalid PCS_ANALYZE={value:?}: expected `off`, `warn` or `strict`"
-                        );
-                        AnalyzeMode::default()
-                    }
-                }
-            }
-            Err(_) => AnalyzeMode::default(),
-        }
-    }
-
-    /// Parses one spelling of the mode.
-    pub fn parse(value: &str) -> Option<Self> {
-        match value {
-            "off" | "0" | "false" | "none" => Some(AnalyzeMode::Off),
-            "warn" | "on" | "1" | "true" => Some(AnalyzeMode::Warn),
-            "strict" => Some(AnalyzeMode::Strict),
-            _ => None,
-        }
-    }
-}
 
 /// Which rewriting pipeline to apply.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -128,20 +80,9 @@ impl Optimizer {
     }
 
     /// Sets the evaluation options the [`Optimized`] program will use
-    /// (limits, tracing, worker threads, dead-rule pruning, telemetry).
+    /// (limits, tracing, worker threads and their sharding threshold).
     pub fn eval_options(mut self, eval: EvalOptions) -> Self {
         self.eval = eval;
-        self
-    }
-
-    /// Sets the number of evaluation worker threads the [`Optimized`]
-    /// program will use (see `EvalOptions::threads`): `1` selects the exact
-    /// sequential code path, larger values shard each fixpoint iteration
-    /// across a worker pool with a deterministic merge.  This is a
-    /// convenience over [`Optimizer::eval_options`] that preserves the other
-    /// configured evaluation options.
-    pub fn eval_threads(mut self, threads: usize) -> Self {
-        self.eval.threads = threads.max(1);
         self
     }
 
@@ -159,9 +100,9 @@ impl Optimizer {
     }
 
     /// Runs the static analyzer on the source program, with the declared EDB
-    /// constraints.  [`Optimizer::optimize`] calls this automatically (per
-    /// the `PCS_ANALYZE` mode); it is public so front-ends like the shell's
-    /// `.check` command can report findings without optimizing.
+    /// constraints.  [`Optimizer::optimize`] calls this itself; it is public
+    /// so front-ends like the shell's `.check` command can report findings
+    /// without optimizing.
     pub fn analyze(&self) -> ProgramAnalysis {
         let options = AnalyzeOptions::new().with_edb_constraints(self.edb_constraints.clone());
         analyze_with(&self.program, &options)
@@ -169,39 +110,16 @@ impl Optimizer {
 
     /// Runs the selected rewriting pipeline.
     ///
-    /// Unless `PCS_ANALYZE=off`, the source program is first analyzed and
-    /// the findings attached to the returned [`Optimized`]; with
-    /// `PCS_ANALYZE=strict`, error-severity findings abort with
-    /// [`TransformError::AnalysisRejected`] before any rewriting.  When the
-    /// evaluation options request it ([`EvalOptions::prune_dead`]), rules the
-    /// analyzer proves dead are pruned from the source program before
-    /// rewriting.
+    /// The source program is first analyzed and the findings attached to the
+    /// returned [`Optimized`]; error-severity findings do not abort (the
+    /// strict front-end is `pcs-lint`).  Rules the analyzer proves dead stay
+    /// in the program: they derive nothing.
     pub fn optimize(&self) -> Result<Optimized> {
-        let mode = AnalyzeMode::from_env();
-        let mut diagnostics = Vec::new();
-        let mut program = self.program.clone();
-        if mode != AnalyzeMode::Off || self.eval.prune_dead {
-            let analysis = {
-                let _span =
-                    pcs_telemetry::span_if(self.eval.telemetry, pcs_telemetry::Phase::Analyze);
-                self.analyze()
-            };
-            if mode == AnalyzeMode::Strict && analysis.has_errors() {
-                let details = analysis
-                    .errors()
-                    .map(std::string::ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("\n");
-                return Err(TransformError::AnalysisRejected {
-                    errors: analysis.errors().count(),
-                    details,
-                });
-            }
-            if self.eval.prune_dead && !analysis.dead_rules.is_empty() {
-                program = prune_dead_rules(&program, &analysis.dead_rules);
-            }
-            diagnostics = analysis.diagnostics;
-        }
+        let diagnostics = {
+            let _span = pcs_telemetry::span(pcs_telemetry::Phase::Analyze);
+            self.analyze().diagnostics
+        };
+        let program = &self.program;
         let rewrite_options = RewriteOptions {
             edb_constraints: self.edb_constraints.clone(),
             ..Default::default()
@@ -210,8 +128,7 @@ impl Optimizer {
             .query()
             .and_then(|q| q.literals.first())
             .map(|l| l.predicate.clone());
-        let rewrite_span =
-            pcs_telemetry::span_if(self.eval.telemetry, pcs_telemetry::Phase::Rewrite);
+        let rewrite_span = pcs_telemetry::span(pcs_telemetry::Phase::Rewrite);
         let mut optimized = match &self.strategy {
             Strategy::None => Optimized {
                 program: program.clone(),
@@ -220,7 +137,7 @@ impl Optimizer {
                 diagnostics: Vec::new(),
             },
             Strategy::ConstraintRewrite => {
-                let result = constraint_rewrite(&program, &rewrite_options)?;
+                let result = constraint_rewrite(program, &rewrite_options)?;
                 Optimized {
                     program: result.program,
                     query_pred: query_pred.ok_or(TransformError::MissingQuery)?,
@@ -228,25 +145,22 @@ impl Optimizer {
                     diagnostics: Vec::new(),
                 }
             }
-            Strategy::MagicOnly => self.run_sequence(&program, &[Step::Magic], rewrite_options)?,
+            Strategy::MagicOnly => self.run_sequence(program, &[Step::Magic], rewrite_options)?,
             Strategy::Optimal => {
-                self.run_sequence(&program, &pcs_transform::OPTIMAL_SEQUENCE, rewrite_options)?
+                self.run_sequence(program, &pcs_transform::OPTIMAL_SEQUENCE, rewrite_options)?
             }
-            Strategy::Sequence(steps) => self.run_sequence(&program, steps, rewrite_options)?,
+            Strategy::Sequence(steps) => self.run_sequence(program, steps, rewrite_options)?,
         };
         drop(rewrite_span);
         optimized.diagnostics = diagnostics;
         // Derive the plan compiler's selectivity hints from the *rewritten*
         // program — its evaluators execute the rewritten rules, so the
         // per-position intervals must describe the rewritten predicates
-        // (magic predicates included).  `PCS_ANALYZE=off` keeps the hints
-        // empty; the planner then falls back to the structural order.
-        if mode != AnalyzeMode::Off {
-            let _span = pcs_telemetry::span_if(self.eval.telemetry, pcs_telemetry::Phase::Analyze);
-            let options = AnalyzeOptions::new().with_edb_constraints(self.edb_constraints.clone());
-            optimized.eval.hints =
-                selectivity_hints(&program_selectivity(&optimized.program, &options));
-        }
+        // (magic predicates included).
+        let _span = pcs_telemetry::span(pcs_telemetry::Phase::Analyze);
+        let options = AnalyzeOptions::new().with_edb_constraints(self.edb_constraints.clone());
+        optimized.eval.hints =
+            selectivity_hints(&program_selectivity(&optimized.program, &options));
         Ok(optimized)
     }
 
@@ -270,53 +184,6 @@ impl Optimizer {
     }
 }
 
-/// Removes the given rules from the program, except where removing every
-/// defining rule of a predicate that is still referenced (by a surviving
-/// rule body or the query) would turn that predicate into an implicitly
-/// extensional one: such predicates keep their first defining rule (a dead
-/// rule derives nothing, so keeping it is harmless).
-fn prune_dead_rules(program: &Program, dead: &BTreeSet<usize>) -> Program {
-    let rules = program.rules();
-    let mut keep: Vec<bool> = (0..rules.len()).map(|i| !dead.contains(&i)).collect();
-    loop {
-        let mut referenced: BTreeSet<Pred> = program
-            .query()
-            .map(pcs_lang::Query::predicates)
-            .unwrap_or_default();
-        for (idx, rule) in rules.iter().enumerate() {
-            if keep[idx] {
-                referenced.extend(rule.body_predicates());
-            }
-        }
-        let mut changed = false;
-        for pred in &referenced {
-            let defining: Vec<usize> = rules
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| &r.head.predicate == pred)
-                .map(|(i, _)| i)
-                .collect();
-            if !defining.is_empty() && defining.iter().all(|&i| !keep[i]) {
-                keep[defining[0]] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut pruned = Program::new().with_edb(program.edb_predicates());
-    for (idx, rule) in rules.iter().enumerate() {
-        if keep[idx] {
-            pruned.add_rule(rule.clone());
-        }
-    }
-    if let Some(query) = program.query() {
-        pruned.set_query(query.clone());
-    }
-    pruned
-}
-
 /// An optimized program ready for evaluation.
 #[derive(Debug, Clone)]
 pub struct Optimized {
@@ -330,8 +197,7 @@ pub struct Optimized {
     /// [`Optimizer::optimize`] filled in for the plan compiler.
     pub eval: EvalOptions,
     /// The static-analysis findings for the source program, sorted most
-    /// severe first.  Empty when `PCS_ANALYZE=off` (and dead-rule pruning was
-    /// not requested).
+    /// severe first.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -339,7 +205,7 @@ impl Optimized {
     /// The evaluator for this program with the configured options — the
     /// handoff a long-lived `pcs-service` session uses: build the evaluator
     /// once, [`Evaluator::evaluate`] to materialize, then
-    /// [`Evaluator::resume`] per update batch.
+    /// [`Evaluator::apply`] per update batch.
     pub fn evaluator(&self) -> Evaluator {
         Evaluator::new(&self.program, self.eval.clone())
     }
@@ -348,35 +214,6 @@ impl Optimized {
     /// the options configured via [`Optimizer::eval_options`].
     pub fn evaluate(&self, db: &Database) -> EvalResult {
         self.evaluate_with(db, self.eval.clone())
-    }
-
-    /// Resumes a completed materialization of this program (the `relations`
-    /// of a previous [`EvalResult`]) with a batch of update facts as the
-    /// seed delta, re-running only the affected part of the fixpoint.  See
-    /// [`Evaluator::resume`] for the exact contract.
-    pub fn resume(
-        &self,
-        relations: std::collections::BTreeMap<Pred, pcs_engine::Relation>,
-        updates: Vec<pcs_engine::Fact>,
-    ) -> EvalResult {
-        self.evaluator().resume(relations, updates)
-    }
-
-    /// Incrementally retracts facts from a completed materialization of
-    /// this program (DRed-style delete/re-derive): `relations` is the
-    /// `relations` map of a previous [`EvalResult`], `deletions` are the
-    /// facts to retract, and `surviving_edb` is the extensional database
-    /// *after* the deletions (needed to resurrect facts a retracted
-    /// subsuming fact swallowed at seed time).  See [`Evaluator::retract`]
-    /// for the exact contract.
-    pub fn retract(
-        &self,
-        relations: std::collections::BTreeMap<Pred, pcs_engine::Relation>,
-        deletions: Vec<pcs_engine::Fact>,
-        surviving_edb: &Database,
-    ) -> EvalResult {
-        self.evaluator()
-            .retract(relations, deletions, surviving_edb)
     }
 
     /// Evaluates with explicit options (limits, tracing).  Options that do
@@ -415,6 +252,7 @@ impl Optimized {
 mod tests {
     use super::*;
     use crate::programs;
+    use pcs_engine::UpdateBatch;
     use pcs_lang::Pred;
 
     #[test]
@@ -459,14 +297,20 @@ mod tests {
     }
 
     #[test]
-    fn eval_threads_shard_without_changing_results() {
+    fn worker_threads_shard_without_changing_results() {
         let program = programs::flights();
         let db = programs::flights_database(6, 12);
         let sequential = Optimizer::new(program.clone())
-            .eval_threads(1)
+            .eval_options(EvalOptions::default().with_threads(1))
             .optimize()
             .unwrap();
-        let parallel = Optimizer::new(program).eval_threads(4).optimize().unwrap();
+        let sharded = EvalOptions::default()
+            .with_threads(4)
+            .with_min_parallel_work(0);
+        let parallel = Optimizer::new(program)
+            .eval_options(sharded)
+            .optimize()
+            .unwrap();
         assert_eq!(sequential.eval.threads, 1);
         assert_eq!(parallel.eval.threads, 4);
         let a = sequential.evaluate(&db);
@@ -505,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn optimized_resume_matches_scratch_across_strategies() {
+    fn optimized_insert_batches_match_scratch_across_strategies() {
         let program = programs::flights();
         let base = programs::flights_database(6, 10);
         // Five extra legs arriving later as an update batch.
@@ -532,7 +376,11 @@ mod tests {
                 .unwrap();
             let scratch = optimized.evaluate(&full);
             let materialized = optimized.evaluate(&base);
-            let resumed = optimized.resume(materialized.relations, updates.clone());
+            let resumed = optimized.evaluator().apply(
+                materialized.relations,
+                UpdateBatch::inserting(updates.clone()),
+                &Database::new(),
+            );
             assert_eq!(resumed.termination, scratch.termination);
             assert_eq!(
                 resumed.stats.facts_per_predicate,
@@ -557,66 +405,16 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == pcs_analysis::Code::UnsatisfiableRule));
-    }
-
-    #[test]
-    fn strict_mode_rejects_error_findings_and_passes_clean_programs() {
-        std::env::set_var("PCS_ANALYZE", "strict");
-        let clean = pcs_lang::parse_program("q(X) :- e(X).\n?- q(U).").unwrap();
-        let ok = Optimizer::new(clean).strategy(Strategy::None).optimize();
+        // Error-severity findings are reported the same way, not refused.
         let unsafe_program = pcs_lang::parse_program("q(X, Y) :- e(X).\n?- q(U, V).").unwrap();
-        let err = Optimizer::new(unsafe_program)
-            .strategy(Strategy::None)
-            .optimize();
-        std::env::remove_var("PCS_ANALYZE");
-        assert!(ok.is_ok());
-        match err.unwrap_err() {
-            TransformError::AnalysisRejected { errors, details } => {
-                assert_eq!(errors, 1);
-                assert!(details.contains("unsafe-rule"), "{details}");
-            }
-            other => panic!("expected AnalysisRejected, got {other}"),
-        }
-    }
-
-    #[test]
-    fn dead_rule_pruning_drops_rules_without_changing_answers() {
-        let program = pcs_lang::parse_program(
-            "q(X) :- e(X), X <= 4.\n\
-             q(X) :- e(X), X > 10, X < 5.\n\
-             ?- q(U).",
-        )
-        .unwrap();
-        let mut db = pcs_engine::Database::new();
-        for fact in pcs_engine::parse_facts("e(1). e(3). e(7).").unwrap() {
-            db.add(fact);
-        }
-        let plain = Optimizer::new(program.clone())
+        let optimized = Optimizer::new(unsafe_program)
             .strategy(Strategy::None)
             .optimize()
             .unwrap();
-        let pruned = Optimizer::new(program)
-            .strategy(Strategy::None)
-            .eval_options(EvalOptions::default().with_prune_dead(true))
-            .optimize()
-            .unwrap();
-        assert_eq!(plain.program.rules().len(), 2);
-        assert_eq!(pruned.program.rules().len(), 1);
-        assert_eq!(plain.count_answers(&db), pruned.count_answers(&db));
-    }
-
-    #[test]
-    fn pruning_keeps_a_defining_rule_for_query_referenced_predicates() {
-        // The only rule for q is dead; pruning must not turn q into an
-        // implicitly extensional predicate.
-        let program = pcs_lang::parse_program("q(X) :- e(X), X > 3, X < 2.\n?- q(U).").unwrap();
-        let pruned = Optimizer::new(program)
-            .strategy(Strategy::None)
-            .eval_options(EvalOptions::default().with_prune_dead(true))
-            .optimize()
-            .unwrap();
-        assert_eq!(pruned.program.rules().len(), 1);
-        assert!(pruned.program.idb_predicates().contains(&Pred::new("q")));
+        assert!(optimized
+            .diagnostics
+            .iter()
+            .any(|d| d.severity == pcs_analysis::Severity::Error));
     }
 
     #[test]

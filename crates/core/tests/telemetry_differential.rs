@@ -1,14 +1,51 @@
 //! Differential check that the telemetry layer is purely observational: for
 //! every rewriting strategy, sequentially and on a 4-thread pool, a run with
-//! telemetry fully on (global counter mode plus `EvalOptions::telemetry`) produces exactly
-//! the answers and `EvalStats` of a run with telemetry fully off.  The only
-//! permitted difference is `IterationStats::wall_nanos`, which is zero with
-//! telemetry off and populated with it on.
+//! the process-wide mode on produces exactly the answers and `EvalStats` of
+//! a run with it off.  The only permitted difference is
+//! `IterationStats::wall_nanos`, which is zero with telemetry off and
+//! populated with it on.
+//!
+//! The mode is also the *single* gate: with it off no phase span is recorded
+//! either, with it on every phase an operation passes through is — there is
+//! no per-evaluator switch beside `pcs_telemetry::set_mode`.
 
 use pcs_core::{programs, Optimizer, Strategy};
-use pcs_engine::{EvalOptions, EvalResult, EvalStats};
-use pcs_telemetry::TelemetryMode;
+use pcs_engine::{EvalOptions, EvalResult, EvalStats, UpdateBatch};
+use pcs_telemetry::{Phase, TelemetryMode};
 use pcs_transform::Step;
+
+/// Flips the one telemetry switch there is: the process-wide mode.
+fn set_telemetry(on: bool) {
+    pcs_telemetry::set_mode(if on {
+        TelemetryMode::On
+    } else {
+        TelemetryMode::Off
+    });
+}
+
+/// How many spans the registry has recorded per phase, in catalog order.
+fn phase_counts() -> Vec<u64> {
+    pcs_telemetry::PHASES
+        .iter()
+        .map(|(phase, _)| pcs_telemetry::phase_totals(*phase).0)
+        .collect()
+}
+
+/// Asserts that between `before` and now exactly the phases in `expected`
+/// recorded spans when `telemetry` is on, and none at all when it is off.
+fn assert_phases_recorded(before: &[u64], telemetry: bool, expected: &[Phase], label: &str) {
+    for ((phase, name), (was, now)) in pcs_telemetry::PHASES
+        .iter()
+        .zip(before.iter().zip(phase_counts()))
+    {
+        let grew = now > *was;
+        assert_eq!(
+            grew,
+            telemetry && expected.contains(phase),
+            "{label}: phase {name} with telemetry {telemetry}"
+        );
+    }
+}
 
 /// Asserts every field of two [`EvalStats`] equal except
 /// `IterationStats::wall_nanos` (the one telemetry-dependent field).
@@ -58,16 +95,24 @@ fn run(
     base: &EvalOptions,
     telemetry: bool,
 ) -> (EvalResult, Vec<pcs_engine::Fact>) {
-    pcs_telemetry::set_mode(if telemetry {
-        TelemetryMode::On
-    } else {
-        TelemetryMode::Off
-    });
+    set_telemetry(telemetry);
+    let before = phase_counts();
     let optimized = Optimizer::new(program.clone())
         .strategy(strategy.clone())
         .optimize()
         .expect("optimization succeeds");
-    let result = optimized.evaluate_with(db, base.clone().with_telemetry(telemetry));
+    let result = optimized.evaluate_with(db, base.clone());
+    assert_phases_recorded(
+        &before,
+        telemetry,
+        &[
+            Phase::Analyze,
+            Phase::Rewrite,
+            Phase::PlanCompile,
+            Phase::Fixpoint,
+        ],
+        "optimize + evaluate",
+    );
     let query = optimized
         .program
         .query()
@@ -119,6 +164,41 @@ fn assert_fm_runs_only_for_non_ground_residuals() {
     assert!(fm_sat_calls(&symbolic, &pcs_engine::Database::new(), Strategy::None) > 0);
 }
 
+/// An insert-only batch records a `resume` span and a batch with a
+/// retraction a `retract` span — under the mode alone, and with the same
+/// statistics either way.
+fn assert_update_phases_follow_the_mode() {
+    let program = programs::flights();
+    let base = programs::flights_database(5, 5);
+    let leg = pcs_engine::parse_facts("singleleg(madison, hubx, 30, 30).").expect("the leg parses");
+    let [(off_insert, off_retract), (on_insert, on_retract)] = [false, true].map(|telemetry| {
+        set_telemetry(telemetry);
+        let evaluator = Optimizer::new(program.clone())
+            .optimize()
+            .expect("optimization succeeds")
+            .evaluator();
+        let materialized = evaluator.evaluate(&base);
+        let before = phase_counts();
+        let inserted = evaluator.apply(
+            materialized.relations,
+            UpdateBatch::inserting(leg.clone()),
+            &base,
+        );
+        assert_phases_recorded(&before, telemetry, &[Phase::Resume], "insert-only batch");
+        let before = phase_counts();
+        let retracted = evaluator.apply(
+            inserted.relations,
+            UpdateBatch::retracting(leg.clone()),
+            &base,
+        );
+        assert_phases_recorded(&before, telemetry, &[Phase::Retract], "retracting batch");
+        (inserted.stats, retracted.stats)
+    });
+    assert_stats_identical(&off_insert, &on_insert, "insert-only batch");
+    assert_stats_identical(&off_retract, &on_retract, "retracting batch");
+    assert!(on_insert.iterations.iter().any(|i| i.wall_nanos > 0));
+}
+
 /// One test function (not one per configuration) because the telemetry mode
 /// is process-global: parallel test threads flipping it would race.
 #[test]
@@ -167,6 +247,7 @@ fn telemetry_changes_no_answers_and_no_stats() {
             }
         }
     }
+    assert_update_phases_follow_the_mode();
     assert_fm_runs_only_for_non_ground_residuals();
     pcs_telemetry::set_mode(previous);
 }

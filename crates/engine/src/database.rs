@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use pcs_constraints::{Atom, CmpOp, ConstraintSet, LinearExpr, Var, VarGen};
+use pcs_constraints::{Atom, CmpOp, LinearExpr, Var, VarGen};
 use pcs_lang::{ParseError, Pred, Rule, Term};
 
 use crate::fact::{Binding, Fact};
@@ -227,16 +227,10 @@ impl UpdateBatch {
     }
 }
 
-/// An extensional database: finite relations for the EDB predicates, plus
-/// optional *minimum predicate constraints* declared for them.
-///
-/// The declared constraints are the input that `Gen_predicate_constraints`
-/// (Appendix C of the paper) assumes for database predicates; when no
-/// constraint is declared, `true` is used.
+/// An extensional database: finite relations for the EDB predicates.
 #[derive(Clone, Default)]
 pub struct Database {
     facts: BTreeMap<Pred, Vec<Fact>>,
-    constraints: BTreeMap<Pred, ConstraintSet>,
 }
 
 impl Database {
@@ -400,24 +394,6 @@ impl Database {
         Ok(())
     }
 
-    /// Declares the minimum predicate constraint for an EDB predicate.
-    pub fn declare_constraint(&mut self, pred: impl Into<Pred>, constraint: ConstraintSet) {
-        self.constraints.insert(pred.into(), constraint);
-    }
-
-    /// The declared predicate constraint for `pred`, defaulting to `true`.
-    pub fn declared_constraint(&self, pred: &Pred) -> ConstraintSet {
-        self.constraints
-            .get(pred)
-            .cloned()
-            .unwrap_or_else(ConstraintSet::truth)
-    }
-
-    /// All declared predicate constraints.
-    pub fn declared_constraints(&self) -> &BTreeMap<Pred, ConstraintSet> {
-        &self.constraints
-    }
-
     /// The facts for a predicate.
     pub fn facts_for(&self, pred: &Pred) -> &[Fact] {
         self.facts.get(pred).map_or(&[], Vec::as_slice)
@@ -456,7 +432,7 @@ impl std::fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcs_constraints::{Atom, Conjunction, Var};
+    use pcs_constraints::{Atom, Var};
 
     #[test]
     fn facts_are_grouped_by_predicate() {
@@ -585,17 +561,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(db.predicates().count(), 0);
-    }
-
-    #[test]
-    fn declared_constraints_default_to_true() {
-        let mut db = Database::new();
-        let pred = Pred::new("singleleg");
-        assert!(db.declared_constraint(&pred).is_trivially_true());
-        db.declare_constraint(
-            pred.clone(),
-            ConstraintSet::of(Conjunction::of(Atom::var_gt(Var::position(3), 0))),
-        );
-        assert!(!db.declared_constraint(&pred).is_trivially_true());
     }
 }

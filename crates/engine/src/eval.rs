@@ -28,7 +28,7 @@ use pcs_telemetry as telemetry;
 
 use pcs_lang::{Pred, Program};
 
-use crate::database::{Database, UpdateBatch};
+use crate::database::Database;
 use crate::fact::Fact;
 use crate::limits::Termination;
 use crate::plan::{compile_plans, ProgramPlans};
@@ -110,7 +110,7 @@ impl Evaluator {
     pub fn new(program: &Program, options: EvalOptions) -> Self {
         let program = program.flattened();
         let plans = {
-            let _span = telemetry::span_if(options.telemetry, telemetry::Phase::PlanCompile);
+            let _span = telemetry::span(telemetry::Phase::PlanCompile);
             compile_plans(&program, &options.hints)
         };
         let labels = program
@@ -131,11 +131,6 @@ impl Evaluator {
         }
     }
 
-    /// Creates an evaluator with default options.
-    pub fn with_defaults(program: &Program) -> Self {
-        Evaluator::new(program, EvalOptions::default())
-    }
-
     /// The (flattened) program being evaluated.
     pub fn program(&self) -> &Program {
         &self.program
@@ -144,120 +139,6 @@ impl Evaluator {
     /// Runs the evaluation against a database.
     pub fn evaluate(&self, db: &Database) -> EvalResult {
         self.run_fixpoint(Start::Scratch(db), 0)
-    }
-
-    /// Re-enters the semi-naive fixpoint on an already-materialized set of
-    /// relations, with `updates` as the seed delta.
-    ///
-    /// `relations` is the `relations` map of a *completed* evaluation of the
-    /// same program (typically a previous [`EvalResult`]); every stored fact
-    /// is treated as stable, the update facts that are not subsumed by the
-    /// materialization become the first delta, and the fixpoint proceeds
-    /// exactly as if the updates had been derived by a regular iteration.
-    /// Empty-body rules do not re-fire (their facts are already in the
-    /// materialization), so the resumed result stores the same facts as
-    /// evaluating base + updates from scratch — the property
-    /// `tests/resume_differential.rs` pins down across every rewriting
-    /// strategy.
-    ///
-    /// Resuming from a partial materialization (one that stopped on a
-    /// resource limit rather than a fixpoint) is not supported: derivations
-    /// the interrupted run never attempted are not replayed.
-    pub fn resume(&self, relations: BTreeMap<Pred, Relation>, updates: Vec<Fact>) -> EvalResult {
-        self.apply_impl(relations, Vec::new(), updates, &Database::new(), false)
-    }
-
-    /// Applies a mixed [`UpdateBatch`] to an already-materialized set of
-    /// relations in a *single* incremental pass: the retractions run the
-    /// DRed-style delete/re-derive phases of [`Self::retract`], the
-    /// insertions join the re-derivation delta, and one resumed semi-naive
-    /// fixpoint propagates both together — instead of the separate retract
-    /// and resume passes (each with its own fixpoint) the batch would
-    /// otherwise cost.
-    ///
-    /// Semantics are retracts-then-inserts, matching [`UpdateBatch`]:
-    /// `surviving_edb` must be the extensional database after the
-    /// retractions but *without* the insertions (they are seeded as delta
-    /// facts directly).  The result stores the same facts as evaluating
-    /// `surviving_edb` + inserts from scratch — the property
-    /// `tests/resume_differential.rs` pins down for mixed batches.
-    ///
-    /// A batch with no retracts degenerates to [`Self::resume`]; one with no
-    /// inserts degenerates to [`Self::retract`] (including its stats shape).
-    pub fn apply(
-        &self,
-        relations: BTreeMap<Pred, Relation>,
-        batch: UpdateBatch,
-        surviving_edb: &Database,
-    ) -> EvalResult {
-        let retracted = !batch.retracts.is_empty();
-        self.apply_impl(
-            relations,
-            batch.retracts,
-            batch.inserts,
-            surviving_edb,
-            retracted,
-        )
-    }
-
-    /// Incrementally retracts facts from an already-materialized set of
-    /// relations (DRed-style delete/re-derive), re-entering the shared
-    /// semi-naive fixpoint for the propagation phase.
-    ///
-    /// `relations` is the `relations` map of a *completed* evaluation of the
-    /// same program; `deletions` are the facts to retract (matched against
-    /// the stored facts by [`Fact::equivalent`], so a re-phrased constraint
-    /// fact still names the stored fact it denotes); `surviving_edb` is the
-    /// extensional database *after* the deletions — the caller's source of
-    /// truth for the base facts, needed to resurrect EDB facts that a
-    /// retracted constraint fact subsumed at seed time and that were
-    /// therefore never stored.
-    ///
-    /// Three phases:
-    ///
-    /// 1. **Over-deletion** — the transitive closure of support: starting
-    ///    from the stored facts equivalent to the deletions, every stored
-    ///    fact with a one-step derivation consuming an already-deleted fact
-    ///    (joined along the rule's over-deletion plan against the full
-    ///    original materialization, so derivations touching several deleted
-    ///    facts are found) is removed as well.
-    /// 2. **Re-derivation round** — for every rule whose head predicate lost
-    ///    facts: empty-body rules re-fire, and body rules re-join over the
-    ///    survivors along their pinned plan, with the head pinned to each
-    ///    removed ground fact (the unpinned full-rule plan is the fallback
-    ///    when a removed fact is a proper constraint fact).  Alternative
-    ///    derivations re-insert exactly the over-deleted facts that are
-    ///    still derivable; surviving EDB facts of the affected predicates
-    ///    are re-inserted first, resurrecting anything a retracted
-    ///    subsuming fact had swallowed.
-    /// 3. **Propagation** — the re-inserted facts become the delta of a
-    ///    resumed run of the semi-naive fixpoint, which re-derives the
-    ///    downstream cone exactly as an insertion batch would.
-    ///
-    /// The result stores the same facts as evaluating the surviving EDB from
-    /// scratch — the property `tests/resume_differential.rs` pins down for
-    /// arbitrary interleavings of inserts and retracts.  Like
-    /// [`Self::resume`], retracting from a *partial* materialization (one
-    /// that stopped on a resource limit) is not supported.
-    ///
-    /// Limits: the re-derivation round and the resumed fixpoint enforce
-    /// [`EvalLimits`](crate::EvalLimits) per fact, exactly like a regular
-    /// evaluation, against *one shared* derivation budget (the resumed fixpoint is pre-charged
-    /// with the re-derivation round's spending, so a retraction cannot
-    /// overshoot `max_derivations`).  The over-deletion joins are
-    /// deliberately *exempt* from
-    /// `max_derivations` and do not appear in the statistics: an
-    /// over-deletion stopped halfway would leave facts whose support is
-    /// gone still stored — an unsound state — and its work is already
-    /// bounded by the support structure of the completed materialization
-    /// being retracted from.
-    pub fn retract(
-        &self,
-        relations: BTreeMap<Pred, Relation>,
-        deletions: Vec<Fact>,
-        surviving_edb: &Database,
-    ) -> EvalResult {
-        self.apply_impl(relations, deletions, Vec::new(), surviving_edb, true)
     }
 
     /// Seeds one relation per program/EDB predicate with the database facts.
@@ -325,11 +206,8 @@ impl Evaluator {
         let threads = self.options.threads.max(1);
         let resumed = matches!(start, Start::Resume(_));
         // A resumed run's wall time is already covered by the enclosing
-        // resume/retract span recorded in `apply_impl`.
-        let _phase_span = telemetry::span_if(
-            self.options.telemetry && !resumed,
-            telemetry::Phase::Fixpoint,
-        );
+        // resume/retract span recorded in `apply`.
+        let _phase_span = (!resumed).then(|| telemetry::span(telemetry::Phase::Fixpoint));
         let mut relations = match start {
             Start::Scratch(db) => {
                 let mut relations = self.seed_relations(db);
@@ -363,7 +241,7 @@ impl Evaluator {
                 termination = Termination::FactLimit;
                 break;
             }
-            let iter_start = self.options.telemetry.then(Instant::now);
+            let iter_start = telemetry::enabled().then(Instant::now);
             let mut iter_stats = IterationStats {
                 delta_facts: relations
                     .values()
@@ -490,7 +368,7 @@ enum Start<'a> {
     /// Seed the relations from a database and open with a naive round.
     Scratch(&'a Database),
     /// Continue from a materialization whose delta is the update facts
-    /// (prepared by [`Evaluator::resume`]); open with a semi-naive round.
+    /// (prepared by [`Evaluator::apply`]); open with a semi-naive round.
     Resume(BTreeMap<Pred, Relation>),
 }
 
@@ -546,6 +424,7 @@ mod test_support {
 mod tests {
     use super::test_support::{assert_identical_runs, eval, rendered};
     use super::*;
+    use crate::database::UpdateBatch;
     use crate::value::Value;
     use pcs_constraints::{Atom, Var};
     use pcs_lang::parse_program;
@@ -700,7 +579,11 @@ mod tests {
         let evaluator = Evaluator::new(&program, EvalOptions::default());
         let scratch = evaluator.evaluate(&full);
         let materialized = evaluator.evaluate(&base);
-        let resumed = evaluator.resume(materialized.relations, updates.clone());
+        let resumed = evaluator.apply(
+            materialized.relations,
+            UpdateBatch::inserting(updates.clone()),
+            &Database::new(),
+        );
         assert!(resumed.stats.resumed && !scratch.stats.resumed);
         assert_eq!(resumed.termination, scratch.termination);
         assert_eq!(rendered(&resumed), rendered(&scratch));
@@ -724,7 +607,11 @@ mod tests {
         let total = materialized.total_facts();
         // Both updates are already in the materialization.
         let updates = crate::database::parse_facts("edge(1, 2).\npath(1, 3).").unwrap();
-        let resumed = evaluator.resume(materialized.relations, updates);
+        let resumed = evaluator.apply(
+            materialized.relations,
+            UpdateBatch::inserting(updates),
+            &Database::new(),
+        );
         assert_eq!(resumed.termination, Termination::Fixpoint);
         assert_eq!(resumed.stats.total_new_facts(), 0);
         assert_eq!(resumed.total_facts(), total);
@@ -746,7 +633,11 @@ mod tests {
         let base_options = EvalOptions::default();
         let sequential = {
             let evaluator = Evaluator::new(&program, base_options.clone().with_threads(1));
-            evaluator.resume(evaluator.evaluate(&base).relations, updates.clone())
+            evaluator.apply(
+                evaluator.evaluate(&base).relations,
+                UpdateBatch::inserting(updates.clone()),
+                &Database::new(),
+            )
         };
         for threads in [2, 4] {
             let options = base_options
@@ -754,7 +645,11 @@ mod tests {
                 .with_threads(threads)
                 .with_min_parallel_work(0);
             let evaluator = Evaluator::new(&program, options);
-            let parallel = evaluator.resume(evaluator.evaluate(&base).relations, updates.clone());
+            let parallel = evaluator.apply(
+                evaluator.evaluate(&base).relations,
+                UpdateBatch::inserting(updates.clone()),
+                &Database::new(),
+            );
             assert_identical_runs(&sequential, &parallel);
         }
     }

@@ -11,35 +11,91 @@ use pcs_lang::Pred;
 use super::matching::Derived;
 use super::round::{run_and_absorb, EvalTotals, Executor, RoundTask, TaskKind};
 use super::{EvalResult, Evaluator, Start};
-use crate::database::Database;
+use crate::database::{Database, UpdateBatch};
 use crate::fact::Fact;
 use crate::relation::{FactRef, Relation, Window};
 use crate::stats::{EvalStats, IterationStats};
 
 impl Evaluator {
-    /// The shared incremental-update engine behind [`Self::resume`],
-    /// [`Self::retract`], and [`Self::apply`]: DRed phases 1–2 for the
-    /// deletions, insertions seeded into the pending segment alongside the
-    /// re-derived facts, then one resumed fixpoint propagating the combined
-    /// delta.  `mark_retracted` controls whether the result carries the
-    /// retraction stats shape (the leading re-derivation iteration and the
-    /// `retracted`/`removed_facts` fields).
-    pub(super) fn apply_impl(
+    /// Applies an [`UpdateBatch`] to an already-materialized set of
+    /// relations in a *single* incremental pass — the one incremental entry
+    /// point: the retractions run DRed-style delete/re-derive phases, the
+    /// insertions join the re-derivation delta, and one resumed semi-naive
+    /// fixpoint propagates both together.
+    ///
+    /// `relations` is the `relations` map of a *completed* evaluation of the
+    /// same program (typically a previous [`EvalResult`]); updating a
+    /// *partial* materialization (one that stopped on a resource limit
+    /// rather than a fixpoint) is not supported: derivations the interrupted
+    /// run never attempted are not replayed.  Retractions are matched
+    /// against the stored facts by [`Fact::equivalent`], so a re-phrased
+    /// constraint fact still names the stored fact it denotes.
+    ///
+    /// Semantics are retracts-then-inserts, matching [`UpdateBatch`]:
+    /// `surviving_edb` must be the extensional database after the
+    /// retractions but *without* the insertions (they are seeded as delta
+    /// facts directly).  It is the caller's source of truth for the base
+    /// facts, needed to resurrect EDB facts that a retracted constraint fact
+    /// subsumed at seed time and that were therefore never stored; an
+    /// insert-only batch never reads it.  The result stores the same facts
+    /// as evaluating `surviving_edb` + inserts from scratch — the property
+    /// `tests/resume_differential.rs` pins down across every rewriting
+    /// strategy for arbitrary interleavings of inserts and retracts.
+    ///
+    /// Three phases:
+    ///
+    /// 1. **Over-deletion** — the transitive closure of support: starting
+    ///    from the stored facts equivalent to the retractions, every stored
+    ///    fact with a one-step derivation consuming an already-deleted fact
+    ///    (joined along the rule's over-deletion plan against the full
+    ///    original materialization, so derivations touching several deleted
+    ///    facts are found) is removed as well.
+    /// 2. **Re-derivation round** — for every rule whose head predicate lost
+    ///    facts: empty-body rules re-fire, and body rules re-join over the
+    ///    survivors along their pinned plan, with the head pinned to each
+    ///    removed ground fact (the unpinned full-rule plan is the fallback
+    ///    when a removed fact is a proper constraint fact).  Alternative
+    ///    derivations re-insert exactly the over-deleted facts that are
+    ///    still derivable; surviving EDB facts of the affected predicates
+    ///    are re-inserted first, resurrecting anything a retracted
+    ///    subsuming fact had swallowed.
+    /// 3. **Propagation** — the re-inserted facts and the batch insertions
+    ///    that the materialization does not already subsume become the delta
+    ///    of a resumed run of the semi-naive fixpoint, which proceeds exactly
+    ///    as if they had been derived by a regular iteration.  Empty-body
+    ///    rules do not re-fire (their facts are already stored).
+    ///
+    /// Statistics: every result is `resumed`.  An insert-only batch skips
+    /// phases 1–2 and reports only the resumed fixpoint's iterations; a batch
+    /// with any retraction is also `retracted`, counts `removed_facts`, and
+    /// leads its iterations with the re-derivation round.
+    ///
+    /// Limits: the re-derivation round and the resumed fixpoint enforce
+    /// [`EvalLimits`](crate::EvalLimits) per fact, exactly like a regular
+    /// evaluation, against *one shared* derivation budget (the resumed
+    /// fixpoint is pre-charged with the re-derivation round's spending, so a
+    /// retraction cannot overshoot `max_derivations`).  The over-deletion
+    /// joins are deliberately *exempt* from `max_derivations` and do not
+    /// appear in the statistics: an over-deletion stopped halfway would leave
+    /// facts whose support is gone still stored — an unsound state — and its
+    /// work is already bounded by the support structure of the completed
+    /// materialization being retracted from.
+    pub fn apply(
         &self,
         mut relations: BTreeMap<Pred, Relation>,
-        deletions: Vec<Fact>,
-        inserts: Vec<Fact>,
+        batch: UpdateBatch,
         surviving_edb: &Database,
-        mark_retracted: bool,
     ) -> EvalResult {
-        let _phase_span = telemetry::span_if(
-            self.options.telemetry,
-            if mark_retracted {
-                telemetry::Phase::Retract
-            } else {
-                telemetry::Phase::Resume
-            },
-        );
+        let UpdateBatch {
+            inserts,
+            retracts: deletions,
+        } = batch;
+        let retracted = !deletions.is_empty();
+        let _phase_span = telemetry::span(if retracted {
+            telemetry::Phase::Retract
+        } else {
+            telemetry::Phase::Resume
+        });
         for pred in self.program.all_predicates() {
             relations.entry(pred).or_default();
         }
@@ -224,7 +280,7 @@ impl Evaluator {
             let stats = EvalStats {
                 iterations: vec![rederive_stats],
                 resumed: true,
-                retracted: mark_retracted,
+                retracted,
                 removed_facts: removed_total,
                 ..EvalStats::default()
             };
@@ -232,7 +288,7 @@ impl Evaluator {
             return Evaluator::finalize(relations, stats, limit);
         }
         let mut result = self.run_fixpoint(Start::Resume(relations), rederive_stats.derivations);
-        if mark_retracted {
+        if retracted {
             result.stats.iterations.insert(0, rederive_stats);
             result.stats.retracted = true;
             result.stats.removed_facts = removed_total;
@@ -245,7 +301,7 @@ impl Evaluator {
 mod tests {
     use super::super::test_support::{assert_identical_runs, rendered};
     use super::super::{EvalOptions, Evaluator};
-    use crate::database::Database;
+    use crate::database::{Database, UpdateBatch};
     use crate::limits::{EvalLimits, Termination};
     use crate::value::Value;
     use pcs_lang::{parse_program, Literal, Pred, Query, Term};
@@ -266,7 +322,11 @@ mod tests {
         assert_eq!(surviving.remove_facts(&deletions), 1);
         let evaluator = Evaluator::new(&program, EvalOptions::default());
         let materialized = evaluator.evaluate(&full);
-        let retracted = evaluator.retract(materialized.relations, deletions.clone(), &surviving);
+        let retracted = evaluator.apply(
+            materialized.relations,
+            UpdateBatch::retracting(deletions.clone()),
+            &surviving,
+        );
         let scratch = evaluator.evaluate(&surviving);
         assert!(retracted.stats.retracted && !scratch.stats.retracted);
         // edge(2, 3) plus the paths that only it supported are gone.
@@ -293,9 +353,9 @@ mod tests {
         let mut surviving = full.clone();
         surviving.remove_facts(&deletions);
         let evaluator = Evaluator::new(&program, EvalOptions::default());
-        let retracted = evaluator.retract(
+        let retracted = evaluator.apply(
             evaluator.evaluate(&full).relations,
-            deletions.clone(),
+            UpdateBatch::retracting(deletions.clone()),
             &surviving,
         );
         let path = Literal::new("path", vec![Term::num(1), Term::num(3)]);
@@ -322,7 +382,11 @@ mod tests {
         let materialized = evaluator.evaluate(&full);
         // The subsumed ground fact is genuinely absent beforehand.
         assert_eq!(materialized.count_for(&Pred::new("b")), 2);
-        let retracted = evaluator.retract(materialized.relations, deletions.clone(), &surviving);
+        let retracted = evaluator.apply(
+            materialized.relations,
+            UpdateBatch::retracting(deletions.clone()),
+            &surviving,
+        );
         let scratch = evaluator.evaluate(&surviving);
         assert_eq!(rendered(&retracted), rendered(&scratch));
         assert_eq!(retracted.count_for(&Pred::new("b")), 2);
@@ -357,9 +421,9 @@ mod tests {
         let mut surviving = full.clone();
         surviving.remove_facts(&deletions);
         let evaluator = Evaluator::new(&program, EvalOptions::default().with_threads(1));
-        let unlimited = evaluator.retract(
+        let unlimited = evaluator.apply(
             evaluator.evaluate(&full).relations,
-            deletions.clone(),
+            UpdateBatch::retracting(deletions.clone()),
             &surviving,
         );
         let spent = unlimited.stats.total_derivations();
@@ -379,9 +443,9 @@ mod tests {
             },
             ..EvalOptions::default().with_threads(1)
         };
-        let limited = Evaluator::new(&program, capped).retract(
+        let limited = Evaluator::new(&program, capped).apply(
             materialized.relations,
-            deletions.clone(),
+            UpdateBatch::retracting(deletions.clone()),
             &surviving,
         );
         assert_eq!(limited.termination, Termination::DerivationLimit);
@@ -397,7 +461,7 @@ mod tests {
         let before = evaluator.evaluate(&db);
         let total = before.total_facts();
         let deletions = crate::database::parse_facts("b(9).").unwrap();
-        let retracted = evaluator.retract(before.relations, deletions, &db);
+        let retracted = evaluator.apply(before.relations, UpdateBatch::retracting(deletions), &db);
         assert_eq!(retracted.stats.removed_facts, 0);
         assert_eq!(retracted.total_facts(), total);
         assert!(retracted.termination.is_fixpoint());
@@ -420,18 +484,18 @@ mod tests {
         let base = EvalOptions::default();
         let sequential = {
             let evaluator = Evaluator::new(&program, base.clone().with_threads(1));
-            evaluator.retract(
+            evaluator.apply(
                 evaluator.evaluate(&full).relations,
-                deletions.clone(),
+                UpdateBatch::retracting(deletions.clone()),
                 &surviving,
             )
         };
         for threads in [2, 4] {
             let options = base.clone().with_threads(threads).with_min_parallel_work(0);
             let evaluator = Evaluator::new(&program, options);
-            let parallel = evaluator.retract(
+            let parallel = evaluator.apply(
                 evaluator.evaluate(&full).relations,
-                deletions.clone(),
+                UpdateBatch::retracting(deletions.clone()),
                 &surviving,
             );
             assert_identical_runs(&sequential, &parallel);

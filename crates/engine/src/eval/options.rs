@@ -33,30 +33,12 @@ pub struct EvalOptions {
     /// identical either way.  Defaults to [`MIN_PARALLEL_ROUND_WORK`]; set
     /// to `0` to shard every round.
     pub min_parallel_work: usize,
-    /// When `true`, the optimizer prunes rules the static analyzer proves
-    /// dead (unsatisfiable constraints, provably empty body predicates)
-    /// before rewriting.  Purely an optimization knob — dead rules derive
-    /// nothing, so the computed answers are identical either way (the
-    /// property `tests/analysis_differential.rs` checks).  Off by default.
-    pub prune_dead: bool,
     /// Analyzer-derived per-position selectivity classes consumed by the
     /// plan compiler (see [`SelectivityHints`]).  Empty by default — the
     /// planner then falls back to the purely structural most-bound-first
     /// order; `Optimizer::optimize()` fills the hints from the converged
     /// constraint analysis.
     pub hints: SelectivityHints,
-    /// When `true`, this evaluator records phase spans (plan-compile,
-    /// fixpoint, resume, retract) and per-iteration wall time into the
-    /// process-wide `pcs-telemetry` registry.  Purely observational — the
-    /// computed relations, the non-timing statistics, and the termination
-    /// are identical either way (the property
-    /// `tests/telemetry_differential.rs` checks).  Defaults to the
-    /// process-wide `PCS_TELEMETRY` setting (`off` unless set to `on` or
-    /// `trace`).  The deep join-loop counters (index probes, probe
-    /// hits/misses, subsumption checks, FM satisfiability calls) are gated
-    /// on the global mode alone, so flipping only this flag affects spans
-    /// and iteration timing.
-    pub telemetry: bool,
 }
 
 impl Default for EvalOptions {
@@ -66,9 +48,7 @@ impl Default for EvalOptions {
             trace: false,
             threads: threads_from_env(),
             min_parallel_work: MIN_PARALLEL_ROUND_WORK,
-            prune_dead: false,
             hints: SelectivityHints::default(),
-            telemetry: pcs_telemetry::enabled(),
         }
     }
 }
@@ -148,25 +128,6 @@ impl EvalOptions {
             min_parallel_work,
             ..self
         }
-    }
-
-    /// Returns these options with analyzer-driven dead-rule pruning switched
-    /// on or off (see [`EvalOptions::prune_dead`]).
-    pub fn with_prune_dead(self, prune_dead: bool) -> Self {
-        EvalOptions { prune_dead, ..self }
-    }
-
-    /// Returns these options with the given analyzer-derived selectivity
-    /// hints for the plan compiler (see [`EvalOptions::hints`]).
-    pub fn with_hints(self, hints: SelectivityHints) -> Self {
-        EvalOptions { hints, ..self }
-    }
-
-    /// Returns these options with phase spans and per-iteration wall-time
-    /// recording switched on or off regardless of the process-wide
-    /// `PCS_TELEMETRY` setting (see [`EvalOptions::telemetry`]).
-    pub fn with_telemetry(self, telemetry: bool) -> Self {
-        EvalOptions { telemetry, ..self }
     }
 }
 

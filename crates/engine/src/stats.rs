@@ -36,13 +36,12 @@ pub struct IterationStats {
     /// resumed run's first round, and the previous iteration's new facts
     /// everywhere else.
     pub delta_facts: usize,
-    /// Wall-clock time of this iteration in nanoseconds, measured only when
-    /// telemetry is enabled ([`EvalOptions::telemetry`]) and zero otherwise.
-    /// Purely observational: every other field is identical with telemetry
-    /// on or off (the property `tests/telemetry_differential.rs` checks), so
-    /// comparisons between runs should ignore this field.
-    ///
-    /// [`EvalOptions::telemetry`]: crate::EvalOptions::telemetry
+    /// Wall-clock time of this iteration in nanoseconds, measured only while
+    /// the process-wide telemetry mode is on (`pcs_telemetry::enabled()`) and
+    /// zero otherwise.  Purely observational: every other field is identical
+    /// with telemetry on or off (the property
+    /// `tests/telemetry_differential.rs` checks), so comparisons between runs
+    /// should ignore this field.
     pub wall_nanos: u64,
     /// The individual derivations (only when tracing is enabled).
     pub records: Vec<DerivationRecord>,
@@ -60,7 +59,8 @@ pub struct EvalStats {
     /// Whether the evaluation resumed from a previous materialization (its
     /// iterations then cover only the update delta, not the base facts).
     pub resumed: bool,
-    /// Whether the evaluation was a retraction (`Evaluator::retract`).  The
+    /// Whether the evaluation applied a batch with at least one retraction
+    /// (`Evaluator::apply`).  The
     /// first entry of `iterations` is then the re-derivation round over the
     /// surviving facts, followed by the resumed fixpoint's iterations.
     pub retracted: bool,

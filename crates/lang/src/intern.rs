@@ -54,11 +54,6 @@ impl SymId {
     pub fn name(self) -> &'static str {
         global().read().expect("interner poisoned").names[self.0 as usize]
     }
-
-    /// The raw id value.
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
 }
 
 impl fmt::Display for SymId {

@@ -142,11 +142,6 @@ impl Program {
         &self.rules
     }
 
-    /// Mutable access to the rules.
-    pub fn rules_mut(&mut self) -> &mut Vec<Rule> {
-        &mut self.rules
-    }
-
     /// The query, if any.
     pub fn query(&self) -> Option<&Query> {
         self.query.as_ref()
@@ -191,11 +186,6 @@ impl Program {
         let mut set = self.edb_predicates();
         set.extend(self.idb_predicates());
         set
-    }
-
-    /// Returns `true` if the predicate is an EDB predicate of this program.
-    pub fn is_edb(&self, pred: &Pred) -> bool {
-        self.edb_predicates().contains(pred)
     }
 
     /// The rules whose head predicate is `pred`.

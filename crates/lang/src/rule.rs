@@ -203,17 +203,6 @@ impl Rule {
         check(&self.head) && self.body.iter().all(check)
     }
 
-    /// Adds a conjunction of constraints to the rule body.
-    pub fn with_extra_constraint(&self, extra: &Conjunction) -> Rule {
-        Rule {
-            head: self.head.clone(),
-            body: self.body.clone(),
-            constraint: self.constraint.and(extra),
-            label: self.label.clone(),
-            span: self.span,
-        }
-    }
-
     /// The predicates of the ordinary body literals.
     pub fn body_predicates(&self) -> BTreeSet<Pred> {
         self.body.iter().map(|l| l.predicate.clone()).collect()

@@ -32,11 +32,6 @@ impl Symbol {
     pub fn id(&self) -> SymId {
         self.0
     }
-
-    /// The symbol for an already-interned id.
-    pub fn from_id(id: SymId) -> Symbol {
-        Symbol(id)
-    }
 }
 
 impl PartialOrd for Symbol {
@@ -140,11 +135,6 @@ impl Term {
             Term::Num(_) | Term::Sym(_) => true,
             Term::Expr(e) => e.is_constant(),
         }
-    }
-
-    /// Returns `true` if the term is numeric in nature (not a symbol).
-    pub fn is_numeric(&self) -> bool {
-        !matches!(self, Term::Sym(_))
     }
 
     /// Converts a numeric term into a linear expression.

@@ -7,12 +7,10 @@
 //!
 //! * [`Session`] — optimizes a program once (any [`pcs_core::Strategy`]),
 //!   materializes its fixpoint, answers `?- q(...)` queries from immutable
-//!   [`Snapshot`]s without re-evaluating, applies `+fact.` EDB updates
-//!   by *resuming* the semi-naive fixpoint from the inserted facts
-//!   ([`pcs_engine::Evaluator::resume`]), and applies `-fact.` retractions
-//!   by DRed-style incremental deletion
-//!   ([`pcs_engine::Evaluator::retract`]) — neither recomputes from
-//!   scratch.
+//!   [`Snapshot`]s without re-evaluating, and applies EDB updates through
+//!   [`pcs_engine::Evaluator::apply`]: `+fact.` insertions *resume* the
+//!   semi-naive fixpoint from the inserted facts and `-fact.` retractions
+//!   run DRed-style incremental deletion — neither recomputes from scratch.
 //! * [`Shell`] — the line-oriented command language (load / query / insert /
 //!   stats) shared by the front-ends, with [`SessionHub`] as the slot that
 //!   lets many shells serve one session.

@@ -8,7 +8,7 @@
 //!   materialization — no evaluation happens on the query path at all; and
 //! * **EDB updates** (`+flight(a, b, 3).`) that re-enter the semi-naive
 //!   fixpoint with the inserted facts as the seed delta
-//!   ([`pcs_engine::Evaluator::resume`]), touching only the part of the
+//!   ([`pcs_engine::Evaluator::apply`]), touching only the part of the
 //!   fixpoint the updates can reach.
 //!
 //! Readers and the writer never block each other for the duration of an

@@ -285,13 +285,10 @@ const PHASE_CELL_INIT: PhaseCell = PhaseCell {
 
 static PHASE_CELLS: [PhaseCell; PHASE_COUNT] = [PHASE_CELL_INIT; PHASE_COUNT];
 
-/// Records one completed span of `phase` lasting `nanos`.
-///
-/// Unlike the counter fast path this is *not* gated on the global mode: the
-/// engine gates spans per evaluation via `EvalOptions::telemetry`, so a span
-/// that was explicitly requested is always recorded.  Trace emission still
-/// requires [`TelemetryMode::Trace`].
-pub fn record_phase(phase: Phase, nanos: u64) {
+/// Records one completed span of `phase` lasting `nanos`; the gate is
+/// [`span`], which only arms a span while the registry is enabled.  Trace
+/// emission additionally requires [`TelemetryMode::Trace`].
+fn record_phase(phase: Phase, nanos: u64) {
     let cell = &PHASE_CELLS[phase as usize];
     cell.count.fetch_add(1, Ordering::Relaxed);
     cell.total_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -315,19 +312,12 @@ fn phase_name(phase: Phase) -> &'static str {
 
 /// An in-flight phase timer; records into the registry when dropped.
 ///
-/// A disarmed span (from [`span_if`] with `false`, or [`span`] while the
-/// registry is off) holds no state and drops for free.
+/// A disarmed span (from [`span`] while the registry is off) holds no state
+/// and drops for free.
 #[must_use = "a span records its phase when dropped"]
 pub struct Span {
     phase: Phase,
     start: Option<Instant>,
-}
-
-impl Span {
-    /// Disarms the span so dropping it records nothing.
-    pub fn cancel(&mut self) {
-        self.start = None;
-    }
 }
 
 impl Drop for Span {
@@ -341,15 +331,9 @@ impl Drop for Span {
 
 /// Starts a span for `phase` if the registry is enabled.
 pub fn span(phase: Phase) -> Span {
-    span_if(enabled(), phase)
-}
-
-/// Starts a span for `phase` if `armed` (the engine passes
-/// `EvalOptions::telemetry`).
-pub fn span_if(armed: bool, phase: Phase) -> Span {
     Span {
         phase,
-        start: armed.then(Instant::now),
+        start: enabled().then(Instant::now),
     }
 }
 
@@ -937,20 +921,13 @@ mod tests {
     }
 
     #[test]
-    fn span_records_phase_and_cancel_suppresses() {
+    fn span_records_its_phase_only_while_enabled() {
         with_registry(|| {
-            {
-                let _span = span_if(true, Phase::Fixpoint);
-            }
-            {
-                let mut span = span_if(true, Phase::Fixpoint);
-                span.cancel();
-            }
-            {
-                let _span = span_if(false, Phase::Rewrite);
-            }
-            let (count, _) = phase_totals(Phase::Fixpoint);
-            assert_eq!(count, 1);
+            drop(span(Phase::Fixpoint));
+            set_mode(TelemetryMode::Off);
+            drop(span(Phase::Rewrite));
+            set_mode(TelemetryMode::On);
+            assert_eq!(phase_totals(Phase::Fixpoint).0, 1);
             assert_eq!(phase_totals(Phase::Rewrite).0, 0);
         });
     }

@@ -28,14 +28,6 @@ pub enum TransformError {
         /// Explanation of the restriction that was violated.
         reason: String,
     },
-    /// Static analysis found error-severity problems and the optimizer was
-    /// configured to reject them (`PCS_ANALYZE=strict`).
-    AnalysisRejected {
-        /// Number of error-severity findings.
-        errors: usize,
-        /// The rendered findings, one per line.
-        details: String,
-    },
 }
 
 impl fmt::Display for TransformError {
@@ -57,12 +49,6 @@ impl fmt::Display for TransformError {
             ),
             TransformError::UnsupportedProgram { reason } => {
                 write!(f, "unsupported program: {reason}")
-            }
-            TransformError::AnalysisRejected { errors, details } => {
-                write!(
-                    f,
-                    "static analysis found {errors} error(s) (PCS_ANALYZE=strict):\n{details}"
-                )
             }
         }
     }

@@ -13,9 +13,9 @@
 //!   (Fourier–Motzkin, DNF constraint sets, PTOL/LTOP),
 //! * [`lang`] — the CQL front-end (terms, rules, programs, parser),
 //! * [`engine`] — bottom-up semi-naive evaluation with constraint facts,
-//!   incremental insertion (`resume`) and DRed-style retraction
-//!   (`retract`), plus a naive reference interpreter used as a conformance
-//!   oracle,
+//!   incremental insertion and DRed-style retraction of update batches
+//!   (`Evaluator::apply`), plus a naive reference interpreter used as a
+//!   conformance oracle,
 //! * [`transform`] — the rewritings (predicate/QRP constraints, fold/unfold,
 //!   Magic Templates, Balbin's C transformation, the decidable class),
 //! * [`core`] — the high-level [`Optimizer`] API and the paper's example

@@ -1,16 +1,13 @@
-//! Soundness differential for the static analyzer and its dead-rule pruning.
+//! Soundness differential for the static analyzer.
 //!
 //! Three claims are checked here, across crates:
 //!
-//! * **Pruning is invisible.**  For every rewriting strategy, on one thread
-//!   and on four, evaluating with [`EvalOptions::prune_dead`] enabled must produce
-//!   exactly the same answers and the same termination as evaluating with it
-//!   disabled.  Dead rules (unsatisfiable constraints, impossible bodies)
-//!   derive nothing, so removing them before rewriting may only change
-//!   *intermediate* relations (magic/adorned predicates seeded from pruned
-//!   rules), never the answer set.  Under [`Strategy::None`] no rewriting
-//!   happens, so there the stronger claim holds: the full non-empty relation
-//!   map is identical.
+//! * **Dead rules never fire.**  Every rule the analyzer proves dead
+//!   (unsatisfiable constraints, impossible bodies) derives nothing in the
+//!   production evaluator: under [`EvalOptions::traced`], on one thread and
+//!   on a sharding 4-thread pool, no [`DerivationRecord`] carries the label
+//!   of a rule in [`ProgramAnalysis::dead_rules`].  This is why the
+//!   optimizer leaves such rules in the program instead of pruning them.
 //! * **Clean programs stay clean.**  A generator that builds well-formed
 //!   programs *by construction* (consistent arities, head variables drawn
 //!   from body variables) must never trip an error-severity diagnostic —
@@ -21,21 +18,14 @@
 //!   fresh probe predicate (its body is untouched, so everything it could
 //!   consume is still derived), and the probe's relation must come out empty.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pushing_constraint_selections::engine::naive;
-use pushing_constraint_selections::engine::EvalResult;
 use pushing_constraint_selections::prelude::*;
-// proptest's prelude also exports a `Strategy` trait; disambiguate the
-// optimizer's enum.
-use pushing_constraint_selections::Strategy as OptStrategy;
-
-mod common;
-use common::all_strategies;
 
 /// A program with three kinds of dead weight on top of two live rules:
 /// a directly unsatisfiable rule (`r2`), a rule whose only body predicate is
@@ -61,98 +51,36 @@ fn values_db(values: &[i64]) -> Database {
     db
 }
 
-/// Renders the answer set sorted and with the (possibly adorned) predicate
-/// name stripped, so answers compare across rewritings.
-fn rendered_answers(optimized: &Optimized, result: &EvalResult) -> Vec<String> {
-    let query = optimized.program.query().expect("query present");
-    let mut rendered: Vec<String> = result
-        .answers(query)
-        .iter()
-        .map(|fact| {
-            let text = fact.to_string();
-            text.split_once('(')
-                .map(|(_, rest)| rest.to_string())
-                .unwrap_or(text)
-        })
-        .collect();
-    rendered.sort();
-    rendered.dedup();
-    rendered
-}
-
-/// The non-empty relations as sorted fact strings keyed by predicate.
-/// Pruning may drop a dead rule's head predicate from the result entirely,
-/// so empty relations are excluded from the comparison.
-fn nonempty_relations(result: &EvalResult) -> BTreeMap<String, Vec<String>> {
+/// The labels of the rules that fired (every derivation attempted, new or
+/// subsumed) when `program` is evaluated with tracing on `threads` workers,
+/// every round sharded.
+fn fired_labels(program: &Program, db: &Database, threads: usize) -> BTreeSet<String> {
+    let options = EvalOptions::traced(64)
+        .with_threads(threads)
+        .with_min_parallel_work(0);
+    let result = Evaluator::new(program, options).evaluate(db);
+    assert!(result.termination.is_fixpoint(), "{:?}", result.termination);
     result
-        .relations
+        .stats
+        .iterations
         .iter()
-        .filter_map(|(pred, relation)| {
-            let mut facts: Vec<String> = relation.iter().map(|f| f.to_string()).collect();
-            if facts.is_empty() {
-                return None;
-            }
-            facts.sort();
-            Some((pred.to_string(), facts))
-        })
+        .flat_map(|iteration| &iteration.records)
+        .map(|record| record.rule.clone())
         .collect()
 }
 
-/// Asserts pruning-on and pruning-off agree for every strategy, on one
-/// thread and on a 4-thread pool: same answers, same termination, and —
-/// under `Strategy::None`, where no rewriting can introduce
-/// strategy-specific intermediate predicates — the same non-empty relations.
-fn assert_pruning_sound(program: &Program, db: &Database) {
-    for strategy in all_strategies() {
-        for threads in [1, 4] {
-            let options = EvalOptions::default()
-                .with_threads(threads)
-                .with_min_parallel_work(0);
-            let unpruned = Optimizer::new(program.clone())
-                .strategy(strategy.clone())
-                .eval_options(options.clone().with_prune_dead(false))
-                .optimize();
-            let pruned = Optimizer::new(program.clone())
-                .strategy(strategy.clone())
-                .eval_options(options.with_prune_dead(true))
-                .optimize();
-            match (unpruned, pruned) {
-                (Ok(unpruned), Ok(pruned)) => {
-                    let base = unpruned.evaluate(db);
-                    let opt = pruned.evaluate(db);
-                    assert_eq!(
-                        base.termination, opt.termination,
-                        "termination diverged under {strategy:?} on {threads} thread(s)"
-                    );
-                    assert_eq!(
-                        rendered_answers(&unpruned, &base),
-                        rendered_answers(&pruned, &opt),
-                        "answers diverged under {strategy:?} on {threads} thread(s)"
-                    );
-                    if strategy == OptStrategy::None {
-                        assert_eq!(
-                            nonempty_relations(&base),
-                            nonempty_relations(&opt),
-                            "non-empty relations diverged under Strategy::None on \
-                             {threads} thread(s)"
-                        );
-                    }
-                }
-                (unpruned, pruned) => {
-                    // A strategy may reject a program outright when constraint
-                    // rewriting deletes every (unsatisfiable) defining rule of
-                    // the query predicate — the true answer set is then empty.
-                    // Whichever pipeline still optimizes must agree.
-                    for optimized in [unpruned.ok(), pruned.ok()].into_iter().flatten() {
-                        let result = optimized.evaluate(db);
-                        assert!(
-                            rendered_answers(&optimized, &result).is_empty(),
-                            "one pipeline was rejected but the other found answers \
-                             under {strategy:?} on {threads} thread(s)"
-                        );
-                    }
-                }
-            }
+/// Asserts no rule the analyzer proves dead fires, on one thread and on a
+/// 4-thread pool.  Every rule of `program` must be labelled.
+fn assert_dead_rules_never_fire(program: &Program, db: &Database) {
+    let analysis = analyze(program);
+    for threads in [1, 4] {
+        let fired = fired_labels(program, db, threads);
+        for &dead in &analysis.dead_rules {
+            let label = program.rules()[dead].label.as_ref().expect("labelled");
+            assert!(
+                !fired.contains(label),
+                "dead rule {label} fired on {threads} thread(s):\n{program}"
+            );
         }
     }
 }
@@ -171,24 +99,15 @@ fn the_seeded_program_has_the_expected_dead_rules() {
 }
 
 #[test]
-fn pruning_is_invisible_on_the_seeded_program() {
+fn dead_rules_never_fire_on_the_seeded_program() {
     let program = seeded_dead_program();
-    assert_pruning_sound(&program, &values_db(&[1, 7, 42, 55, 120]));
-}
-
-#[test]
-fn pruning_is_invisible_on_the_paper_workloads() {
-    // The paper programs have no dead rules; pruning must be an exact no-op.
-    for (program, db) in [
-        (programs::flights(), programs::flights_database(6, 10)),
-        (programs::example_41(), programs::example_41_database(16)),
-        (
-            programs::example_72(),
-            programs::example_7x_database(12, 10),
-        ),
-    ] {
-        assert_pruning_sound(&program, &db);
-    }
+    let db = values_db(&[1, 7, 42, 55, 120]);
+    assert_dead_rules_never_fire(&program, &db);
+    // Not vacuous: the live rules around the dead ones do fire.
+    assert_eq!(
+        fired_labels(&program, &db, 1),
+        ["r1", "r4"].map(String::from).into_iter().collect()
+    );
 }
 
 /// A generator for random programs that are well formed *by construction*:
@@ -349,15 +268,13 @@ proptest! {
         }
     }
 
-    /// Pruning stays invisible on random programs and EDBs: for every rule
-    /// the analyzer can prove dead, evaluation with pruning produces the
-    /// same answers as evaluation without it, for all strategies and cores.
+    /// No rule the analyzer can prove dead fires on random programs and
+    /// EDBs.
     #[test]
-    fn pruning_is_invisible_on_random_programs(seed in 0u64..u64::MAX) {
+    fn dead_rules_never_fire_on_random_programs(seed in 0u64..u64::MAX) {
         let mut gen = ProgramGen::new(seed);
         let text = gen.program(true);
         let program = parse_program(&text).expect("generated program parses");
-        let db = gen.database();
-        assert_pruning_sound(&program, &db);
+        assert_dead_rules_never_fire(&program, &gen.database());
     }
 }

@@ -10,8 +10,9 @@
 //! Randomized EDBs and update batches (seeded, reproducible) probe the
 //! property beyond the deterministic paper workloads.
 //!
-//! The updates are insert batches (`resume`), *arbitrary interleavings* of
-//! insert and retract batches, and single mixed batches (`apply`): however
+//! The updates — all through `Evaluator::apply`, the one incremental entry
+//! point — are insert-only batches, *arbitrary interleavings* of insert-only
+//! and retract-only batches, and single mixed batches: however
 //! the extensional database reached its final state, the maintained
 //! materialization must be identical to evaluating the surviving EDB from
 //! scratch — including the resurrection of facts a retracted constraint
@@ -73,15 +74,19 @@ fn assert_maintained_matches_scratch(
     }
 }
 
-/// Materialize `base`, resume with `updates`: must match evaluating
-/// base + updates from scratch.
+/// Materialize `base`, apply `updates` as one insert-only batch: must match
+/// evaluating base + updates from scratch.
 fn assert_resume_matches_scratch(program: &Program, base: &Database, updates: &[Fact]) {
     let mut full = base.clone();
     for fact in updates {
         full.add(fact.clone());
     }
     assert_maintained_matches_scratch(program, &full, |evaluator| {
-        evaluator.resume(evaluator.evaluate(base).relations, updates.to_vec())
+        evaluator.apply(
+            evaluator.evaluate(base).relations,
+            UpdateBatch::inserting(updates.to_vec()),
+            base,
+        )
     });
 }
 
@@ -170,9 +175,17 @@ fn repeated_resumes_converge_like_one_scratch_run() {
             .expect("optimization succeeds");
         let evaluator = optimized.evaluator();
         let scratch = evaluator.evaluate(&full);
+        let mut edb = base.clone();
         let mut rolling = evaluator.evaluate(&base);
         for batch in &batches {
-            rolling = evaluator.resume(rolling.relations, batch.clone());
+            rolling = evaluator.apply(
+                rolling.relations,
+                UpdateBatch::inserting(batch.clone()),
+                &edb,
+            );
+            for fact in batch {
+                edb.add(fact.clone());
+            }
         }
         assert_eq!(rolling.termination, scratch.termination);
         assert_eq!(
@@ -214,14 +227,17 @@ fn assert_interleaving_matches_scratch(program: &Program, base: &Database, updat
         for update in updates {
             rolling = match update {
                 Update::Insert(facts) => {
+                    let batch = UpdateBatch::inserting(facts.clone());
+                    let result = evaluator.apply(rolling.relations, batch, &edb);
                     for fact in facts {
                         edb.add(fact.clone());
                     }
-                    evaluator.resume(rolling.relations, facts.clone())
+                    result
                 }
                 Update::Retract(facts) => {
                     edb.remove_facts(facts);
-                    evaluator.retract(rolling.relations, facts.clone(), &edb)
+                    let batch = UpdateBatch::retracting(facts.clone());
+                    evaluator.apply(rolling.relations, batch, &edb)
                 }
             };
         }
@@ -293,7 +309,7 @@ fn retracting_a_constraint_fact_resurrects_what_it_subsumed() {
     assert_interleaving_matches_scratch(&program, &base, &updates);
 }
 
-/// The unified one-epoch path: `Evaluator::apply` on a single mixed
+/// The one-epoch path: `Evaluator::apply` on a single mixed
 /// `UpdateBatch { inserts, retracts }` — retractions first, insertions
 /// seeded into the same resumed fixpoint — must match evaluating the
 /// surviving EDB plus the insertions from scratch.
@@ -343,9 +359,7 @@ fn one_mixed_batch_matches_scratch_with_constraint_facts() {
 }
 
 #[test]
-fn degenerate_batches_match_the_dedicated_entry_points() {
-    // A pure-insert batch is `resume`; a pure-retract batch is `retract`.
-    // `apply` must agree with both specialized paths exactly.
+fn apply_reports_the_resume_shape_for_inserts_and_the_retract_shape_otherwise() {
     let program = programs::flights();
     let base = programs::flights_database(5, 5);
     let inserts = leg_updates(&[("madison", "hubx", 30, 30), ("hubx", "seattle", 40, 40)]);
@@ -356,35 +370,40 @@ fn degenerate_batches_match_the_dedicated_entry_points() {
         .unwrap()
         .evaluator();
 
-    let via_apply = evaluator.apply(
+    // Insert-only: the iterations are the resumed fixpoint's alone, opening
+    // on the batch as its delta.
+    let inserted = evaluator.apply(
         evaluator.evaluate(&base).relations,
         UpdateBatch::inserting(inserts.clone()),
         &base,
     );
-    let via_resume = evaluator.resume(evaluator.evaluate(&base).relations, inserts);
-    assert_eq!(
-        rendered_relations(&via_apply),
-        rendered_relations(&via_resume)
-    );
-    assert_eq!(via_apply.stats.retracted, via_resume.stats.retracted);
+    assert!(inserted.stats.resumed && !inserted.stats.retracted);
+    assert_eq!(inserted.stats.removed_facts, 0);
+    assert_eq!(inserted.stats.iterations[0].delta_facts, inserts.len());
 
+    // Any retraction, alone or beside insertions: the re-derivation round
+    // (which has no delta of its own) leads, and what it re-derived opens the
+    // resumed fixpoint together with the insertions.
     let mut surviving = base.clone();
     surviving.remove_facts(&retracts);
-    let via_apply = evaluator.apply(
-        evaluator.evaluate(&base).relations,
+    for batch in [
         UpdateBatch::retracting(retracts.clone()),
-        &surviving,
-    );
-    let via_retract = evaluator.retract(evaluator.evaluate(&base).relations, retracts, &surviving);
-    assert_eq!(
-        rendered_relations(&via_apply),
-        rendered_relations(&via_retract)
-    );
-    assert_eq!(via_apply.stats.retracted, via_retract.stats.retracted);
-    assert_eq!(
-        via_apply.stats.removed_facts,
-        via_retract.stats.removed_facts
-    );
+        UpdateBatch {
+            inserts,
+            retracts: retracts.clone(),
+        },
+    ] {
+        let inserted = batch.inserts.len();
+        let result = evaluator.apply(evaluator.evaluate(&base).relations, batch, &surviving);
+        assert!(result.stats.resumed && result.stats.retracted);
+        assert!(result.stats.removed_facts > 0);
+        let rederivation = &result.stats.iterations[0];
+        assert_eq!(rederivation.delta_facts, 0);
+        assert_eq!(
+            result.stats.iterations[1].delta_facts,
+            rederivation.new_facts + inserted
+        );
+    }
 }
 
 #[test]
@@ -456,9 +475,9 @@ fn removing_a_derived_constraint_fact_falls_back_to_the_full_rule_plan() {
     let mut surviving = base.clone();
     surviving.remove_facts(&wide);
     let evaluator = Evaluator::new(&program, EvalOptions::default().with_threads(1));
-    let retracted = evaluator.retract(
+    let retracted = evaluator.apply(
         evaluator.evaluate(&base).relations,
-        wide.clone(),
+        UpdateBatch::retracting(wide.clone()),
         &surviving,
     );
     let rederivation = &retracted.stats.iterations[0];
