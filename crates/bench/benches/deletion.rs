@@ -4,9 +4,10 @@
 //! materialized, retracting a batch of base facts should cost the support
 //! cone it touches, not a whole re-evaluation of the surviving EDB.
 //! `scratch` measures the from-scratch evaluation of the shrunk database;
-//! `retract` measures cloning the materialized relations (the
-//! copy-on-update a live session performs) plus the DRed over-delete,
-//! pinned re-derivation round, and resumed fixpoint.
+//! `retract` measures cloning the materialized relations (the bench's own
+//! set-up for each iteration — a live session mutates its writer replica in
+//! place) plus the DRed over-delete, pinned re-derivation round, and resumed
+//! fixpoint.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

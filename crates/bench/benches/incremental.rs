@@ -4,8 +4,9 @@
 //! materialized, an arriving update batch should cost the delta it induces,
 //! not a whole re-evaluation of base + updates.  `scratch` measures the
 //! from-scratch evaluation of the grown database; `resume` measures cloning
-//! the materialized relations (the copy-on-update a live session performs)
-//! plus re-entering the fixpoint with the update batch as the seed delta.
+//! the materialized relations (the bench's own set-up for each iteration — a
+//! live session mutates its writer replica in place) plus re-entering the
+//! fixpoint with the update batch as the seed delta.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

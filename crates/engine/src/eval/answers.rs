@@ -42,8 +42,9 @@ impl EvalResult {
             .probe
             .and_then(|pos| frame.key(&step.args[pos]).map(|value| (pos, value)));
         let probe_ref = probe.as_ref().map(|(pos, value)| (*pos, value));
-        let mut candidates: Vec<usize> =
-            relation.candidates(0..relation.len(), probe_ref).collect();
+        let mut candidates: Vec<usize> = relation
+            .candidates(0..relation.slot_count(), probe_ref)
+            .collect();
         // A probe yields exact matches before the constraint-fact tail;
         // answers come back in insertion order.
         candidates.sort_unstable();

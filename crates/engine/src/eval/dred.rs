@@ -33,14 +33,19 @@ impl Evaluator {
     ///
     /// Semantics are retracts-then-inserts, matching [`UpdateBatch`]:
     /// `surviving_edb` must be the extensional database after the
-    /// retractions but *without* the insertions (they are seeded as delta
-    /// facts directly).  It is the caller's source of truth for the base
-    /// facts, needed to resurrect EDB facts that a retracted constraint fact
-    /// subsumed at seed time and that were therefore never stored; an
-    /// insert-only batch never reads it.  The result stores the same facts
-    /// as evaluating `surviving_edb` + inserts from scratch — the property
-    /// `tests/resume_differential.rs` pins down across every rewriting
-    /// strategy for arbitrary interleavings of inserts and retracts.
+    /// retractions.  It is the caller's source of truth for the base facts,
+    /// needed to resurrect EDB facts that a removed fact had subsumed and
+    /// that were therefore not stored; an insert-only batch never reads it.
+    /// It may already contain the batch's insertions (a caller that keeps
+    /// one evolving EDB passes it as it stands after the whole batch): the
+    /// insertions are seeded as delta facts directly, before anything is
+    /// resurrected, so offering one of them to its relation a second time is
+    /// `Subsumed` and changes nothing.  The result stores the same facts as
+    /// evaluating the surviving EDB plus the insertions from scratch — the
+    /// property `tests/resume_differential.rs` pins down across every
+    /// rewriting strategy for arbitrary interleavings of inserts and
+    /// retracts — and [`EvalStats::removed_indices`] names what the pass
+    /// deleted.
     ///
     /// Three phases:
     ///
@@ -56,9 +61,12 @@ impl Evaluator {
     ///    removed ground fact (the unpinned full-rule plan is the fallback
     ///    when a removed fact is a proper constraint fact).  Alternative
     ///    derivations re-insert exactly the over-deleted facts that are
-    ///    still derivable; surviving EDB facts of the affected predicates
-    ///    are re-inserted first, resurrecting anything a retracted
-    ///    subsuming fact had swallowed.
+    ///    still derivable.  First, though, whatever a removed fact was
+    ///    hiding is resurrected from `surviving_edb`: a removed ground fact
+    ///    hides only its own duplicates, so it is re-inserted iff the EDB
+    ///    still holds an equal fact (a multiset duplicate, or a base fact
+    ///    that had also been derived); only a predicate that lost a proper
+    ///    constraint fact re-offers all of its surviving EDB facts.
     /// 3. **Propagation** — the re-inserted facts and the batch insertions
     ///    that the materialization does not already subsume become the delta
     ///    of a resumed run of the semi-naive fixpoint, which proceeds exactly
@@ -171,9 +179,9 @@ impl Evaluator {
             frontier = next;
         }
 
-        // The removed facts themselves (in stored order) drive the pinned
-        // re-derivation targets below; collect them before the indices go
-        // stale.
+        // The removed facts themselves (in stored order) drive the
+        // resurrection and the pinned re-derivation targets below; collect
+        // them before their slots die.
         let mut removed_facts: BTreeMap<Pred, Vec<Fact>> = BTreeMap::new();
         for (pred, indices) in &removed {
             let relation = &relations[pred];
@@ -212,10 +220,22 @@ impl Evaluator {
         };
         let mut hit_limit = None;
         if removed_total > 0 {
-            for pred in removed_facts.keys() {
+            for (pred, lost) in &removed_facts {
                 let relation = relations.get_mut(pred).expect("affected relations exist");
-                for fact in surviving_edb.facts_for(pred) {
-                    relation.insert_ref(fact);
+                let edb = surviving_edb.facts_for(pred);
+                if lost.iter().any(|fact| !fact.is_ground()) {
+                    // A proper constraint fact can have hidden any base fact
+                    // inside its denotation.
+                    for fact in edb {
+                        relation.insert_ref(fact);
+                    }
+                } else {
+                    // A ground fact hides exactly its own duplicates.
+                    for fact in lost {
+                        if edb.iter().any(|stored| stored.equivalent(fact)) {
+                            relation.insert_ref(fact);
+                        }
+                    }
                 }
             }
             let mut tasks: Vec<RoundTask<'_>> = Vec::new();
@@ -282,6 +302,7 @@ impl Evaluator {
                 resumed: true,
                 retracted,
                 removed_facts: removed_total,
+                removed_indices: removed,
                 ..EvalStats::default()
             };
             telemetry::flush_thread();
@@ -292,6 +313,7 @@ impl Evaluator {
             result.stats.iterations.insert(0, rederive_stats);
             result.stats.retracted = true;
             result.stats.removed_facts = removed_total;
+            result.stats.removed_indices = removed;
         }
         result
     }
@@ -397,6 +419,42 @@ mod tests {
             1
         );
         assert!(retracted.termination.is_fixpoint());
+    }
+
+    #[test]
+    fn a_removed_ground_fact_comes_back_iff_the_edb_still_holds_an_equal_one() {
+        // p(1) is in the EDB twice, p(2) once, and p(3) is both a base fact
+        // and derived from q(3).  Retracting one p(1), the p(2) and q(3)
+        // over-deletes all three rows; only the two the surviving EDB still
+        // vouches for come back — without re-offering p's other base facts.
+        let program = parse_program("p(X) :- q(X).").unwrap();
+        let mut full = Database::new();
+        full.add_facts_str("p(1).\np(1).\np(2).\np(3).\np(7).\nq(3).\nq(4).")
+            .unwrap();
+        let deletions = crate::database::parse_facts("p(1).\np(2).\nq(3).").unwrap();
+        let mut surviving = full.clone();
+        assert_eq!(surviving.remove_facts(&deletions), 3);
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
+        let retracted = evaluator.apply(
+            evaluator.evaluate(&full).relations,
+            UpdateBatch::retracting(deletions),
+            &surviving,
+        );
+        assert_eq!(retracted.stats.removed_facts, 4);
+        assert_eq!(
+            rendered(&retracted),
+            rendered(&evaluator.evaluate(&surviving))
+        );
+        let p: Vec<String> = retracted.relations[&Pred::new("p")]
+            .iter()
+            .map(|fact| fact.to_string())
+            .collect();
+        // p(7) and p(4) never moved; p(1) and p(3) were re-stored behind them.
+        assert_eq!(p, vec!["p(7)", "p(4)", "p(1)", "p(3)"]);
+        assert_eq!(
+            retracted.stats.removed_indices[&Pred::new("p")],
+            [0, 1, 2].into_iter().collect()
+        );
     }
 
     #[test]

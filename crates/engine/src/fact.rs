@@ -226,8 +226,16 @@ impl Fact {
     /// constraints are written differently but are logically equivalent.
     /// Retraction matches the facts to delete with this relation, so a
     /// re-phrased constraint fact still names the stored fact it denotes.
+    ///
+    /// Two *ground* facts denote one ground fact each, so for them structural
+    /// equality is the whole answer and the implication checks are skipped:
+    /// a retraction's scan over an EDB of numeric ground facts compares
+    /// values instead of running Fourier–Motzkin once per stored fact.
     pub fn equivalent(&self, other: &Fact) -> bool {
-        self == other || (self.subsumes(other) && other.subsumes(self))
+        self == other
+            || (!(self.is_ground() && other.is_ground())
+                && self.subsumes(other)
+                && other.subsumes(self))
     }
 
     /// Deterministic estimate of the bytes this fact occupies: the struct
@@ -385,6 +393,29 @@ mod tests {
         let constrained_free =
             Fact::constrained("p", 2, Conjunction::of(Atom::var_ge(pos(1), 0))).unwrap();
         assert!(!constrained_free.subsumes(&a));
+    }
+
+    #[test]
+    fn equivalence_of_ground_facts_is_equality_and_of_the_rest_is_denotation() {
+        let a = Fact::ground("p", vec![Value::num(1), Value::num(2)]);
+        let b = Fact::ground("p", vec![Value::num(1), Value::num(3)]);
+        assert!(a.equivalent(&a.clone()));
+        assert!(!a.equivalent(&b) && !b.equivalent(&a));
+        // A constraint fact pinned to one point normalizes to the ground
+        // fact it denotes.
+        let pinned = Fact::constrained(
+            "p",
+            2,
+            Conjunction::from_atoms([Atom::var_eq(pos(1), 1), Atom::var_eq(pos(2), 2)]),
+        )
+        .unwrap();
+        assert!(pinned.is_ground() && pinned.equivalent(&a));
+        // Proper constraint facts still go by denotation: one-way
+        // subsumption is not equivalence, and none equals a ground fact.
+        let narrow = Fact::constrained("p", 2, Conjunction::of(Atom::var_ge(pos(1), 1))).unwrap();
+        let wide = Fact::constrained("p", 2, Conjunction::of(Atom::var_gt(pos(1), 0))).unwrap();
+        assert!(wide.subsumes(&narrow) && !narrow.equivalent(&wide));
+        assert!(narrow.subsumes(&a) && !narrow.equivalent(&a) && !a.equivalent(&narrow));
     }
 
     #[test]

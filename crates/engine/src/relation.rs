@@ -4,18 +4,26 @@
 //!
 //! ## Storage layout
 //!
-//! A relation addresses its facts by *logical index* — the insertion order —
-//! and every piece of evaluation machinery (the stable/delta/pending
-//! [`Window`] ranges, the per-position indexes, parallel-round sharding,
-//! retraction's index sets) works purely in that index space.  Behind the
-//! indices, storage is split: ground facts (the overwhelming majority in
-//! real workloads, Theorem 4.4) live as flat arity-strided rows of interned
-//! [`Value`]s in a single columnar buffer, while proper constraint facts —
-//! and any fact the columnar store cannot hold — keep the full [`Fact`]
-//! representation in a slow-path tail.  A ground tuple therefore costs
-//! `arity × 16` bytes plus one 8-byte slot, instead of a whole `Fact` (its
-//! `Vec<Binding>`, an empty conjunction, and a second copy of the values in
-//! the old dedup hash set).
+//! A relation addresses its facts by *logical index* — the slot a fact was
+//! given when it was inserted — and every piece of evaluation machinery (the
+//! stable/delta/pending [`Window`] ranges, the per-position indexes,
+//! parallel-round sharding, retraction's index sets) works purely in that
+//! index space.  A fact keeps its index for as long as it is stored:
+//! [`Relation::remove_indices`] deletes in place, leaving a *dead* slot
+//! behind, so a logical index is not a dense position — [`Relation::len`]
+//! counts the live facts, [`Relation::slot_count`] bounds the index space,
+//! and every enumeration skips the dead slots.  Dead slots are reclaimed
+//! only by compaction, which renumbers the survivors in order once the dead
+//! outnumber the live.
+//!
+//! Behind the indices, storage is split: ground facts (the overwhelming
+//! majority in real workloads, Theorem 4.4) live as flat arity-strided rows
+//! of interned [`Value`]s in a single columnar buffer, while proper
+//! constraint facts — and any fact the columnar store cannot hold — keep the
+//! full [`Fact`] representation in a slow-path tail.  A ground tuple
+//! therefore costs `arity × 16` bytes plus one 8-byte slot, instead of a
+//! whole `Fact` (its `Vec<Binding>`, an empty conjunction, and a second copy
+//! of the values in the old dedup hash set).
 //!
 //! Reads hand out [`FactRef`] views; [`FactRef::to_fact`] materializes an
 //! owned [`Fact`] for the slow paths that need one.
@@ -158,6 +166,9 @@ enum Slot {
     Ground { start: u32 },
     /// Index into the full-fact tail.
     Stored { tail: u32 },
+    /// The fact was removed; no index refers to the slot any more, and its
+    /// storage is garbage until the next compaction.
+    Dead,
 }
 
 /// The columnar buffer for ground facts: rows of `arity` interned values,
@@ -195,6 +206,26 @@ fn row_hash(values: &[Value]) -> u64 {
     hasher.finish()
 }
 
+/// Removes `index` from the sorted index list stored under `key`, and the
+/// list itself once it is empty (a churning relation would otherwise keep a
+/// bucket for every value it ever held).
+fn unindex<K: Eq + Hash>(map: &mut HashMap<K, Vec<usize>>, key: &K, index: usize) {
+    let Some(entries) = map.get_mut(key) else {
+        return;
+    };
+    remove_sorted(entries, index);
+    if entries.is_empty() {
+        map.remove(key);
+    }
+}
+
+/// Removes `index` from a sorted index list.
+fn remove_sorted(entries: &mut Vec<usize>, index: usize) {
+    if let Ok(at) = entries.binary_search(&index) {
+        entries.remove(at);
+    }
+}
+
 /// A finite set of constraint facts for one predicate.
 ///
 /// Ground facts are additionally tracked in a row-hash index so the common
@@ -208,11 +239,12 @@ fn row_hash(values: &[Value]) -> u64 {
 pub struct Relation {
     /// Logical fact index → storage location.
     slots: Vec<Slot>,
+    /// How many of `slots` are [`Slot::Dead`].
+    dead: usize,
     ground: GroundStore,
     tail: Vec<Fact>,
     /// Ground-row hash → logical indices of ground facts with that hash.
     row_index: HashMap<u64, Vec<usize>>,
-    constraint_fact_count: usize,
     /// Facts `0..stable_end` are stable, `stable_end..delta_end` are the
     /// delta, and `delta_end..` are pending until the next [`Self::advance`].
     stable_end: usize,
@@ -232,7 +264,9 @@ impl Relation {
         Relation::default()
     }
 
-    /// The fact at a logical index, as a borrowed view.
+    /// The fact at a logical index, as a borrowed view.  The index must be
+    /// one an enumeration of this relation yielded: a removed fact's index
+    /// names nothing.
     pub fn fact_ref(&self, index: usize) -> FactRef<'_> {
         match self.slots[index] {
             Slot::Ground { start } => FactRef::Ground {
@@ -244,6 +278,7 @@ impl Relation {
                 row: self.ground.row(start),
             },
             Slot::Stored { tail } => FactRef::Stored(&self.tail[tail as usize]),
+            Slot::Dead => panic!("the fact at logical index {index} was removed"),
         }
     }
 
@@ -260,17 +295,24 @@ impl Relation {
 
     /// Number of facts.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.slots.len() - self.dead
     }
 
     /// Returns `true` if the relation has no facts.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
+    }
+
+    /// The exclusive upper bound of the logical index space: every stored
+    /// fact's index is below it.  Equal to [`Self::len`] until a removal
+    /// leaves dead slots behind.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// Number of facts that are not ground (proper constraint facts).
     pub fn constraint_fact_count(&self) -> usize {
-        self.constraint_fact_count
+        self.constraint_fact_indices.len()
     }
 
     /// The stored fact at a logical index known to live in the tail
@@ -278,7 +320,9 @@ impl Relation {
     fn tail_fact(&self, index: usize) -> &Fact {
         match self.slots[index] {
             Slot::Stored { tail } => &self.tail[tail as usize],
-            Slot::Ground { .. } => unreachable!("constraint facts live in the tail"),
+            Slot::Ground { .. } | Slot::Dead => {
+                unreachable!("live constraint facts live in the tail")
+            }
         }
     }
 
@@ -295,6 +339,7 @@ impl Relation {
                         .enumerate()
                         .all(|(i, v)| fact.bound_value(i) == Some(v))
             }
+            Slot::Dead => false,
         }
     }
 
@@ -371,18 +416,23 @@ impl Relation {
     }
 
     /// Appends a fact and maintains every index, without the subsumption
-    /// check of [`Self::insert`].  Used when rebuilding a relation from a
-    /// list of facts that must be stored verbatim (see
-    /// [`Self::remove_indices`]): survivors of a retraction may legitimately
-    /// be subsumed by other survivors (the narrower fact was stored first),
-    /// and re-checking would silently drop them.
-    fn store(&mut self, fact: Fact) {
-        match fact.into_ground_row() {
-            Ok((predicate, row)) => {
-                let hash = row_hash(&row);
-                self.store_row(&predicate, row, hash);
+    /// check of [`Self::insert`]: the path of facts that must be stored
+    /// verbatim — the survivors of a compaction and the rows a replica
+    /// copies from its head ([`Self::catch_up`]).  Either may legitimately
+    /// be subsumed by a fact stored after it (the narrower fact came first),
+    /// and re-checking would silently drop it.
+    fn store(&mut self, fact: FactRef<'_>) {
+        match fact {
+            FactRef::Ground { predicate, row } => {
+                self.store_row(predicate, row.to_vec(), row_hash(row));
             }
-            Err(fact) => self.store_constraint_fact(fact),
+            FactRef::Stored(fact) => match fact.ground_values() {
+                Some(row) => {
+                    let hash = row_hash(&row);
+                    self.store_row(fact.predicate(), row, hash);
+                }
+                None => self.store_constraint_fact(fact.clone()),
+            },
         }
     }
 
@@ -416,7 +466,6 @@ impl Relation {
     /// Appends a proper constraint fact and indexes it.
     fn store_constraint_fact(&mut self, fact: Fact) {
         let index = self.slots.len();
-        self.constraint_fact_count += 1;
         self.constraint_fact_indices.push(index);
         self.grow_indexes(fact.arity());
         for (position, binding) in fact.bindings().iter().enumerate() {
@@ -456,28 +505,96 @@ impl Relation {
             .find(|&index| self.tail_fact(index).equivalent(fact))
     }
 
-    /// Removes the facts at the given indices, rebuilding every index and
-    /// preserving the relative order of the survivors, then seals the
-    /// partition (every survivor becomes stable).  Survivors are stored
-    /// verbatim — no subsumption re-check — so a narrower fact that was
-    /// legitimately stored before a broader one is not silently dropped by
-    /// the rebuild.  Returns how many facts were removed.
+    /// Removes the facts at the given (live) indices in place, then seals
+    /// the partition (every survivor becomes stable).  Each removed slot is
+    /// marked dead and its entries leave the row-hash index, the
+    /// per-position indexes and the constraint-fact list, so the cost is
+    /// that of the removed facts, not of the relation; survivors keep their
+    /// logical indices and their order.  Returns how many facts were
+    /// removed.
+    ///
+    /// Once the dead slots outnumber the live facts the relation is
+    /// compacted: rebuilt from its survivors, in order, with fresh dense
+    /// indices.  The decision depends on the two counts alone, so two
+    /// relations holding the same slots make it at the same call — what
+    /// keeps replicas of a relation index-identical ([`Self::catch_up`]) —
+    /// and a compaction is paid for by the removals that preceded it.
     pub fn remove_indices(&mut self, removed: &BTreeSet<usize>) -> usize {
-        if removed.is_empty() {
-            self.seal();
-            return 0;
+        for &index in removed {
+            self.kill(index);
         }
-        let old = std::mem::take(self);
-        for index in (0..old.len()).filter(|index| !removed.contains(index)) {
-            match old.fact_ref(index) {
-                FactRef::Ground { predicate, row } => {
-                    self.store_row(predicate, row.to_vec(), row_hash(row));
-                }
-                FactRef::Stored(fact) => self.store(fact.clone()),
-            }
+        if self.dead > self.len() {
+            self.compact();
         }
         self.seal();
-        old.len() - self.slots.len()
+        removed.len()
+    }
+
+    /// Marks the slot at `index` dead and drops it from every index.
+    fn kill(&mut self, index: usize) {
+        match std::mem::replace(&mut self.slots[index], Slot::Dead) {
+            Slot::Ground { start } => {
+                let start = start as usize;
+                let row = &self.ground.values[start..start + self.ground.arity];
+                unindex(&mut self.row_index, &row_hash(row), index);
+                for (position, value) in row.iter().enumerate() {
+                    unindex(&mut self.value_index[position], value, index);
+                }
+            }
+            Slot::Stored { tail } => {
+                let fact = &self.tail[tail as usize];
+                match fact.ground_values() {
+                    Some(row) => unindex(&mut self.row_index, &row_hash(&row), index),
+                    None => remove_sorted(&mut self.constraint_fact_indices, index),
+                }
+                for (position, binding) in fact.bindings().iter().enumerate() {
+                    match binding {
+                        Binding::Bound(value) => {
+                            unindex(&mut self.value_index[position], value, index);
+                        }
+                        Binding::Free => remove_sorted(&mut self.free_index[position], index),
+                    }
+                }
+            }
+            Slot::Dead => panic!("the fact at logical index {index} was already removed"),
+        }
+        self.dead += 1;
+    }
+
+    /// Rebuilds the relation from its live facts, in order: the dead slots
+    /// and the storage behind them are dropped and the survivors get dense
+    /// indices.  Survivors are stored verbatim — no subsumption re-check —
+    /// so a narrower fact that was legitimately stored before a broader one
+    /// is not silently dropped.
+    fn compact(&mut self) {
+        let old = std::mem::take(self);
+        for fact in old.iter() {
+            self.store(fact);
+        }
+    }
+
+    /// Brings a replica that is one update behind `head` level with it, by
+    /// replaying that update's effects instead of re-evaluating it: the
+    /// indices it `removed` (as [`Self::remove_indices`] was given them),
+    /// then the facts `head` appended afterwards, copied verbatim.  The
+    /// partition ends sealed.
+    ///
+    /// `self` must hold exactly the slots `head` held before the update;
+    /// removal keeps indices stable and compacts on counts alone, so it then
+    /// holds exactly `head`'s slots again.
+    pub fn catch_up(&mut self, removed: Option<&BTreeSet<usize>>, head: &Relation) {
+        if let Some(removed) = removed {
+            self.remove_indices(removed);
+        }
+        for index in self.slots.len()..head.slots.len() {
+            self.store(head.fact_ref(index));
+        }
+        self.seal();
+        debug_assert_eq!(
+            (self.slots.len(), self.dead),
+            (head.slots.len(), head.dead),
+            "replicas diverged"
+        );
     }
 
     /// Rotates the partition at an iteration boundary: the delta becomes
@@ -512,7 +629,7 @@ impl Relation {
 
     /// The facts visible through `window`.
     pub fn window_refs(&self, window: Window) -> impl Iterator<Item = FactRef<'_>> {
-        self.window_range(window)
+        self.candidates(self.window_range(window), None)
             .map(move |index| self.fact_ref(index))
     }
 
@@ -535,8 +652,10 @@ impl Relation {
     /// (an argument position and the value the literal holds there) those
     /// are the facts bound to exactly that value, followed by the
     /// constraint-fact tail of facts free at the position; without one,
-    /// every index of `range` in order.  The path is `&self`-only, so a
-    /// `&Relation` can be shared freely across worker threads.
+    /// every live index of `range` in order (the indexes hold no dead slot,
+    /// and the scan tests for one only in a relation that has any).  The
+    /// path is `&self`-only, so a `&Relation` can be shared freely across
+    /// worker threads.
     pub(crate) fn candidates(
         &self,
         range: Range<usize>,
@@ -550,7 +669,9 @@ impl Relation {
             ),
             None => (range, &[][..], &[][..]),
         };
-        scan.chain(exact.iter().copied())
+        let sparse = self.dead > 0;
+        scan.filter(move |&index| !sparse || !matches!(self.slots[index], Slot::Dead))
+            .chain(exact.iter().copied())
             .chain(free.iter().copied())
     }
 
@@ -567,7 +688,8 @@ impl Relation {
 
     /// Iterates over the facts in logical (insertion) order.
     pub fn iter(&self) -> impl Iterator<Item = FactRef<'_>> {
-        (0..self.slots.len()).map(move |index| self.fact_ref(index))
+        self.candidates(0..self.slots.len(), None)
+            .map(move |index| self.fact_ref(index))
     }
 
     /// Deterministic estimate of the heap bytes held by the fact storage:
@@ -716,25 +838,214 @@ mod tests {
         assert_eq!(rel.probe(Window::Stable, 0, &Value::sym("a")).count(), 0);
     }
 
-    #[test]
-    fn removal_preserves_survivors_and_rebuilds_the_indexes() {
+    /// `pair(i, i % 3)` rows plus, when `with_tail`, a constraint fact free
+    /// at position 0 in the middle of them.
+    fn pairs(n: i64, with_tail: bool) -> Relation {
         let mut rel = Relation::new();
-        for i in 0..5 {
-            rel.insert(Fact::ground("p", vec![Value::num(i)]));
+        for i in 0..n {
+            if with_tail && i == n / 2 {
+                rel.insert(tail_fact());
+            }
+            rel.insert(pair(i));
         }
-        let removed: BTreeSet<usize> = [1usize, 3].into_iter().collect();
-        assert_eq!(rel.remove_indices(&removed), 2);
-        let survivors: Vec<String> = rel.iter().map(|f| f.to_string()).collect();
-        assert_eq!(survivors, vec!["p(0)", "p(2)", "p(4)"]);
-        // The rebuilt indexes still answer probes.
-        assert_eq!(
-            rel.find_equivalent(&Fact::ground("p", vec![Value::num(2)])),
-            Some(1)
-        );
-        assert_eq!(
-            rel.find_equivalent(&Fact::ground("p", vec![Value::num(3)])),
-            None
-        );
+        rel.seal();
+        rel
+    }
+
+    fn pair(i: i64) -> Fact {
+        Fact::ground("pair", vec![Value::num(i), Value::num(i % 3)])
+    }
+
+    /// `pair($1, 7; $1 <= -1)`: subsumes none of the `pair(i, i % 3)` rows.
+    fn tail_fact() -> Fact {
+        Fact::new(
+            "pair".into(),
+            vec![Binding::Free, Binding::Bound(Value::num(7))],
+            Conjunction::of(Atom::var_le(Var::position(1), -1)),
+        )
+        .unwrap()
+    }
+
+    /// The live facts with their logical indices, as the one enumeration
+    /// yields them.
+    fn live(rel: &Relation) -> Vec<(usize, String)> {
+        rel.candidates(0..rel.slot_count(), None)
+            .map(|index| (index, rel.fact_ref(index).to_string()))
+            .collect()
+    }
+
+    /// Every reader agrees with the scan: each live fact is found under its
+    /// own index by the row-hash / equivalence lookup and by a probe on each
+    /// of its bound positions, no probe yields an index the scan does not,
+    /// and the counts add up.
+    fn assert_consistent(rel: &Relation) {
+        let live = live(rel);
+        assert_eq!(live.len(), rel.len());
+        assert_eq!(rel.iter().count(), rel.len());
+        assert!(live.windows(2).all(|w| w[0].0 < w[1].0), "{live:?}");
+        let indices: BTreeSet<usize> = live.iter().map(|(index, _)| *index).collect();
+        let mut constraint_facts = 0;
+        for &(index, _) in &live {
+            let fact = rel.fact_at(index);
+            assert_eq!(rel.find_equivalent(&fact), Some(index), "{fact}");
+            match fact.ground_values() {
+                Some(row) => assert_eq!(rel.find_row(&row), Some(index), "{fact}"),
+                None => constraint_facts += 1,
+            }
+            for position in 0..fact.arity() {
+                let Some(value) = fact.bound_value(position) else {
+                    continue;
+                };
+                let hits: Vec<usize> = rel
+                    .candidates(0..rel.slot_count(), Some((position, value)))
+                    .collect();
+                assert!(hits.contains(&index), "{fact} at {position}: {hits:?}");
+                assert!(hits.iter().all(|hit| indices.contains(hit)), "{hits:?}");
+                let known = rel.window_range(Window::Known);
+                assert_eq!(
+                    rel.probe(Window::Known, position, value).count(),
+                    hits.iter().filter(|hit| known.contains(hit)).count()
+                );
+            }
+        }
+        assert_eq!(rel.constraint_fact_count(), constraint_facts);
+    }
+
+    #[test]
+    fn removal_is_in_place_and_no_reader_sees_a_dead_slot() {
+        for with_tail in [false, true] {
+            let mut rel = pairs(10, with_tail);
+            let before = live(&rel);
+            let doomed = [1usize, 4, 8];
+            let removed: BTreeSet<usize> = doomed.into_iter().collect();
+            let gone: Vec<Fact> = doomed.iter().map(|&index| rel.fact_at(index)).collect();
+            assert_eq!(rel.remove_indices(&removed), 3);
+            // Survivors keep their indices and their order; the index space
+            // does not shrink.
+            let expected: Vec<_> = before
+                .iter()
+                .filter(|(index, _)| !removed.contains(index))
+                .cloned()
+                .collect();
+            assert_eq!(live(&rel), expected);
+            assert_eq!(rel.slot_count(), before.len());
+            assert_eq!(rel.len(), before.len() - 3);
+            assert_consistent(&rel);
+            for fact in &gone {
+                assert_eq!(rel.find_equivalent(fact), None, "{fact}");
+                if let Some(row) = fact.ground_values() {
+                    assert_eq!(rel.find_row(&row), None);
+                    // (A probe still yields the constraint fact free there.)
+                    assert!(rel
+                        .probe(Window::Known, 0, &row[0])
+                        .all(|hit| !hit.is_ground()));
+                }
+            }
+            // The partition was sealed over the whole index space.
+            assert_eq!(rel.window_range(Window::Stable), 0..before.len());
+            assert_eq!(rel.window_refs(Window::Stable).count(), rel.len());
+        }
+    }
+
+    #[test]
+    fn a_removed_row_can_be_inserted_again_as_a_new_pending_fact() {
+        let mut rel = pairs(6, true);
+        let slots = rel.slot_count();
+        let removed: BTreeSet<usize> = [2usize].into_iter().collect();
+        let fact = rel.fact_at(2);
+        rel.remove_indices(&removed);
+        assert_eq!(rel.insert(fact.clone()), InsertOutcome::Added);
+        assert_eq!(rel.insert(fact.clone()), InsertOutcome::Subsumed);
+        // It took a fresh slot past the sealed ones: pending, then delta.
+        assert_eq!(rel.find_equivalent(&fact), Some(slots));
+        assert_eq!(rel.window_refs(Window::Known).count(), rel.len() - 1);
+        rel.advance();
+        let delta: Vec<String> = rel
+            .window_refs(Window::Delta)
+            .map(|f| f.to_string())
+            .collect();
+        assert_eq!(delta, vec![fact.to_string()]);
+        assert_consistent(&rel);
+        // The constraint fact goes and comes back the same way.
+        let tail = rel.find_equivalent(&tail_fact()).expect("stored");
+        rel.remove_indices(&[tail].into_iter().collect());
+        assert_eq!(rel.constraint_fact_count(), 0);
+        assert_eq!(rel.free_entries(0), &[] as &[usize]);
+        assert_eq!(rel.insert(tail_fact()), InsertOutcome::Added);
+        assert_consistent(&rel);
+    }
+
+    #[test]
+    fn compaction_renumbers_the_survivors_in_order_and_rebuilds_every_index() {
+        for with_tail in [false, true] {
+            let mut rel = pairs(10, with_tail);
+            let total = rel.slot_count();
+            // One short of the threshold: dead == live is not yet compacted.
+            let half: BTreeSet<usize> = (0..total / 2).collect();
+            rel.remove_indices(&half);
+            let expected: Vec<String> = live(&rel).into_iter().map(|(_, fact)| fact).collect();
+            if total % 2 == 0 {
+                assert_eq!(rel.slot_count(), total, "dead == live keeps the slots");
+            }
+            // One more removal tips it over: the survivors are renumbered
+            // densely, in order.
+            let first = live(&rel)[0].0;
+            rel.remove_indices(&[first].into_iter().collect());
+            assert_eq!(rel.slot_count(), rel.len());
+            let after = live(&rel);
+            assert_eq!(
+                after,
+                expected[1..]
+                    .iter()
+                    .cloned()
+                    .enumerate()
+                    .collect::<Vec<_>>()
+            );
+            assert_eq!(rel.window_range(Window::Stable), 0..rel.len());
+            assert_consistent(&rel);
+            // Emptying the relation compacts it to nothing, and it fills up
+            // again from index 0.
+            let rest: BTreeSet<usize> = (0..rel.slot_count()).collect();
+            rel.remove_indices(&rest);
+            assert_eq!((rel.len(), rel.slot_count()), (0, 0));
+            assert!(rel.is_empty());
+            assert_eq!(rel.insert(pair(3)), InsertOutcome::Added);
+            assert_eq!(rel.find_equivalent(&pair(3)), Some(0));
+            assert_consistent(&rel);
+        }
+    }
+
+    #[test]
+    fn a_replica_catches_up_by_replaying_removals_and_copying_appended_facts() {
+        // Two copies of one relation; `head` takes each update for real
+        // (remove, then insert with subsumption), the replica replays it a
+        // step later.  Long enough to compact more than once.
+        let mut head = pairs(12, true);
+        let mut replica = head.clone();
+        let mut compactions = 0;
+        for step in 0..40i64 {
+            let removed: BTreeSet<usize> = live(&head)
+                .iter()
+                .map(|(index, _)| *index)
+                .filter(|index| (index + step as usize) % 3 == 0)
+                .take(3)
+                .collect();
+            let slots = head.slot_count();
+            head.remove_indices(&removed);
+            compactions += usize::from(head.slot_count() < slots);
+            // A fresh row, a row that may have been removed earlier, and now
+            // and then the constraint fact.
+            head.insert(pair(100 + step));
+            head.insert(pair(step % 12));
+            if step % 7 == 0 {
+                head.insert(tail_fact());
+            }
+            head.seal();
+            replica.catch_up(Some(&removed), &head);
+            assert_eq!(live(&replica), live(&head), "step {step}");
+            assert_consistent(&replica);
+        }
+        assert!(compactions >= 2, "{compactions}");
     }
 
     #[test]

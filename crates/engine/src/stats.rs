@@ -6,7 +6,7 @@
 //! comparative experiments (facts computed, derivations made) of Sections 4
 //! and 7.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use pcs_lang::Pred;
 
@@ -68,6 +68,13 @@ pub struct EvalStats {
     /// (zero for non-retraction evaluations).  Facts the re-derivation pass
     /// put back are counted as new facts by the iteration statistics.
     pub removed_facts: usize,
+    /// Which facts those were: per relation, the logical indices removed,
+    /// in the index space of the relations `Evaluator::apply` was given.
+    /// Together with the facts the result's relations hold past them, this
+    /// is the whole effect of the pass on a materialization — a second copy
+    /// of the input replays it with `Relation::catch_up` instead of
+    /// evaluating again.
+    pub removed_indices: BTreeMap<Pred, BTreeSet<usize>>,
 }
 
 impl EvalStats {

@@ -266,7 +266,8 @@ impl ServerHandle {
 }
 
 /// Writes one framed response: payload lines dot-stuffed, then the
-/// terminator.
+/// terminator.  The frame stays in the writer's buffer: the caller decides
+/// when it goes out.
 fn write_frame(writer: &mut impl Write, lines: &[String]) -> io::Result<()> {
     for line in lines {
         if line.starts_with('.') {
@@ -277,8 +278,7 @@ fn write_frame(writer: &mut impl Write, lines: &[String]) -> io::Result<()> {
             writeln!(writer, "{line}")?;
         }
     }
-    writeln!(writer, "{TERMINATOR}")?;
-    writer.flush()
+    writeln!(writer, "{TERMINATOR}")
 }
 
 /// Runs the shell loop over one client connection.
@@ -295,6 +295,7 @@ fn serve_client(
         &mut writer,
         &["pcs-service ready; one command per line, .help for help".to_string()],
     )?;
+    writer.flush()?;
     loop {
         let mut line = String::new();
         match reader.read_line(&mut line) {
@@ -315,12 +316,20 @@ fn serve_client(
                         "idle: no complete command in {timeout:?}; disconnecting"
                     )],
                 )?;
-                return Ok(());
+                return writer.flush();
             }
             Err(e) => return Err(e),
         }
         let response = shell.execute(line.trim_end_matches(['\n', '\r']));
         write_frame(&mut writer, &response.lines)?;
+        // A client that pipelines (a `.load` block of thousands of lines)
+        // gets its replies in as few segments as they fit: the frames go out
+        // once no complete command is left to read — so before this thread
+        // can block on the socket — or earlier whenever the buffer fills.  A
+        // closed-loop client's lone request is answered at once.
+        if response.quit || !reader.buffer().contains(&b'\n') {
+            writer.flush()?;
+        }
         if response.quit {
             return Ok(());
         }
@@ -480,6 +489,37 @@ mod tests {
         // The stream is still in sync: an ordinary command works after.
         let out = client.send(".strategy");
         assert!(out[0].starts_with("strategy:"), "{out:?}");
+        assert_eq!(client.send(".quit"), vec!["bye".to_string()]);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order_and_a_lone_one_at_once() {
+        let server = Server::bind("127.0.0.1:0").expect("bind");
+        let handle = server.spawn().expect("spawn");
+        let mut client = Client::connect(handle.addr());
+        // A reply the server sat on would otherwise hang the test.
+        let timeout = Some(Duration::from_secs(20));
+        client.reader.get_ref().set_read_timeout(timeout).unwrap();
+
+        // One write of 1 000 commands: the replies may share segments, but
+        // every command gets its own frame, in order.
+        let block: String = (0..1000).map(|i| format!(".echo line {i}\n")).collect();
+        client.writer.write_all(block.as_bytes()).expect("write");
+        client.writer.flush().expect("flush");
+        for i in 0..1000 {
+            assert_eq!(client.read_frame(), vec![format!("line {i}")]);
+        }
+
+        // A lone request is answered without a second one being sent.
+        assert_eq!(client.send(".echo alone"), vec!["alone".to_string()]);
+
+        // So is a complete command followed by the start of the next: the
+        // server does not wait for the rest before replying to the first.
+        client.writer.write_all(b".echo first\n.echo sec").unwrap();
+        client.writer.flush().expect("flush");
+        assert_eq!(client.read_frame(), vec!["first".to_string()]);
+        assert_eq!(client.send("ond"), vec!["second".to_string()]);
         assert_eq!(client.send(".quit"), vec!["bye".to_string()]);
         handle.shutdown();
     }

@@ -13,11 +13,12 @@
 //!
 //! Readers and the writer never block each other for the duration of an
 //! evaluation: queries clone an [`Arc`] to the current [`Snapshot`] and keep
-//! using it while an update materializes the next epoch on the side; the
-//! swap at the end is a pointer store.  Updates are serialized among
-//! themselves.
+//! using it while an update brings the writer's own replica of the
+//! materialization to the next epoch; publishing it is a pointer store, and
+//! the replica it replaces becomes the writer's next one (see
+//! [`Session::apply`]).  Updates are serialized among themselves.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,7 +31,8 @@ use pcs_core::analysis::{analyze, ProgramAnalysis};
 use pcs_core::transform::TransformError;
 use pcs_core::{Optimized, Optimizer, Strategy};
 use pcs_engine::{
-    parse_facts, Database, EvalResult, Evaluator, Fact, FactsError, Termination, UpdateBatch,
+    parse_facts, Database, EvalResult, Evaluator, Fact, FactsError, Relation, Termination,
+    UpdateBatch,
 };
 use pcs_lang::{Literal, Pred, Program, Query, Term};
 use pcs_telemetry as telemetry;
@@ -41,10 +43,12 @@ use crate::wal::Persistence;
 ///
 /// Every mutable structure a panicking update thread could have been holding
 /// is either rebuilt from scratch by the next holder (the coalescing queue,
-/// whose slots the leader always fills) or only ever mutated by a single
-/// non-panicking pointer store (the published snapshot), so the data behind
-/// a poisoned lock is consistent and the next client can proceed instead of
-/// inheriting the panic forever.
+/// whose slots the leader fills even when it unwinds; the writer's replica,
+/// which a leader takes out of the lock before touching it, so a leader that
+/// dies leaves none behind and the next one copies the published epoch) or
+/// only ever mutated by a single non-panicking pointer store (the published
+/// snapshot), so the data behind a poisoned lock is consistent and the next
+/// client can proceed instead of inheriting the panic forever.
 fn lock_recovered<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -93,6 +97,10 @@ pub enum SessionError {
     /// not applied (write-ahead: nothing is published that was not first
     /// logged).
     Persistence(io::Error),
+    /// The thread applying this batch's coalesced group panicked before the
+    /// batch got an outcome (e.g. exact arithmetic overflowed on a numeral
+    /// of some batch in the group).  Nothing of the group was published.
+    Abandoned,
 }
 
 impl fmt::Display for SessionError {
@@ -127,6 +135,11 @@ impl fmt::Display for SessionError {
                 "cannot apply updates: the write-ahead log is unwritable ({e}); \
                  nothing was applied"
             ),
+            SessionError::Abandoned => write!(
+                f,
+                "the update was abandoned: the evaluation pass applying its group panicked; \
+                 nothing was applied"
+            ),
         }
     }
 }
@@ -148,49 +161,86 @@ impl From<FactsError> for SessionError {
     }
 }
 
-/// An immutable view of a session's materialization at one epoch.
+/// One complete copy of a session's state at an epoch: the materialization,
+/// and the extensional database it is the fixpoint of.
 ///
-/// Cloning a snapshot is an [`Arc`] bump; the relations behind it are never
-/// mutated (updates build the next epoch on the side), so any number of
-/// reader threads can answer queries from it while writers proceed.
-#[derive(Clone, Debug)]
-pub struct Snapshot {
+/// A session that has taken an update owns two: the one readers see, and
+/// the writer's, which is one epoch behind between updates (see
+/// [`Session::apply`]).
+#[derive(Debug)]
+struct Replica {
     epoch: u64,
-    result: Arc<EvalResult>,
+    result: EvalResult,
     /// The extensional database as of this epoch — the multiset of base
     /// facts *before* materialization-time subsumption.  Retractions need
     /// it twice: to refuse retracting a fact that was never inserted, and
     /// to resurrect facts a retracted subsuming fact swallowed at seed
-    /// time.  Living inside the snapshot (rather than behind a separate
-    /// lock) makes the epoch, the materialization, and the EDB commit in
-    /// one atomic pointer store — which is what makes recovering a
-    /// poisoned lock sound: the published triple is always consistent.
-    base: Arc<Database>,
+    /// time.  Living beside the materialization (rather than behind a
+    /// separate lock) makes the epoch, the materialization, and the EDB
+    /// commit in one atomic pointer store — which is what makes recovering
+    /// a poisoned lock sound: the published triple is always consistent.
+    base: Database,
+    /// The coalesced batch whose application produced this epoch from the
+    /// previous one (empty for a base materialization).  With
+    /// `result.stats.removed_indices` and the facts `result.relations`
+    /// appended, this is everything a replica one epoch behind needs to
+    /// catch up without evaluating.
+    batch: UpdateBatch,
+}
+
+/// An immutable view of a session's materialization at one epoch.
+///
+/// Cloning a snapshot is an [`Arc`] bump; the replica behind it is never
+/// mutated while a snapshot of it exists (the writer only ever reclaims a
+/// retired replica nobody else holds), so any number of reader threads can
+/// answer queries from it while writers proceed.
+#[derive(Clone, Debug)]
+pub struct Snapshot {
+    replica: Arc<Replica>,
 }
 
 impl Snapshot {
     /// The update epoch this snapshot belongs to (0 = the base
     /// materialization, +1 per applied update batch).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.replica.epoch
     }
 
     /// The materialized evaluation result.
     pub fn result(&self) -> &EvalResult {
-        &self.result
+        &self.replica.result
     }
 
     /// The extensional database as of this epoch (base facts before
     /// subsumption) — what durability snapshots persist.
     pub fn base(&self) -> &Database {
-        &self.base
+        &self.replica.base
     }
 
     /// Answers a resolved single-literal query (with optional side
     /// constraints) against this snapshot.
     pub fn answers(&self, query: &Query) -> Vec<Fact> {
-        self.result.answers(query)
+        self.replica.result.answers(query)
     }
+}
+
+/// The mutable half of a [`Replica`], owned by the leader applying an
+/// update group: level with the published epoch when acquired, then ahead of
+/// it by the batches validated so far.
+struct Working {
+    relations: BTreeMap<Pred, Relation>,
+    base: Database,
+}
+
+/// The writer's replica between updates, kept under the update lock.
+enum Spare {
+    /// The replica the last publish replaced: one epoch behind the published
+    /// one, and possibly still held by readers that took their snapshot
+    /// before the publish.
+    Retired(Arc<Replica>),
+    /// Level with the published epoch: a leader acquired it and published
+    /// nothing (every batch it drained was refused).
+    Level(Working),
 }
 
 /// The outcome of one applied [`UpdateBatch`] (insertions, retractions, or
@@ -223,8 +273,8 @@ pub struct UpdateOutcome {
     pub termination: Termination,
     /// Total facts stored after the update.
     pub total_facts: usize,
-    /// Wall-clock time of the resumed evaluation (cloning the relations for
-    /// the new epoch included).
+    /// Wall-clock time of the incremental evaluation pass
+    /// ([`pcs_engine::Evaluator::apply`]) alone.
     pub elapsed: Duration,
     /// How many concurrently queued batches this epoch's single evaluation
     /// pass applied (server-side coalescing); `1` for a solo update.  When
@@ -316,7 +366,11 @@ pub struct Session {
     /// Updates that queue behind the lock do not each pay their own
     /// evaluation pass: the holder drains [`Session::queue`] and applies
     /// the waiters' batches together (see [`Session::apply`]).
-    update_lock: Mutex<()>,
+    ///
+    /// The lock also keeps the writer's replica between updates: `None`
+    /// until the first update (a read-only session never has a second
+    /// replica) and after a leader lost its replica.
+    update_lock: Mutex<Option<Spare>>,
     /// Concurrently submitted batches waiting to be coalesced: each entry
     /// pairs the batch with the slot its submitter is watching.  Drained by
     /// whichever submitter wins `update_lock` (flat combining).
@@ -337,8 +391,8 @@ struct QueuedUpdate {
     slot: Arc<UpdateSlot>,
 }
 
-/// The per-batch result slot of the coalescing queue.  Filled exactly once
-/// by whichever thread leads the batch's group; no condvar is needed
+/// The per-batch result slot of the coalescing queue.  Filled by whichever
+/// thread leads the batch's group; no condvar is needed
 /// because every submitter also queues on `update_lock` and re-checks its
 /// slot as soon as it acquires the lock.
 #[derive(Default)]
@@ -356,6 +410,20 @@ impl UpdateSlot {
     }
 }
 
+/// Held by a leader for the length of [`Session::lead`]: whatever way the
+/// leader leaves — a panic in the evaluation included — every drained slot it
+/// had not filled yet gets [`SessionError::Abandoned`], so no coalesced
+/// waiter is left reading an empty slot.
+struct AbandonUnfilled(Vec<Arc<UpdateSlot>>);
+
+impl Drop for AbandonUnfilled {
+    fn drop(&mut self) {
+        for slot in &self.0 {
+            lock_recovered(&slot.result).get_or_insert(Err(SessionError::Abandoned));
+        }
+    }
+}
+
 /// Whether `next` must not join a coalesced group already holding `group`:
 /// a later batch retracting what the group inserts (or re-inserting what it
 /// retracts) depends on the group's epoch being published first — one
@@ -369,6 +437,47 @@ fn conflicts(group: &UpdateBatch, next: &UpdateBatch) -> bool {
             .inserts
             .iter()
             .any(|i| group.retracts.iter().any(|r| r.equivalent(i)))
+}
+
+/// Hands a leader a replica level with `head` to mutate: the spare one,
+/// caught up if it is an epoch behind, or — when there is none, or a reader
+/// still shares it — a copy of `head`.
+fn acquire(spare: Option<Spare>, head: &Replica) -> Working {
+    match spare {
+        Some(Spare::Level(working)) => working,
+        Some(Spare::Retired(retired)) => match Arc::try_unwrap(retired) {
+            Ok(behind) => catch_up(behind, head),
+            Err(_still_read) => copy_of(head),
+        },
+        None => copy_of(head),
+    }
+}
+
+/// Replays onto the replica one epoch `behind` what `head`'s epoch did —
+/// the batch to the EDB, the removals and appended facts to each relation —
+/// without evaluating anything.
+fn catch_up(behind: Replica, head: &Replica) -> Working {
+    debug_assert_eq!(behind.epoch + 1, head.epoch);
+    let mut relations = behind.result.relations;
+    let mut base = behind.base;
+    base.apply(&head.batch)
+        .expect("both replicas validated this batch against the same EDB");
+    for (pred, relation) in &head.result.relations {
+        relations
+            .entry(pred.clone())
+            .or_default()
+            .catch_up(head.result.stats.removed_indices.get(pred), relation);
+    }
+    Working { relations, base }
+}
+
+/// The one step of the update path that copies the database.
+fn copy_of(head: &Replica) -> Working {
+    telemetry::add(telemetry::Counter::EpochClones, 1);
+    Working {
+        relations: head.result.relations.clone(),
+        base: head.base.clone(),
+    }
 }
 
 impl Session {
@@ -414,11 +523,14 @@ impl Session {
             original_query,
             rewritten_query,
             current: RwLock::new(Snapshot {
-                epoch,
-                result: Arc::new(result),
-                base: Arc::new(db.clone()),
+                replica: Arc::new(Replica {
+                    epoch,
+                    result,
+                    base: db.clone(),
+                    batch: UpdateBatch::new(),
+                }),
             }),
-            update_lock: Mutex::new(()),
+            update_lock: Mutex::new(None),
             queue: Mutex::new(VecDeque::new()),
             max_facts: AtomicUsize::new(0),
             persist: OnceLock::new(),
@@ -499,7 +611,7 @@ impl Session {
             )));
         }
         let literal = &query.literals[0];
-        if snapshot.result.relations.contains_key(&literal.predicate) {
+        if snapshot.result().relations.contains_key(&literal.predicate) {
             return Ok(query.clone());
         }
         // `?- cheaporshort(...)` against a magic-rewritten program: the
@@ -608,13 +720,41 @@ impl Session {
     /// Batches submitted concurrently do not each pay their own incremental
     /// pass.  Every submitter enqueues its batch and then competes for the
     /// update lock; the winner (*leader*) drains the queue, validates each
-    /// batch in arrival order against an evolving EDB mirror (so refusal
+    /// batch in arrival order against the writer's evolving EDB (so refusal
     /// semantics are exactly those of sequential application), concatenates
     /// the survivors into conflict-free groups, and runs **one** evaluation
     /// pass per group — one epoch shared by every batch in it
     /// ([`UpdateOutcome::coalesced`]).  A batch that retracts what an
     /// earlier queued batch inserts (or re-inserts what it retracts) starts
-    /// a new group, preserving order-sensitive semantics.
+    /// a new group, preserving order-sensitive semantics.  A leader that
+    /// panics (an evaluation that overflows exact arithmetic, say) fills the
+    /// slots of the batches it had not answered with
+    /// [`SessionError::Abandoned`] on its way out.
+    ///
+    /// # Replicas
+    ///
+    /// Publishing an epoch copies nothing.  A session that takes updates
+    /// keeps two replicas of its state — materialization and EDB — and hands
+    /// them back and forth: the *published* one, which readers share and
+    /// nobody mutates, and the *writer's*, which the previous publish
+    /// retired and which is therefore one epoch behind.  An update reclaims
+    /// the retired replica ([`Arc::try_unwrap`]: the writer must be its only
+    /// owner), brings it level by replaying the effects of the epoch it
+    /// missed — per relation the removed indices and the appended facts
+    /// ([`Relation::catch_up`]), for the EDB the batch; no joins, no second
+    /// evaluation — validates and applies the drained batches to it, and
+    /// publishes it with a pointer store, which retires the other replica in
+    /// turn.  Every step costs what the two batches changed, not what the
+    /// database holds.  Both replicas take the same removals and the same
+    /// appends in the same order, so their relations stay index-identical.
+    ///
+    /// The one remaining copy is the fallback when there is no replica to
+    /// reclaim — the session's first update, a reader still holding a
+    /// snapshot of the retired replica, or a leader that lost its replica
+    /// (it is taken *out* of the lock before it is touched, so a leader
+    /// that unwinds or meets a write-ahead-log failure halfway never leaves
+    /// a half-applied one behind): the writer then clones the published
+    /// replica, counted by the `epoch_clones` telemetry counter.
     pub fn apply(&self, batch: UpdateBatch) -> Result<UpdateOutcome, SessionError> {
         for fact in batch.inserts.iter().chain(&batch.retracts) {
             if !self.edb.contains(fact.predicate()) {
@@ -630,93 +770,86 @@ impl Session {
             batch,
             slot: slot.clone(),
         });
-        let guard = lock_recovered(&self.update_lock);
+        let mut spare = lock_recovered(&self.update_lock);
         if let Some(result) = slot.take() {
             // A previous leader drained our batch while we waited for the
             // lock; nothing left to do.
-            drop(guard);
+            drop(spare);
             return result;
         }
         // We are the leader: serve everything queued right now (our own
         // batch included).
         let drained: Vec<QueuedUpdate> = lock_recovered(&self.queue).drain(..).collect();
-        self.lead(drained);
-        drop(guard);
+        self.lead(&mut spare, drained);
+        drop(spare);
         slot.take().expect("the leader fills every drained slot")
     }
 
     /// Applies a drained run of queued batches (leader side of the
-    /// coalescing protocol).  Called with `update_lock` held; fills every
-    /// drained slot exactly once.
-    fn lead(&self, drained: Vec<QueuedUpdate>) {
-        let mut published = self.snapshot();
-        // The EDB mirror evolves batch by batch so refusals (absent
-        // retractions, the fact cap) behave exactly as if the batches had
-        // arrived one at a time.
-        let mut mirror = (*published.base).clone();
+    /// coalescing protocol).  Called with `update_lock` held — `spare` is
+    /// what it guards; fills every drained slot, by unwinding if need be.
+    fn lead(&self, spare: &mut Option<Spare>, drained: Vec<QueuedUpdate>) {
+        let _abandon = AbandonUnfilled(drained.iter().map(|q| q.slot.clone()).collect());
+        let mut head = self.snapshot().replica;
+        // The writer's replica, acquired for the first batch that gets as
+        // far as validation.  Its EDB evolves batch by batch so refusals
+        // (absent retractions, the fact cap) behave exactly as if the
+        // batches had arrived one at a time.
+        let mut working: Option<Working> = None;
         let mut combined = UpdateBatch::new();
         let mut group: Vec<Arc<UpdateSlot>> = Vec::new();
         // Once the write-ahead log fails nothing further may publish;
         // remember the failure and refuse the rest of the drain with it.
         let mut wal_failure: Option<(io::ErrorKind, String)> = None;
-        for QueuedUpdate { batch, slot } in drained {
-            if let Some((kind, message)) = &wal_failure {
-                slot.fill(Err(SessionError::Persistence(io::Error::new(
+        // `Evaluator::apply` is only sound on a *completed*
+        // materialization: a run that stopped on a resource limit left
+        // derivations unattempted that no delta-driven pass will replay.  A
+        // group published mid-drain can itself go partial, so this is
+        // re-checked per batch (and after a mid-drain publish), not once per
+        // drain.
+        let refusal = |wal_failure: &Option<(io::ErrorKind, String)>, head: &Replica| {
+            if let Some((kind, message)) = wal_failure {
+                return Some(SessionError::Persistence(io::Error::new(
                     *kind,
                     message.clone(),
-                ))));
-                continue;
-            }
-            // `Evaluator::apply` is only sound on a *completed*
-            // materialization: a run that stopped on a resource limit left
-            // derivations unattempted that no delta-driven pass will
-            // replay.  A group published mid-drain can itself go partial,
-            // so this is re-checked per batch, not once per drain.
-            if !published.result.termination.is_fixpoint() {
-                slot.fill(Err(SessionError::PartialMaterialization(
-                    published.result.termination,
                 )));
+            }
+            let termination = head.result.termination;
+            (!termination.is_fixpoint())
+                .then_some(SessionError::PartialMaterialization(termination))
+        };
+        for QueuedUpdate { batch, slot } in drained {
+            if let Some(error) = refusal(&wal_failure, &head) {
+                slot.fill(Err(error));
                 continue;
             }
             if conflicts(&combined, &batch) {
-                // The mirror holds exactly the open group's effects (this
-                // batch has not touched it yet), which is what the flush
-                // publishes.
-                self.flush_group(
-                    &mut published,
-                    &mirror,
-                    std::mem::take(&mut combined),
-                    std::mem::take(&mut group),
-                    &mut wal_failure,
-                );
-                // Re-run the refusal checks against the new epoch.
-                if let Some((kind, message)) = &wal_failure {
-                    slot.fill(Err(SessionError::Persistence(io::Error::new(
-                        *kind,
-                        message.clone(),
-                    ))));
-                    continue;
-                }
-                if !published.result.termination.is_fixpoint() {
-                    slot.fill(Err(SessionError::PartialMaterialization(
-                        published.result.termination,
-                    )));
+                // The working replica holds exactly the open group's
+                // effects (this batch has not touched it yet), which is
+                // what the flush publishes.
+                let open = working.take().expect("an open group has a replica");
+                let (batch, slots) = (std::mem::take(&mut combined), std::mem::take(&mut group));
+                self.flush_group(&mut head, spare, open, batch, slots, &mut wal_failure);
+                if let Some(error) = refusal(&wal_failure, &head) {
+                    slot.fill(Err(error));
                     continue;
                 }
             }
+            let replica = working.get_or_insert_with(|| acquire(spare.take(), &head));
             // The cap bounds the EDB *after* the batch: its own retractions
             // make room for its insertions (a replace-one-fact batch at the
             // cap does not grow anything).
             let limit = self.max_facts.load(Ordering::Relaxed);
-            let after = (mirror.len() + batch.inserts.len()).saturating_sub(batch.retracts.len());
+            let after =
+                (replica.base.len() + batch.inserts.len()).saturating_sub(batch.retracts.len());
             if limit > 0 && after > limit {
                 slot.fill(Err(SessionError::FactLimit(limit)));
                 continue;
             }
-            // Per-batch all-or-nothing validation *and* mirror evolution in
+            // Per-batch all-or-nothing validation *and* EDB evolution in
             // one step: a refused batch (absent retraction) leaves the
-            // mirror untouched, inserts included.
-            if let Err(fact) = mirror.apply(&batch) {
+            // replica untouched, inserts included.
+            if let Err(fact) = replica.base.apply(&batch) {
                 slot.fill(Err(SessionError::NoSuchFact(fact.to_string())));
                 continue;
             }
@@ -724,24 +857,32 @@ impl Session {
             combined.inserts.extend(batch.inserts);
             group.push(slot);
         }
-        if !group.is_empty() {
-            self.flush_group(&mut published, &mirror, combined, group, &mut wal_failure);
+        match working {
+            Some(open) if !group.is_empty() => {
+                self.flush_group(&mut head, spare, open, combined, group, &mut wal_failure);
+            }
+            // Every batch since the replica was acquired was refused, so it
+            // is still level with the published epoch: keep it.
+            Some(level) => *spare = Some(Spare::Level(level)),
+            None => {}
         }
     }
 
     /// Publishes one coalesced group as one epoch: write-ahead log first,
-    /// then a single incremental evaluation pass, then the atomic snapshot
-    /// store, then the snapshot-cadence checkpoint.  `mirror` must be the
-    /// EDB after exactly this group's batches.
+    /// then a single incremental evaluation pass over the writer's replica,
+    /// then the atomic snapshot store — which retires the replica `head`
+    /// pointed at into `spare` — then the snapshot-cadence checkpoint.
+    /// `working.base` must be the EDB after exactly this group's batches.
     fn flush_group(
         &self,
-        published: &mut Snapshot,
-        mirror: &Database,
+        head: &mut Arc<Replica>,
+        spare: &mut Option<Spare>,
+        working: Working,
         combined: UpdateBatch,
         group: Vec<Arc<UpdateSlot>>,
         wal_failure: &mut Option<(io::ErrorKind, String)>,
     ) {
-        let epoch = published.epoch + 1;
+        let epoch = head.epoch + 1;
         if let Some(persistence) = self.persist.get() {
             if let Err(e) = persistence.record(epoch, &combined) {
                 let kind = e.kind();
@@ -753,35 +894,26 @@ impl Session {
                     ))));
                 }
                 *wal_failure = Some((kind, message));
+                // `working`'s EDB is ahead of anything that will ever be
+                // published: it is dropped here, not kept as the spare.
                 return;
             }
         }
-        // The evaluator wants the EDB after the retractions but *without*
-        // the insertions (it seeds those as delta facts itself).  Every
-        // removal must succeed: the mirror validated each batch and group
-        // conflicts were flushed, so the combined retractions are all
-        // present in the published base.
-        let mut surviving = (*published.base).clone();
-        for fact in &combined.retracts {
-            let removed = surviving.remove(fact);
-            debug_assert!(removed, "validated retraction `{fact}` vanished");
-        }
+        let Working { relations, base } = working;
         let start = Instant::now();
-        // Copy-on-update: the new epoch is built aside so readers of the
-        // published snapshot are undisturbed; the incremental pass then
-        // only touches what the batch can reach.
-        let relations = published.result.relations.clone();
         let pure_insert = combined.retracts.is_empty();
         let insert_count = combined.inserts.len();
-        let result = self.evaluator.apply(relations, combined, &surviving);
+        // `base` holds the group's insertions as well as its retractions;
+        // the evaluator is indifferent (it seeds the insertions itself
+        // before it consults the EDB).
+        let result = self.evaluator.apply(relations, combined.clone(), &base);
         let elapsed = start.elapsed();
         let removed = result.stats.removed_facts;
         // Batch insertions and resurrected EDB facts enter the relations
         // outside the iteration statistics, so the facts stored that way are
         // recovered from the totals: the net growth (over-deletion removals
         // added back) minus what the iterations account for.
-        let new_facts =
-            (result.total_facts() + removed).saturating_sub(published.result.total_facts());
+        let new_facts = (result.total_facts() + removed).saturating_sub(head.result.total_facts());
         let inserted = if pure_insert {
             new_facts.saturating_sub(result.stats.total_new_facts())
         } else {
@@ -802,13 +934,16 @@ impl Session {
             elapsed,
             coalesced: group.len(),
         };
-        let next = Snapshot {
+        let next = Arc::new(Replica {
             epoch,
-            result: Arc::new(result),
-            base: Arc::new(mirror.clone()),
+            result,
+            base,
+            batch: combined,
+        });
+        *write_recovered(&self.current) = Snapshot {
+            replica: next.clone(),
         };
-        *write_recovered(&self.current) = next.clone();
-        *published = next;
+        *spare = Some(Spare::Retired(std::mem::replace(head, next)));
         telemetry::add(telemetry::Counter::Updates, group.len() as u64);
         telemetry::add(
             telemetry::Counter::CoalescedUpdates,
@@ -822,7 +957,7 @@ impl Session {
             // A failed checkpoint is not fatal: the WAL still holds every
             // record since the last good snapshot, so recovery stays
             // correct — just slower.  Surface it and keep serving.
-            if let Err(e) = persistence.maybe_checkpoint(epoch, published.base()) {
+            if let Err(e) = persistence.maybe_checkpoint(epoch, &head.base) {
                 eprintln!("warning: session checkpoint failed: {e}");
             }
         }
@@ -905,6 +1040,36 @@ mod tests {
     fn flights_session(strategy: Strategy) -> Session {
         let optimizer = Optimizer::new(programs::flights()).strategy(strategy);
         Session::materialize(&optimizer, &programs::flights_database(6, 10)).unwrap()
+    }
+
+    /// Every relation's facts, rendered and sorted.
+    fn rendered(snapshot: &Snapshot) -> Vec<(String, Vec<String>)> {
+        let relations = &snapshot.result().relations;
+        relations
+            .iter()
+            .map(|(pred, relation)| {
+                let mut facts: Vec<String> = relation.iter().map(|f| f.to_string()).collect();
+                facts.sort();
+                (pred.to_string(), facts)
+            })
+            .collect()
+    }
+
+    /// The session's EDB is `flights_database(6, 10)` plus `added`, and its
+    /// materialization is what evaluating that from scratch stores.
+    fn assert_matches_fresh_materialization(session: &Session, added: &str) {
+        let mut db = programs::flights_database(6, 10);
+        db.add_facts_str(added).unwrap();
+        let sorted = |db: &Database| {
+            let mut facts: Vec<String> = db.all_facts().map(ToString::to_string).collect();
+            facts.sort();
+            facts
+        };
+        let snapshot = session.snapshot();
+        assert_eq!(sorted(snapshot.base()), sorted(&db));
+        let optimizer = Optimizer::new(programs::flights()).strategy(session.strategy().clone());
+        let fresh = Session::materialize(&optimizer, &db).unwrap();
+        assert_eq!(rendered(&snapshot), rendered(&fresh.snapshot()));
     }
 
     #[test]
@@ -1284,6 +1449,11 @@ mod tests {
                 "{name} missing from {answers:?}"
             );
         }
+        assert_matches_fresh_materialization(
+            &session,
+            "singleleg(madison, stage0, 10, 10).\nsingleleg(madison, stage1, 10, 10).\n\
+             singleleg(madison, stage2, 10, 10).\nsingleleg(madison, leader, 10, 10).",
+        );
     }
 
     #[test]
@@ -1311,6 +1481,87 @@ mod tests {
         // The net effect is a no-op: the transient leg is gone.
         let query = parse_query("?- flight(madison, transient, T, C).").unwrap();
         assert!(session.query(&query).unwrap().2.is_empty());
+        // The second epoch was built on the replica the first one retired,
+        // caught up mid-drain.
+        assert_matches_fresh_materialization(&session, "");
+    }
+
+    #[test]
+    fn a_refused_drain_keeps_the_writers_replica_level() {
+        let session = flights_session(Strategy::ConstraintRewrite);
+        session
+            .insert_str("singleleg(madison, first, 10, 10).")
+            .unwrap();
+        // The refusal acquires the spare replica, catches it up, and then
+        // publishes nothing: it must come back level, not be re-applied or
+        // lost.
+        let err = session.remove_str("singleleg(no, where, 1, 1).");
+        assert!(matches!(err, Err(SessionError::NoSuchFact(_))));
+        assert!(matches!(
+            *lock_recovered(&session.update_lock),
+            Some(Spare::Level(_))
+        ));
+        session
+            .insert_str("singleleg(first, seattle, 10, 10).")
+            .unwrap();
+        session
+            .remove_str("singleleg(madison, first, 10, 10).")
+            .unwrap();
+        assert_eq!(session.snapshot().epoch(), 3);
+        assert_matches_fresh_materialization(&session, "singleleg(first, seattle, 10, 10).");
+    }
+
+    #[test]
+    fn a_leader_that_panics_fails_its_waiters_and_loses_only_its_replica() {
+        // Unrewritten, r4 adds the times of every pair of joinable flights.
+        let session = flights_session(Strategy::None);
+        session
+            .insert_str("singleleg(madison, warm, 10, 10).")
+            .unwrap();
+        let before = session.snapshot();
+        // A bystander's batch is queued; the leader's own batch carries a
+        // numeral that overflows `T = T1 + T2 + 30` in the exact arithmetic
+        // of the one evaluation pass both batches share.
+        let bystander = Arc::new(UpdateSlot::default());
+        lock_recovered(&session.queue).push_back(QueuedUpdate {
+            batch: UpdateBatch::inserting(
+                parse_facts("singleleg(madison, bystander, 10, 10).").unwrap(),
+            ),
+            slot: bystander.clone(),
+        });
+        let huge = pcs_constraints::Rational::from_int(i128::MAX);
+        let poison = Fact::ground(
+            "singleleg",
+            vec![
+                pcs_engine::Value::sym("overflow"),
+                pcs_engine::Value::sym("madison"),
+                pcs_engine::Value::num(huge),
+                pcs_engine::Value::num(1),
+            ],
+        );
+        let leader = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.insert(vec![poison])
+        }));
+        assert!(leader.is_err(), "the evaluation overflows");
+        // The waiter has an error to read instead of an empty slot.
+        assert!(matches!(
+            bystander.take().expect("filled while unwinding"),
+            Err(SessionError::Abandoned)
+        ));
+        // Nothing was published, and the half-applied replica is gone.
+        let after = session.snapshot();
+        assert_eq!(after.epoch(), before.epoch());
+        assert_eq!(rendered(&after), rendered(&before));
+        assert!(lock_recovered(&session.update_lock).is_none());
+        // The next update starts from a fresh copy of the published epoch.
+        let outcome = session
+            .insert_str("singleleg(warm, seattle, 10, 10).")
+            .unwrap();
+        assert_eq!(outcome.epoch, before.epoch() + 1);
+        assert_matches_fresh_materialization(
+            &session,
+            "singleleg(madison, warm, 10, 10).\nsingleleg(warm, seattle, 10, 10).",
+        );
     }
 
     #[test]

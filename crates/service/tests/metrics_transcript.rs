@@ -140,6 +140,7 @@ fn golden_metrics_transcript() {
         " queries <v>",
         " updates <v>",
         " coalesced_updates <v>",
+        " epoch_clones <v>",
         " slow_queries <v>",
         "phases:",
         " analyze count=<v> total=<v>",
@@ -179,6 +180,8 @@ fn golden_metrics_transcript() {
         "pcs_updates_total <v>",
         "# TYPE pcs_coalesced_updates_total counter",
         "pcs_coalesced_updates_total <v>",
+        "# TYPE pcs_epoch_clones_total counter",
+        "pcs_epoch_clones_total <v>",
         "# TYPE pcs_slow_queries_total counter",
         "pcs_slow_queries_total <v>",
         "# TYPE pcs_phase_seconds_total counter",

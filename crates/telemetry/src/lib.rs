@@ -152,12 +152,18 @@ pub enum Counter {
     /// (server-side coalescing): of a group of N concurrently queued
     /// batches applied as one epoch, N−1 count here.
     CoalescedUpdates,
+    /// Times a session's writer had to copy the published replica (database
+    /// and materialization) because it had none of its own to reclaim: once
+    /// per session that takes updates, plus once per update that found a
+    /// reader still holding the retired replica or followed a leader that
+    /// lost its own.
+    EpochClones,
     /// Queries slower than the `PCS_SLOW_QUERY_MS` threshold.
     SlowQueries,
 }
 
 /// Number of counters in [`Counter`].
-pub const COUNTER_COUNT: usize = 11;
+pub const COUNTER_COUNT: usize = 12;
 
 /// All counters with their snake_case names, in catalog order.
 pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
@@ -171,6 +177,7 @@ pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
     (Counter::Queries, "queries"),
     (Counter::Updates, "updates"),
     (Counter::CoalescedUpdates, "coalesced_updates"),
+    (Counter::EpochClones, "epoch_clones"),
     (Counter::SlowQueries, "slow_queries"),
 ];
 

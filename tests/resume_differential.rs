@@ -415,6 +415,105 @@ fn retracting_everything_empties_the_materialization() {
     assert_interleaving_matches_scratch(&program, &base, &updates);
 }
 
+/// A deterministic rolling-window schedule over the flights network, as a
+/// `pcs-serve` churn client produces it: every step inserts one leg —
+/// usually a fresh one, sometimes one retracted earlier, sometimes a second
+/// copy of a leg still in the window — and, once the window is full,
+/// retracts its oldest leg; alternately as one mixed batch and as two
+/// single-sided ones.
+fn rolling_window_schedule(steps: usize, window_size: usize, seed: u64) -> Vec<UpdateBatch> {
+    let cities = ["madison", "c1", "c2", "c3", "c4", "seattle"];
+    let mut pool = Vec::new();
+    for a in 0..cities.len() {
+        for b in a + 1..cities.len() {
+            let k = pool.len() as i64;
+            pool.extend(leg_updates(&[(
+                cities[a],
+                cities[b],
+                20 + 5 * k,
+                10 + 3 * k,
+            )]));
+        }
+    }
+    let mut state = seed;
+    let mut below = |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % n
+    };
+    let mut window: std::collections::VecDeque<Fact> = Default::default();
+    let mut retired: Vec<Fact> = Vec::new();
+    let mut batches = Vec::new();
+    for step in 0..steps {
+        let leg = match below(3) {
+            0 if !retired.is_empty() => retired.swap_remove(below(retired.len())),
+            1 if !window.is_empty() => window[below(window.len())].clone(),
+            _ => pool[step % pool.len()].clone(),
+        };
+        window.push_back(leg.clone());
+        let insert = UpdateBatch::inserting(vec![leg]);
+        if window.len() <= window_size {
+            batches.push(insert);
+            continue;
+        }
+        let oldest = window.pop_front().expect("the window is full");
+        retired.push(oldest.clone());
+        if step % 2 == 0 {
+            batches.push(insert.retract(oldest));
+        } else {
+            batches.push(insert);
+            batches.push(UpdateBatch::retracting(vec![oldest]));
+        }
+    }
+    batches
+}
+
+#[test]
+fn a_long_rolling_window_matches_scratch_across_compactions() {
+    // In-place deletion leaves dead slots behind and compacts a relation
+    // once they outnumber its live facts; a churn this long takes every
+    // relation it touches through that several times, re-inserts facts
+    // whose earlier slots are dead, and retracts one copy of duplicated
+    // legs (which must survive through their other copy).
+    let program = programs::flights();
+    let base = programs::flights_database(4, 0);
+    let schedule = rolling_window_schedule(48, 4, 0x5eed);
+    let mut expected = base.clone();
+    for batch in &schedule {
+        expected
+            .apply(batch)
+            .expect("the schedule retracts what it inserted");
+    }
+    assert_maintained_matches_scratch(&program, &expected, |evaluator| {
+        // One evolving EDB, handed over as it stands after each whole
+        // batch — insertions included — as a session does.
+        let mut edb = base.clone();
+        let mut rolling = evaluator.evaluate(&base);
+        let mut compactions = 0;
+        for batch in &schedule {
+            edb.apply(batch).expect("validated above");
+            let slots = |result: &EvalResult| -> Vec<usize> {
+                result
+                    .relations
+                    .values()
+                    .map(Relation::slot_count)
+                    .collect()
+            };
+            let before = slots(&rolling);
+            rolling = evaluator.apply(rolling.relations, batch.clone(), &edb);
+            // Only a compaction ever shrinks a relation's index space.
+            compactions += before
+                .iter()
+                .zip(slots(&rolling))
+                .filter(|(before, after)| after < before)
+                .count();
+        }
+        assert!(compactions >= 2, "only {compactions} compactions");
+        rolling
+    });
+}
+
 // --- DRed through static plans -------------------------------------------
 //
 // Over-deletion and re-derivation run precompiled plans whose probe columns
