@@ -48,39 +48,6 @@ pub fn random_flights_database(num_cities: usize, num_legs: usize, seed: u64) ->
     db
 }
 
-/// A dense layered flight network for the thread-scaling experiments:
-/// `layers` layers of `width` cities each, with a leg from *every* city of a
-/// layer to *every* city of the next layer (seeded random times in
-/// `[30, 400]` and costs in `[20, 500]`), on top of the deterministic
-/// madison–seattle chain so the paper query keeps answers.
-///
-/// The flight closure composes `width²·layers·(layers-1)/2` city pairs with
-/// `width` intermediate choices each, so the per-iteration derivation rounds
-/// are wide — exactly the shape the parallel evaluator shards across worker
-/// threads.  The network is a DAG, so evaluation terminates at every scale.
-pub fn layered_flights_database(layers: usize, width: usize, seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = programs::flights_database(4, 0);
-    for layer in 0..layers.saturating_sub(1) {
-        for src in 0..width {
-            for dst in 0..width {
-                let time: i64 = rng.random_range(30..=400);
-                let cost: i64 = rng.random_range(20..=500);
-                db.add_ground(
-                    "singleleg",
-                    vec![
-                        Value::sym(format!("l{layer}_{src}")),
-                        Value::sym(format!("l{}_{dst}", layer + 1)),
-                        Value::num(time),
-                        Value::num(cost),
-                    ],
-                );
-            }
-        }
-    }
-    db
-}
-
 /// A batch of update legs for the incremental benches: `num_legs` new
 /// legs between random cities of a `num_cities` flight network, oriented
 /// from the lower- to the higher-numbered city so the grown network stays a
@@ -206,15 +173,5 @@ mod tests {
         let mut survivors = db.clone();
         assert_eq!(survivors.remove_facts(&a), 5);
         assert_eq!(survivors.len(), db.len() - 5);
-    }
-
-    #[test]
-    fn layered_network_is_dense_and_reproducible() {
-        let a = layered_flights_database(3, 4, 1);
-        let b = layered_flights_database(3, 4, 1);
-        assert_eq!(a.len(), b.len());
-        // 2 layer gaps × 4×4 legs each, plus the 4-city madison chain (three
-        // chain legs and the direct madison–seattle leg).
-        assert_eq!(a.len(), 2 * 16 + 4);
     }
 }

@@ -80,7 +80,7 @@ impl Optimizer {
     }
 
     /// Sets the evaluation options the [`Optimized`] program will use
-    /// (limits, tracing, worker threads and their sharding threshold).
+    /// (limits and tracing).
     pub fn eval_options(mut self, eval: EvalOptions) -> Self {
         self.eval = eval;
         self
@@ -193,7 +193,7 @@ pub struct Optimized {
     /// query predicate when Magic Templates was applied).
     pub query_pred: Pred,
     /// The evaluation options configured on the [`Optimizer`] (limits,
-    /// tracing, threads), plus the analyzer-derived selectivity hints
+    /// tracing), plus the analyzer-derived selectivity hints
     /// [`Optimizer::optimize`] filled in for the plan compiler.
     pub eval: EvalOptions,
     /// The static-analysis findings for the source program, sorted most
@@ -294,30 +294,6 @@ mod tests {
         let result = optimized.evaluate(&programs::flights_database(6, 10));
         assert_eq!(result.stats.iterations.len(), 3);
         assert!(!result.stats.iterations[0].records.is_empty());
-    }
-
-    #[test]
-    fn worker_threads_shard_without_changing_results() {
-        let program = programs::flights();
-        let db = programs::flights_database(6, 12);
-        let sequential = Optimizer::new(program.clone())
-            .eval_options(EvalOptions::default().with_threads(1))
-            .optimize()
-            .unwrap();
-        let sharded = EvalOptions::default()
-            .with_threads(4)
-            .with_min_parallel_work(0);
-        let parallel = Optimizer::new(program)
-            .eval_options(sharded)
-            .optimize()
-            .unwrap();
-        assert_eq!(sequential.eval.threads, 1);
-        assert_eq!(parallel.eval.threads, 4);
-        let a = sequential.evaluate(&db);
-        let b = parallel.evaluate(&db);
-        assert_eq!(a.termination, b.termination);
-        assert_eq!(a.stats.facts_per_predicate, b.stats.facts_per_predicate);
-        assert_eq!(a.stats.total_derivations(), b.stats.total_derivations());
     }
 
     #[test]

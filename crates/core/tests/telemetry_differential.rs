@@ -1,16 +1,15 @@
 //! Differential check that the telemetry layer is purely observational: for
-//! every rewriting strategy, sequentially and on a 4-thread pool, a run with
-//! the process-wide mode on produces exactly the answers and `EvalStats` of
-//! a run with it off.  The only permitted difference is
-//! `IterationStats::wall_nanos`, which is zero with telemetry off and
-//! populated with it on.
+//! every rewriting strategy, a run with the process-wide mode on produces
+//! exactly the answers and `EvalStats` of a run with it off.  The only
+//! permitted difference is `IterationStats::wall_nanos`, which is zero with
+//! telemetry off and populated with it on.
 //!
 //! The mode is also the *single* gate: with it off no phase span is recorded
 //! either, with it on every phase an operation passes through is — there is
 //! no per-evaluator switch beside `pcs_telemetry::set_mode`.
 
 use pcs_core::{programs, Optimizer, Strategy};
-use pcs_engine::{EvalOptions, EvalResult, EvalStats, UpdateBatch};
+use pcs_engine::{EvalResult, EvalStats, UpdateBatch};
 use pcs_telemetry::{Phase, TelemetryMode};
 use pcs_transform::Step;
 
@@ -92,7 +91,6 @@ fn run(
     program: &pcs_lang::Program,
     db: &pcs_engine::Database,
     strategy: &Strategy,
-    base: &EvalOptions,
     telemetry: bool,
 ) -> (EvalResult, Vec<pcs_engine::Fact>) {
     set_telemetry(telemetry);
@@ -101,7 +99,7 @@ fn run(
         .strategy(strategy.clone())
         .optimize()
         .expect("optimization succeeds");
-    let result = optimized.evaluate_with(db, base.clone());
+    let result = optimized.evaluate(db);
     assert_phases_recorded(
         &before,
         telemetry,
@@ -130,7 +128,7 @@ fn fm_sat_calls(program: &pcs_lang::Program, db: &pcs_engine::Database, strategy
         .strategy(strategy)
         .optimize()
         .expect("optimization succeeds");
-    let result = optimized.evaluate_with(db, EvalOptions::default().with_threads(1));
+    let result = optimized.evaluate(db);
     assert!(result.termination.is_fixpoint());
     pcs_telemetry::flush_thread();
     pcs_telemetry::counter(pcs_telemetry::Counter::FmSatCalls)
@@ -227,24 +225,19 @@ fn telemetry_changes_no_answers_and_no_stats() {
     let previous = pcs_telemetry::mode();
     for (workload, program, db) in &workloads {
         for (strategy_name, strategy) in &strategies {
-            for threads in [1, 4] {
-                let base = EvalOptions::default()
-                    .with_threads(threads)
-                    .with_min_parallel_work(0);
-                let label = format!("{workload}/{strategy_name}/{threads}-thread");
-                let (off, off_answers) = run(program, db, strategy, &base, false);
-                let (on, on_answers) = run(program, db, strategy, &base, true);
-                assert_eq!(off_answers, on_answers, "{label}: answers");
-                assert_eq!(
-                    off.termination, on.termination,
-                    "{label}: termination verdict"
-                );
-                assert_stats_identical(&off.stats, &on.stats, &label);
-                assert!(
-                    on.stats.iterations.iter().any(|i| i.wall_nanos > 0),
-                    "{label}: telemetry on should time at least one iteration"
-                );
-            }
+            let label = format!("{workload}/{strategy_name}");
+            let (off, off_answers) = run(program, db, strategy, false);
+            let (on, on_answers) = run(program, db, strategy, true);
+            assert_eq!(off_answers, on_answers, "{label}: answers");
+            assert_eq!(
+                off.termination, on.termination,
+                "{label}: termination verdict"
+            );
+            assert_stats_identical(&off.stats, &on.stats, &label);
+            assert!(
+                on.stats.iterations.iter().any(|i| i.wall_nanos > 0),
+                "{label}: telemetry on should time at least one iteration"
+            );
         }
     }
     assert_update_phases_follow_the_mode();

@@ -41,8 +41,8 @@ mod matching;
 mod options;
 mod round;
 
-pub use options::{EvalOptions, MIN_PARALLEL_ROUND_WORK};
-use round::{chunk_tasks, delta_candidates, run_and_absorb, EvalTotals, RoundTask, TaskKind};
+pub use options::EvalOptions;
+use round::{delta_candidates, run_and_absorb, EvalTotals, RoundTask, TaskKind};
 
 /// The result of a bottom-up evaluation.
 #[derive(Debug)]
@@ -179,15 +179,12 @@ impl Evaluator {
     /// The semi-naive fixpoint.
     ///
     /// Every iteration is decomposed into an ordered list of derivation
-    /// [`RoundTask`]s that only *read* the relations: joins see exactly the
-    /// facts visible at the iteration boundary (pending insertions are
-    /// invisible to every [`Window`]), so the tasks can run in any order —
-    /// including concurrently on a scoped worker pool when
-    /// [`EvalOptions::threads`] is greater than one.  The derived facts are
-    /// then absorbed strictly in task order, which makes the parallel
-    /// evaluation bit-for-bit identical to the sequential one: subsumption
-    /// outcomes, statistics, and termination depend only on the absorb
-    /// order.
+    /// [`RoundTask`]s, one per (rule, delta-position), that only *read* the
+    /// relations: joins see exactly the facts visible at the iteration
+    /// boundary (pending insertions are invisible to every [`Window`]).
+    /// The tasks run one after another on the calling thread, each task's
+    /// derivations absorbed before the next runs, so subsumption outcomes,
+    /// statistics, and termination depend only on the task order.
     ///
     /// A [`Start::Scratch`] evaluation seeds the relations from a database
     /// and opens with a naive round (every initial fact is delta, empty-body
@@ -203,7 +200,6 @@ impl Evaluator {
     /// statistics — the caller owns that round's stats).
     fn run_fixpoint(&self, start: Start<'_>, spent_derivations: usize) -> EvalResult {
         let limits = self.options.limits;
-        let threads = self.options.threads.max(1);
         let resumed = matches!(start, Start::Resume(_));
         // A resumed run's wall time is already covered by the enclosing
         // resume/retract span recorded in `apply`.
@@ -254,17 +250,9 @@ impl Evaluator {
             // facts fired (and the naive round ran) when the materialization
             // it resumes from was first computed.
             let naive_round = iteration == 0 && !resumed;
-            let (mut tasks, round_work) = self.round_tasks(naive_round, &relations);
-            // Shard only rounds wide enough to amortize spawning the worker
-            // pool; narrow rounds run on the calling thread with the exact
-            // same results (the absorb order is the task order either way).
-            let parallel = threads > 1 && round_work >= self.options.min_parallel_work;
-            if parallel {
-                tasks = chunk_tasks(tasks, threads);
-            }
+            let tasks = self.round_tasks(naive_round, &relations);
             let hit_limit = run_and_absorb(
                 &tasks,
-                parallel.then_some(threads),
                 &self.options,
                 &mut relations,
                 &mut iter_stats,
@@ -295,20 +283,16 @@ impl Evaluator {
         Evaluator::finalize(relations, stats, termination)
     }
 
-    /// Builds the ordered derivation tasks of one iteration, one per
-    /// (rule, delta-position), plus an estimate of the round's width (total
-    /// delta candidates) used to decide whether sharding is worthwhile.
-    ///
-    /// Tasks are emitted in (rule, delta-position) order, the exact order
-    /// the sequential evaluator visits the work, so absorbing the task
-    /// buffers in task order reproduces the sequential insertion sequence.
+    /// Builds the derivation tasks of one iteration in the order their
+    /// derivations are absorbed: rule by rule, the fact task of a body-less
+    /// rule (naive round only) or one task per delta position with delta
+    /// candidates.
     fn round_tasks(
         &self,
         naive_round: bool,
         relations: &BTreeMap<Pred, Relation>,
-    ) -> (Vec<RoundTask<'_>>, usize) {
+    ) -> Vec<RoundTask<'_>> {
         let mut tasks = Vec::new();
-        let mut work = 0usize;
         for (rule_index, rule) in self.program.rules().iter().enumerate() {
             let label = self.labels[rule_index].as_str();
             if rule.body.is_empty() {
@@ -316,7 +300,6 @@ impl Evaluator {
                 // (never in a resumed run, whose materialization already
                 // holds them).
                 if naive_round {
-                    work += 1;
                     tasks.push(self.fact_task(rule_index));
                 }
                 continue;
@@ -336,7 +319,6 @@ impl Evaluator {
                 if candidates.is_empty() {
                     continue;
                 }
-                work += candidates.len();
                 tasks.push(RoundTask {
                     rule,
                     label,
@@ -345,7 +327,7 @@ impl Evaluator {
                 });
             }
         }
-        (tasks, work)
+        tasks
     }
 
     /// The task firing the body-less rule `rule_index` (a fact or
@@ -396,33 +378,11 @@ mod test_support {
             })
             .collect()
     }
-
-    /// Asserts two evaluations are bit-for-bit identical: relations,
-    /// termination, and every per-iteration statistic.
-    pub(super) fn assert_identical_runs(a: &EvalResult, b: &EvalResult) {
-        assert_eq!(a.termination, b.termination);
-        assert_eq!(rendered(a), rendered(b));
-        assert_eq!(a.stats.iterations.len(), b.stats.iterations.len());
-        for (i, (x, y)) in a
-            .stats
-            .iterations
-            .iter()
-            .zip(&b.stats.iterations)
-            .enumerate()
-        {
-            assert_eq!(x.derivations, y.derivations, "derivations at iteration {i}");
-            assert_eq!(x.new_facts, y.new_facts, "new facts at iteration {i}");
-            assert_eq!(x.subsumed, y.subsumed, "subsumed at iteration {i}");
-            assert_eq!(x.delta_facts, y.delta_facts, "delta facts at iteration {i}");
-        }
-        assert_eq!(a.stats.facts_per_predicate, b.stats.facts_per_predicate);
-        assert_eq!(a.stats.constraint_facts, b.stats.constraint_facts);
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{assert_identical_runs, eval, rendered};
+    use super::test_support::{eval, rendered};
     use super::*;
     use crate::database::UpdateBatch;
     use crate::value::Value;
@@ -616,41 +576,5 @@ mod tests {
         assert_eq!(resumed.stats.total_new_facts(), 0);
         assert_eq!(resumed.total_facts(), total);
         assert_eq!(resumed.stats.iterations.len(), 1);
-    }
-
-    #[test]
-    fn resumed_parallel_rounds_match_sequential_resume() {
-        let mut base = Database::new();
-        for (a, b) in [(1, 2), (2, 3), (3, 4), (4, 2), (1, 4)] {
-            base.add_ground("edge", vec![Value::num(a), Value::num(b)]);
-        }
-        let program = parse_program(
-            "path(X, Y) :- edge(X, Y).\n\
-             path(X, Y) :- edge(X, Z), path(Z, Y).",
-        )
-        .unwrap();
-        let updates = crate::database::parse_facts("edge(4, 5).\nedge(5, 6).").unwrap();
-        let base_options = EvalOptions::default();
-        let sequential = {
-            let evaluator = Evaluator::new(&program, base_options.clone().with_threads(1));
-            evaluator.apply(
-                evaluator.evaluate(&base).relations,
-                UpdateBatch::inserting(updates.clone()),
-                &Database::new(),
-            )
-        };
-        for threads in [2, 4] {
-            let options = base_options
-                .clone()
-                .with_threads(threads)
-                .with_min_parallel_work(0);
-            let evaluator = Evaluator::new(&program, options);
-            let parallel = evaluator.apply(
-                evaluator.evaluate(&base).relations,
-                UpdateBatch::inserting(updates.clone()),
-                &Database::new(),
-            );
-            assert_identical_runs(&sequential, &parallel);
-        }
     }
 }

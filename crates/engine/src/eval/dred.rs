@@ -13,7 +13,7 @@ use super::round::{run_and_absorb, EvalTotals, Executor, RoundTask, TaskKind};
 use super::{EvalResult, Evaluator, Start};
 use crate::database::{Database, UpdateBatch};
 use crate::fact::Fact;
-use crate::relation::{FactRef, Relation, Window};
+use crate::relation::{FactRef, Relation};
 use crate::stats::{EvalStats, IterationStats};
 
 impl Evaluator {
@@ -269,20 +269,8 @@ impl Evaluator {
                     tasks.extend(targets.iter().map(|target| entry(plan, Some(target))));
                 }
             }
-            let work: usize = tasks
-                .iter()
-                .map(|task| match task.plan.steps.first() {
-                    Some(step) => relations
-                        .get(&task.rule.body[step.literal].predicate)
-                        .map_or(0, |r| r.window_range(Window::Known).len()),
-                    None => 1,
-                })
-                .sum();
-            let threads = self.options.threads.max(1);
-            let pool = (threads > 1 && work >= self.options.min_parallel_work).then_some(threads);
             hit_limit = run_and_absorb(
                 &tasks,
-                pool,
                 &self.options,
                 &mut relations,
                 &mut rederive_stats,
@@ -321,7 +309,7 @@ impl Evaluator {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{assert_identical_runs, rendered};
+    use super::super::test_support::rendered;
     use super::super::{EvalOptions, Evaluator};
     use crate::database::{Database, UpdateBatch};
     use crate::limits::{EvalLimits, Termination};
@@ -478,7 +466,7 @@ mod tests {
         let deletions = crate::database::parse_facts("edge(1, 3).").unwrap();
         let mut surviving = full.clone();
         surviving.remove_facts(&deletions);
-        let evaluator = Evaluator::new(&program, EvalOptions::default().with_threads(1));
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
         let unlimited = evaluator.apply(
             evaluator.evaluate(&full).relations,
             UpdateBatch::retracting(deletions.clone()),
@@ -499,7 +487,7 @@ mod tests {
                 max_derivations: spent - 1,
                 ..EvalLimits::default()
             },
-            ..EvalOptions::default().with_threads(1)
+            ..EvalOptions::default()
         };
         let limited = Evaluator::new(&program, capped).apply(
             materialized.relations,
@@ -523,40 +511,5 @@ mod tests {
         assert_eq!(retracted.stats.removed_facts, 0);
         assert_eq!(retracted.total_facts(), total);
         assert!(retracted.termination.is_fixpoint());
-    }
-
-    #[test]
-    fn parallel_retraction_matches_the_sequential_retraction_exactly() {
-        let program = parse_program(
-            "path(X, Y) :- edge(X, Y).\n\
-             path(X, Y) :- edge(X, Z), path(Z, Y).",
-        )
-        .unwrap();
-        let mut full = Database::new();
-        for (a, b) in [(1, 2), (2, 3), (3, 4), (4, 5), (1, 4), (2, 5)] {
-            full.add_ground("edge", vec![Value::num(a), Value::num(b)]);
-        }
-        let deletions = crate::database::parse_facts("edge(2, 3).\nedge(1, 4).").unwrap();
-        let mut surviving = full.clone();
-        surviving.remove_facts(&deletions);
-        let base = EvalOptions::default();
-        let sequential = {
-            let evaluator = Evaluator::new(&program, base.clone().with_threads(1));
-            evaluator.apply(
-                evaluator.evaluate(&full).relations,
-                UpdateBatch::retracting(deletions.clone()),
-                &surviving,
-            )
-        };
-        for threads in [2, 4] {
-            let options = base.clone().with_threads(threads).with_min_parallel_work(0);
-            let evaluator = Evaluator::new(&program, options);
-            let parallel = evaluator.apply(
-                evaluator.evaluate(&full).relations,
-                UpdateBatch::retracting(deletions.clone()),
-                &surviving,
-            );
-            assert_identical_runs(&sequential, &parallel);
-        }
     }
 }

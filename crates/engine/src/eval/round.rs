@@ -1,10 +1,8 @@
 //! One round of derivation work: the tasks an iteration decomposes into,
-//! the worker pool that runs them, the join executor they run, and the
-//! deterministic in-order absorption of what they derive.
+//! the join executor they run, and the in-order absorption of what they
+//! derive.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 
 use pcs_telemetry as telemetry;
 
@@ -18,8 +16,8 @@ use crate::plan::{JoinPlan, PlanStep};
 use crate::relation::{FactRef, InsertOutcome, Relation};
 use crate::stats::{DerivationRecord, IterationStats};
 
-/// One unit of derivation work inside an iteration.  Tasks only read the
-/// relations; their buffers are absorbed in task order at the barrier.
+/// One unit of derivation work inside an iteration.  A task only reads the
+/// relations; its derivations are absorbed before the next task runs.
 pub(super) struct RoundTask<'a> {
     pub(super) rule: &'a Rule,
     /// The rule's display label for derivation records.
@@ -34,8 +32,8 @@ pub(super) struct RoundTask<'a> {
 
 /// Where a [`RoundTask`] starts its plan.
 pub(super) enum TaskKind<'a> {
-    /// One semi-naive round body: the chunk of delta-window fact indices
-    /// (into the delta literal's relation) this task feeds to step 0.
+    /// One semi-naive round body: the delta-window fact indices (into the
+    /// delta literal's relation) this task feeds to step 0.
     Delta { candidates: Vec<usize> },
     /// From the plan's entry stage.  With a `seed`, a retraction
     /// re-derivation whose head is pinned to that over-deleted fact; without
@@ -44,57 +42,18 @@ pub(super) enum TaskKind<'a> {
     Entry { seed: Option<&'a Fact> },
 }
 
-/// Splits the delta-candidate list of every delta task into at most
-/// `threads × TASK_CHUNKS_PER_THREAD` chunks, for load balancing across the
-/// worker pool.  The chunk boundaries cannot affect results: the chunks of
-/// one task stay adjacent, so the merged absorb order is unchanged.
-pub(super) fn chunk_tasks(tasks: Vec<RoundTask<'_>>, threads: usize) -> Vec<RoundTask<'_>> {
-    let mut out = Vec::with_capacity(tasks.len());
-    for task in tasks {
-        let TaskKind::Delta { candidates } = &task.kind else {
-            out.push(task);
-            continue;
-        };
-        let chunk = candidates
-            .len()
-            .div_ceil(threads * TASK_CHUNKS_PER_THREAD)
-            .max(1);
-        if chunk >= candidates.len() {
-            out.push(task);
-            continue;
-        }
-        for slice in candidates.chunks(chunk) {
-            out.push(RoundTask {
-                kind: TaskKind::Delta {
-                    candidates: slice.to_vec(),
-                },
-                ..task
-            });
-        }
-    }
-    out
-}
-
-/// Ceiling on how many chunks the delta candidates of one
-/// (rule, delta-position) pair are split into, per worker thread.  More
-/// chunks balance skewed candidate workloads better at a small bookkeeping
-/// cost; the value does not affect results, only scheduling.
-const TASK_CHUNKS_PER_THREAD: usize = 4;
-
-/// Runs the tasks of one round — on the calling thread, or on a worker pool
-/// of `pool` threads — and absorbs their derivations strictly in task order,
-/// stopping at the first limit hit.  Tasks only read the relations and
-/// pending insertions are invisible to every [`Window`](crate::Window), so
-/// the sequential path (which interleaves running and absorbing) and the
-/// pool (which runs everything first) absorb the exact same sequence.
+/// Runs the tasks of one round on the calling thread, absorbing each task's
+/// derivations before the next task runs, and stops at the first limit hit.
+/// Pending insertions are invisible to every [`Window`](crate::Window), so
+/// a task never sees what an earlier task of the same round derived: the
+/// round's result depends only on the task order.
 ///
-/// No task generates more than the derivation budget left in `totals`:
-/// anything beyond it is guaranteed to be discarded by the in-order
-/// absorption, so a single round cannot buffer unboundedly past
+/// No task generates more than the derivation budget left in `totals` at
+/// the start of the round: anything beyond it would be discarded by the
+/// limit check, so a single task cannot buffer unboundedly past
 /// `max_derivations`.
 pub(super) fn run_and_absorb(
     tasks: &[RoundTask<'_>],
-    pool: Option<usize>,
     options: &EvalOptions,
     relations: &mut BTreeMap<Pred, Relation>,
     iter_stats: &mut IterationStats,
@@ -104,17 +63,8 @@ pub(super) fn run_and_absorb(
         .limits
         .max_derivations
         .saturating_sub(totals.derivations);
-    let mut buffers = match pool {
-        Some(threads) if tasks.len() > 1 => {
-            Some(run_tasks_parallel(tasks, relations, budget, threads).into_iter())
-        }
-        _ => None,
-    };
     for task in tasks {
-        let derived = match &mut buffers {
-            Some(buffers) => buffers.next().expect("one buffer per task"),
-            None => run_task(task, relations, budget),
-        };
+        let derived = run_task(task, relations, budget);
         let hit_limit = absorb_derived(
             derived,
             task,
@@ -143,115 +93,6 @@ fn run_task(
         TaskKind::Entry { seed } => executor.join_from_entry(seed.map(FactRef::Stored)),
     }
     executor.derived
-}
-
-/// Runs the tasks of one iteration on a scoped worker pool and returns one
-/// buffer per task, positionally.
-///
-/// Workers pull task ordinals from a shared cursor (so tasks start in
-/// order), accumulate into thread-local buffers, and the buffers are merged
-/// back in task order — scheduling therefore cannot influence the absorb
-/// sequence.  A worker about to start a task first consults the completed
-/// *prefix* of the task list: once the tasks before some point have already
-/// derived `budget` facts, every later task's buffer is guaranteed to be
-/// discarded by the in-order absorption, so it is skipped outright.
-fn run_tasks_parallel(
-    tasks: &[RoundTask<'_>],
-    relations: &BTreeMap<Pred, Relation>,
-    budget: usize,
-    threads: usize,
-) -> Vec<Vec<Derived>> {
-    let workers = threads.min(tasks.len());
-    let cursor = AtomicUsize::new(0);
-    let progress = RoundProgress::new(tasks.len());
-    let collected: Vec<(usize, Vec<Derived>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, Vec<Derived>)> = Vec::new();
-                    loop {
-                        let ordinal = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                        let Some(task) = tasks.get(ordinal) else {
-                            break;
-                        };
-                        let derived = if progress.prefix_derivations() >= budget {
-                            Vec::new()
-                        } else {
-                            run_task(task, relations, budget)
-                        };
-                        progress.record(ordinal, derived.len());
-                        local.push((ordinal, derived));
-                    }
-                    // Fold this worker's thread-local telemetry counters into
-                    // the shared registry before the thread exits.
-                    telemetry::flush_thread();
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| {
-                // Re-raise a worker panic with its original payload so that
-                // e.g. the descriptive rational-overflow messages survive
-                // the thread boundary.
-                handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    let mut buffers: Vec<Vec<Derived>> = Vec::new();
-    buffers.resize_with(tasks.len(), Vec::new);
-    for (ordinal, derived) in collected {
-        buffers[ordinal] = derived;
-    }
-    buffers
-}
-
-/// Tracks, across workers, how many facts the completed contiguous *prefix*
-/// of the task list has derived.  The prefix count is monotone and
-/// independent of scheduling, so gating on it never skips a task whose
-/// buffer could still be absorbed.
-struct RoundProgress {
-    inner: Mutex<RoundProgressInner>,
-}
-
-struct RoundProgressInner {
-    /// Per-task derivation counts; `None` until the task finishes.
-    counts: Vec<Option<usize>>,
-    /// Number of contiguous finished tasks from the front.
-    prefix_tasks: usize,
-    /// Total derivations of that finished prefix.
-    prefix_derivations: usize,
-}
-
-impl RoundProgress {
-    fn new(tasks: usize) -> Self {
-        RoundProgress {
-            inner: Mutex::new(RoundProgressInner {
-                counts: vec![None; tasks],
-                prefix_tasks: 0,
-                prefix_derivations: 0,
-            }),
-        }
-    }
-
-    fn record(&self, ordinal: usize, derivations: usize) {
-        let mut inner = self.inner.lock().expect("round progress poisoned");
-        inner.counts[ordinal] = Some(derivations);
-        while let Some(Some(count)) = inner.counts.get(inner.prefix_tasks).copied() {
-            inner.prefix_derivations += count;
-            inner.prefix_tasks += 1;
-        }
-    }
-
-    fn prefix_derivations(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("round progress poisoned")
-            .prefix_derivations
-    }
 }
 
 /// Running totals of an evaluation, shared by the limit checks.
@@ -354,10 +195,6 @@ fn step_candidates<'r>(
 /// (a constant of the literal; the frame is still empty at step 0) probes
 /// the relation's hash index, and a literal with no constant argument falls
 /// back to scanning the delta window.
-///
-/// This is the sharding axis of a parallel round: the candidate list is
-/// chunked across tasks, and concatenating the per-chunk results in order
-/// reproduces the sequential derivation sequence.
 pub(super) fn delta_candidates(plan: &JoinPlan, relation: &Relation) -> Vec<usize> {
     step_candidates(&plan.steps[0], &Frame::new(plan), relation)
         .1
@@ -399,8 +236,8 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Runs a round plan over a chunk of its delta candidates (step 0 is
-    /// enumerated by [`delta_candidates`], so it counts no probe hits).
+    /// Runs a round plan over its delta candidates (step 0 is enumerated by
+    /// [`delta_candidates`], so it counts no probe hits).
     fn join_delta(&mut self, candidates: &[usize]) {
         let Some(relation) = self.relations[0] else {
             return;
@@ -488,35 +325,11 @@ impl<'a> Executor<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::assert_identical_runs;
     use super::super::{EvalOptions, Evaluator};
     use crate::database::Database;
     use crate::limits::{EvalLimits, Termination};
     use crate::value::Value;
     use pcs_lang::parse_program;
-
-    #[test]
-    fn parallel_rounds_match_the_sequential_evaluation_exactly() {
-        // Ground joins plus constraint facts, so both the hash-probe path
-        // and the constraint-fact tail cross the worker boundary.
-        let mut db = Database::new();
-        for (a, b) in [(1, 2), (2, 3), (3, 4), (4, 2), (1, 4), (2, 5), (5, 6)] {
-            db.add_ground("edge", vec![Value::num(a), Value::num(b)]);
-        }
-        let source = "seed(X) :- X >= 4, X <= 5.\n\
-                      path(X, Y) :- edge(X, Y).\n\
-                      path(X, Y) :- edge(X, Z), path(Z, Y).\n\
-                      near(X, Y) :- path(X, Y), seed(X).";
-        let program = parse_program(source).unwrap();
-        let base = EvalOptions::default();
-        let sequential = Evaluator::new(&program, base.clone().with_threads(1)).evaluate(&db);
-        for threads in [2, 4, 7] {
-            // Force sharding even though the rounds are narrow.
-            let options = base.clone().with_threads(threads).with_min_parallel_work(0);
-            let parallel = Evaluator::new(&program, options).evaluate(&db);
-            assert_identical_runs(&sequential, &parallel);
-        }
-    }
 
     #[test]
     fn fact_limit_is_enforced_inside_an_iteration() {
@@ -527,20 +340,16 @@ mod tests {
             db.add_ground("p", vec![Value::num(i)]);
         }
         let program = parse_program("q(X, Y) :- p(X), p(Y).").unwrap();
-        for threads in [1, 4] {
-            let options = EvalOptions {
-                limits: EvalLimits {
-                    max_facts: 20,
-                    ..EvalLimits::default()
-                },
-                ..EvalOptions::default()
-            }
-            .with_threads(threads)
-            .with_min_parallel_work(0);
-            let result = Evaluator::new(&program, options).evaluate(&db);
-            assert_eq!(result.termination, Termination::FactLimit);
-            assert_eq!(result.total_facts(), 20, "threads = {threads}");
-        }
+        let options = EvalOptions {
+            limits: EvalLimits {
+                max_facts: 20,
+                ..EvalLimits::default()
+            },
+            ..EvalOptions::default()
+        };
+        let result = Evaluator::new(&program, options).evaluate(&db);
+        assert_eq!(result.termination, Termination::FactLimit);
+        assert_eq!(result.total_facts(), 20);
     }
 
     #[test]
@@ -550,27 +359,23 @@ mod tests {
             db.add_ground("p", vec![Value::num(i)]);
         }
         let program = parse_program("q(X, Y) :- p(X), p(Y).").unwrap();
-        for threads in [1, 4] {
-            let options = EvalOptions {
-                limits: EvalLimits {
-                    max_derivations: 13,
-                    ..EvalLimits::default()
-                },
-                ..EvalOptions::default()
-            }
-            .with_threads(threads)
-            .with_min_parallel_work(0);
-            let result = Evaluator::new(&program, options).evaluate(&db);
-            assert_eq!(result.termination, Termination::DerivationLimit);
-            assert_eq!(result.stats.total_derivations(), 13, "threads = {threads}");
-        }
+        let options = EvalOptions {
+            limits: EvalLimits {
+                max_derivations: 13,
+                ..EvalLimits::default()
+            },
+            ..EvalOptions::default()
+        };
+        let result = Evaluator::new(&program, options).evaluate(&db);
+        assert_eq!(result.termination, Termination::DerivationLimit);
+        assert_eq!(result.stats.total_derivations(), 13);
     }
 
     #[test]
-    fn arithmetic_overflow_in_a_worker_panics_with_its_descriptive_message() {
-        // `Y := 2·X` is compiled arithmetic; doubling i128::MAX overflows
-        // inside a pool worker, and the panic must reach the caller with the
-        // rational layer's message, not as an anonymous join error.
+    fn arithmetic_overflow_panics_with_its_descriptive_message() {
+        // `Y := 2·X` is compiled arithmetic; doubling i128::MAX overflows,
+        // and the panic must reach the caller with the rational layer's
+        // message, not as an anonymous join error.
         let mut db = Database::new();
         for x in [1, i128::MAX] {
             db.add_ground(
@@ -579,21 +384,13 @@ mod tests {
             );
         }
         let program = parse_program("m(Y) :- n(X), Y = X + X.").unwrap();
-        for threads in [1, 4] {
-            let options = EvalOptions::default()
-                .with_threads(threads)
-                .with_min_parallel_work(0);
-            let evaluator = Evaluator::new(&program, options);
-            let payload =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluator.evaluate(&db)))
-                    .expect_err("doubling i128::MAX overflows");
-            let message = payload
-                .downcast_ref::<String>()
-                .expect("the rational layer panics with a formatted message");
-            assert!(
-                message.contains("overflowed i128"),
-                "threads = {threads}: {message}"
-            );
-        }
+        let evaluator = Evaluator::new(&program, EvalOptions::default());
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluator.evaluate(&db)))
+                .expect_err("doubling i128::MAX overflows");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the rational layer panics with a formatted message");
+        assert!(message.contains("overflowed i128"), "{message}");
     }
 }

@@ -3,7 +3,7 @@
 //! This module re-implements the rule-application semantics of Section 2
 //! from first principles, with none of the production evaluator's machinery:
 //! no per-position indexes, no semi-naive deltas or windows, no body
-//! reordering, no worker threads, and no constraint-fact-only subsumption
+//! reordering, and no constraint-fact-only subsumption
 //! shortcut — every round re-applies every rule to every combination of the
 //! facts visible at the round boundary, and every insertion does a full
 //! pairwise subsumption scan.  It shares only the constraint algebra

@@ -7,7 +7,7 @@
 //! A relation addresses its facts by *logical index* — the slot a fact was
 //! given when it was inserted — and every piece of evaluation machinery (the
 //! stable/delta/pending [`Window`] ranges, the per-position indexes,
-//! parallel-round sharding, retraction's index sets) works purely in that
+//! round delta candidates, retraction's index sets) works purely in that
 //! index space.  A fact keeps its index for as long as it is stored:
 //! [`Relation::remove_indices`] deletes in place, leaving a *dead* slot
 //! behind, so a logical index is not a dense position — [`Relation::len`]
@@ -647,15 +647,13 @@ impl Relation {
     }
 
     /// The one candidate enumeration every reader goes through — join steps,
-    /// the delta sharding of a parallel round, and query answering: the fact
+    /// a round's delta candidates, and query answering: the fact
     /// indices inside `range` that can match a literal.  With a `probe`
     /// (an argument position and the value the literal holds there) those
     /// are the facts bound to exactly that value, followed by the
     /// constraint-fact tail of facts free at the position; without one,
     /// every live index of `range` in order (the indexes hold no dead slot,
-    /// and the scan tests for one only in a relation that has any).  The
-    /// path is `&self`-only, so a `&Relation` can be shared freely across
-    /// worker threads.
+    /// and the scan tests for one only in a relation that has any).
     pub(crate) fn candidates(
         &self,
         range: Range<usize>,
@@ -717,16 +715,6 @@ impl Relation {
         slots + rows + tail + dedup
     }
 }
-
-// A parallel evaluation round shares `&Relation` (and the facts behind it)
-// across scoped worker threads.  Keep the types free of interior mutability:
-// this fails to compile if `Relation` or `Fact` ever stops being `Sync`.
-const _: () = {
-    const fn assert_shareable<T: Send + Sync>() {}
-    assert_shareable::<Relation>();
-    assert_shareable::<Fact>();
-    assert_shareable::<FactRef<'_>>();
-};
 
 /// Restricts a sorted index list to the entries inside `range`.
 fn clip<'a>(entries: &'a [usize], range: &Range<usize>) -> &'a [usize] {

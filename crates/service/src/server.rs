@@ -18,7 +18,8 @@
 //! `busy:` frame instead of an unacknowledged hang.  Sockets carry a read
 //! timeout ([`ServerOptions::read_timeout`]), so a stalled or vanished
 //! client releases its worker with an `idle:` frame instead of pinning it
-//! forever.
+//! forever, and `TCP_NODELAY`, so a reply never waits on the client's
+//! delayed ACK.  A command that panics ends its connection, not its worker.
 //!
 //! Queries from other connections proceed while one connection's insert
 //! materializes: the session publishes epochs via immutable snapshots, so
@@ -27,6 +28,7 @@
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -198,8 +200,13 @@ impl Pool {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            // Client I/O errors just end that connection.
-            let _ = serve_client(stream, self.hub.clone(), self.read_timeout);
+            // Client I/O errors just end that connection, and so does a
+            // panic while serving it (an update whose exact arithmetic
+            // overflows): the stream is dropped and this worker lives on.
+            let hub = self.hub.clone();
+            let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                serve_client(stream, hub, self.read_timeout)
+            }));
         }
     }
 
@@ -281,13 +288,21 @@ fn write_frame(writer: &mut impl Write, lines: &[String]) -> io::Result<()> {
     writeln!(writer, "{TERMINATOR}")
 }
 
+/// The settings every accepted socket gets: replies leave at once instead of
+/// waiting out the client's delayed ACK (`TCP_NODELAY`), and a read that
+/// sees no complete command within `read_timeout` fails.
+fn configure(stream: &TcpStream, read_timeout: Option<Duration>) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(read_timeout)
+}
+
 /// Runs the shell loop over one client connection.
 fn serve_client(
     stream: TcpStream,
     hub: Arc<SessionHub>,
     read_timeout: Option<Duration>,
 ) -> io::Result<()> {
-    stream.set_read_timeout(read_timeout)?;
+    configure(&stream, read_timeout)?;
     let mut shell = Shell::with_hub(hub);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
@@ -521,6 +536,68 @@ mod tests {
         assert_eq!(client.read_frame(), vec!["first".to_string()]);
         assert_eq!(client.send("ond"), vec!["second".to_string()]);
         assert_eq!(client.send(".quit"), vec!["bye".to_string()]);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn accepted_sockets_send_without_delay_and_time_out_reads() -> io::Result<()> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let _client = TcpStream::connect(listener.local_addr()?)?;
+        let (stream, _) = listener.accept()?;
+        configure(&stream, Some(Duration::from_millis(250)))?;
+        assert!(stream.nodelay()?);
+        // The kernel rounds the timeout to its clock tick.
+        assert!(stream.read_timeout()?.is_some());
+        Ok(())
+    }
+
+    #[test]
+    fn a_panicking_connection_does_not_take_its_worker_with_it() {
+        let server = Server::bind("127.0.0.1:0")
+            .expect("bind")
+            .with_options(ServerOptions {
+                workers: 1,
+                ..ServerOptions::default()
+            });
+        let handle = server.spawn().expect("spawn");
+        let addr = handle.addr();
+
+        let mut doomed = Client::connect(addr);
+        for line in [
+            ".strategy none",
+            ".load",
+            "r1: cheaporshort(S, D, T, C) :- flight(S, D, T, C), T <= 240.",
+            "r3: flight(S, D, T, C) :- singleleg(S, D, T, C), T > 0, C > 0.",
+            "r4: flight(S, D, T, C) :- flight(S, D1, T1, C1), flight(D1, D, T2, C2), \
+             T = T1 + T2 + 30, C = C1 + C2.",
+            "+singleleg(madison, chicago, 50, 100).",
+            "+singleleg(chicago, seattle, 60, 40).",
+            "?- cheaporshort(madison, seattle, T, C).",
+        ] {
+            doomed.send(line);
+        }
+        let out = doomed.send(".end");
+        assert!(out[0].starts_with("ok: materialized"), "{out:?}");
+        // `T = T1 + T2 + 30` over this leg overflows i128 in the evaluation
+        // the insert runs: the connection is dropped without a reply.
+        let max = i128::MAX;
+        writeln!(doomed.writer, "+singleleg(overflow, madison, {max}, 1).").unwrap();
+        doomed.writer.flush().expect("flush");
+        doomed.expect_eof();
+
+        // The one worker survived: the next client is greeted and answered
+        // from the epoch the failed update never published.
+        let mut next = Client::connect_raw(addr);
+        // A dead worker would leave this greeting unsent forever.
+        let timeout = Some(Duration::from_secs(20));
+        next.reader.get_ref().set_read_timeout(timeout).unwrap();
+        let greeting = next.read_frame();
+        assert!(greeting[0].starts_with("pcs-service ready"), "{greeting:?}");
+        let out = next.send("?- cheaporshort(madison, seattle, T, C).");
+        assert!(out[0].starts_with("answers: 1 "), "{out:?}");
+        assert!(out[0].contains("epoch 0"), "{out:?}");
+        assert_eq!(out[1].trim(), "cheaporshort(madison, seattle, 140, 140)");
+        assert_eq!(next.send(".quit"), vec!["bye".to_string()]);
         handle.shutdown();
     }
 

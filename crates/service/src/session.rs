@@ -485,8 +485,10 @@ impl Session {
     ///
     /// This is the `Optimizer` → `Session` handoff: any of the rewriting
     /// strategies can back a session, and the evaluation options configured
-    /// on the optimizer (threads, limits, tracing) carry over to both the
-    /// base materialization and every resumed update.
+    /// on the optimizer (limits, tracing) carry over to both the base
+    /// materialization and every resumed update.  Each evaluation runs on
+    /// the thread that asked for it: the materializing caller, or the leader
+    /// of an update group.
     pub fn materialize(optimizer: &Optimizer, db: &Database) -> Result<Session, SessionError> {
         Session::materialize_at(optimizer, db, 0)
     }

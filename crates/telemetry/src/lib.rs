@@ -215,9 +215,8 @@ pub fn bump_by(counter: Counter, n: u64) {
 
 /// Folds this thread's local counter cells into the shared registry.
 ///
-/// The engine calls this once per evaluation on the driving thread and once
-/// per worker at the end of a parallel round, so inner join loops touch only
-/// thread-local memory.
+/// The engine calls this once at the end of every evaluation, on the thread
+/// that ran it, so inner join loops touch only thread-local memory.
 pub fn flush_thread() {
     LOCAL_COUNTS.with(|cells| {
         for (index, cell) in cells.iter().enumerate() {

@@ -4,9 +4,8 @@
 //!
 //! * **Dead rules never fire.**  Every rule the analyzer proves dead
 //!   (unsatisfiable constraints, impossible bodies) derives nothing in the
-//!   production evaluator: under [`EvalOptions::traced`], on one thread and
-//!   on a sharding 4-thread pool, no [`DerivationRecord`] carries the label
-//!   of a rule in [`ProgramAnalysis::dead_rules`].  This is why the
+//!   production evaluator: under [`EvalOptions::traced`], no
+//!   [`DerivationRecord`] carries the label of a rule in [`ProgramAnalysis::dead_rules`].  This is why the
 //!   optimizer leaves such rules in the program instead of pruning them.
 //! * **Clean programs stay clean.**  A generator that builds well-formed
 //!   programs *by construction* (consistent arities, head variables drawn
@@ -52,13 +51,9 @@ fn values_db(values: &[i64]) -> Database {
 }
 
 /// The labels of the rules that fired (every derivation attempted, new or
-/// subsumed) when `program` is evaluated with tracing on `threads` workers,
-/// every round sharded.
-fn fired_labels(program: &Program, db: &Database, threads: usize) -> BTreeSet<String> {
-    let options = EvalOptions::traced(64)
-        .with_threads(threads)
-        .with_min_parallel_work(0);
-    let result = Evaluator::new(program, options).evaluate(db);
+/// subsumed) when `program` is evaluated with tracing.
+fn fired_labels(program: &Program, db: &Database) -> BTreeSet<String> {
+    let result = Evaluator::new(program, EvalOptions::traced(64)).evaluate(db);
     assert!(result.termination.is_fixpoint(), "{:?}", result.termination);
     result
         .stats
@@ -69,19 +64,17 @@ fn fired_labels(program: &Program, db: &Database, threads: usize) -> BTreeSet<St
         .collect()
 }
 
-/// Asserts no rule the analyzer proves dead fires, on one thread and on a
-/// 4-thread pool.  Every rule of `program` must be labelled.
+/// Asserts no rule the analyzer proves dead fires.  Every rule of `program`
+/// must be labelled.
 fn assert_dead_rules_never_fire(program: &Program, db: &Database) {
     let analysis = analyze(program);
-    for threads in [1, 4] {
-        let fired = fired_labels(program, db, threads);
-        for &dead in &analysis.dead_rules {
-            let label = program.rules()[dead].label.as_ref().expect("labelled");
-            assert!(
-                !fired.contains(label),
-                "dead rule {label} fired on {threads} thread(s):\n{program}"
-            );
-        }
+    let fired = fired_labels(program, db);
+    for &dead in &analysis.dead_rules {
+        let label = program.rules()[dead].label.as_ref().expect("labelled");
+        assert!(
+            !fired.contains(label),
+            "dead rule {label} fired:\n{program}"
+        );
     }
 }
 
@@ -105,7 +98,7 @@ fn dead_rules_never_fire_on_the_seeded_program() {
     assert_dead_rules_never_fire(&program, &db);
     // Not vacuous: the live rules around the dead ones do fire.
     assert_eq!(
-        fired_labels(&program, &db, 1),
+        fired_labels(&program, &db),
         ["r1", "r4"].map(String::from).into_iter().collect()
     );
 }

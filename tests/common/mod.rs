@@ -1,5 +1,5 @@
 //! Helpers shared by the differential and conformance suites: the strategy
-//! matrix and the three strengths of "these two evaluations agree".
+//! matrix and the two strengths of "these two evaluations agree".
 
 // Each suite uses a subset.
 #![allow(dead_code)]
@@ -59,30 +59,6 @@ pub fn assert_same_facts(a: &EvalResult, b: &EvalResult, context: &str) {
         a.stats.constraint_facts, b.stats.constraint_facts,
         "constraint fact counts diverged {context}"
     );
-}
-
-/// Asserts `parallel` is bit-for-bit identical to `sequential`: relations,
-/// termination, and every per-iteration statistic.
-pub fn assert_identical(sequential: &EvalResult, parallel: &EvalResult, context: &str) {
-    assert_same_facts(sequential, parallel, context);
-    assert_eq!(
-        sequential.stats.iterations.len(),
-        parallel.stats.iterations.len(),
-        "iteration counts diverged {context}"
-    );
-    for (i, (a, b)) in sequential
-        .stats
-        .iterations
-        .iter()
-        .zip(&parallel.stats.iterations)
-        .enumerate()
-    {
-        assert_eq!(
-            (a.derivations, a.new_facts, a.subsumed, a.delta_facts),
-            (b.derivations, b.new_facts, b.subsumed, b.delta_facts),
-            "iteration {i} statistics diverged {context}"
-        );
-    }
 }
 
 /// Asserts the production result and the naive oracle's result store the

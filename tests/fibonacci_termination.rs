@@ -63,36 +63,29 @@ fn tiny_caps_bound_the_diverging_fibonacci_inside_an_iteration() {
     // Regression: the fact and derivation caps must stop a round
     // mid-iteration.  They used to be checked only at rule-round
     // boundaries, so the diverging Table 1 evaluation could overshoot a
-    // tiny cap by the size of whatever its current round derived.  The
-    // caps are exact in sequential and in parallel evaluation alike.
+    // tiny cap by the size of whatever its current round derived.
     let magic = magic_rewrite(&programs::fibonacci(5), &MagicOptions::full_sips()).unwrap();
-    for threads in [1, 4] {
-        let facts_capped = EvalOptions {
-            limits: EvalLimits {
-                max_facts: 25,
-                ..EvalLimits::default()
-            },
-            ..EvalOptions::default()
-        }
-        .with_threads(threads)
-        .with_min_parallel_work(0);
-        let result = Evaluator::new(&magic.program, facts_capped).evaluate(&Database::new());
-        assert_eq!(result.termination, Termination::FactLimit);
-        assert_eq!(result.total_facts(), 25, "threads = {threads}");
+    let facts_capped = EvalOptions {
+        limits: EvalLimits {
+            max_facts: 25,
+            ..EvalLimits::default()
+        },
+        ..EvalOptions::default()
+    };
+    let result = Evaluator::new(&magic.program, facts_capped).evaluate(&Database::new());
+    assert_eq!(result.termination, Termination::FactLimit);
+    assert_eq!(result.total_facts(), 25);
 
-        let derivations_capped = EvalOptions {
-            limits: EvalLimits {
-                max_derivations: 40,
-                ..EvalLimits::default()
-            },
-            ..EvalOptions::default()
-        }
-        .with_threads(threads)
-        .with_min_parallel_work(0);
-        let result = Evaluator::new(&magic.program, derivations_capped).evaluate(&Database::new());
-        assert_eq!(result.termination, Termination::DerivationLimit);
-        assert_eq!(result.stats.total_derivations(), 40, "threads = {threads}");
-    }
+    let derivations_capped = EvalOptions {
+        limits: EvalLimits {
+            max_derivations: 40,
+            ..EvalLimits::default()
+        },
+        ..EvalOptions::default()
+    };
+    let result = Evaluator::new(&magic.program, derivations_capped).evaluate(&Database::new());
+    assert_eq!(result.termination, Termination::DerivationLimit);
+    assert_eq!(result.stats.total_derivations(), 40);
 }
 
 #[test]

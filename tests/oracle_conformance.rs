@@ -3,10 +3,9 @@
 //!
 //! The oracle shares nothing with the production join executor beyond the
 //! constraint algebra and fact normalization: no indexes, no semi-naive
-//! deltas, no join plans, no threads, no subsumption shortcuts.  For every
-//! rewriting strategy, on deterministic, random, and constraint-fact EDBs,
-//! the production evaluator (on one CPU core and on four) must compute a
-//! materialization *denotationally identical* to the oracle's:
+//! deltas, no join plans, no subsumption shortcuts.  For every rewriting
+//! strategy, on deterministic, random, and constraint-fact EDBs, the
+//! production evaluator must compute a materialization *denotationally identical* to the oracle's:
 //!
 //! * the same termination behavior (all workloads here reach a fixpoint),
 //! * per predicate, every production fact is subsumed by a stored oracle
@@ -25,8 +24,7 @@ use pushing_constraint_selections::prelude::*;
 mod common;
 use common::{all_strategies, assert_matches_oracle};
 
-/// Runs every strategy, sequentially and on a 4-thread pool (sharding
-/// forced even for narrow rounds), against the oracle.
+/// Runs every strategy against the oracle.
 fn assert_conformance(program: &Program, db: &Database) {
     for strategy in all_strategies() {
         let optimized = Optimizer::new(program.clone())
@@ -38,17 +36,8 @@ fn assert_conformance(program: &Program, db: &Database) {
             oracle.termination.is_fixpoint(),
             "oracle diverged under {strategy:?}; pick a terminating workload"
         );
-        for threads in [1, 4] {
-            let options = EvalOptions::default()
-                .with_threads(threads)
-                .with_min_parallel_work(0);
-            let production = Evaluator::new(&optimized.program, options).evaluate(db);
-            assert_matches_oracle(
-                &production,
-                &oracle,
-                &format!("under {strategy:?} on {threads} thread(s)"),
-            );
-        }
+        let production = Evaluator::new(&optimized.program, EvalOptions::default()).evaluate(db);
+        assert_matches_oracle(&production, &oracle, &format!("under {strategy:?}"));
     }
 }
 
@@ -108,23 +97,14 @@ fn a_constraint_fact_matched_early_defers_scheduled_atoms_to_the_residual() {
     let mut db = Database::new();
     db.add_facts_str(GUARD_EDB).unwrap();
     assert_conformance(&program, &db);
-    for threads in [1, 4] {
-        let options = EvalOptions::default()
-            .with_threads(threads)
-            .with_min_parallel_work(0);
-        let result = Evaluator::new(&program, options).evaluate(&db);
-        let mut q: Vec<String> = result
-            .facts_for(&Pred::new("q"))
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        q.sort();
-        assert_eq!(
-            q,
-            ["q(20, 21)", "q(3, 4)", "q(7, 8)"],
-            "{threads} thread(s)"
-        );
-    }
+    let result = Evaluator::new(&program, EvalOptions::default()).evaluate(&db);
+    let mut q: Vec<String> = result
+        .facts_for(&Pred::new("q"))
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    q.sort();
+    assert_eq!(q, ["q(20, 21)", "q(3, 4)", "q(7, 8)"]);
 }
 
 proptest! {

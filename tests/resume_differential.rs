@@ -5,8 +5,7 @@
 //! *(materialize base; apply updates incrementally)* stores exactly the
 //! relations a from-scratch evaluation of the resulting EDB stores, with the
 //! same per-predicate fact counts and the same termination; what it stores
-//! denotes exactly what the naive oracle computes for that EDB; and a
-//! 4-thread maintained run is bit-for-bit identical to the sequential one.
+//! denotes exactly what the naive oracle computes for that EDB.
 //! Randomized EDBs and update batches (seeded, reproducible) probe the
 //! property beyond the deterministic paper workloads.
 //!
@@ -28,16 +27,12 @@ use pushing_constraint_selections::engine::{
 use pushing_constraint_selections::prelude::*;
 
 mod common;
-use common::{
-    all_strategies, assert_identical, assert_matches_oracle, assert_same_facts, rendered_relations,
-};
+use common::{all_strategies, assert_matches_oracle, assert_same_facts, rendered_relations};
 
 /// For every strategy: runs `maintain` (materialize, then update
-/// incrementally) on a sequential evaluator and requires the result to
-/// store exactly what evaluating `expected_edb` from scratch stores and to
-/// denote what the naive oracle computes for it; then runs it again on a
-/// 4-thread evaluator (sharding forced even for narrow rounds) and requires
-/// that run to be bit-for-bit identical to the sequential one.
+/// incrementally) and requires the result to store exactly what evaluating
+/// `expected_edb` from scratch stores and to denote what the naive oracle
+/// computes for it.
 fn assert_maintained_matches_scratch(
     program: &Program,
     expected_edb: &Database,
@@ -48,29 +43,16 @@ fn assert_maintained_matches_scratch(
             .strategy(strategy.clone())
             .optimize()
             .expect("optimization succeeds");
-        let evaluator = |threads: usize| {
-            let options = optimized
-                .eval
-                .clone()
-                .with_threads(threads)
-                .with_min_parallel_work(0);
-            Evaluator::new(&optimized.program, options)
-        };
+        let evaluator = optimized.evaluator();
         let context = format!("under {strategy:?}");
-        let sequential = evaluator(1);
-        let maintained = maintain(&sequential);
+        let maintained = maintain(&evaluator);
         assert_same_facts(
             &maintained,
-            &sequential.evaluate(expected_edb),
+            &evaluator.evaluate(expected_edb),
             &format!("between maintained and scratch {context}"),
         );
         let oracle = naive::evaluate(&optimized.program, expected_edb, &EvalLimits::default());
         assert_matches_oracle(&maintained, &oracle, &context);
-        assert_identical(
-            &maintained,
-            &maintain(&evaluator(4)),
-            &format!("between 1 and 4 threads {context}"),
-        );
     }
 }
 
@@ -522,7 +504,7 @@ fn a_long_rolling_window_matches_scratch_across_compactions() {
 // situation one of the executor's run-time guards exists for, checks (on the
 // unrewritten program, without analyzer hints) that the plan really has the
 // shape the case is about, and then holds the retraction to the usual
-// standard: every strategy, scratch and oracle, 1 and 4 threads.
+// standard: every strategy, scratch and oracle.
 
 /// The plans of `program` as written (flattened, no rewriting, no hints).
 fn plans_as_written(program: &Program) -> ProgramPlans {
@@ -573,7 +555,7 @@ fn removing_a_derived_constraint_fact_falls_back_to_the_full_rule_plan() {
     // inside 0 <= X <= 5 never would.
     let mut surviving = base.clone();
     surviving.remove_facts(&wide);
-    let evaluator = Evaluator::new(&program, EvalOptions::default().with_threads(1));
+    let evaluator = Evaluator::new(&program, EvalOptions::default());
     let retracted = evaluator.apply(
         evaluator.evaluate(&base).relations,
         UpdateBatch::retracting(wide.clone()),

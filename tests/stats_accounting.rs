@@ -1,31 +1,28 @@
 //! Per-iteration statistics accounting: the delta sizes driving each
 //! iteration must match the new-fact counts of the previous iteration, and
 //! the totals must tie out against the stored facts — on the flights
-//! workload, sequentially and with a parallel worker pool.
+//! workload.
 
 use pushing_constraint_selections::prelude::*;
 
-fn assert_delta_accounting(threads: usize) {
+#[test]
+fn indexed_delta_accounting_matches_total_fact_deltas() {
     let program = programs::flights();
     let db = programs::flights_database(6, 20);
-    // min_parallel_work = 0 forces sharding even on these narrow rounds.
-    let options = EvalOptions::default()
-        .with_threads(threads)
-        .with_min_parallel_work(0);
-    let result = Evaluator::new(&program, options).evaluate(&db);
+    let result = Evaluator::new(&program, EvalOptions::default()).evaluate(&db);
     assert!(result.termination.is_fixpoint());
     let stats = &result.stats;
     let iterations = &stats.iterations;
     assert!(iterations.len() >= 3, "flights closure iterates");
 
     // Iteration 0 is the naive round: its delta is the seeded EDB.
-    assert_eq!(iterations[0].delta_facts, db.len(), "threads = {threads}");
+    assert_eq!(iterations[0].delta_facts, db.len());
     // Every later delta is exactly the previous iteration's new facts.
     for k in 1..iterations.len() {
         assert_eq!(
             iterations[k].delta_facts,
             iterations[k - 1].new_facts,
-            "delta of iteration {k} (threads = {threads})"
+            "delta of iteration {k}"
         );
     }
     // The fixpoint round derives nothing new, and the stored totals tie
@@ -38,14 +35,4 @@ fn assert_delta_accounting(threads: usize) {
         stats.total_derivations(),
         stats.total_new_facts() + stats.total_subsumed()
     );
-}
-
-#[test]
-fn indexed_delta_accounting_matches_total_fact_deltas() {
-    assert_delta_accounting(1);
-}
-
-#[test]
-fn indexed_delta_accounting_is_unchanged_by_parallelism() {
-    assert_delta_accounting(4);
 }
