@@ -692,13 +692,55 @@ mod tests {
         assert_eq!(rule.constraint.len(), 2);
     }
 
+    /// The exact message, line and (1-based, char-counted) column of every
+    /// kind of parse error, through each public entry point.
     #[test]
-    fn error_positions_are_reported() {
-        let err = parse_program("p(X) :- q(X), X ! 3.").unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(err.column > 1);
-        assert!(parse_program("p(X :- q(X).").is_err());
-        assert!(parse_rule("p(X) :- q(X). extra").is_err());
+    fn parse_errors_match_the_golden_table() {
+        type Entry = fn(&str) -> Result<(), ParseError>;
+        let program: Entry = |s| parse_program(s).map(drop);
+        let facts: Entry = |s| parse_facts(s).map(drop);
+        let rule: Entry = |s| parse_rule(s).map(drop);
+        let query: Entry = |s| parse_query(s).map(drop);
+        let literal: Entry = |s| parse_literal(s).map(drop);
+        let overflow = "p(170141183460469231731687303715884105728).";
+        let table: [(Entry, &str, &str, usize, usize); 20] = [
+            (program, "p(a) :- q(a) @ r.", "unexpected character `@`", 1, 14),
+            (program, "p(X) :- q(X), X ! 3.", "unexpected character `!`", 1, 17),
+            (program, "p(a", "expected `)`, found end of input", 1, 4),
+            (program, "1.5.", "expected identifier, found `3/2`", 1, 1),
+            (facts, overflow, "invalid number literal `170141183460469231731687303715884105728`", 1, 42),
+            (facts, "p(1.2.3).", "invalid number literal `1.2.3`", 1, 8),
+            (program, "pé(Ünï) :- qé(Ünï), Ünï ! 1.", "unexpected character `!`", 1, 25),
+            (program, "p(a).\r\n\tq(b) :-\r\n\t\tr(b) s.", "expected `.`, found `s`", 3, 8),
+            (program, "p(a) % no period, then a comment", "expected `.`, found end of input", 1, 33),
+            (program, "p(X) :- q(X), X =< 3 == 4.", "expected `.`, found `=`", 1, 22),
+            (program, "p(X) :- q(X), X => .", "expected arithmetic term, found `.`", 1, 20),
+            (facts, "p(1).\n?- p(X).", "queries are not allowed in fact-only input", 2, 1),
+            (facts, "p(1).\n  edb p/1.", "`edb` declarations are not allowed in fact-only input", 2, 3),
+            (
+                facts,
+                "p(1).\nq(X) :- p(X).",
+                "`q(X)` is not a fact: rules with body literals are not allowed in fact-only input",
+                2,
+                1,
+            ),
+            (rule, "p(X) :- q(X). extra", "trailing input after rule", 1, 15),
+            (query, "?- q(X). extra", "trailing input after query", 1, 10),
+            (query, "?- X <= 3.", "a query needs at least one literal", 1, 11),
+            (literal, "p(X) q", "trailing input after literal", 1, 6),
+            (program, "edb p/x.", "expected arity after `p/`, found `x`", 1, 8),
+            // Source order: the syntax error at `:-` comes before the bad
+            // character, but the whole text is tokenized before parsing.
+            (program, "p(X :- q(X). @", "unexpected character `@`", 1, 14),
+        ];
+        for (parse, source, message, line, column) in table {
+            let err = parse(source).expect_err(source);
+            assert_eq!(
+                (err.message.as_str(), err.line, err.column),
+                (message, line, column),
+                "for {source:?}"
+            );
+        }
     }
 
     #[test]
