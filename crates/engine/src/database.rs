@@ -62,46 +62,63 @@ impl From<ParseError> for FactsError {
 /// separately so callers that feed facts straight into a resumed evaluation
 /// never have to build [`crate::value::Value`] vectors by hand.
 pub fn parse_facts(source: &str) -> Result<Vec<Fact>, FactsError> {
-    let rules = pcs_lang::parse_facts(source)?;
+    // Each statement is converted before the next is parsed, so the parsed
+    // rules never coexist.
     let mut gen = VarGen::new();
-    let mut facts = Vec::with_capacity(rules.len());
-    for rule in &rules {
-        // Flattening moves arithmetic head arguments (`p(1 + 2).`) into the
-        // constraint, so the conversion below only sees variables and
-        // constants.
-        facts.push(fact_from_rule(&rule.flattened(&mut gen))?);
-    }
-    Ok(facts)
+    pcs_lang::fact_rules(source)
+        .map(|rule| fact_from_rule(rule?, &mut gen))
+        .collect()
 }
 
-/// Converts a flattened, body-less rule into the fact it denotes: constants
-/// become bound positions, head variables become free positions tied to the
-/// rule's constraints (repeated variables tie their positions together), and
-/// the constraint is projected onto the free positions by [`Fact::new`].
-fn fact_from_rule(rule: &Rule) -> Result<Fact, FactsError> {
-    let mut constraint = rule.constraint.clone();
-    let mut bindings = Vec::with_capacity(rule.head.arity());
-    for (i, term) in rule.head.args.iter().enumerate() {
+/// Converts a body-less rule into the fact it denotes.
+///
+/// A rule with only constant head arguments and no constraint is already
+/// normal: it becomes a ground fact directly.  Any other rule is flattened
+/// (arithmetic head arguments such as `p(1 + 2).` move into the
+/// constraint); then constants become bound positions, head variables
+/// become free positions tied to the rule's constraints (repeated variables
+/// tie their positions together), and the constraint is projected onto the
+/// free positions by [`Fact::new`].
+fn fact_from_rule(rule: Rule, gen: &mut VarGen) -> Result<Fact, FactsError> {
+    if rule.constraint.is_trivially_true() {
+        let values: Option<Vec<Value>> = rule
+            .head
+            .args
+            .iter()
+            .map(|term| match term {
+                Term::Num(n) => Some(Value::num(*n)),
+                Term::Sym(s) => Some(Value::Sym(*s)),
+                Term::Var(_) | Term::Expr(_) => None,
+            })
+            .collect();
+        if let Some(values) = values {
+            return Ok(Fact::ground(rule.head.predicate, values));
+        }
+    }
+    let flat = rule.flattened(gen);
+    // A user may spell a variable like a position (`$2`, as
+    // `Fact::rule_text` writes them): rename every variable apart before
+    // the `$i = term` equalities below mention the positions.
+    let renamed = flat.freshened(&mut VarGen::new());
+    let mut constraint = renamed.constraint;
+    let mut bindings = Vec::with_capacity(renamed.head.arity());
+    for (i, term) in renamed.head.args.into_iter().enumerate() {
         let position = LinearExpr::var(Var::position(i + 1));
         match term {
-            Term::Num(n) => bindings.push(Binding::Bound(Value::num(*n))),
-            Term::Sym(s) => bindings.push(Binding::Bound(Value::Sym(*s))),
+            Term::Num(n) => bindings.push(Binding::Bound(Value::num(n))),
+            Term::Sym(s) => bindings.push(Binding::Bound(Value::Sym(s))),
             Term::Var(v) => {
                 bindings.push(Binding::Free);
-                constraint.push(Atom::compare(
-                    position,
-                    CmpOp::Eq,
-                    LinearExpr::var(v.clone()),
-                ));
+                constraint.push(Atom::compare(position, CmpOp::Eq, LinearExpr::var(v)));
             }
             Term::Expr(e) => {
                 bindings.push(Binding::Free);
-                constraint.push(Atom::compare(position, CmpOp::Eq, e.clone()));
+                constraint.push(Atom::compare(position, CmpOp::Eq, e));
             }
         }
     }
-    Fact::new(rule.head.predicate.clone(), bindings, constraint)
-        .ok_or_else(|| FactsError::Unsatisfiable(rule.to_string()))
+    Fact::new(renamed.head.predicate, bindings, constraint)
+        .ok_or_else(|| FactsError::Unsatisfiable(flat.to_string()))
 }
 
 /// An atomic batch of extensional updates: retractions applied first, then
@@ -526,6 +543,37 @@ mod tests {
         let err = UpdateBatch::parse("leg(a, b, 3).").unwrap_err();
         assert!(matches!(err, FactsError::Unsigned(_)));
         assert!(err.to_string().contains("`+` or `-`"));
+    }
+
+    #[test]
+    fn variables_spelled_like_positions_are_ordinary_variables() {
+        // `$2` is a user variable here, not position 2: `p(0, 1)` satisfies
+        // the first fact, and the second gains no `$1 = $2` equality.
+        for (dollars, named) in [
+            (
+                "p($2, X) :- X >= $2 + 1, $2 >= 0.",
+                "p(Y, X) :- X >= Y + 1, Y >= 0.",
+            ),
+            ("p($2, $1) :- $2 <= 3.", "p(Y, X) :- Y <= 3."),
+        ] {
+            let got = parse_facts(dollars).unwrap_or_else(|e| panic!("{dollars}: {e}"));
+            let want = parse_facts(named).unwrap();
+            assert!(
+                got[0].equivalent(&want[0]),
+                "{dollars}: {} vs {}",
+                got[0],
+                want[0]
+            );
+            // The parseable rendering (which spells positions `$i`) still
+            // round-trips through signed update text, as WAL records and
+            // snapshots rely on.
+            let batch = UpdateBatch::inserting(got);
+            let reparsed = UpdateBatch::parse(&batch.render()).unwrap();
+            assert!(
+                reparsed.inserts[0].equivalent(&batch.inserts[0]),
+                "{dollars}"
+            );
+        }
     }
 
     #[test]

@@ -40,7 +40,10 @@ pub mod term;
 pub use graph::RuleGraph;
 pub use intern::{SymId, SymbolTable};
 pub use literal::{Literal, Pred};
-pub use parser::{parse_facts, parse_literal, parse_program, parse_query, parse_rule, ParseError};
+pub use parser::{
+    fact_rules, parse_facts, parse_literal, parse_program, parse_query, parse_rule, FactRules,
+    ParseError,
+};
 pub use program::{Program, Query};
 pub use rule::{Rule, Span};
 pub use term::{Symbol, Term};

@@ -20,6 +20,11 @@
 //! * `% ...` is a comment; `edb pred/arity.` optionally declares an EDB
 //!   predicate; `?- ... .` sets the query.
 //! * Rules may carry a label (`r1:`) which is preserved for display.
+//!
+//! The front end is a single streaming pass: the lexer walks the source by
+//! byte offset and hands out tokens that borrow from it, and the parser pulls
+//! them on demand into a three-token lookahead.  No token list is ever built,
+//! so [`fact_rules`] can hand a loader each fact before the next is read.
 
 use std::fmt;
 
@@ -53,161 +58,170 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    LowerIdent(String),
-    UpperIdent(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
+    LowerIdent(&'a str),
+    UpperIdent(&'a str),
     Number(Rational),
     Punct(&'static str),
+    /// The lexer failed here; the error itself is kept by the lexer, which
+    /// yields nothing else afterwards.
+    Error,
     Eof,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::LowerIdent(s) | Token::UpperIdent(s) => write!(f, "`{s}`"),
             Token::Number(n) => write!(f, "`{n}`"),
             Token::Punct(p) => write!(f, "`{p}`"),
+            Token::Error => write!(f, "invalid input"),
             Token::Eof => write!(f, "end of input"),
         }
     }
 }
 
+#[derive(Clone, Copy)]
+struct Spanned<'a> {
+    token: Token<'a>,
+    line: usize,
+    column: usize,
+}
+
+/// Two-character punctuation, longest match first, with its canonical
+/// spelling.
+const DIGRAPHS: [(&str, &str); 7] = [
+    (":-", ":-"),
+    ("?-", "?-"),
+    ("<=", "<="),
+    (">=", ">="),
+    ("==", "="),
+    ("=<", "<="),
+    ("=>", ">="),
+];
+
+/// Walks the source by byte offset, decoding a char only where a byte is
+/// non-ASCII; columns count chars, not bytes.
 struct Lexer<'a> {
-    chars: Vec<char>,
+    source: &'a str,
     pos: usize,
     line: usize,
     column: usize,
-    _source: &'a str,
-}
-
-struct Spanned {
-    token: Token,
-    line: usize,
-    column: usize,
+    /// The first lexical error; once set, every further token is
+    /// [`Token::Error`].
+    error: Option<ParseError>,
 }
 
 impl<'a> Lexer<'a> {
     fn new(source: &'a str) -> Self {
         Lexer {
-            chars: source.chars().collect(),
+            source,
             pos: 0,
             line: 1,
             column: 1,
-            _source: source,
+            error: None,
         }
     }
 
-    fn error(&self, message: impl Into<String>) -> ParseError {
+    fn error(&self, message: String) -> ParseError {
         ParseError {
-            message: message.into(),
+            message,
             line: self.line,
             column: self.column,
         }
     }
 
     fn peek_char(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        let byte = *self.source.as_bytes().get(self.pos)?;
+        if byte.is_ascii() {
+            Some(char::from(byte))
+        } else {
+            self.source[self.pos..].chars().next()
+        }
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek_char()?;
-        self.pos += 1;
+    fn bump(&mut self, c: char) {
+        self.pos += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.column = 1;
         } else {
             self.column += 1;
         }
-        Some(c)
     }
 
     fn skip_trivia(&mut self) {
-        loop {
-            match self.peek_char() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some('%') => {
-                    while let Some(c) = self.bump() {
-                        if c == '\n' {
-                            break;
-                        }
+        while let Some(c) = self.peek_char() {
+            if c == '%' {
+                let rest = &self.source[self.pos..];
+                match rest.find('\n') {
+                    Some(end) => {
+                        self.pos += end + 1;
+                        self.line += 1;
+                        self.column = 1;
+                    }
+                    None => {
+                        self.pos = self.source.len();
+                        self.column += rest.chars().count();
                     }
                 }
-                _ => break,
+            } else if c.is_whitespace() {
+                self.bump(c);
+            } else {
+                break;
             }
         }
     }
 
-    fn next_token(&mut self) -> Result<Spanned, ParseError> {
+    fn next_token(&mut self) -> Spanned<'a> {
         self.skip_trivia();
-        let line = self.line;
-        let column = self.column;
-        let spanned = |token| Spanned {
+        let (line, column) = (self.line, self.column);
+        let token = if self.error.is_some() {
+            Token::Error
+        } else {
+            self.lex().unwrap_or_else(|e| {
+                self.error = Some(e);
+                Token::Error
+            })
+        };
+        Spanned {
             token,
             line,
             column,
+        }
+    }
+
+    fn lex(&mut self) -> Result<Token<'a>, ParseError> {
+        let Some(first) = self.peek_char() else {
+            return Ok(Token::Eof);
         };
-        let Some(c) = self.peek_char() else {
-            return Ok(spanned(Token::Eof));
-        };
-        if c.is_ascii_digit() {
-            let mut text = String::new();
+        if first.is_ascii_digit() {
+            return self.number();
+        }
+        if first.is_alphabetic() || first == '_' || first == '$' {
+            let start = self.pos;
             while let Some(c) = self.peek_char() {
-                if c.is_ascii_digit() || c == '.' {
-                    // A '.' is part of the number only if followed by a digit
-                    // (otherwise it terminates the statement).
-                    if c == '.' {
-                        let next = self.chars.get(self.pos + 1).copied();
-                        if !next.is_some_and(|n| n.is_ascii_digit()) {
-                            break;
-                        }
-                    }
-                    text.push(c);
-                    self.bump();
+                if c.is_alphanumeric() || matches!(c, '_' | '\'' | '$' | '#') {
+                    self.bump(c);
                 } else {
                     break;
                 }
             }
-            let value = parse_number(&text)
-                .ok_or_else(|| self.error(format!("invalid number literal `{text}`")))?;
-            return Ok(spanned(Token::Number(value)));
+            let text = &self.source[start..self.pos];
+            return Ok(if first.is_uppercase() || first == '_' || first == '$' {
+                Token::UpperIdent(text)
+            } else {
+                Token::LowerIdent(text)
+            });
         }
-        if c.is_alphabetic() || c == '_' || c == '$' {
-            let mut text = String::new();
-            while let Some(c) = self.peek_char() {
-                if c.is_alphanumeric() || c == '_' || c == '\'' || c == '$' || c == '#' {
-                    text.push(c);
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            let first = text.chars().next().expect("non-empty identifier");
-            if first.is_uppercase() || first == '_' || first == '$' {
-                return Ok(spanned(Token::UpperIdent(text)));
-            }
-            return Ok(spanned(Token::LowerIdent(text)));
+        let rest = &self.source[self.pos..];
+        if let Some(&(_, canonical)) = DIGRAPHS.iter().find(|(p, _)| rest.starts_with(p)) {
+            self.pos += 2;
+            self.column += 2;
+            return Ok(Token::Punct(canonical));
         }
-        // Punctuation, longest match first.
-        let two: String = self.chars[self.pos..(self.pos + 2).min(self.chars.len())]
-            .iter()
-            .collect();
-        for p in [":-", "?-", "<=", ">=", "==", "=<", "=>"] {
-            if two == p {
-                self.bump();
-                self.bump();
-                let canonical = match p {
-                    "=<" => "<=",
-                    "=>" => ">=",
-                    "==" => "=",
-                    other => other,
-                };
-                return Ok(spanned(Token::Punct(canonical)));
-            }
-        }
-        let single = match c {
+        let single = match first {
             '(' => "(",
             ')' => ")",
             ',' => ",",
@@ -220,73 +234,110 @@ impl<'a> Lexer<'a> {
             '-' => "-",
             '*' => "*",
             '/' => "/",
-            _ => return Err(self.error(format!("unexpected character `{c}`"))),
+            _ => return Err(self.error(format!("unexpected character `{first}`"))),
         };
-        self.bump();
-        Ok(spanned(Token::Punct(single)))
+        self.bump(first);
+        Ok(Token::Punct(single))
     }
-}
 
-fn parse_number(text: &str) -> Option<Rational> {
-    if let Some(dot) = text.find('.') {
-        let int_part: i128 = text[..dot].parse().ok()?;
-        let frac = &text[dot + 1..];
-        if frac.is_empty() {
-            return Some(Rational::from_int(int_part));
-        }
-        let frac_digits = frac.len() as u32;
-        let frac_value: i128 = frac.parse().ok()?;
-        let denom = 10i128.checked_pow(frac_digits)?;
-        let numer = int_part.checked_mul(denom)?.checked_add(frac_value)?;
-        Rational::new(numer, denom).ok()
-    } else {
-        text.parse::<i128>().ok().map(Rational::from_int)
-    }
-}
-
-/// The parser.
-pub struct Parser {
-    tokens: Vec<Spanned>,
-    pos: usize,
-}
-
-impl Parser {
-    fn new(source: &str) -> Result<Self, ParseError> {
-        let mut lexer = Lexer::new(source);
-        let mut tokens = Vec::new();
-        loop {
-            let t = lexer.next_token()?;
-            let done = t.token == Token::Eof;
-            tokens.push(t);
-            if done {
+    /// A run of digits and `.`s; a `.` is part of the number only if a digit
+    /// follows it (otherwise it ends the statement).  A malformed literal is
+    /// reported where it ends.
+    fn number(&mut self) -> Result<Token<'a>, ParseError> {
+        let bytes = self.source.as_bytes();
+        let start = self.pos;
+        while let Some(&b) = bytes.get(self.pos) {
+            let in_number = b.is_ascii_digit()
+                || (b == b'.' && bytes.get(self.pos + 1).is_some_and(u8::is_ascii_digit));
+            if !in_number {
                 break;
             }
-        }
-        Ok(Parser { tokens, pos: 0 })
-    }
-
-    fn peek(&self) -> &Spanned {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
-    }
-
-    fn peek_ahead(&self, n: usize) -> &Spanned {
-        &self.tokens[(self.pos + n).min(self.tokens.len() - 1)]
-    }
-
-    fn bump(&mut self) -> &Spanned {
-        let t = &self.tokens[self.pos.min(self.tokens.len() - 1)];
-        if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
+        self.column += self.pos - start;
+        let text = &self.source[start..self.pos];
+        parse_number(text)
+            .map(Token::Number)
+            .ok_or_else(|| self.error(format!("invalid number literal `{text}`")))
+    }
+}
+
+/// A decimal numeral: an integer takes the fast path straight to a
+/// [`Rational`]; `int.frac` becomes the exact fraction.
+fn parse_number(text: &str) -> Option<Rational> {
+    let Some((int_part, frac)) = text.split_once('.') else {
+        return parse_digits(text).map(Rational::from_int);
+    };
+    let int_part = parse_digits(int_part)?;
+    let frac_value = parse_digits(frac)?;
+    let denom = 10i128.checked_pow(u32::try_from(frac.len()).ok()?)?;
+    let numer = int_part.checked_mul(denom)?.checked_add(frac_value)?;
+    Rational::new(numer, denom).ok()
+}
+
+/// A non-empty run of ASCII digits as an `i128`; `None` on anything else or
+/// on overflow.
+fn parse_digits(text: &str) -> Option<i128> {
+    if text.is_empty() {
+        return None;
+    }
+    text.bytes().try_fold(0i128, |acc, b| {
+        let digit = b.is_ascii_digit().then(|| i128::from(b - b'0'))?;
+        acc.checked_mul(10)?.checked_add(digit)
+    })
+}
+
+/// The parser: a recursive-descent reader over a three-token lookahead that
+/// the lexer refills one token per [`Parser::bump`].
+pub struct Parser<'a> {
+    lexer: Lexer<'a>,
+    lookahead: [Spanned<'a>; 3],
+    /// Index in `lookahead` of the current token.
+    head: usize,
+    /// The predicate of the last literal read: consecutive facts nearly
+    /// always share it, and then share its allocation too.
+    last_pred: Option<Pred>,
+}
+
+impl<'a> Parser<'a> {
+    fn new(source: &'a str) -> Self {
+        let mut lexer = Lexer::new(source);
+        let lookahead = [lexer.next_token(), lexer.next_token(), lexer.next_token()];
+        Parser {
+            lexer,
+            lookahead,
+            head: 0,
+            last_pred: None,
+        }
     }
 
+    fn peek(&self) -> &Spanned<'a> {
+        self.peek_ahead(0)
+    }
+
+    fn peek_ahead(&self, n: usize) -> &Spanned<'a> {
+        debug_assert!(n < self.lookahead.len(), "lookahead is three tokens");
+        &self.lookahead[(self.head + n) % self.lookahead.len()]
+    }
+
+    fn bump(&mut self) -> Spanned<'a> {
+        let next = self.lexer.next_token();
+        let current = std::mem::replace(&mut self.lookahead[self.head], next);
+        self.head = (self.head + 1) % self.lookahead.len();
+        current
+    }
+
+    /// An error at the current token — or, if the lexer failed there, the
+    /// lexical error, which comes first in the source.
     fn error_here(&self, message: impl Into<String>) -> ParseError {
         let t = self.peek();
-        ParseError {
-            message: message.into(),
-            line: t.line,
-            column: t.column,
+        match (&t.token, &self.lexer.error) {
+            (Token::Error, Some(lexical)) => lexical.clone(),
+            _ => ParseError {
+                message: message.into(),
+                line: t.line,
+                column: t.column,
+            },
         }
     }
 
@@ -302,7 +353,7 @@ impl Parser {
     fn parse_program(&mut self) -> Result<Program, ParseError> {
         let mut program = Program::new();
         loop {
-            match &self.peek().token {
+            match self.peek().token {
                 Token::Eof => break,
                 Token::Punct("?-") => {
                     self.bump();
@@ -310,22 +361,21 @@ impl Parser {
                     self.expect_punct(".")?;
                     program.set_query(Query::with_constraint(literals, constraint));
                 }
-                Token::LowerIdent(word)
-                    if word == "edb"
-                        && matches!(self.peek_ahead(1).token, Token::LowerIdent(_))
+                Token::LowerIdent("edb")
+                    if matches!(self.peek_ahead(1).token, Token::LowerIdent(_))
                         && self.peek_ahead(2).token == Token::Punct("/") =>
                 {
                     self.bump();
                     let name = self.parse_lower_ident()?;
                     self.expect_punct("/")?;
-                    let arity_token = self.bump().token.clone();
+                    let arity_token = self.bump().token;
                     if !matches!(arity_token, Token::Number(_)) {
                         return Err(self.error_here(format!(
                             "expected arity after `{name}/`, found {arity_token}"
                         )));
                     }
                     self.expect_punct(".")?;
-                    program.declare_edb(name.as_str());
+                    program.declare_edb(name);
                 }
                 _ => {
                     let rule = self.parse_rule()?;
@@ -336,8 +386,41 @@ impl Parser {
         Ok(program)
     }
 
-    fn parse_lower_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().token.clone() {
+    /// The next statement of fact-only input as a rule, or `None` at the end
+    /// of the input.
+    fn parse_fact(&mut self) -> Option<Result<Rule, ParseError>> {
+        let Spanned {
+            token,
+            line,
+            column,
+        } = *self.peek();
+        let refuse = |message: String| {
+            Some(Err(ParseError {
+                message,
+                line,
+                column,
+            }))
+        };
+        match token {
+            Token::Eof => None,
+            Token::Punct("?-") => {
+                refuse("queries are not allowed in fact-only input".to_string())
+            }
+            Token::LowerIdent("edb") if self.peek_ahead(2).token == Token::Punct("/") => {
+                refuse("`edb` declarations are not allowed in fact-only input".to_string())
+            }
+            _ => match self.parse_rule() {
+                Ok(rule) if !rule.is_constraint_fact() => refuse(format!(
+                    "`{}` is not a fact: rules with body literals are not allowed in fact-only input",
+                    rule.head
+                )),
+                result => Some(result),
+            },
+        }
+    }
+
+    fn parse_lower_ident(&mut self) -> Result<&'a str, ParseError> {
+        match self.peek().token {
             Token::LowerIdent(s) => {
                 self.bump();
                 Ok(s)
@@ -355,9 +438,9 @@ impl Parser {
         };
         // Optional label: lower ident followed by ':' (but not ':-').
         let mut label = None;
-        if let Token::LowerIdent(name) = &self.peek().token {
+        if let Token::LowerIdent(name) = self.peek().token {
             if self.peek_ahead(1).token == Token::Punct(":") {
-                label = Some(name.clone());
+                label = Some(name);
                 self.bump();
                 self.bump();
             }
@@ -398,19 +481,15 @@ impl Parser {
     ) -> Result<(), ParseError> {
         // A literal starts with a lower-case identifier followed by `(`
         // (or is a zero-ary predicate followed by `,`/`.`).
-        if let Token::LowerIdent(_) = &self.peek().token {
-            let next = &self.peek_ahead(1).token;
-            if *next == Token::Punct("(")
-                || *next == Token::Punct(",")
-                || *next == Token::Punct(".")
-            {
+        if let Token::LowerIdent(_) = self.peek().token {
+            if matches!(self.peek_ahead(1).token, Token::Punct("(" | "," | ".")) {
                 literals.push(self.parse_literal()?);
                 return Ok(());
             }
         }
         // Otherwise it is a constraint: arith op arith.
         let lhs = self.parse_arith()?;
-        let op = match &self.peek().token {
+        let op = match self.peek().token {
             Token::Punct(p) => CmpOp::parse(p).ok_or_else(|| {
                 self.error_here(format!("expected comparison operator, found `{p}`"))
             })?,
@@ -439,23 +518,38 @@ impl Parser {
             }
             self.expect_punct(")")?;
         }
-        Ok(Literal::new(Pred::new(name), args))
+        let predicate = match &self.last_pred {
+            Some(pred) if pred.name() == name => pred.clone(),
+            _ => self.last_pred.insert(Pred::new(name)).clone(),
+        };
+        Ok(Literal::new(predicate, args))
     }
 
     fn parse_term(&mut self) -> Result<Term, ParseError> {
-        // Symbolic constant: lower identifier not followed by arithmetic.
-        if let Token::LowerIdent(name) = self.peek().token.clone() {
-            self.bump();
-            return Ok(Term::sym(name));
+        match self.peek().token {
+            // Symbolic constant: lower identifier not followed by arithmetic.
+            Token::LowerIdent(name) => {
+                self.bump();
+                Ok(Term::sym(name))
+            }
+            // A lone numeral is a constant; no expression needs building.
+            Token::Number(n)
+                if !matches!(
+                    self.peek_ahead(1).token,
+                    Token::Punct("+" | "-" | "*" | "/")
+                ) =>
+            {
+                self.bump();
+                Ok(Term::Num(n))
+            }
+            _ => Ok(Term::expr(self.parse_arith()?)),
         }
-        let expr = self.parse_arith()?;
-        Ok(Term::expr(expr))
     }
 
     fn parse_arith(&mut self) -> Result<LinearExpr, ParseError> {
         let mut acc = self.parse_arith_factor()?;
         loop {
-            match &self.peek().token {
+            match self.peek().token {
                 Token::Punct("+") => {
                     self.bump();
                     acc = acc + self.parse_arith_factor()?;
@@ -473,7 +567,7 @@ impl Parser {
     fn parse_arith_factor(&mut self) -> Result<LinearExpr, ParseError> {
         let mut acc = self.parse_arith_atom()?;
         loop {
-            match &self.peek().token {
+            match self.peek().token {
                 Token::Punct("*") => {
                     self.bump();
                     let rhs = self.parse_arith_atom()?;
@@ -496,7 +590,7 @@ impl Parser {
     }
 
     fn parse_arith_atom(&mut self) -> Result<LinearExpr, ParseError> {
-        match self.peek().token.clone() {
+        match self.peek().token {
             Token::Number(n) => {
                 self.bump();
                 Ok(LinearExpr::constant(n))
@@ -532,7 +626,7 @@ fn multiply_linear(a: &LinearExpr, b: &LinearExpr) -> Option<LinearExpr> {
 
 /// Parses a complete program from source text.
 pub fn parse_program(source: &str) -> Result<Program, ParseError> {
-    Parser::new(source)?.parse_program()
+    Parser::new(source).parse_program()
 }
 
 /// Parses fact-only source text: a sequence of ground facts (`p(a, 1).`) and
@@ -542,47 +636,40 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
 /// Anything else — a rule with body literals, a query, or an `edb`
 /// declaration — is rejected with a positioned [`ParseError`], so bulk fact
 /// loaders (and the interactive `+fact.` insertions of `pcs-service`) can
-/// report exactly which statement was not a fact.
+/// report exactly which statement was not a fact.  This is [`fact_rules`],
+/// collected.
 pub fn parse_facts(source: &str) -> Result<Vec<Rule>, ParseError> {
-    let mut parser = Parser::new(source)?;
-    let mut rules = Vec::new();
-    loop {
-        let (line, column) = (parser.peek().line, parser.peek().column);
-        match parser.peek().token.clone() {
-            Token::Eof => break,
-            Token::Punct("?-") => {
-                return Err(ParseError {
-                    message: "queries are not allowed in fact-only input".to_string(),
-                    line,
-                    column,
-                })
-            }
-            Token::LowerIdent(word)
-                if word == "edb" && parser.peek_ahead(2).token == Token::Punct("/") =>
-            {
-                return Err(ParseError {
-                    message: "`edb` declarations are not allowed in fact-only input".to_string(),
-                    line,
-                    column,
-                })
-            }
-            _ => {
-                let rule = parser.parse_rule()?;
-                if !rule.is_constraint_fact() {
-                    return Err(ParseError {
-                        message: format!(
-                            "`{}` is not a fact: rules with body literals are not allowed in fact-only input",
-                            rule.head
-                        ),
-                        line,
-                        column,
-                    });
-                }
-                rules.push(rule);
-            }
-        }
+    fact_rules(source).collect()
+}
+
+/// Reads fact-only source text one statement at a time: each call to
+/// [`Iterator::next`] parses exactly one more fact, so a loader converts and
+/// stores a fact before the next one is read.  Accepts and refuses exactly
+/// what [`parse_facts`] does; the first error ends the iteration.
+pub fn fact_rules(source: &str) -> FactRules<'_> {
+    FactRules {
+        parser: Parser::new(source),
+        failed: false,
     }
-    Ok(rules)
+}
+
+/// The iterator [`fact_rules`] returns.
+pub struct FactRules<'a> {
+    parser: Parser<'a>,
+    failed: bool,
+}
+
+impl Iterator for FactRules<'_> {
+    type Item = Result<Rule, ParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        let next = self.parser.parse_fact()?;
+        self.failed = next.is_err();
+        Some(next)
+    }
 }
 
 /// Parses an interactive query: an optional leading `?-`, one or more body
@@ -592,7 +679,7 @@ pub fn parse_facts(source: &str) -> Result<Vec<Rule>, ParseError> {
 /// lines, where both the prompt prefix and the final period are a matter of
 /// taste.
 pub fn parse_query(source: &str) -> Result<Query, ParseError> {
-    let mut parser = Parser::new(source)?;
+    let mut parser = Parser::new(source);
     if parser.peek().token == Token::Punct("?-") {
         parser.bump();
     }
@@ -611,7 +698,7 @@ pub fn parse_query(source: &str) -> Result<Query, ParseError> {
 
 /// Parses a single rule.
 pub fn parse_rule(source: &str) -> Result<Rule, ParseError> {
-    let mut parser = Parser::new(source)?;
+    let mut parser = Parser::new(source);
     let rule = parser.parse_rule()?;
     if parser.peek().token != Token::Eof {
         return Err(parser.error_here("trailing input after rule"));
@@ -621,7 +708,7 @@ pub fn parse_rule(source: &str) -> Result<Rule, ParseError> {
 
 /// Parses a single literal (no trailing period).
 pub fn parse_literal(source: &str) -> Result<Literal, ParseError> {
-    let mut parser = Parser::new(source)?;
+    let mut parser = Parser::new(source);
     let literal = parser.parse_literal()?;
     if parser.peek().token != Token::Eof {
         return Err(parser.error_here("trailing input after literal"));
@@ -704,19 +791,79 @@ mod tests {
         let literal: Entry = |s| parse_literal(s).map(drop);
         let overflow = "p(170141183460469231731687303715884105728).";
         let table: [(Entry, &str, &str, usize, usize); 20] = [
-            (program, "p(a) :- q(a) @ r.", "unexpected character `@`", 1, 14),
-            (program, "p(X) :- q(X), X ! 3.", "unexpected character `!`", 1, 17),
+            (
+                program,
+                "p(a) :- q(a) @ r.",
+                "unexpected character `@`",
+                1,
+                14,
+            ),
+            (
+                program,
+                "p(X) :- q(X), X ! 3.",
+                "unexpected character `!`",
+                1,
+                17,
+            ),
             (program, "p(a", "expected `)`, found end of input", 1, 4),
             (program, "1.5.", "expected identifier, found `3/2`", 1, 1),
-            (facts, overflow, "invalid number literal `170141183460469231731687303715884105728`", 1, 42),
+            (
+                facts,
+                overflow,
+                "invalid number literal `170141183460469231731687303715884105728`",
+                1,
+                42,
+            ),
             (facts, "p(1.2.3).", "invalid number literal `1.2.3`", 1, 8),
-            (program, "pé(Ünï) :- qé(Ünï), Ünï ! 1.", "unexpected character `!`", 1, 25),
-            (program, "p(a).\r\n\tq(b) :-\r\n\t\tr(b) s.", "expected `.`, found `s`", 3, 8),
-            (program, "p(a) % no period, then a comment", "expected `.`, found end of input", 1, 33),
-            (program, "p(X) :- q(X), X =< 3 == 4.", "expected `.`, found `=`", 1, 22),
-            (program, "p(X) :- q(X), X => .", "expected arithmetic term, found `.`", 1, 20),
-            (facts, "p(1).\n?- p(X).", "queries are not allowed in fact-only input", 2, 1),
-            (facts, "p(1).\n  edb p/1.", "`edb` declarations are not allowed in fact-only input", 2, 3),
+            (
+                program,
+                "pé(Ünï) :- qé(Ünï), Ünï ! 1.",
+                "unexpected character `!`",
+                1,
+                25,
+            ),
+            (
+                program,
+                "p(a).\r\n\tq(b) :-\r\n\t\tr(b) s.",
+                "expected `.`, found `s`",
+                3,
+                8,
+            ),
+            (
+                program,
+                "p(a) % no period, then a comment",
+                "expected `.`, found end of input",
+                1,
+                33,
+            ),
+            (
+                program,
+                "p(X) :- q(X), X =< 3 == 4.",
+                "expected `.`, found `=`",
+                1,
+                22,
+            ),
+            (
+                program,
+                "p(X) :- q(X), X => .",
+                "expected arithmetic term, found `.`",
+                1,
+                20,
+            ),
+            (
+                facts,
+                "p(1).\n?- p(X).",
+                "queries are not allowed in fact-only input",
+                2,
+                1,
+            ),
+            (
+                facts,
+                "p(1).\n  edb p/1.",
+                "`edb` declarations are not allowed in fact-only input",
+                2,
+                3,
+            ),
             (
                 facts,
                 "p(1).\nq(X) :- p(X).",
@@ -724,14 +871,32 @@ mod tests {
                 2,
                 1,
             ),
-            (rule, "p(X) :- q(X). extra", "trailing input after rule", 1, 15),
+            (
+                rule,
+                "p(X) :- q(X). extra",
+                "trailing input after rule",
+                1,
+                15,
+            ),
             (query, "?- q(X). extra", "trailing input after query", 1, 10),
-            (query, "?- X <= 3.", "a query needs at least one literal", 1, 11),
+            (
+                query,
+                "?- X <= 3.",
+                "a query needs at least one literal",
+                1,
+                11,
+            ),
             (literal, "p(X) q", "trailing input after literal", 1, 6),
-            (program, "edb p/x.", "expected arity after `p/`, found `x`", 1, 8),
+            (
+                program,
+                "edb p/x.",
+                "expected arity after `p/`, found `x`",
+                1,
+                8,
+            ),
             // Source order: the syntax error at `:-` comes before the bad
-            // character, but the whole text is tokenized before parsing.
-            (program, "p(X :- q(X). @", "unexpected character `@`", 1, 14),
+            // character, so it is the one reported.
+            (program, "p(X :- q(X). @", "expected `)`, found `:-`", 1, 5),
         ];
         for (parse, source, message, line, column) in table {
             let err = parse(source).expect_err(source);

@@ -166,6 +166,36 @@ impl Source {
         format!("?- {}.", parts.join(", "))
     }
 
+    /// A statement a fact loader accepts or refuses as unsatisfiable: a
+    /// ground fact over symbols and numerals (negative, `2.0`, `7/2`), a
+    /// fact with an arithmetic head argument, or a constraint fact.
+    fn loadable_fact(&mut self) -> String {
+        let arity = self.rng.random_range(1..4);
+        let args: Vec<String> = (0..arity)
+            .map(|_| match self.rng.random_range(0..6) {
+                0 | 1 => self.sym().to_string(),
+                2 => self.number(),
+                3 => self.pick(&["2.0", "7/2", "-7", "0"]).to_string(),
+                4 => format!("{} + {}", self.number(), self.number()),
+                _ => self.var().to_string(),
+            })
+            .collect();
+        let head = format!("{}({})", self.pred(), args.join(", "));
+        match self.rng.random_range(0..3) {
+            0 => format!("{head}."),
+            _ => {
+                let parts: Vec<String> = (0..self.rng.random_range(0..3))
+                    .map(|_| self.constraint())
+                    .collect();
+                if parts.is_empty() {
+                    format!("{head}.")
+                } else {
+                    format!("{head} :- {}.", parts.join(", "))
+                }
+            }
+        }
+    }
+
     fn facts(&mut self) -> String {
         (0..self.rng.random_range(1..5))
             .map(|_| self.fact())
@@ -302,5 +332,85 @@ fn engine_facts_round_trip_into_the_database_layer() {
             stored.equivalent(&fact),
             "round-tripped fact diverged: {fact} vs {stored} (via {rendered})"
         );
+    }
+}
+
+/// The reference conversion, without the ground fast path: flatten the
+/// rule, turn head variables into free positions tied by `$i = X`, and let
+/// [`Fact::new`] normalise.
+fn normalised(rule: &pushing_constraint_selections::lang::Rule) -> Option<engine::Fact> {
+    use pushing_constraint_selections::constraints::{Atom, CmpOp, LinearExpr, Var, VarGen};
+    use pushing_constraint_selections::lang::Term;
+    let flat = rule.flattened(&mut VarGen::new());
+    let mut constraint = flat.constraint.clone();
+    let bindings = flat
+        .head
+        .args
+        .iter()
+        .enumerate()
+        .map(|(i, term)| match term {
+            Term::Num(n) => engine::Binding::Bound(engine::Value::num(*n)),
+            Term::Sym(s) => engine::Binding::Bound(engine::Value::Sym(*s)),
+            Term::Var(v) => {
+                let position = LinearExpr::var(Var::position(i + 1));
+                constraint.push(Atom::compare(
+                    position,
+                    CmpOp::Eq,
+                    LinearExpr::var(v.clone()),
+                ));
+                engine::Binding::Free
+            }
+            Term::Expr(_) => unreachable!("flattened heads hold no expressions"),
+        })
+        .collect();
+    engine::Fact::new(flat.head.predicate.clone(), bindings, constraint)
+}
+
+use pushing_constraint_selections::engine;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fact_loading_equals_normalisation(seed in 0u64..u64::MAX) {
+        let mut source = Source::new(seed ^ 0x5EED);
+        let text: Vec<String> = (0..source.rng.random_range(1..12))
+            .map(|_| source.loadable_fact())
+            .collect();
+        let text = text.join("\n");
+        let rules = parse_facts(&text)
+            .unwrap_or_else(|e| panic!("generated facts failed to parse: {e}\n{text}"));
+        let expected: Option<Vec<engine::Fact>> = rules.iter().map(normalised).collect();
+        match (engine::parse_facts(&text), expected) {
+            (Ok(facts), Some(expected)) => prop_assert_eq!(facts, expected, "for\n{}", text),
+            (Err(engine::FactsError::Unsatisfiable(_)), None) => {}
+            (got, expected) => prop_assert!(
+                false,
+                "loader gave {:?}, normalisation {:?}, for\n{}",
+                got.map(|facts| facts.len()),
+                expected.map(|facts| facts.len()),
+                text
+            ),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn a_bad_last_line_of_ten_thousand_loads_nothing(seed in 0u64..u64::MAX) {
+        let mut source = Source::new(seed);
+        let mut text = String::new();
+        for i in 0..9_999 {
+            text.push_str(&format!("leg({}, c{i}, {}).\n", source.sym(), i % 300));
+        }
+        let bad = source.pick(&["leg(a, b", "leg(X, b, 1) :- X < 0, X > 1.", "leg(a, b, 1) @"]);
+        text.push_str(bad);
+        let mut db = engine::Database::new();
+        db.add_facts_str("leg(seed, fact, 0).").unwrap();
+        let before = format!("{db:?}");
+        prop_assert!(db.add_facts_str(&text).is_err(), "{} was accepted", bad);
+        prop_assert_eq!(format!("{db:?}"), before);
     }
 }
