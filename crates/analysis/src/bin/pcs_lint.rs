@@ -9,7 +9,7 @@
 //! finding as `file:line:column: severity[code]: message`.  With `--explain`
 //! the compiled join plan of every (rule × delta-position) body is printed
 //! after the findings, one `file:line:column: plan ...` line per delta
-//! position with per-literal cost annotations.  Exit status:
+//! position with its bound-argument counts and slot program.  Exit status:
 //!
 //! * `0` — no error-severity findings (with `--strict`: no findings of
 //!   warning severity or above),
@@ -18,8 +18,8 @@
 
 use std::process::ExitCode;
 
-use pcs_analysis::{analyze, selectivity_hints, ProgramAnalysis, Severity};
-use pcs_engine::compile_plans;
+use pcs_analysis::{analyze, ProgramAnalysis, Severity};
+use pcs_engine::ProgramPlans;
 use pcs_lang::parse_program;
 
 const USAGE: &str = "usage: pcs-lint [--strict] [--quiet] [--explain] FILE...\n\
@@ -90,7 +90,7 @@ fn lint_file(file: &str, strict: bool, quiet: bool, explain: bool) -> u8 {
         }
     }
     if explain {
-        print_plans(file, &program, &analysis);
+        print_plans(file, &program);
     }
     println!("{file}: {}", summary(&analysis, program.rules().len()));
     let failed = analysis.has_errors()
@@ -103,13 +103,11 @@ fn lint_file(file: &str, strict: bool, quiet: bool, explain: bool) -> u8 {
 }
 
 /// Prints the compiled join plan of every (rule × delta-position) body of
-/// the *source* program (whose rules carry parser spans), one line per plan
-/// with the analyzer's selectivity as the cost model — the CLI counterpart
-/// of the shell's `.explain`.
-fn print_plans(file: &str, program: &pcs_lang::Program, analysis: &ProgramAnalysis) {
-    let hints = selectivity_hints(&analysis.selectivity);
+/// the *source* program (whose rules carry parser spans), one line per plan —
+/// the CLI counterpart of the shell's `.explain`.
+fn print_plans(file: &str, program: &pcs_lang::Program) {
     let flat = program.flattened();
-    let plans = compile_plans(&flat, &hints);
+    let plans = ProgramPlans::compile(&flat);
     for rule_index in plans.planned_rules() {
         let rule = &flat.rules()[rule_index];
         let name = rule

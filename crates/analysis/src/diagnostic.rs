@@ -74,13 +74,10 @@ pub enum Code {
     /// before it: no indexed order exists, and the join degrades to a cross
     /// product.
     CrossProductJoin,
-    /// A body literal is probed with no bound column and the analyzer infers
-    /// no constraint interval for any of its positions: the join step scans
-    /// the whole window.
+    /// For some delta position, a body literal that is connected to the
+    /// literals joined before it is still probed with no bound column: the
+    /// join step scans the whole window.
     UnboundedProbe,
-    /// The inferred selectivity proves a body literal can never match, so
-    /// every join plan of the rule is degenerate.
-    DegeneratePlan,
 }
 
 impl Code {
@@ -100,7 +97,6 @@ impl Code {
             Code::FreeHeadVariable => "free-head-variable",
             Code::CrossProductJoin => "cross-product-join",
             Code::UnboundedProbe => "unbounded-probe",
-            Code::DegeneratePlan => "degenerate-plan",
         }
     }
 }

@@ -3,11 +3,9 @@
 //! Static analysis for constraint query language programs: a multi-pass
 //! analyzer over parsed [`Program`]s producing structured, severity-ranked
 //! [`Diagnostic`]s, plus byproducts the rest of the system consumes — the
-//! stratum number of every predicate, the set of provably dead rules (used by
-//! the optimizer's dead-rule pruning), and per-argument interval bounds
-//! ([`Selectivity`], input for join planning).
+//! stratum number of every predicate and the set of provably dead rules.
 //!
-//! The passes:
+//! The five passes:
 //!
 //! 1. **Safety / range restriction** — every head variable must be bound by a
 //!    positive body literal or pinned by an equality constraint; an
@@ -20,15 +18,12 @@
 //!    derive anything.
 //! 3. **Reachability / dead code** — rules whose body predicates can never
 //!    hold facts, and rules not reachable from the query.
-//! 4. **Range inference** — the inferred predicate constraints (conjoined
-//!    with QRP constraints when available) projected to per-position
-//!    [`Interval`] bounds.
-//! 5. **Consistency lints** — arity mismatches, duplicate and subsumed
+//! 4. **Consistency lints** — arity mismatches, duplicate and subsumed
 //!    rules, singleton variables, unused predicates.
-//! 6. **Join planning** — every (rule × delta-position) body is compiled
-//!    into a static [`pcs_engine::JoinPlan`] with the inferred intervals as
-//!    the cost model, and structural join problems (cross-product joins,
-//!    unbounded probes, degenerate plans) are reported as diagnostics.
+//! 5. **Join planning** — every (rule × delta-position) body is compiled
+//!    into the static [`pcs_engine::JoinPlan`] the evaluator runs, and
+//!    structural join problems (cross-product joins, unbounded probes) are
+//!    reported as diagnostics.
 //!
 //! ## Example
 //!
@@ -48,46 +43,38 @@
 #![deny(deprecated)]
 
 pub mod diagnostic;
-pub mod selectivity;
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use pcs_constraints::{ptol, ConstraintSet, Rel, Var};
-use pcs_engine::{compile_plans, PlanFindingKind, SelectivityClass, SelectivityHints};
+use pcs_engine::{PlanFindingKind, ProgramPlans};
 use pcs_lang::{Pred, Program, Rule, RuleGraph};
-use pcs_transform::{
-    gen_predicate_constraints, gen_qrp_constraints, ConstraintAnalysis, GenOptions,
-};
+use pcs_transform::{gen_predicate_constraints, GenOptions};
 
 pub use diagnostic::{Code, Diagnostic, Severity};
-pub use selectivity::{Interval, Selectivity};
+
+/// Iteration budget for the predicate constraint inference.  Deliberately
+/// small: the analyzer runs on every optimization, constraint sets can grow
+/// quickly on divergent programs, and a non-convergent inference only costs
+/// precision, never soundness.
+const MAX_ITERATIONS: usize = 4;
+
+/// Per-rule cap on accumulated DNF disjuncts in the satisfiability pass;
+/// rules whose accumulated constraint grows beyond it are skipped.
+const MAX_DISJUNCTS: usize = 64;
 
 /// Options for [`analyze_with`].
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzeOptions {
     /// Declared minimum predicate constraints for the database predicates
-    /// (argument-position form), used to strengthen the satisfiability pass
-    /// and the range inference.
+    /// (argument-position form), used to strengthen the satisfiability pass.
     pub edb_constraints: BTreeMap<Pred, ConstraintSet>,
-    /// Iteration budget for the predicate/QRP constraint inference.  The
-    /// analyzer uses a deliberately small budget (default 4) — it runs on
-    /// every optimization, constraint sets can grow quickly on divergent
-    /// programs, and a non-convergent inference only costs precision, never
-    /// soundness.
-    pub max_iterations: usize,
-    /// Per-rule cap on accumulated DNF disjuncts in the satisfiability pass;
-    /// rules whose accumulated constraint grows beyond it are skipped.
-    pub max_disjuncts: usize,
 }
 
 impl AnalyzeOptions {
-    /// Options with the default budgets and no declared EDB constraints.
+    /// Options with no declared EDB constraints.
     pub fn new() -> Self {
-        AnalyzeOptions {
-            edb_constraints: BTreeMap::new(),
-            max_iterations: 4,
-            max_disjuncts: 64,
-        }
+        AnalyzeOptions::default()
     }
 
     /// Declares the minimum predicate constraints of the database predicates.
@@ -95,21 +82,10 @@ impl AnalyzeOptions {
         self.edb_constraints = edb;
         self
     }
-
-    fn normalized(&self) -> AnalyzeOptions {
-        let mut options = self.clone();
-        if options.max_iterations == 0 {
-            options.max_iterations = 4;
-        }
-        if options.max_disjuncts == 0 {
-            options.max_disjuncts = 64;
-        }
-        options
-    }
 }
 
 /// The result of analyzing a program: diagnostics plus the byproducts other
-/// subsystems consume (strata, dead rules, selectivity).
+/// subsystems consume (strata, dead rules).
 #[derive(Debug, Clone)]
 pub struct ProgramAnalysis {
     /// All findings, sorted most severe first (ties broken by rule index).
@@ -118,9 +94,6 @@ pub struct ProgramAnalysis {
     /// each IDB strongly connected component sits one above the deepest
     /// component it depends on).
     pub strata: BTreeMap<Pred, usize>,
-    /// Per-argument interval bounds inferred from predicate and QRP
-    /// constraints; empty when the constraint inference did not converge.
-    pub selectivity: Selectivity,
     /// Rule indices that provably derive nothing (unsatisfiable constraint,
     /// or a body predicate that can never hold facts).  Safe to prune.
     pub dead_rules: BTreeSet<usize>,
@@ -129,7 +102,7 @@ pub struct ProgramAnalysis {
     pub unsat_rules: BTreeSet<usize>,
     /// Whether the predicate-constraint inference reached a fixpoint within
     /// the iteration budget.  When `false`, the satisfiability pass only used
-    /// each rule's own constraint and the selectivity summary is empty.
+    /// each rule's own constraint.
     pub converged: bool,
 }
 
@@ -187,22 +160,20 @@ pub fn analyze(program: &Program) -> ProgramAnalysis {
     analyze_with(program, &AnalyzeOptions::new())
 }
 
-/// Analyzes a program: runs all six passes and collects their findings.
+/// Analyzes a program: runs all five passes and collects their findings.
 pub fn analyze_with(program: &Program, options: &AnalyzeOptions) -> ProgramAnalysis {
-    let options = options.normalized();
     let flat = program.flattened();
     let graph = program.graph();
     let mut diagnostics = Vec::new();
 
     arity_pass(program, &mut diagnostics);
     safety_pass(program, &flat, &mut diagnostics);
-    let (unsat_rules, impossible, inference) =
-        satisfiability_pass(program, &flat, &options, &mut diagnostics);
+    let (unsat_rules, impossible, converged) =
+        satisfiability_pass(program, &flat, options, &mut diagnostics);
     let mut dead_rules: BTreeSet<usize> = unsat_rules.union(&impossible).copied().collect();
     reachability_pass(program, &graph, &mut dead_rules, &mut diagnostics);
     lint_pass(program, &graph, &mut diagnostics);
-    let selectivity = range_pass(program, &inference, &options);
-    plan_pass(program, &flat, &selectivity, &mut diagnostics);
+    plan_pass(program, &flat, &mut diagnostics);
 
     diagnostics.sort_by(|a, b| {
         b.severity
@@ -219,10 +190,9 @@ pub fn analyze_with(program: &Program, options: &AnalyzeOptions) -> ProgramAnaly
     ProgramAnalysis {
         diagnostics,
         strata: graph.strata(),
-        selectivity,
         dead_rules,
         unsat_rules,
-        converged: inference.converged,
+        converged,
     }
 }
 
@@ -246,7 +216,7 @@ fn rule_diagnostic(
     }
 }
 
-/// Pass 5a: every use of a predicate (head, body, query) must agree on arity.
+/// Pass 4a: every use of a predicate (head, body, query) must agree on arity.
 fn arity_pass(program: &Program, diagnostics: &mut Vec<Diagnostic>) {
     let mut first: BTreeMap<Pred, usize> = BTreeMap::new();
     let mut reported: BTreeSet<Pred> = BTreeSet::new();
@@ -378,16 +348,16 @@ fn equality_closure(rule: &Rule) -> BTreeSet<Var> {
 /// Pass 2: Fourier–Motzkin satisfiability per rule, strengthened with the
 /// inferred minimum predicate constraints of the body literals when the
 /// inference converged.  Returns the unsatisfiable rule indices, the rules
-/// whose body contains a provably empty predicate, and the inference result
-/// (reused by the range pass).
+/// whose body contains a provably empty predicate, and whether the inference
+/// converged.
 fn satisfiability_pass(
     program: &Program,
     flat: &Program,
     options: &AnalyzeOptions,
     diagnostics: &mut Vec<Diagnostic>,
-) -> (BTreeSet<usize>, BTreeSet<usize>, ConstraintAnalysis) {
+) -> (BTreeSet<usize>, BTreeSet<usize>, bool) {
     let gen_options = GenOptions {
-        max_iterations: options.max_iterations,
+        max_iterations: MAX_ITERATIONS,
     };
     let inference = gen_predicate_constraints(program, &options.edb_constraints, &gen_options);
     let mut unsat = BTreeSet::new();
@@ -435,7 +405,7 @@ fn satisfiability_pass(
         for literal in &rule.body {
             let body_set = inference.constraint_for(&literal.predicate);
             acc = acc.and(&ptol(&literal.pos_args(), &body_set));
-            if acc.num_disjuncts() > options.max_disjuncts {
+            if acc.num_disjuncts() > MAX_DISJUNCTS {
                 bailed = true;
                 break;
             }
@@ -455,7 +425,7 @@ fn satisfiability_pass(
             ));
         }
     }
-    (unsat, impossible, inference)
+    (unsat, impossible, inference.converged)
 }
 
 /// Pass 3: rules that can never fire because a body predicate is provably
@@ -508,7 +478,7 @@ fn reachability_pass(
     }
 }
 
-/// Pass 5: consistency lints — duplicate and subsumed rules, singleton
+/// Pass 4: consistency lints — duplicate and subsumed rules, singleton
 /// variables, unused predicates.
 fn lint_pass(program: &Program, graph: &RuleGraph, diagnostics: &mut Vec<Diagnostic>) {
     let rules = program.rules();
@@ -608,25 +578,16 @@ fn singleton_lint(program: &Program, idx: usize, rule: &Rule, diagnostics: &mut 
     }
 }
 
-/// Pass 6: join planning.  Compiles every (rule × delta-position) body into
-/// a static join plan with the inferred intervals as the cost model and
-/// converts the compilation findings into diagnostics.  The rule indices of
-/// the flattened program map 1:1 onto the source program (flattening
-/// preserves rule order, labels, and spans), so the diagnostics carry the
-/// source positions.
-fn plan_pass(
-    program: &Program,
-    flat: &Program,
-    selectivity: &Selectivity,
-    diagnostics: &mut Vec<Diagnostic>,
-) {
-    let hints = selectivity_hints(selectivity);
-    let plans = compile_plans(flat, &hints);
-    for finding in plans.findings() {
+/// Pass 5: join planning.  Compiles every (rule × delta-position) body into
+/// the static join plan the evaluator runs and converts the compilation
+/// findings into diagnostics.  The rule indices of the flattened program map
+/// 1:1 onto the source program (flattening preserves rule order, labels, and
+/// spans), so the diagnostics carry the source positions.
+fn plan_pass(program: &Program, flat: &Program, diagnostics: &mut Vec<Diagnostic>) {
+    for finding in ProgramPlans::compile(flat).findings() {
         let code = match finding.kind {
             PlanFindingKind::CrossProductJoin => Code::CrossProductJoin,
             PlanFindingKind::UnboundedProbe => Code::UnboundedProbe,
-            PlanFindingKind::DegeneratePlan => Code::DegeneratePlan,
         };
         diagnostics.push(rule_diagnostic(
             program,
@@ -638,82 +599,10 @@ fn plan_pass(
     }
 }
 
-/// Converts a [`Selectivity`] summary into the plain per-position
-/// [`SelectivityClass`] hints the engine's plan compiler consumes: a point
-/// interval is a `Point`, a two-sided interval `Bounded`, anything else
-/// `Unbounded`, and provably empty predicates are marked as such.
-pub fn selectivity_hints(selectivity: &Selectivity) -> SelectivityHints {
-    let mut hints = SelectivityHints::new();
-    for pred in selectivity.predicates() {
-        if selectivity.is_provably_empty(pred) {
-            hints.mark_empty(pred.clone());
-            continue;
-        }
-        if let Some(intervals) = selectivity.intervals(pred) {
-            let classes = intervals
-                .iter()
-                .map(|interval| {
-                    if interval.is_point() {
-                        SelectivityClass::Point
-                    } else if interval.is_bounded() {
-                        SelectivityClass::Bounded
-                    } else {
-                        SelectivityClass::Unbounded
-                    }
-                })
-                .collect();
-            hints.set_classes(pred.clone(), classes);
-        }
-    }
-    hints
-}
-
-/// The converged per-position selectivity of a program on its own: the
-/// constraint inference plus range projection of [`analyze_with`] without the
-/// diagnostic passes.  This is what `Optimizer::optimize()` runs on the
-/// *rewritten* program to derive the plan hints its evaluators use.
-pub fn program_selectivity(program: &Program, options: &AnalyzeOptions) -> Selectivity {
-    let options = options.normalized();
-    let gen_options = GenOptions {
-        max_iterations: options.max_iterations,
-    };
-    let inference = gen_predicate_constraints(program, &options.edb_constraints, &gen_options);
-    range_pass(program, &inference, &options)
-}
-
-/// Pass 4: range inference.  Conjoins the inferred predicate constraints
-/// with the QRP constraints (when the query-directed inference also
-/// converges) and extracts per-position interval bounds.
-fn range_pass(
-    program: &Program,
-    inference: &ConstraintAnalysis,
-    options: &AnalyzeOptions,
-) -> Selectivity {
-    if !inference.converged {
-        return Selectivity::default();
-    }
-    let mut combined = inference.constraints.clone();
-    if let Some(query) = program.query() {
-        let gen_options = GenOptions {
-            max_iterations: options.max_iterations,
-        };
-        let qrp = gen_qrp_constraints(program, &query.predicates(), &gen_options);
-        if qrp.converged {
-            for (pred, set) in &mut combined {
-                let narrowed = set.and(&qrp.constraint_for(pred));
-                if narrowed.num_disjuncts() <= options.max_disjuncts {
-                    *set = narrowed.simplify();
-                }
-            }
-        }
-    }
-    Selectivity::from_constraints(&combined, &|pred| program.arity(pred))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcs_constraints::{Atom, Conjunction, Rational};
+    use pcs_constraints::{Atom, Conjunction};
     use pcs_lang::parse_program;
 
     fn codes(analysis: &ProgramAnalysis) -> Vec<Code> {
@@ -879,10 +768,9 @@ mod tests {
     }
 
     #[test]
-    fn planner_findings_use_the_inferred_selectivity() {
-        // p($1) is provably empty under the declared EDB constraint, which
-        // both the satisfiability pass (impossible-body) and the plan pass
-        // (degenerate-plan) report through their own lenses.
+    fn declared_empty_edb_predicates_make_bodies_impossible() {
+        // p($1) is provably empty under the declared EDB constraint, so the
+        // rule joining it can never fire.
         let program = parse_program("q(X) :- p(X), e(X).\n?- q(U).").unwrap();
         let edb = BTreeMap::from([(
             Pred::new("p"),
@@ -892,30 +780,7 @@ mod tests {
             ])),
         )]);
         let analysis = analyze_with(&program, &AnalyzeOptions::new().with_edb_constraints(edb));
-        assert!(codes(&analysis).contains(&Code::DegeneratePlan));
-    }
-
-    #[test]
-    fn selectivity_hints_classify_inferred_intervals() {
-        let program = parse_program(
-            "exact(X) :- e(X), X = 2.\n\
-             boxed(X) :- e(X), X >= 0, X <= 9.\n\
-             open(X) :- e(X), X >= 0.",
-        )
-        .unwrap();
-        let analysis = analyze(&program);
-        assert!(analysis.converged);
-        let hints = selectivity_hints(&analysis.selectivity);
-        assert_eq!(hints.class(&Pred::new("exact"), 0), SelectivityClass::Point);
-        assert_eq!(
-            hints.class(&Pred::new("boxed"), 0),
-            SelectivityClass::Bounded
-        );
-        assert_eq!(
-            hints.class(&Pred::new("open"), 0),
-            SelectivityClass::Unbounded
-        );
-        assert_eq!(hints.class(&Pred::new("e"), 0), SelectivityClass::Unbounded);
+        assert!(codes(&analysis).contains(&Code::ImpossibleBody));
     }
 
     #[test]
@@ -992,29 +857,6 @@ mod tests {
         assert_eq!(analysis.strata[&Pred::new("e")], 0);
         assert_eq!(analysis.strata[&Pred::new("t")], 1);
         assert_eq!(analysis.strata[&Pred::new("top")], 2);
-    }
-
-    #[test]
-    fn range_inference_bounds_derived_predicates() {
-        let program = parse_program("q(X) :- p(X), X <= 4.\n?- q(U).").unwrap();
-        let edb = BTreeMap::from([(
-            Pred::new("p"),
-            ConstraintSet::of(Conjunction::from_atoms([
-                Atom::var_ge(Var::position(1), 0),
-                Atom::var_le(Var::position(1), 10),
-            ])),
-        )]);
-        let analysis = analyze_with(&program, &AnalyzeOptions::new().with_edb_constraints(edb));
-        assert!(analysis.converged);
-        let q = analysis.selectivity.interval(&Pred::new("q"), 0).unwrap();
-        assert_eq!(q.lower, Some(Rational::from(0)));
-        assert_eq!(q.upper, Some(Rational::from(4)));
-        // The QRP constraint pushes the query-side bound X <= 4 down into
-        // the EDB predicate: only p-facts in [0, 4] are query-relevant.
-        let p = analysis.selectivity.interval(&Pred::new("p"), 0).unwrap();
-        assert_eq!(p.lower, Some(Rational::from(0)));
-        assert_eq!(p.upper, Some(Rational::from(4)));
-        assert_eq!(analysis.selectivity.bounded_positions(&Pred::new("q")), 1);
     }
 
     #[test]

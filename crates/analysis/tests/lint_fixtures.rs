@@ -98,12 +98,9 @@ const GOLDEN: &[(&str, Option<usize>, &str)] = &[
     ("fibonacci.pcs", Some(5), "unbounded-probe"),
     ("dead.pcs", Some(5), "unsatisfiable-rule"),
     ("dead.pcs", Some(6), "impossible-body"),
-    ("dead.pcs", Some(6), "degenerate-plan"),
     ("dead.pcs", Some(8), "unreachable-from-query"),
     ("dead.pcs", None, "unused-predicate"),
-    ("degenerate.pcs", Some(3), "degenerate-plan"),
     ("degenerate.pcs", Some(4), "unsatisfiable-rule"),
-    ("degenerate.pcs", Some(4), "degenerate-plan"),
     ("unsafe.pcs", Some(4), "unsafe-rule"),
     ("unsat.pcs", Some(4), "unsatisfiable-rule"),
 ];

@@ -44,8 +44,7 @@ pub mod prelude {
     pub use crate::optimizer::{Optimized, Optimizer, Strategy};
     pub use crate::programs;
     pub use pcs_analysis::{
-        analyze, analyze_with, AnalyzeOptions, Code, Diagnostic, Interval, ProgramAnalysis,
-        Selectivity, Severity,
+        analyze, analyze_with, AnalyzeOptions, Code, Diagnostic, ProgramAnalysis, Severity,
     };
     pub use pcs_constraints::{Atom, CmpOp, Conjunction, ConstraintSet, LinearExpr, Rational, Var};
     pub use pcs_engine::{

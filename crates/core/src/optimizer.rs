@@ -7,12 +7,9 @@
 
 use std::collections::BTreeMap;
 
-use pcs_analysis::{
-    analyze_with, program_selectivity, selectivity_hints, AnalyzeOptions, Diagnostic,
-    ProgramAnalysis,
-};
+use pcs_analysis::{analyze_with, AnalyzeOptions, Diagnostic, ProgramAnalysis};
 use pcs_constraints::ConstraintSet;
-use pcs_engine::{Database, EvalOptions, EvalResult, Evaluator};
+use pcs_engine::{Database, EvalOptions, EvalResult, Evaluator, ProgramPlans};
 use pcs_lang::{Pred, Program};
 use pcs_transform::{
     apply_sequence, constraint_rewrite, MagicOptions, Result, RewriteOptions, SequenceOptions,
@@ -153,14 +150,6 @@ impl Optimizer {
         };
         drop(rewrite_span);
         optimized.diagnostics = diagnostics;
-        // Derive the plan compiler's selectivity hints from the *rewritten*
-        // program — its evaluators execute the rewritten rules, so the
-        // per-position intervals must describe the rewritten predicates
-        // (magic predicates included).
-        let _span = pcs_telemetry::span(pcs_telemetry::Phase::Analyze);
-        let options = AnalyzeOptions::new().with_edb_constraints(self.edb_constraints.clone());
-        optimized.eval.hints =
-            selectivity_hints(&program_selectivity(&optimized.program, &options));
         Ok(optimized)
     }
 
@@ -193,8 +182,7 @@ pub struct Optimized {
     /// query predicate when Magic Templates was applied).
     pub query_pred: Pred,
     /// The evaluation options configured on the [`Optimizer`] (limits,
-    /// tracing), plus the analyzer-derived selectivity hints
-    /// [`Optimizer::optimize`] filled in for the plan compiler.
+    /// tracing).
     pub eval: EvalOptions,
     /// The static-analysis findings for the source program, sorted most
     /// severe first.
@@ -216,26 +204,18 @@ impl Optimized {
         self.evaluate_with(db, self.eval.clone())
     }
 
-    /// Evaluates with explicit options (limits, tracing).  Options that do
-    /// not carry their own selectivity hints inherit the analyzer-derived
-    /// hints of this optimized program, so an explicit-options evaluation
-    /// plans with the same cost model as [`Optimized::evaluate`].
-    pub fn evaluate_with(&self, db: &Database, mut options: EvalOptions) -> EvalResult {
-        if options.hints.is_empty() {
-            options.hints = self.eval.hints.clone();
-        }
+    /// Evaluates with explicit options (limits, tracing).
+    pub fn evaluate_with(&self, db: &Database, options: EvalOptions) -> EvalResult {
         Evaluator::new(&self.program, options).evaluate(db)
     }
 
     /// Renders the compiled join plan of every (rule × delta-position) body
-    /// of the rewritten program, one deterministic line per plan with
-    /// per-literal cost annotations — the backing of the shell's `.explain`
-    /// command.  The plans are compiled with the same analyzer-derived hints
-    /// the evaluators use, so what is rendered is what runs.
+    /// of the rewritten program, one deterministic line per plan — the
+    /// backing of the shell's `.explain` command.  Plans depend on the
+    /// program alone, so what is rendered is what runs.
     pub fn explain(&self) -> Vec<String> {
         let flat = self.program.flattened();
-        let plans = pcs_engine::compile_plans(&flat, &self.eval.hints);
-        pcs_engine::render_plans(&flat, &plans)
+        pcs_engine::render_plans(&flat, &ProgramPlans::compile(&flat))
     }
 
     /// Evaluates and returns the number of answers to the program's query.
@@ -297,14 +277,11 @@ mod tests {
     }
 
     #[test]
-    fn optimize_derives_plan_hints_and_explain_renders_them() {
-        // The flights program constrains leg counts, so the analyzer infers
-        // intervals for the rewritten predicates and the hints are non-empty.
+    fn explain_renders_the_plans_evaluation_runs() {
         let optimized = Optimizer::new(programs::flights())
             .strategy(Strategy::ConstraintRewrite)
             .optimize()
             .unwrap();
-        assert!(!optimized.eval.hints.is_empty());
         let lines = optimized.explain();
         assert!(!lines.is_empty());
         assert!(
@@ -314,8 +291,8 @@ mod tests {
         assert!(lines.iter().any(|l| l.contains("delta")), "{lines:?}");
         // The rendering is deterministic.
         assert_eq!(lines, optimized.explain());
-        // Hints only reorder joins: evaluating without them computes the
-        // same facts from the same derivations.
+        // The optimized program's own options and fresh ones plan alike, so
+        // both compute the same facts from the same derivations.
         let db = programs::flights_database(6, 10);
         let a = optimized.evaluate(&db);
         let b = Evaluator::new(&optimized.program, EvalOptions::default()).evaluate(&db);

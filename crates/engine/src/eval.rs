@@ -31,7 +31,7 @@ use pcs_lang::{Pred, Program};
 use crate::database::Database;
 use crate::fact::Fact;
 use crate::limits::Termination;
-use crate::plan::{compile_plans, ProgramPlans};
+use crate::plan::ProgramPlans;
 use crate::relation::{Relation, Window};
 use crate::stats::{EvalStats, IterationStats};
 
@@ -111,7 +111,7 @@ impl Evaluator {
         let program = program.flattened();
         let plans = {
             let _span = telemetry::span(telemetry::Phase::PlanCompile);
-            compile_plans(&program, &options.hints)
+            ProgramPlans::compile(&program)
         };
         let labels = program
             .rules()

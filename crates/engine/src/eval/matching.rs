@@ -528,7 +528,7 @@ mod tests {
     use super::super::test_support::eval;
     use super::Frame;
     use crate::database::Database;
-    use crate::plan::{compile_plans, SelectivityHints};
+    use crate::plan::ProgramPlans;
     use crate::relation::FactRef;
     use crate::value::Value;
     use pcs_constraints::{Atom, Var};
@@ -571,7 +571,7 @@ mod tests {
         )
         .unwrap()
         .flattened();
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
         let a = Pred::new("a");
         let matches = |rule: usize, value: Value| {
             let plan = plans.plan(rule, 0).unwrap();
@@ -593,7 +593,7 @@ mod tests {
         let program = parse_program("q(X, Z) :- a(X, Y), Z = X + Y, Z <= 10.")
             .unwrap()
             .flattened();
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
         let plan = plans.plan(0, 0).unwrap();
         let rule = &program.rules()[0];
         let a = Pred::new("a");

@@ -1,7 +1,7 @@
 //! Evaluation options.
 
 use crate::limits::EvalLimits;
-use crate::plan::SelectivityHints;
+use crate::plan::RetiredHints;
 
 /// Options controlling an evaluation.
 #[derive(Debug, Clone, Default)]
@@ -11,12 +11,9 @@ pub struct EvalOptions {
     /// When `true`, every derivation is recorded in the statistics
     /// (needed to regenerate Tables 1 and 2; expensive for large workloads).
     pub trace: bool,
-    /// Analyzer-derived per-position selectivity classes consumed by the
-    /// plan compiler (see [`SelectivityHints`]).  Empty by default — the
-    /// planner then falls back to the purely structural most-bound-first
-    /// order; `Optimizer::optimize()` fills the hints from the converged
-    /// constraint analysis.
-    pub hints: SelectivityHints,
+    /// perfbench pin, deleted in ROADMAP item 1(b).
+    #[doc(hidden)]
+    pub hints: RetiredHints,
 }
 
 impl EvalOptions {

@@ -42,10 +42,11 @@ pub use database::{parse_facts, Database, FactsError, UpdateBatch};
 pub use eval::{EvalOptions, EvalResult, Evaluator};
 pub use fact::{Binding, Fact};
 pub use limits::{EvalLimits, Termination};
+#[doc(hidden)]
+pub use plan::{compile_plans, RetiredHints};
 pub use plan::{
-    compile_plans, render_plans, ArgOp, AtomOp, HeadOp, JoinPlan, PlanAtom, PlanFinding,
-    PlanFindingKind, PlanStep, ProgramPlans, SelectivityClass, SelectivityHints, Slot, SlotExpr,
-    Stage,
+    render_plans, ArgOp, AtomOp, HeadOp, JoinPlan, PlanAtom, PlanFinding, PlanFindingKind,
+    PlanStep, ProgramPlans, Slot, SlotExpr, Stage,
 };
 pub use relation::{FactRef, InsertOutcome, Relation, Window};
 pub use stats::{DerivationRecord, EvalStats, IterationStats};

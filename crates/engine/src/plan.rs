@@ -3,16 +3,13 @@
 //! delta-position) bodies of the semi-naive rounds and the three join shapes
 //! of a DRed retraction (see [`PlanShape`]).
 //!
-//! One greedy planner orders them all: the literal with the most statically
-//! bound arguments joins next, ties broken by a static selectivity estimate
-//! derived from the analyzer's per-position interval bounds
-//! ([`SelectivityHints`], produced by `pcs-analysis` from its `Selectivity`
-//! summary): a body literal whose positions are pinned or bounded by the
-//! inferred constraints is a cheap probe and joins early.  Each [`PlanStep`]
+//! One greedy planner orders them all, from the rule alone: the delta
+//! literal leads, then the literal with the most statically bound arguments
+//! joins next, ties broken by original position.  Each [`PlanStep`]
 //! additionally fixes, at compile time, which argument position probes the
-//! relation's hash index and whether the step is a pure existence check — a
-//! literal whose bindings are fully determined by the time it is reached can
-//! stop at its first match.
+//! relation's hash index (the lowest bound one) and whether the step is a
+//! pure existence check — a literal whose bindings are fully determined by
+//! the time it is reached can stop at its first match.
 //!
 //! Every ordered plan is then compiled down to register slots
 //! (`SlotCompiler`): the rule's variables are numbered once, each literal
@@ -26,9 +23,8 @@
 //! Plan compilation also reports structural join problems as
 //! [`PlanFinding`]s, which `pcs-analysis` converts into ordinary diagnostics:
 //! a step with no bound probe and no shared variables degrades to a cross
-//! product, a probe-less step over a predicate with no bounded position is an
-//! unbounded scan, and a body literal over a provably empty predicate makes
-//! the whole plan degenerate.
+//! product, and a probe-less step that does share a variable with the
+//! literals before it is an unbounded scan.
 //!
 //! Every compiled plan is checked by [`JoinPlan::validate`] before it can be
 //! executed: the steps must cover the body exactly once with the window
@@ -43,106 +39,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use pcs_constraints::{Atom, CmpOp, Conjunction, LinearExpr, Rational, Rel, Var};
-use pcs_lang::{Literal, Pred, Program, Rule, Term};
+use pcs_lang::{Literal, Program, Rule, Term};
 
 use crate::relation::Window;
 use crate::value::Value;
-
-/// Static per-position selectivity classes handed to the planner.
-///
-/// This is deliberately plain data (no dependency on the analyzer): the
-/// engine only needs to know, per predicate argument position, whether the
-/// inferred interval pins the position to a point, bounds it on both sides,
-/// or leaves it unbounded.  `pcs-analysis` converts its `Selectivity`
-/// summary into these hints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SelectivityClass {
-    /// The position is pinned to a single value.
-    Point,
-    /// The position is bounded below and above.
-    Bounded,
-    /// No interval (or only a one-sided bound) is known.
-    Unbounded,
-}
-
-impl SelectivityClass {
-    /// A deterministic cost rank: lower is more selective.
-    fn rank(self) -> usize {
-        match self {
-            SelectivityClass::Point => 0,
-            SelectivityClass::Bounded => 1,
-            SelectivityClass::Unbounded => 2,
-        }
-    }
-
-    /// The kebab-case spelling used in `.explain` renderings.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SelectivityClass::Point => "point",
-            SelectivityClass::Bounded => "bounded",
-            SelectivityClass::Unbounded => "unbounded",
-        }
-    }
-}
-
-/// Analyzer-derived selectivity estimates consumed by the plan compiler.
-///
-/// Empty hints are always valid: every position defaults to
-/// [`SelectivityClass::Unbounded`] and no predicate is provably empty, in
-/// which case the planner falls back to the purely structural
-/// most-bound-first order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SelectivityHints {
-    classes: BTreeMap<Pred, Vec<SelectivityClass>>,
-    empty: BTreeSet<Pred>,
-}
-
-impl SelectivityHints {
-    /// Hints with no information (every position unbounded).
-    pub fn new() -> Self {
-        SelectivityHints::default()
-    }
-
-    /// Records the per-position classes of one predicate (0-based positions).
-    pub fn set_classes(&mut self, pred: Pred, classes: Vec<SelectivityClass>) {
-        self.classes.insert(pred, classes);
-    }
-
-    /// Marks a predicate as provably empty (its inferred constraint is
-    /// unsatisfiable): every plan joining it is degenerate.
-    pub fn mark_empty(&mut self, pred: Pred) {
-        self.empty.insert(pred);
-    }
-
-    /// The class of `pred`'s argument position `position` (0-based);
-    /// unanalyzed predicates and positions are unbounded.
-    pub fn class(&self, pred: &Pred, position: usize) -> SelectivityClass {
-        self.classes
-            .get(pred)
-            .and_then(|v| v.get(position))
-            .copied()
-            .unwrap_or(SelectivityClass::Unbounded)
-    }
-
-    /// Returns `true` if the predicate's inferred constraint is unsatisfiable.
-    pub fn is_provably_empty(&self, pred: &Pred) -> bool {
-        self.empty.contains(pred)
-    }
-
-    /// Returns `true` if the hints carry no information at all.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty() && self.empty.is_empty()
-    }
-
-    /// The class of a literal's most selective position: the planner's
-    /// tie-break between equally bound literals.
-    fn literal_class(&self, pred: &Pred, arity: usize) -> SelectivityClass {
-        (0..arity)
-            .map(|i| self.class(pred, i))
-            .min_by_key(|c| c.rank())
-            .unwrap_or(SelectivityClass::Unbounded)
-    }
-}
 
 /// One step of a compiled join plan: which body literal to join, through
 /// which semi-naive window, probing which index column.
@@ -168,9 +68,6 @@ pub struct PlanStep {
     /// placed this literal (the primary greedy key; recorded for
     /// `.explain`).
     pub bound_args: usize,
-    /// The literal's most selective position class (the greedy tie-break;
-    /// recorded for `.explain`).
-    pub class: SelectivityClass,
     /// One op per argument of the literal: what a ground fact's value at
     /// that position is checked against or bound to (see [`ArgOp`]).
     pub args: Vec<ArgOp>,
@@ -407,12 +304,9 @@ pub enum PlanFindingKind {
     /// frontier: the join degrades to a cross product for this delta
     /// position.
     CrossProductJoin,
-    /// A step has no bound probe column and the analyzer knows no bounded
-    /// position for its predicate: an unbounded scan.
+    /// A step has no bound probe column but shares a variable with the
+    /// frontier: an unbounded scan.
     UnboundedProbe,
-    /// A body literal's predicate is provably empty: the plan can never
-    /// produce a derivation.
-    DegeneratePlan,
 }
 
 /// One plan-compilation finding, converted into a `pcs-analysis` diagnostic
@@ -450,6 +344,51 @@ pub struct ProgramPlans {
 }
 
 impl ProgramPlans {
+    /// Compiles every join plan of a *flattened* program — per rule with a
+    /// body, one round plan per delta position, one over-deletion plan per
+    /// consumed position, and the pinned and full re-derivation plans.
+    /// Every plan is validated before it is returned; a validation failure
+    /// is a planner bug and panics.  Findings are reported for the round
+    /// plans only: they are where evaluation spends its time, and the DRed
+    /// plans join the same literals.
+    pub fn compile(program: &Program) -> ProgramPlans {
+        let mut compiled = ProgramPlans::default();
+        let mut reported: BTreeSet<(usize, usize, PlanFindingKind)> = BTreeSet::new();
+        for (rule_index, rule) in program.rules().iter().enumerate() {
+            if rule.body.is_empty() {
+                // Not a join, so not counted among the compiled join plans.
+                let plan = compile_slots(rule_index, PlanShape::Full, Vec::new(), true, rule);
+                compiled.facts.insert(rule_index, plan);
+                continue;
+            }
+            let compile = |shape| compile_plan(rule, rule_index, shape);
+            for position in 0..rule.body.len() {
+                let plan = compile(PlanShape::Round {
+                    delta_pos: position,
+                });
+                report_findings(rule, &plan, &mut compiled.findings, &mut reported);
+                compiled.plans.insert((rule_index, position), plan);
+                compiled.overdelete.insert(
+                    (rule_index, position),
+                    compile(PlanShape::Overdelete { consumed: position }),
+                );
+            }
+            compiled
+                .pinned
+                .insert(rule_index, compile(PlanShape::Pinned));
+            compiled.full.insert(rule_index, compile(PlanShape::Full));
+        }
+        compiled
+            .findings
+            .sort_by_key(|f| (f.rule, f.literal, f.kind));
+        let total = compiled.plans.len()
+            + compiled.overdelete.len()
+            + compiled.pinned.len()
+            + compiled.full.len();
+        pcs_telemetry::add(pcs_telemetry::Counter::PlansCompiled, total as u64);
+        compiled
+    }
+
     /// The round plan compiled for a (rule, delta-position) pair, if the
     /// rule has a body.
     pub fn plan(&self, rule: usize, delta_pos: usize) -> Option<&JoinPlan> {
@@ -499,83 +438,26 @@ impl ProgramPlans {
     }
 }
 
-/// Compiles every join plan of a *flattened* program — per rule with a body,
-/// one round plan per delta position, one over-deletion plan per consumed
-/// position, and the pinned and full re-derivation plans — using the
-/// analyzer-derived selectivity hints for the cost model.  Every plan is
-/// validated before it is returned; a validation failure is a planner bug
-/// and panics.  Findings are reported for the round plans only: they are
-/// where evaluation spends its time, and the DRed plans join the same
-/// literals.
-pub fn compile_plans(program: &Program, hints: &SelectivityHints) -> ProgramPlans {
-    let mut compiled = ProgramPlans::default();
-    let mut reported: BTreeSet<(usize, usize, PlanFindingKind)> = BTreeSet::new();
-    for (rule_index, rule) in program.rules().iter().enumerate() {
-        for (literal_index, literal) in rule.body.iter().enumerate() {
-            if hints.is_provably_empty(&literal.predicate)
-                && reported.insert((rule_index, literal_index, PlanFindingKind::DegeneratePlan))
-            {
-                compiled.findings.push(PlanFinding {
-                    rule: rule_index,
-                    literal: literal_index,
-                    kind: PlanFindingKind::DegeneratePlan,
-                    message: format!(
-                        "body literal {}@{} can never match: the analyzer proves predicate {} empty, so every plan for this rule is degenerate",
-                        literal.predicate,
-                        literal_index + 1,
-                        literal.predicate
-                    ),
-                });
-            }
-        }
-        if rule.body.is_empty() {
-            // Not a join, so not counted among the compiled join plans.
-            let plan = compile_slots(rule_index, PlanShape::Full, Vec::new(), true, rule);
-            compiled.facts.insert(rule_index, plan);
-            continue;
-        }
-        let compile = |shape| compile_plan(rule, rule_index, shape, hints);
-        for position in 0..rule.body.len() {
-            let plan = compile(PlanShape::Round {
-                delta_pos: position,
-            });
-            report_findings(rule, &plan, hints, &mut compiled.findings, &mut reported);
-            compiled.plans.insert((rule_index, position), plan);
-            compiled.overdelete.insert(
-                (rule_index, position),
-                compile(PlanShape::Overdelete { consumed: position }),
-            );
-        }
-        compiled
-            .pinned
-            .insert(rule_index, compile(PlanShape::Pinned));
-        compiled.full.insert(rule_index, compile(PlanShape::Full));
-    }
-    compiled
-        .findings
-        .sort_by_key(|f| (f.rule, f.literal, f.kind));
-    let total = compiled.plans.len()
-        + compiled.overdelete.len()
-        + compiled.pinned.len()
-        + compiled.full.len();
-    pcs_telemetry::add(pcs_telemetry::Counter::PlansCompiled, total as u64);
-    compiled
+/// Retired planner input: join order no longer takes hints.
+///
+/// perfbench pin, deleted in ROADMAP item 1(b).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetiredHints;
+
+/// Forwards to [`ProgramPlans::compile`].
+///
+/// perfbench pin, deleted in ROADMAP item 1(b).
+#[doc(hidden)]
+pub fn compile_plans(program: &Program, _hints: &RetiredHints) -> ProgramPlans {
+    ProgramPlans::compile(program)
 }
 
 /// Compiles and validates the plan of one rule body for one shape.
-fn compile_plan(
-    rule: &Rule,
-    rule_index: usize,
-    shape: PlanShape,
-    hints: &SelectivityHints,
-) -> JoinPlan {
-    let steps = order_steps(
-        rule,
-        shape.seed(rule),
-        shape.skip(),
-        &|literal| shape.window_of(literal),
-        hints,
-    );
+fn compile_plan(rule: &Rule, rule_index: usize, shape: PlanShape) -> JoinPlan {
+    let steps = order_steps(rule, shape.seed(rule), shape.skip(), &|literal| {
+        shape.window_of(literal)
+    });
     let plan = compile_slots(rule_index, shape, steps, false, rule);
     plan.validate(rule);
     plan
@@ -584,17 +466,16 @@ fn compile_plan(
 /// The one greedy join ordering: starting from the `seed` frontier (plus the
 /// variables the rule's own constraints pin to a constant), repeatedly place
 /// the body literal — `skip` excluded — with the most statically bound
-/// arguments, breaking ties by the hint class of its most selective position
-/// and then by original position.  A literal reading [`Window::Delta`] always
-/// leads: its window is the smallest by construction.  Each placed literal
-/// records its probe column and existence flag against the frontier it was
-/// placed under, then adds its variables to it.
+/// arguments, breaking ties by original position.  A literal reading
+/// [`Window::Delta`] always leads: its window is the smallest by
+/// construction.  Each placed literal records its probe column (its lowest
+/// bound position) and existence flag against the frontier it was placed
+/// under, then adds its variables to it.
 fn order_steps(
     rule: &Rule,
     seed: BTreeSet<Var>,
     skip: Option<usize>,
     window_of: &dyn Fn(usize) -> Window,
-    hints: &SelectivityHints,
 ) -> Vec<PlanStep> {
     let mut frontier = seed;
     frontier.extend(constraint_pinned_vars(rule));
@@ -605,7 +486,6 @@ fn order_steps(
             .filter(|t| term_statically_bound(t, frontier))
             .count()
     };
-    let class = |i: usize| hints.literal_class(&rule.body[i].predicate, rule.body[i].arity());
     let mut remaining: Vec<usize> = (0..rule.body.len()).filter(|&i| Some(i) != skip).collect();
     let mut steps = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
@@ -616,7 +496,6 @@ fn order_steps(
                 (
                     window_of(i) != Window::Delta,
                     Reverse(bound_args(i, &frontier)),
-                    class(i).rank(),
                     i,
                 )
             })
@@ -624,22 +503,17 @@ fn order_steps(
         remaining.remove(slot);
         let literal = &rule.body[pick];
         let bound = bound_args(pick, &frontier);
-        // Probe the most selective bound column (by hint class, then lowest
-        // position) — chosen once here instead of per partial match.
+        // Chosen once here instead of per partial match.
         let probe = literal
             .args
             .iter()
-            .enumerate()
-            .filter(|(_, t)| term_statically_bound(t, &frontier))
-            .min_by_key(|&(pos, _)| (hints.class(&literal.predicate, pos).rank(), pos))
-            .map(|(pos, _)| pos);
+            .position(|t| term_statically_bound(t, &frontier));
         steps.push(PlanStep {
             literal: pick,
             window: window_of(pick),
             probe,
             existence: bound == literal.arity() && window_of(pick) != Window::Delta,
             bound_args: bound,
-            class: class(pick),
             args: Vec::new(),
             atoms: Vec::new(),
         });
@@ -651,13 +525,11 @@ fn order_steps(
 /// Reports the structural problems of one round plan: every step after the
 /// delta literal that has no bound probe column is either a cross product
 /// (it shares no variable with the literals joined before it) or an
-/// unbounded scan (it does, but the analyzer knows no bounded position for
-/// its predicate).  Each (rule, literal, kind) is reported once, for the
+/// unbounded scan (it does, yet no column of it is bound).  Each (rule, literal, kind) is reported once, for the
 /// first delta position that exhibits it.
 fn report_findings(
     rule: &Rule,
     plan: &JoinPlan,
-    hints: &SelectivityHints,
     findings: &mut Vec<PlanFinding>,
     reported: &mut BTreeSet<(usize, usize, PlanFindingKind)>,
 ) {
@@ -674,26 +546,20 @@ fn report_findings(
             // a cross product.
             let connected = constraint_connected(&frontier, rule);
             let shares_frontier = literal.vars().iter().any(|v| connected.contains(v));
-            let kind = if !shares_frontier {
-                Some(PlanFindingKind::CrossProductJoin)
-            } else if (0..literal.arity())
-                .all(|i| hints.class(&literal.predicate, i) == SelectivityClass::Unbounded)
-            {
-                Some(PlanFindingKind::UnboundedProbe)
+            let kind = if shares_frontier {
+                PlanFindingKind::UnboundedProbe
             } else {
-                None
+                PlanFindingKind::CrossProductJoin
             };
-            if let Some(kind) =
-                kind.filter(|&kind| reported.insert((plan.rule, step.literal, kind)))
-            {
+            if reported.insert((plan.rule, step.literal, kind)) {
                 let (at, delta) = (step.literal + 1, delta_pos + 1);
                 let message = match kind {
                     PlanFindingKind::CrossProductJoin => format!(
                         "body literal {}@{at} shares no variables with the literals joined before it (delta position {delta}): no indexed order exists and the join degrades to a cross product",
                         literal.predicate
                     ),
-                    _ => format!(
-                        "body literal {}@{at} is probed with no bound column and no constraint interval (delta position {delta}): the step scans the whole window",
+                    PlanFindingKind::UnboundedProbe => format!(
+                        "body literal {}@{at} is probed with no bound column (delta position {delta}): the step scans the whole window",
                         literal.predicate
                     ),
                 };
@@ -794,7 +660,6 @@ pub(crate) fn compile_query(literal: &Literal, constraint: &Conjunction) -> Join
         probe: bound.iter().position(|&b| b),
         existence: false,
         bound_args: bound.iter().filter(|&&b| b).count(),
-        class: SelectivityClass::Unbounded,
         args: Vec::new(),
         atoms: Vec::new(),
     };
@@ -1182,7 +1047,7 @@ impl JoinPlan {
 
     /// Renders the plan as one deterministic line (no timings, no sizes), for
     /// `.explain` and its golden tests: what the join starts from and each
-    /// step with its window, probe choice, static cost annotation and — in
+    /// step with its window, probe choice, bound-argument count and — in
     /// braces — the slot program it runs: the variables it binds, the atoms
     /// it defines a variable from (`T := T1 + T2 + 30`) and the atoms it
     /// checks.
@@ -1210,12 +1075,11 @@ impl JoinPlan {
             let exists = if step.existence { " exists" } else { "" };
             let _ = write!(
                 out,
-                "{} {} {window} {access}{exists} [bound {}/{}, {}]{}",
+                "{} {} {window} {access}{exists} [bound {}/{}]{}",
                 if i == 0 { "" } else { " ->" },
                 at(step.literal),
                 step.bound_args,
                 literal.arity(),
-                step.class,
                 self.render_ops(i + 1),
             );
         }
@@ -1265,19 +1129,12 @@ impl JoinPlan {
     }
 }
 
-impl std::fmt::Display for SelectivityClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.as_str())
-    }
-}
-
 impl PlanFindingKind {
     /// The stable kebab-case name of the finding kind.
     pub fn as_str(self) -> &'static str {
         match self {
             PlanFindingKind::CrossProductJoin => "cross-product-join",
             PlanFindingKind::UnboundedProbe => "unbounded-probe",
-            PlanFindingKind::DegeneratePlan => "degenerate-plan",
         }
     }
 }
@@ -1314,12 +1171,6 @@ mod tests {
     use super::*;
     use pcs_lang::parse_program;
 
-    fn hints_with(pred: &str, classes: Vec<SelectivityClass>) -> SelectivityHints {
-        let mut hints = SelectivityHints::new();
-        hints.set_classes(Pred::new(pred), classes);
-        hints
-    }
-
     #[test]
     fn plans_cover_every_rule_and_delta_position() {
         let program = parse_program(
@@ -1329,7 +1180,7 @@ mod tests {
         )
         .unwrap()
         .flattened();
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
         assert!(plans.plan(0, 0).is_some());
         assert!(plans.plan(1, 0).is_some());
         assert!(plans.plan(1, 1).is_some());
@@ -1349,33 +1200,20 @@ mod tests {
     }
 
     #[test]
-    fn selectivity_hints_break_ordering_ties() {
-        // Neither literal shares variables with the delta literal's X, both
-        // have zero bound arguments — the bounded one joins first.
+    fn ties_break_by_original_position() {
+        // After the delta literal binds X, both other literals have one
+        // bound argument: the earlier one joins first.
         let program = parse_program("q(X) :- a(X), wide(Y, X), narrow(Z, X).\n?- q(U).")
             .unwrap()
             .flattened();
-        let mut hints = hints_with(
-            "narrow",
-            vec![SelectivityClass::Bounded, SelectivityClass::Unbounded],
-        );
-        hints.set_classes(
-            Pred::new("wide"),
-            vec![SelectivityClass::Unbounded, SelectivityClass::Unbounded],
-        );
-        let plan_order = |hints: &SelectivityHints| -> Vec<usize> {
-            compile_plans(&program, hints)
-                .plan(0, 0)
-                .unwrap()
-                .steps
-                .iter()
-                .map(|s| s.literal)
-                .collect()
-        };
-        // Both literals have one bound argument (X); hints promote narrow.
-        assert_eq!(plan_order(&hints), vec![0, 2, 1]);
-        // Without hints the tie breaks by original position.
-        assert_eq!(plan_order(&SelectivityHints::new()), vec![0, 1, 2]);
+        let order: Vec<usize> = ProgramPlans::compile(&program)
+            .plan(0, 0)
+            .unwrap()
+            .steps
+            .iter()
+            .map(|s| s.literal)
+            .collect();
+        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]
@@ -1383,7 +1221,7 @@ mod tests {
         let program = parse_program("q(X, Y) :- e(X, Y), f(X, Y), g(Y).\n?- q(U, V).")
             .unwrap()
             .flattened();
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
         let plan = plans.plan(0, 0).unwrap();
         // After e(X, Y), both f and g are fully bound.
         assert!(plan.steps[1].existence);
@@ -1396,7 +1234,7 @@ mod tests {
         let program = parse_program("q(X, Y) :- a(X), b(Y).\n?- q(U, V).")
             .unwrap()
             .flattened();
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
         // b is a cross product from delta position 0, a from position 1 —
         // each reported once despite two delta positions.
         let kinds: Vec<(usize, PlanFindingKind)> = plans
@@ -1411,18 +1249,13 @@ mod tests {
                 (1, PlanFindingKind::CrossProductJoin)
             ]
         );
-        // A bounded hint does not silence a true cross product...
-        let bounded = hints_with("b", vec![SelectivityClass::Bounded]);
-        let plans = compile_plans(&program, &bounded);
-        assert_eq!(plans.findings().len(), 2);
-        // ...but a constraint link (flattening rewrites `b(X + Y)` into
-        // `b(_f)` with `X + Y - _f = 0`) downgrades the finding to
-        // unbounded-probe — each literal is scanned from the other's delta
-        // position — and a bounded hint silences the hinted side.
+        // A constraint link (flattening rewrites `b(X + Y)` into `b(_f)` with
+        // `X + Y - _f = 0`) downgrades the finding to unbounded-probe: each
+        // literal is scanned from the other's delta position.
         let chained = parse_program("q(X, Y) :- a(X), b(X + Y).\n?- q(U, V).")
             .unwrap()
             .flattened();
-        let plans = compile_plans(&chained, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&chained);
         let kinds: Vec<(usize, PlanFindingKind)> = plans
             .findings()
             .iter()
@@ -1435,27 +1268,6 @@ mod tests {
                 (1, PlanFindingKind::UnboundedProbe)
             ]
         );
-        let plans = compile_plans(&chained, &hints_with("b", vec![SelectivityClass::Bounded]));
-        assert_eq!(plans.findings().len(), 1);
-        assert_eq!(plans.findings()[0].literal, 0);
-    }
-
-    #[test]
-    fn empty_predicates_make_plans_degenerate() {
-        let program = parse_program("q(X) :- never(X), e(X).\n?- q(U).")
-            .unwrap()
-            .flattened();
-        let mut hints = SelectivityHints::new();
-        hints.mark_empty(Pred::new("never"));
-        let plans = compile_plans(&program, &hints);
-        let degenerate: Vec<&PlanFinding> = plans
-            .findings()
-            .iter()
-            .filter(|f| f.kind == PlanFindingKind::DegeneratePlan)
-            .collect();
-        assert_eq!(degenerate.len(), 1);
-        assert_eq!(degenerate[0].literal, 0);
-        assert!(degenerate[0].message.contains("never"));
     }
 
     #[test]
@@ -1466,15 +1278,15 @@ mod tests {
         )
         .unwrap()
         .flattened();
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
         let lines = render_plans(&program, &plans);
         assert_eq!(
             lines,
             vec![
                 "plan for rule r2 (line 1): r2: a(X, Y) :- b1(X, Z), b2(Z, Y).".to_string(),
-                "  delta b1@1: b1@1 delta scan [bound 0/2, unbounded] {bind X, Z} -> b2@2 known probe $1 [bound 1/2, unbounded] {bind Y}"
+                "  delta b1@1: b1@1 delta scan [bound 0/2] {bind X, Z} -> b2@2 known probe $1 [bound 1/2] {bind Y}"
                     .to_string(),
-                "  delta b2@2: b2@2 delta scan [bound 0/2, unbounded] {bind Z, Y} -> b1@1 stable probe $2 [bound 1/2, unbounded] {bind X}"
+                "  delta b2@2: b2@2 delta scan [bound 0/2] {bind Z, Y} -> b1@1 stable probe $2 [bound 1/2] {bind X}"
                     .to_string(),
             ]
         );
@@ -1486,7 +1298,7 @@ mod tests {
             .unwrap()
             .flattened();
         let rule = &program.rules()[0];
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
         let order = |plan: &JoinPlan| -> Vec<(usize, Option<usize>)> {
             assert!(plan.steps.iter().all(|s| s.window == Window::Known));
             plan.steps.iter().map(|s| (s.literal, s.probe)).collect()
@@ -1509,13 +1321,13 @@ mod tests {
         assert_eq!(order(full), vec![(0, None), (1, Some(0)), (2, Some(0))]);
         assert_eq!(
             overdelete.render(rule),
-            "overdelete b@2 {bind Y, Z}: a@1 known probe $2 [bound 1/2, unbounded] {bind X} -> c@3 known probe $1 [bound 1/2, unbounded] {bind W}"
+            "overdelete b@2 {bind Y, Z}: a@1 known probe $2 [bound 1/2] {bind X} -> c@3 known probe $1 [bound 1/2] {bind W}"
         );
         // Only the round plans are enumerated (and rendered by `.explain`).
         assert_eq!(plans.plans_for(0).len(), 3);
         // A rule without a body has no plans of any shape.
         let facts_only = parse_program("p(1).\n?- p(X).").unwrap().flattened();
-        let plans = compile_plans(&facts_only, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&facts_only);
         assert!(plans.pinned_plan(0).is_none() && plans.full_plan(0).is_none());
     }
 
@@ -1526,7 +1338,7 @@ mod tests {
             .collect()
     }
 
-    /// Every plan `compile_plans` builds for rule 0, of every shape.
+    /// Every plan `ProgramPlans::compile` builds for rule 0, of every shape.
     fn all_plans(plans: &ProgramPlans, body: usize) -> Vec<&JoinPlan> {
         let mut all: Vec<&JoinPlan> = Vec::new();
         for position in 0..body {
@@ -1547,7 +1359,7 @@ mod tests {
         .unwrap()
         .flattened();
         let rule = &program.rules()[0];
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
         for plan in all_plans(&plans, 3) {
             // Replay: the slots bound after each stage.
             let mut bound: Vec<BTreeSet<Slot>> = Vec::new();
@@ -1637,7 +1449,7 @@ mod tests {
         )
         .unwrap()
         .flattened();
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
         let plan = plans.plan(0, 0).unwrap();
         assert_eq!(
             slot_program(plan),
@@ -1654,7 +1466,7 @@ mod tests {
         let chained = parse_program("p(Z) :- Z = Y + 1, Y = X + 1, X = 5.")
             .unwrap()
             .flattened();
-        let plans = compile_plans(&chained, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&chained);
         assert_eq!(
             slot_program(plans.fact_plan(0).unwrap()),
             vec![" {X := 5; Y := X + 1; Z := Y + 1}"]
@@ -1664,7 +1476,7 @@ mod tests {
         let open = parse_program("q(X, Y) :- a(X), Y >= X.")
             .unwrap()
             .flattened();
-        let plans = compile_plans(&open, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&open);
         let plan = plans.plan(0, 0).unwrap();
         assert_eq!(plan.atoms[0].due, None);
         assert!(!plan.ground_finish);
@@ -1675,7 +1487,7 @@ mod tests {
         // Not flattened: expression arguments reach the slot compiler as a
         // query's do.
         let program = parse_program("q(X) :- p(X, X, 7, madison), r(X + 1, Y, 2 * Y).").unwrap();
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
         let plan = plans.plan(0, 0).unwrap();
         let x = plan.slot_of(&Var::new("X")).unwrap();
         let y = plan.slot_of(&Var::new("Y")).unwrap();
@@ -1712,7 +1524,7 @@ mod tests {
         );
         // Alone, an expression argument defines its variable.
         let alone = parse_program("q(X) :- s(X + 1).").unwrap();
-        let plans = compile_plans(&alone, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&alone);
         assert_eq!(
             slot_program(plans.plan(0, 0).unwrap())[1],
             " {bind _a1p1; X := _a1p1 - 1}"
@@ -1735,7 +1547,7 @@ mod tests {
             parse_program("r: h(X, T) :- a(X, Y), b(Y, Z), T = Y + Z, X <= 9.\n?- h(U, V).")
                 .unwrap()
                 .flattened();
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
         // Pinned: the head binds X and T, X <= 9 is decided before any join,
         // and the steps compare against the pinned slots — with T known,
         // T = Y + Z defines Z as soon as `a` binds Y, so `b` only checks.
@@ -1790,7 +1602,7 @@ mod tests {
             .unwrap()
             .flattened();
         let rule = &program.rules()[0];
-        let plans = compile_plans(&program, &SelectivityHints::new());
+        let plans = ProgramPlans::compile(&program);
 
         // Round: the delta literal must lead.
         let mut round = plans.plan(0, 0).unwrap().clone();

@@ -164,9 +164,8 @@ fn golden_updates_against_a_partial_materialization() {
 fn golden_explain_renders_the_compiled_plans() {
     // `.explain` before any `.load` is a plain error; after a
     // materialization it prints one header per rule and one plan line per
-    // delta position, with probe columns, existence shortcuts, the
-    // analyzer's selectivity classes and — in braces — the slot program of
-    // each step (the variables it binds, the constraint atoms it checks or
+    // delta position, with probe columns, existence shortcuts, bound-argument
+    // counts and — in braces — the slot program of each step (the variables it binds, the constraint atoms it checks or
     // defines a variable from) — all deterministic, no durations.
     let mut shell = Shell::new();
     let actual = transcript(
@@ -198,15 +197,12 @@ fn golden_explain_renders_the_compiled_plans() {
          optimal (pred,qrp,mg); answers in `p_f`",
         ">>> .explain",
         "plan for rule r1: r1: p_f(X) :- -X <= 0, m_p_f, b(X), c(X, Y).",
-        "  delta m_p_f@1: m_p_f@1 delta scan [bound 0/0, unbounded] -> b@2 known scan \
-         [bound 0/1, unbounded] {bind X; check -X <= 0} -> c@3 known probe $1 \
-         [bound 1/2, unbounded] {bind Y}",
-        "  delta b@2: b@2 delta scan [bound 0/1, unbounded] {bind X; check -X <= 0} -> c@3 \
-         known probe $1 [bound 1/2, unbounded] {bind Y} -> m_p_f@1 stable scan exists \
-         [bound 0/0, unbounded]",
-        "  delta c@3: c@3 delta scan [bound 0/2, unbounded] {bind X, Y; check -X <= 0} -> b@2 \
-         stable probe $1 exists [bound 1/1, unbounded] -> m_p_f@1 stable scan exists \
-         [bound 0/0, unbounded]",
+        "  delta m_p_f@1: m_p_f@1 delta scan [bound 0/0] -> b@2 known scan [bound 0/1] \
+         {bind X; check -X <= 0} -> c@3 known probe $1 [bound 1/2] {bind Y}",
+        "  delta b@2: b@2 delta scan [bound 0/1] {bind X; check -X <= 0} -> c@3 known probe $1 \
+         [bound 1/2] {bind Y} -> m_p_f@1 stable scan exists [bound 0/0]",
+        "  delta c@3: c@3 delta scan [bound 0/2] {bind X, Y; check -X <= 0} -> b@2 stable probe \
+         $1 exists [bound 1/1] -> m_p_f@1 stable scan exists [bound 0/0]",
     ];
     assert_eq!(actual, expected, "transcript diverged from the golden copy");
 }

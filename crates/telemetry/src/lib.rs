@@ -142,7 +142,7 @@ pub enum Counter {
     SubsumptionChecks,
     /// Fourier–Motzkin satisfiability calls made by the engine.
     FmSatCalls,
-    /// Static join plans compiled (`pcs_engine::plan::compile_plans`).
+    /// Static join plans compiled (`pcs_engine::ProgramPlans::compile`).
     PlansCompiled,
     /// Queries answered by the service layer.
     Queries,

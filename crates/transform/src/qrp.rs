@@ -223,6 +223,15 @@ mod tests {
         let expected_p2 = ConstraintSet::of_atom(Atom::var_le(pos(1), 4));
         assert!(p2.equivalent(&expected_p2));
 
+        // The query-side bounds reach the EDB predicates too: only b1- and
+        // b2-facts inside them are relevant to the query.
+        assert!(analysis
+            .constraint_for(&Pred::new("b1"))
+            .equivalent(&expected_p1));
+        assert!(analysis
+            .constraint_for(&Pred::new("b2"))
+            .equivalent(&expected_p2));
+
         // Propagation pushes the constraints into r2 and r3.
         let rewritten = gen_prop_qrp_constraints(&program, &analysis, &PropagateOptions::default());
         let r3 = &rewritten.rules_for(&Pred::new("p2"))[0];

@@ -16,9 +16,7 @@
 
 use proptest::prelude::*;
 
-use pushing_constraint_selections::engine::{
-    compile_plans, naive, AtomOp, EvalResult, EvalStats, SelectivityHints,
-};
+use pushing_constraint_selections::engine::{naive, AtomOp, EvalResult, EvalStats, ProgramPlans};
 use pushing_constraint_selections::prelude::*;
 
 mod common;
@@ -86,7 +84,7 @@ fn a_constraint_fact_matched_early_defers_scheduled_atoms_to_the_residual() {
     // outside the interval and must be pruned by the residual, not joined.
     let program =
         parse_program("r1: q(X, Y) :- a(X), b(X), c(Y), Y = X + 1.\n?- q(X, Y).").unwrap();
-    let plans = compile_plans(&program.flattened(), &SelectivityHints::new());
+    let plans = ProgramPlans::compile(&program.flattened());
     let from_a = plans.plan(0, 0).expect("r1 has a body");
     assert!(matches!(from_a.steps[0].atoms[..], [AtomOp::Define { .. }]));
     assert_eq!(

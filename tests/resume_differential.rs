@@ -21,9 +21,7 @@
 
 use proptest::prelude::*;
 
-use pushing_constraint_selections::engine::{
-    compile_plans, naive, AtomOp, EvalResult, ProgramPlans, SelectivityHints,
-};
+use pushing_constraint_selections::engine::{naive, AtomOp, EvalResult, ProgramPlans};
 use pushing_constraint_selections::prelude::*;
 
 mod common;
@@ -502,13 +500,12 @@ fn a_long_rolling_window_matches_scratch_across_compactions() {
 // and existence checks were chosen without knowing which facts are
 // constraint facts or which are about to go.  Each case below builds the
 // situation one of the executor's run-time guards exists for, checks (on the
-// unrewritten program, without analyzer hints) that the plan really has the
-// shape the case is about, and then holds the retraction to the usual
+// unrewritten program) that the plan really has the shape the case is about, and then holds the retraction to the usual
 // standard: every strategy, scratch and oracle.
 
-/// The plans of `program` as written (flattened, no rewriting, no hints).
+/// The plans of `program` as written (flattened, no rewriting).
 fn plans_as_written(program: &Program) -> ProgramPlans {
-    compile_plans(&program.flattened(), &SelectivityHints::new())
+    ProgramPlans::compile(&program.flattened())
 }
 
 #[test]
