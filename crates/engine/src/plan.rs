@@ -438,11 +438,11 @@ impl ProgramPlans {
     }
 }
 
-/// Retired planner input: join order no longer takes hints.
+/// A planner input with nothing in it: join order comes from the rule alone.
 ///
 /// perfbench pin, deleted in ROADMAP item 1(b).
 #[doc(hidden)]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct RetiredHints;
 
 /// Forwards to [`ProgramPlans::compile`].
