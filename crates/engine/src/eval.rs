@@ -21,7 +21,7 @@
 //! match left the planned probe column without a value.  The independent
 //! reference the production path is tested against is [`crate::naive`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use pcs_telemetry as telemetry;
@@ -187,8 +187,13 @@ impl Evaluator {
     /// statistics, and termination depend only on the task order.
     ///
     /// A [`Start::Scratch`] evaluation seeds the relations from a database
-    /// and opens with a naive round (every initial fact is delta, empty-body
-    /// rules fire).  A [`Start::Resume`] evaluation receives relations whose
+    /// with every EDB relation (a predicate no rule defines) sealed stable
+    /// and the seeded facts of rule-defined predicates as the delta.  Its
+    /// opening round fires the body-less rules, runs the full join of each
+    /// rule whose body reads only EDB predicates, and runs the round plans
+    /// over that delta; an EDB literal is never a delta position, so no
+    /// round scans the EDB behind an empty relation.  Every later round is
+    /// semi-naive.  A [`Start::Resume`] evaluation receives relations whose
     /// stable segment is a completed materialization and whose delta is the
     /// freshly inserted update facts; it opens directly with a semi-naive
     /// round over that delta.
@@ -204,14 +209,19 @@ impl Evaluator {
         // A resumed run's wall time is already covered by the enclosing
         // resume/retract span recorded in `apply`.
         let _phase_span = (!resumed).then(|| telemetry::span(telemetry::Phase::Fixpoint));
+        let idb = self.program.idb_predicates();
         let mut relations = match start {
             Start::Scratch(db) => {
                 let mut relations = self.seed_relations(db);
-                // The EDB facts form the first delta; stable starts empty,
-                // so the iteration-0 round is the naive round over the
-                // initial facts.
-                for relation in relations.values_mut() {
-                    relation.advance();
+                // No rule inserts into an EDB relation, so its facts are
+                // sealed stable from the start; the seeded facts of
+                // rule-defined predicates form the first delta.
+                for (pred, relation) in &mut relations {
+                    if idb.contains(pred) {
+                        relation.advance();
+                    } else {
+                        relation.seal();
+                    }
                 }
                 relations
             }
@@ -246,11 +256,11 @@ impl Evaluator {
                 ..IterationStats::default()
             };
 
-            // A resumed run's first round is already semi-naive: the seed
-            // facts fired (and the naive round ran) when the materialization
-            // it resumes from was first computed.
-            let naive_round = iteration == 0 && !resumed;
-            let tasks = self.round_tasks(naive_round, &relations);
+            // A resumed run's first round is already semi-naive: the
+            // opening round ran when the materialization it resumes from
+            // was first computed.
+            let opening_round = iteration == 0 && !resumed;
+            let tasks = self.round_tasks(opening_round, &idb, &relations);
             let hit_limit = run_and_absorb(
                 &tasks,
                 &self.options,
@@ -285,23 +295,44 @@ impl Evaluator {
 
     /// Builds the derivation tasks of one iteration in the order their
     /// derivations are absorbed: rule by rule, the fact task of a body-less
-    /// rule (naive round only) or one task per delta position with delta
-    /// candidates.
+    /// rule (opening round only), the full join of a rule whose body reads
+    /// only EDB predicates (opening round only), or one task per delta
+    /// position with delta candidates.
+    ///
+    /// The opening round of a scratch run sees the EDB stable and the
+    /// seeded facts of rule-defined predicates as the delta.  A combination
+    /// that includes such a fact is joined by the round plan of the
+    /// position its newest one sits at, in this round or a later one; a
+    /// combination of EDB facts alone is joined once, here, by the rule's
+    /// [`PlanShape::Full`](crate::plan::PlanShape::Full) plan.
     fn round_tasks(
         &self,
-        naive_round: bool,
+        opening_round: bool,
+        idb: &BTreeSet<Pred>,
         relations: &BTreeMap<Pred, Relation>,
     ) -> Vec<RoundTask<'_>> {
         let mut tasks = Vec::new();
         for (rule_index, rule) in self.program.rules().iter().enumerate() {
             let label = self.labels[rule_index].as_str();
             if rule.body.is_empty() {
-                // Facts and constraint facts fire only in the naive round
+                // Facts and constraint facts fire only in the opening round
                 // (never in a resumed run, whose materialization already
                 // holds them).
-                if naive_round {
+                if opening_round {
                     tasks.push(self.fact_task(rule_index));
                 }
+                continue;
+            }
+            if opening_round && rule.body.iter().all(|lit| !idb.contains(&lit.predicate)) {
+                tasks.push(RoundTask {
+                    rule,
+                    label,
+                    plan: self
+                        .plans
+                        .full_plan(rule_index)
+                        .expect("every rule with a body has a full plan"),
+                    kind: TaskKind::Entry { seed: None },
+                });
                 continue;
             }
             for delta_pos in 0..rule.body.len() {
@@ -347,7 +378,10 @@ impl Evaluator {
 
 /// How a fixpoint run begins.
 enum Start<'a> {
-    /// Seed the relations from a database and open with a naive round.
+    /// Seed the relations from a database, the EDB stable and the
+    /// rule-defined predicates' facts delta, and open with a round that
+    /// also fires the facts and the EDB-only rules (see
+    /// [`Evaluator::run_fixpoint`]).
     Scratch(&'a Database),
     /// Continue from a materialization whose delta is the update facts
     /// (prepared by [`Evaluator::apply`]); open with a semi-naive round.
@@ -403,6 +437,54 @@ mod tests {
         assert!(result.termination.is_fixpoint());
         assert_eq!(result.count_for(&Pred::new("path")), 6);
         assert!(result.only_ground_facts());
+    }
+
+    #[test]
+    fn a_scratch_run_starts_with_the_edb_stable_and_matches_the_oracle() {
+        // `pair` joins two EDB literals (its full plan fires once, in the
+        // opening round); `reach` also has database facts, joined with the
+        // EDB literal of its recursive rule.
+        let program = parse_program(
+            "pair(X, Y) :- e(X, Z), f(Z, Y).\n\
+             reach(X, Y) :- pair(X, Y), X <= 5.\n\
+             reach(X, Y) :- reach(X, Z), e(Z, Y).",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        for (a, b) in [(1, 2), (2, 3), (3, 4), (4, 1), (7, 8)] {
+            db.add_ground("e", vec![Value::num(a), Value::num(b)]);
+        }
+        for (a, b) in [(2, 2), (3, 9), (8, 7)] {
+            db.add_ground("f", vec![Value::num(a), Value::num(b)]);
+        }
+        let idb_seeded = [(10, 1), (11, 7)];
+        for (a, b) in idb_seeded {
+            db.add_ground("reach", vec![Value::num(a), Value::num(b)]);
+        }
+        let options = EvalOptions::default();
+        let result = Evaluator::new(&program, options.clone()).evaluate(&db);
+        assert!(result.termination.is_fixpoint());
+        assert_eq!(result.stats.iterations[0].delta_facts, idb_seeded.len());
+
+        let oracle = crate::naive::evaluate(&program, &db, &options.limits);
+        let sorted = |facts: &[Fact]| {
+            let mut facts: Vec<String> = facts.iter().map(Fact::to_string).collect();
+            facts.sort();
+            facts
+        };
+        for pred in program.all_predicates() {
+            assert_eq!(
+                sorted(&result.facts_for(&pred)),
+                sorted(oracle.facts_for(&pred)),
+                "{pred}"
+            );
+        }
+        // `pair` holds the three EDB-only joins, and the seeded `reach`
+        // facts extend along `e`.
+        assert_eq!(result.count_for(&Pred::new("pair")), 3);
+        assert!(result
+            .facts_for(&Pred::new("reach"))
+            .contains(&Fact::ground("reach", vec![Value::num(11), Value::num(8)])));
     }
 
     #[test]

@@ -31,6 +31,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use pcs_lang::Pred;
 
@@ -230,11 +231,12 @@ fn remove_sorted(entries: &mut Vec<usize>, index: usize) {
 ///
 /// Ground facts are additionally tracked in a row-hash index so the common
 /// case (programs whose evaluation computes only ground facts, Theorem 4.4)
-/// does not pay for pairwise subsumption checks.  Every insertion also
-/// maintains per-position hash indexes mapping a bound [`Value`] to the
-/// facts holding it at that position, plus the list of facts that are *free*
-/// (constrained) there; joins probe the index with the values bound so far
-/// and fall back to scanning only that constraint-fact tail.
+/// does not pay for pairwise subsumption checks.  Joins probe a per-position
+/// hash index mapping a bound [`Value`] to the facts holding it at that
+/// position, then scan the list of facts that are *free* (constrained)
+/// there.  A position's value index is built on its first probe and
+/// maintained by inserts and removals from then on, so a relation pays only
+/// for the columns its readers probe; the free lists are always maintained.
 #[derive(Clone, Default)]
 pub struct Relation {
     /// Logical fact index → storage location.
@@ -249,8 +251,9 @@ pub struct Relation {
     /// delta, and `delta_end..` are pending until the next [`Self::advance`].
     stable_end: usize,
     delta_end: usize,
-    /// Per argument position: fact indices holding each bound value there.
-    value_index: Vec<HashMap<Value, Vec<usize>>>,
+    /// Per argument position: fact indices holding each bound value there,
+    /// built on the position's first probe (see [`Self::exact_entries`]).
+    value_index: Vec<OnceLock<HashMap<Value, Vec<usize>>>>,
     /// Per argument position: fact indices that are free (constrained) there.
     free_index: Vec<Vec<usize>>,
     /// Indices of the proper (non-ground) constraint facts, the only facts
@@ -438,7 +441,7 @@ impl Relation {
 
     fn grow_indexes(&mut self, arity: usize) {
         if self.value_index.len() < arity {
-            self.value_index.resize_with(arity, HashMap::new);
+            self.value_index.resize_with(arity, OnceLock::new);
             self.free_index.resize_with(arity, Vec::new);
         }
     }
@@ -448,10 +451,9 @@ impl Relation {
         let index = self.slots.len();
         self.grow_indexes(row.len());
         for (position, value) in row.iter().enumerate() {
-            self.value_index[position]
-                .entry(value.clone())
-                .or_default()
-                .push(index);
+            if let Some(by_value) = self.value_index[position].get_mut() {
+                by_value.entry(value.clone()).or_default().push(index);
+            }
         }
         self.row_index.entry(hash).or_default().push(index);
         if self.ground.accepts(predicate, row.len()) {
@@ -470,10 +472,11 @@ impl Relation {
         self.grow_indexes(fact.arity());
         for (position, binding) in fact.bindings().iter().enumerate() {
             match binding {
-                Binding::Bound(value) => self.value_index[position]
-                    .entry(value.clone())
-                    .or_default()
-                    .push(index),
+                Binding::Bound(value) => {
+                    if let Some(by_value) = self.value_index[position].get_mut() {
+                        by_value.entry(value.clone()).or_default().push(index);
+                    }
+                }
                 Binding::Free => self.free_index[position].push(index),
             }
         }
@@ -538,7 +541,9 @@ impl Relation {
                 let row = &self.ground.values[start..start + self.ground.arity];
                 unindex(&mut self.row_index, &row_hash(row), index);
                 for (position, value) in row.iter().enumerate() {
-                    unindex(&mut self.value_index[position], value, index);
+                    if let Some(by_value) = self.value_index[position].get_mut() {
+                        unindex(by_value, value, index);
+                    }
                 }
             }
             Slot::Stored { tail } => {
@@ -550,7 +555,9 @@ impl Relation {
                 for (position, binding) in fact.bindings().iter().enumerate() {
                     match binding {
                         Binding::Bound(value) => {
-                            unindex(&mut self.value_index[position], value, index);
+                            if let Some(by_value) = self.value_index[position].get_mut() {
+                                unindex(by_value, value, index);
+                            }
                         }
                         Binding::Free => remove_sorted(&mut self.free_index[position], index),
                     }
@@ -565,7 +572,8 @@ impl Relation {
     /// and the storage behind them are dropped and the survivors get dense
     /// indices.  Survivors are stored verbatim — no subsumption re-check —
     /// so a narrower fact that was legitimately stored before a broader one
-    /// is not silently dropped.
+    /// is not silently dropped.  The built value indexes are dropped too;
+    /// each is rebuilt on its next probe.
     fn compact(&mut self) {
         let old = std::mem::take(self);
         for fact in old.iter() {
@@ -673,11 +681,36 @@ impl Relation {
             .chain(free.iter().copied())
     }
 
+    /// The indices of the facts bound to `value` at `position`, ascending.
+    /// The position's index is built here on its first probe, by one scan
+    /// of the live slots in logical order.
     fn exact_entries(&self, position: usize, value: &Value) -> &[usize] {
         self.value_index
             .get(position)
-            .and_then(|by_value| by_value.get(value))
+            .and_then(|by_value| {
+                by_value
+                    .get_or_init(|| self.build_value_index(position))
+                    .get(value)
+            })
             .map_or(&[], Vec::as_slice)
+    }
+
+    fn build_value_index(&self, position: usize) -> HashMap<Value, Vec<usize>> {
+        let mut by_value: HashMap<Value, Vec<usize>> = HashMap::new();
+        for index in self.candidates(0..self.slots.len(), None) {
+            if let Some(value) = self.fact_ref(index).bound_value(position) {
+                by_value.entry(value.clone()).or_default().push(index);
+            }
+        }
+        by_value
+    }
+
+    /// Whether the value index of `position` has been built.
+    #[cfg(test)]
+    fn value_index_built(&self, position: usize) -> bool {
+        self.value_index
+            .get(position)
+            .is_some_and(|by_value| by_value.get().is_some())
     }
 
     fn free_entries(&self, position: usize) -> &[usize] {
@@ -1034,6 +1067,116 @@ mod tests {
             assert_consistent(&replica);
         }
         assert!(compactions >= 2, "{compactions}");
+    }
+
+    #[test]
+    fn a_position_is_indexed_on_its_first_probe_only() {
+        let mut rel = pairs(10, true);
+        assert!(!rel.value_index_built(0) && !rel.value_index_built(1));
+        // Scans, subsumption checks and removals build nothing.
+        assert_eq!(rel.insert(pair(3)), InsertOutcome::Subsumed);
+        assert_eq!(rel.window_refs(Window::Known).count(), rel.len());
+        rel.remove_indices(&[2usize].into_iter().collect());
+        assert!(!rel.value_index_built(0) && !rel.value_index_built(1));
+        // `pair(5, 2)` and `pair(8, 2)`: `pair(2, 2)` was removed.
+        assert_eq!(rel.probe(Window::Known, 1, &Value::num(2)).count(), 2);
+        assert!(rel.value_index_built(1) && !rel.value_index_built(0));
+        // From then on inserts maintain it; a compaction drops it.
+        rel.insert(pair(11));
+        rel.seal();
+        assert_eq!(rel.probe(Window::Known, 1, &Value::num(2)).count(), 3);
+        let doomed: BTreeSet<usize> = live(&rel).iter().map(|(i, _)| *i).take(7).collect();
+        rel.remove_indices(&doomed);
+        assert!(!rel.value_index_built(1));
+        assert_consistent(&rel);
+    }
+
+    /// What a probe must yield, by a filter over the window: the facts
+    /// bound to `value` at `position`, then the facts free there.
+    fn filtered(rel: &Relation, window: Window, position: usize, value: &Value) -> Vec<String> {
+        let bound = rel
+            .window_refs(window)
+            .filter(|fact| fact.bound_value(position) == Some(value));
+        let free = rel
+            .window_refs(window)
+            .filter(|fact| fact.bound_value(position).is_none());
+        bound.chain(free).map(|fact| fact.to_string()).collect()
+    }
+
+    /// Random interleavings of inserts, partition moves, removals (enough
+    /// to compact), clones and replica catch-ups: every probe yields
+    /// exactly what the filter yields, in the same order, whichever
+    /// positions happened to be indexed before.
+    #[test]
+    fn lazy_indexes_probe_exactly_like_a_filter() {
+        use proptest::prelude::Strategy as _;
+        use proptest::test_runner::TestRng;
+
+        let ops = proptest::collection::vec((0u8..12, 0i64..5, 0i64..5, 0i64..5, 0u64..64), 20..90);
+        let windows = [Window::Stable, Window::Delta, Window::Known];
+        let predicate = Pred::new("t");
+        let mut compactions = 0;
+        for case in 0..300 {
+            let mut rng = TestRng::for_case(case);
+            let mut rel = Relation::new();
+            for (op, a, b, c, pick) in ops.generate(&mut rng) {
+                let row = vec![Value::num(a), Value::num(b), Value::num(c)];
+                let live: Vec<usize> = live(&rel).into_iter().map(|(i, _)| i).collect();
+                // Roughly half of the live facts, chosen by `pick`.
+                let some: BTreeSet<usize> = live
+                    .iter()
+                    .copied()
+                    .filter(|i| (i ^ pick as usize) % 2 == 0)
+                    .collect();
+                match op {
+                    0..=4 => {
+                        rel.insert_row(&predicate, row);
+                    }
+                    5 => {
+                        let fact = Fact::new(
+                            predicate.clone(),
+                            vec![Binding::Free, Binding::Bound(Value::num(b)), Binding::Free],
+                            Conjunction::of(Atom::var_le(Var::position(1), a - 2)),
+                        )
+                        .unwrap();
+                        rel.insert(fact);
+                    }
+                    6 => rel.advance(),
+                    7 => rel.seal(),
+                    8 => {
+                        let slots = rel.slot_count();
+                        rel.remove_indices(&some);
+                        compactions += usize::from(rel.slot_count() < slots);
+                    }
+                    9 => rel = rel.clone(),
+                    _ => {
+                        // A replica one update behind catches up with it.
+                        rel.seal();
+                        let mut replica = rel.clone();
+                        let _ = replica.probe(Window::Known, b as usize % 3, &Value::num(c));
+                        rel.remove_indices(&some);
+                        rel.insert_row(&predicate, row);
+                        rel.seal();
+                        replica.catch_up(Some(&some), &rel);
+                        rel = replica;
+                    }
+                }
+                let window = windows[pick as usize % 3];
+                let position = (pick as usize / 3) % 3;
+                let value = Value::num(c);
+                let probed: Vec<String> = rel
+                    .probe(window, position, &value)
+                    .map(|fact| fact.to_string())
+                    .collect();
+                assert_eq!(
+                    probed,
+                    filtered(&rel, window, position, &value),
+                    "case {case}: {window:?} ${} = {value}",
+                    position + 1
+                );
+            }
+        }
+        assert!(compactions > 100, "{compactions}");
     }
 
     #[test]

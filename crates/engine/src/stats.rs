@@ -32,7 +32,8 @@ pub struct IterationStats {
     /// Number of derivations whose fact was subsumed.
     pub subsumed: usize,
     /// Total size of the per-relation deltas driving this iteration: the
-    /// seeded facts for the opening naive round, the update facts for a
+    /// seeded facts of rule-defined predicates for a scratch run's opening
+    /// round (EDB facts start stable), the update facts for a
     /// resumed run's first round, and the previous iteration's new facts
     /// everywhere else.
     pub delta_facts: usize,

@@ -288,7 +288,7 @@ fn parse_digits(text: &str) -> Option<i128> {
 }
 
 /// The parser: a recursive-descent reader over a three-token lookahead that
-/// the lexer refills one token per [`Parser::bump`].
+/// the lexer refills one token per `bump`.
 pub struct Parser<'a> {
     lexer: Lexer<'a>,
     lookahead: [Spanned<'a>; 3],

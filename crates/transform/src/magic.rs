@@ -151,10 +151,15 @@ pub fn magic_rewrite(program: &Program, options: &MagicOptions) -> Result<MagicR
                     } else {
                         Conjunction::truth()
                     };
-                    output.add_rule(
-                        Rule::new(magic_head, magic_body, magic_constraint)
-                            .with_label(format!("m{label}_{}", j + 1)),
-                    );
+                    // `m(X) :- m(X), C.` derives only facts it already
+                    // holds, so a magic rule whose body is its head is not
+                    // emitted.
+                    if magic_body != std::slice::from_ref(&magic_head) {
+                        output.add_rule(
+                            Rule::new(magic_head, magic_body, magic_constraint)
+                                .with_label(format!("m{label}_{}", j + 1)),
+                        );
+                    }
 
                     if seen.insert((literal.predicate.clone(), body_adornment.clone())) {
                         worklist.push_back((literal.predicate.clone(), body_adornment));
@@ -224,6 +229,26 @@ mod tests {
         // Every modified rule starts with the magic guard.
         for rule in fib_rules {
             assert_eq!(rule.body[0].predicate, Pred::new("m_fib"));
+        }
+    }
+
+    #[test]
+    fn no_magic_rule_is_a_tautology() {
+        // Flights reaches `flight` with `bfff` through its own first body
+        // literal, which would make `m_flight_bfff(S) :- m_flight_bfff(S).`
+        let sources = [
+            include_str!("../../../programs/flights.pcs"),
+            include_str!("../../../programs/example71.pcs"),
+            include_str!("../../../programs/fibonacci.pcs"),
+        ];
+        for source in sources {
+            let program = parse_program(source).unwrap();
+            for options in [MagicOptions::full_sips(), MagicOptions::bound_if_ground()] {
+                let rewritten = magic_rewrite(&program, &options).unwrap().program;
+                for rule in rewritten.rules() {
+                    assert_ne!(rule.body, std::slice::from_ref(&rule.head), "{rule}");
+                }
+            }
         }
     }
 
