@@ -104,20 +104,18 @@ fn lint_file(file: &str, strict: bool, quiet: bool, explain: bool) -> u8 {
 
 /// Prints the compiled join plan of every (rule × delta-position) body of
 /// the *source* program (whose rules carry parser spans), one line per plan —
-/// the CLI counterpart of the shell's `.explain`.
+/// the CLI counterpart of the shell's `.explain`.  A copy group's plans are
+/// printed once, at its first rule, naming the others.
 fn print_plans(file: &str, program: &pcs_lang::Program) {
     let flat = program.flattened();
     let plans = ProgramPlans::compile(&flat);
     for rule_index in plans.planned_rules() {
         let rule = &flat.rules()[rule_index];
-        let name = rule
-            .label
-            .clone()
-            .unwrap_or_else(|| format!("#{}", rule_index + 1));
         let position = rule
             .span
             .map_or_else(|| "-:-".to_string(), |s| format!("{}:{}", s.line, s.column));
         for plan in plans.plans_for(rule_index) {
+            let name = plan.rules_label();
             println!("{file}:{position}: plan {name} {}", plan.render(rule));
         }
     }

@@ -297,7 +297,8 @@ impl Evaluator {
     /// derivations are absorbed: rule by rule, the fact task of a body-less
     /// rule (opening round only), the full join of a rule whose body reads
     /// only EDB predicates (opening round only), or one task per delta
-    /// position with delta candidates.
+    /// position with delta candidates.  A copy group's tasks run its shared
+    /// plans at its first member's place; the other members add none.
     ///
     /// The opening round of a scratch run sees the EDB stable and the
     /// seeded facts of rule-defined predicates as the delta.  A combination
@@ -312,8 +313,11 @@ impl Evaluator {
         relations: &BTreeMap<Pred, Relation>,
     ) -> Vec<RoundTask<'_>> {
         let mut tasks = Vec::new();
+        let labels = self.labels.as_slice();
         for (rule_index, rule) in self.program.rules().iter().enumerate() {
-            let label = self.labels[rule_index].as_str();
+            if self.plans.leader(rule_index) != rule_index {
+                continue;
+            }
             if rule.body.is_empty() {
                 // Facts and constraint facts fire only in the opening round
                 // (never in a resumed run, whose materialization already
@@ -326,7 +330,7 @@ impl Evaluator {
             if opening_round && rule.body.iter().all(|lit| !idb.contains(&lit.predicate)) {
                 tasks.push(RoundTask {
                     rule,
-                    label,
+                    labels,
                     plan: self
                         .plans
                         .full_plan(rule_index)
@@ -352,7 +356,7 @@ impl Evaluator {
                 }
                 tasks.push(RoundTask {
                     rule,
-                    label,
+                    labels,
                     plan,
                     kind: TaskKind::Delta { candidates },
                 });
@@ -366,7 +370,7 @@ impl Evaluator {
     fn fact_task(&self, rule_index: usize) -> RoundTask<'_> {
         RoundTask {
             rule: &self.program.rules()[rule_index],
-            label: &self.labels[rule_index],
+            labels: &self.labels,
             plan: self
                 .plans
                 .fact_plan(rule_index)

@@ -34,7 +34,7 @@ impl EvalResult {
         let plan = compile_query(literal, &query.constraint);
         let mut frame = Frame::new(&plan);
         // Resolved up front, so that `?- q(X), X = 5` probes for 5.
-        if !frame.enter(&plan, None) {
+        if !frame.enter(&plan) {
             return Vec::new();
         }
         let step = &plan.steps[0];

@@ -138,6 +138,10 @@ impl Evaluator {
             }
             let mut next: Vec<Fact> = Vec::new();
             for (rule_index, rule) in self.program.rules().iter().enumerate() {
+                if self.plans.leader(rule_index) != rule_index {
+                    // Its copy group's plans run at the group's first rule.
+                    continue;
+                }
                 for consumed in 0..rule.body.len() {
                     let Some(deleted_here) = by_pred.get(&rule.body[consumed].predicate) else {
                         continue;
@@ -157,7 +161,7 @@ impl Evaluator {
                         // removed facts included) at the others: one step of
                         // support propagation.
                         executor.join_from_entry(Some(FactRef::Stored(deleted)));
-                        for head in executor.derived.drain(..) {
+                        for head in executor.drain_derived() {
                             let index = match &head {
                                 Derived::Row(row) => relation.find_row(row),
                                 Derived::Fact(fact) => relation.find_equivalent(fact),
@@ -243,13 +247,16 @@ impl Evaluator {
                 let Some(targets) = removed_facts.get(&rule.head.predicate) else {
                     continue;
                 };
+                if self.plans.leader(rule_index) != rule_index {
+                    continue;
+                }
                 if rule.body.is_empty() {
                     tasks.push(self.fact_task(rule_index));
                     continue;
                 }
                 let entry = |plan, seed| RoundTask {
                     rule,
-                    label: &self.labels[rule_index],
+                    labels: &self.labels,
                     plan,
                     kind: TaskKind::Entry { seed },
                 };

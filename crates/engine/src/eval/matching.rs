@@ -28,7 +28,7 @@ use pcs_constraints::{Atom, CmpOp, Conjunction, LinearExpr, Rational, Rel, Var};
 use pcs_lang::{Literal, Symbol, Term};
 
 use crate::fact::{Binding, Fact};
-use crate::plan::{ArgOp, AtomOp, HeadOp, JoinPlan, PlanAtom, Slot, SlotExpr};
+use crate::plan::{ArgOp, AtomOp, CopyMask, HeadOp, JoinPlan, PlanAtom, PlanCopy, Slot, SlotExpr};
 use crate::relation::FactRef;
 use crate::value::Value;
 
@@ -59,24 +59,77 @@ struct Residual {
 pub(super) struct Mark {
     trail: usize,
     residual: Option<Box<Residual>>,
+    live: CopyMask,
 }
 
 /// The registers of one task: a slot per rule variable (see
-/// [`JoinPlan::slots`]), the trail of slots bound since the task began, and
-/// the residual, if the current derivation has one.
+/// [`JoinPlan::slots`]), the trail of slots bound since the task began, the
+/// copies the current derivation is still live for, and its residual, if
+/// it has one.
 pub(super) struct Frame {
     slots: Vec<Option<Value>>,
     trail: Vec<Slot>,
     residual: Option<Box<Residual>>,
+    live: CopyMask,
+}
+
+/// A value of slot arithmetic: an integer while every operand was one, else
+/// the exact rational.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Number {
+    Int(i128),
+    Rational(Rational),
+}
+
+impl Number {
+    /// Whether `self rel 0` holds.
+    fn satisfies(self, rel: Rel) -> bool {
+        match self {
+            Number::Int(value) => match rel {
+                Rel::Le => value <= 0,
+                Rel::Lt => value < 0,
+                Rel::Eq => value == 0,
+            },
+            Number::Rational(value) => match rel {
+                Rel::Le => !value.is_positive(),
+                Rel::Lt => value.is_negative(),
+                Rel::Eq => value.is_zero(),
+            },
+        }
+    }
+
+    /// The normalized value: exactly what [`Value::num`] makes of the
+    /// rational.
+    fn into_value(self) -> Value {
+        match self {
+            Number::Int(value) => match i64::try_from(value) {
+                Ok(small) => Value::Int(small),
+                Err(_) => Value::num(Rational::from_int(value)),
+            },
+            Number::Rational(value) => Value::num(value),
+        }
+    }
+}
+
+/// The copies in `mask`, lowest first.
+pub(super) fn copies_in(mut mask: CopyMask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let copy = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            copy
+        })
+    })
 }
 
 impl Frame {
-    /// An empty frame for `plan`.
+    /// An empty frame for `plan`, live for every copy.
     pub(super) fn new(plan: &JoinPlan) -> Self {
         Frame {
             slots: vec![None; plan.slots.len()],
             trail: Vec::with_capacity(plan.slots.len()),
             residual: None,
+            live: plan.all_copies(),
         }
     }
 
@@ -84,15 +137,50 @@ impl Frame {
         Mark {
             trail: self.trail.len(),
             residual: self.residual.clone(),
+            live: self.live,
         }
     }
 
-    /// Unbinds every slot bound since `mark` and restores its residual.
+    /// Unbinds every slot bound since `mark` and restores its residual and
+    /// live copies.
     pub(super) fn undo(&mut self, mark: Mark) {
         for slot in self.trail.drain(mark.trail..) {
             self.slots[slot] = None;
         }
         self.residual = mark.residual;
+        self.live = mark.live;
+    }
+
+    /// The copies the derivation is still live for.
+    pub(super) fn live(&self) -> CopyMask {
+        self.live
+    }
+
+    /// Continues the derivation for `copy` alone (undo restores the rest).
+    pub(super) fn restrict(&mut self, copy: usize) {
+        debug_assert!(self.live >> copy & 1 == 1, "only a live copy continues");
+        self.live = 1 << copy;
+    }
+
+    /// Whether matching `fact` would start a residual while several copies
+    /// are live: the executor must then match it once per live copy.
+    pub(super) fn must_split(&self, fact: FactRef<'_>) -> bool {
+        self.residual.is_none() && self.live.count_ones() > 1 && !fact.is_ground()
+    }
+
+    /// Whether the derivation has stayed on the ground path.
+    pub(super) fn is_ground(&self) -> bool {
+        self.residual.is_none()
+    }
+
+    /// The one copy a derivation with a residual derives for.
+    fn copy<'p>(&self, plan: &'p JoinPlan) -> &'p PlanCopy {
+        debug_assert_eq!(
+            self.live.count_ones(),
+            1,
+            "one copy at a time leaves the ground path"
+        );
+        &plan.copies[self.live.trailing_zeros() as usize]
     }
 
     fn bind(&mut self, slot: Slot, value: Value) {
@@ -105,13 +193,39 @@ impl Frame {
     }
 
     /// `expr` under the current registers; `None` if a slot is empty or
-    /// holds a symbol.
-    fn eval(&self, expr: &SlotExpr) -> Option<Rational> {
+    /// holds a symbol.  Integer coefficients over `Value::Int` slots sum in
+    /// checked `i128` ([`Self::eval_int`]); anything else — a non-integer
+    /// coefficient, a `Value::Num` slot, an overflow — evaluates the whole
+    /// expression over [`Rational`]s, with the same result.
+    fn eval(&self, expr: &SlotExpr) -> Option<Number> {
+        if let Some(sum) = self.eval_int(expr) {
+            return sum.map(Number::Int);
+        }
         let mut acc = expr.constant;
         for &(slot, coeff) in &expr.terms {
             acc += coeff * self.num(slot)?;
         }
-        Some(acc)
+        Some(Number::Rational(acc))
+    }
+
+    /// The integer path of [`Self::eval`]: `Some(None)` where a slot is empty
+    /// or holds a symbol, `None` — evaluate over rationals — at the first
+    /// term it cannot take, so that the rational path meets every term in
+    /// the same order and fails (or overflows) exactly as it always did.
+    fn eval_int(&self, expr: &SlotExpr) -> Option<Option<i128>> {
+        if !expr.constant.is_integer() {
+            return None;
+        }
+        let mut sum = expr.constant.numer();
+        for &(slot, coeff) in &expr.terms {
+            let value = match &self.slots[slot] {
+                Some(Value::Int(value)) if coeff.is_integer() => i128::from(*value),
+                None | Some(Value::Sym(_)) => return Some(None),
+                Some(Value::Int(_) | Value::Num(_)) => return None,
+            };
+            sum = sum.checked_add(coeff.numer().checked_mul(value)?)?;
+        }
+        Some(Some(sum))
     }
 
     /// The concrete value an argument holds under the current registers, if
@@ -122,18 +236,15 @@ impl Frame {
         match op {
             ArgOp::Const(value) => Some(value.clone()),
             ArgOp::Check(slot) | ArgOp::Bind { slot, .. } => self.slots[*slot].clone(),
-            ArgOp::Expr { expr, .. } => self.eval(expr).map(Value::num),
+            ArgOp::Expr { expr, .. } => self.eval(expr).map(Number::into_value),
         }
     }
 
-    /// Runs the plan's entry stage: matches the seed literal against `seed`
-    /// (both present for pinned and over-deletion plans, both absent
-    /// otherwise) and resolves the atoms ground up front.
-    pub(super) fn enter(&mut self, plan: &JoinPlan, seed: Option<(&Literal, FactRef<'_>)>) -> bool {
-        match seed {
-            Some((literal, fact)) => self.match_literal(plan, 0, literal, fact),
-            None => self.run_atoms(plan.stage(0).1),
-        }
+    /// Runs the entry stage of a plan without a seed fact: resolves the
+    /// atoms ground up front.  (A seed fact is matched like any literal, by
+    /// [`Self::match_literal`] at stage 0.)
+    pub(super) fn enter(&mut self, plan: &JoinPlan) -> bool {
+        self.run_atoms(plan.stage(0).1)
     }
 
     /// Attempts to extend the derivation with one fact for `literal`, the
@@ -160,7 +271,11 @@ impl Frame {
                     });
                     return self.match_ground(args, atoms, values);
                 }
-                FactRef::Stored(_) => self.start_residual(plan, stage),
+                FactRef::Stored(_) => {
+                    if !self.start_residual(plan, stage) {
+                        return false;
+                    }
+                }
             }
         }
         self.match_symbolic(plan, literal, fact)
@@ -192,22 +307,27 @@ impl Frame {
         self.run_atoms(atoms)
     }
 
-    /// Evaluates the atoms scheduled at a stage; `false` if one fails.
+    /// Evaluates the atoms scheduled at a stage; `false` once no copy is
+    /// live.  A failed check ends the derivation for the copies that list
+    /// its atom; a check no live copy lists is skipped.
     fn run_atoms(&mut self, atoms: &[AtomOp]) -> bool {
         for op in atoms {
             match op {
-                AtomOp::Check { expr, rel, .. } => {
-                    let holds = self.eval(expr).is_some_and(|value| match rel {
-                        Rel::Le => !value.is_positive(),
-                        Rel::Lt => value.is_negative(),
-                        Rel::Eq => value.is_zero(),
-                    });
-                    if !holds {
-                        return false;
+                AtomOp::Check {
+                    expr, rel, copies, ..
+                } => {
+                    if self.live & copies == 0 {
+                        continue;
+                    }
+                    if !self.eval(expr).is_some_and(|value| value.satisfies(*rel)) {
+                        self.live &= !copies;
+                        if self.live == 0 {
+                            return false;
+                        }
                     }
                 }
                 AtomOp::Define { slot, value, .. } => match self.eval(value) {
-                    Some(value) => self.bind(*slot, Value::num(value)),
+                    Some(value) => self.bind(*slot, value.into_value()),
                     None => return false,
                 },
             }
@@ -215,21 +335,27 @@ impl Frame {
         true
     }
 
-    /// Emits the head of a completed derivation: the row the compiled head
-    /// computes when the derivation stayed ground, else the fact the
-    /// residual projects to — if the residual is satisfiable.
+    /// The head row the compiled head computes over the registers: what a
+    /// derivation that stayed ground emits, once for every live copy.
+    pub(super) fn head_row(&self, plan: &JoinPlan) -> Option<Derived> {
+        plan.head
+            .iter()
+            .map(|op| match op {
+                HeadOp::Const(value) => Some(value.clone()),
+                HeadOp::Slot(slot) => self.slots[*slot].clone(),
+                HeadOp::Expr(expr) => self.eval(expr).map(Number::into_value),
+            })
+            .collect::<Option<Vec<Value>>>()
+            .map(Derived::Row)
+    }
+
+    /// Emits the head of a completed derivation for its one live copy: the
+    /// head row when the derivation stayed ground and the copy finishes
+    /// ground, else the fact the residual projects to — if the residual is
+    /// satisfiable.
     pub(super) fn finish(&mut self, plan: &JoinPlan, head: &Literal) -> Option<Derived> {
-        if self.residual.is_none() && plan.ground_finish {
-            return plan
-                .head
-                .iter()
-                .map(|op| match op {
-                    HeadOp::Const(value) => Some(value.clone()),
-                    HeadOp::Slot(slot) => self.slots[*slot].clone(),
-                    HeadOp::Expr(expr) => self.eval(expr).map(Value::num),
-                })
-                .collect::<Option<Vec<Value>>>()
-                .map(Derived::Row);
+        if self.residual.is_none() && self.copy(plan).ground_finish {
+            return self.head_row(plan);
         }
         if !self.is_consistent(plan) {
             return None;
@@ -238,14 +364,17 @@ impl Frame {
     }
 
     /// Whether the derivation's residual constraints are satisfiable — the
-    /// one Fourier–Motzkin satisfiability call site.  A derivation that
-    /// stayed ground with every atom discharged has nothing left to decide.
+    /// one Fourier–Motzkin satisfiability call site — for its one live
+    /// copy.  A derivation that stayed ground with every atom of the copy
+    /// discharged has nothing left to decide.
     pub(super) fn is_consistent(&mut self, plan: &JoinPlan) -> bool {
         if self.residual.is_none() {
-            if plan.ground_finish {
+            if self.copy(plan).ground_finish {
                 return true;
             }
-            self.start_residual(plan, plan.steps.len() + 1);
+            if !self.start_residual(plan, plan.steps.len() + 1) {
+                return false;
+            }
         }
         telemetry::bump(telemetry::Counter::FmSatCalls);
         self.residual
@@ -256,21 +385,34 @@ impl Frame {
     // ---- the symbolic path -------------------------------------------
 
     /// Begins the symbolic part of a derivation that has run every stage
-    /// before `stage` on ground facts: the atoms not yet discharged become
-    /// the residual conjunction, instantiated with the registers bound so
-    /// far, in the order a rule body lists them (the rule's own atoms, then
-    /// the equalities of expression arguments already matched).
-    fn start_residual(&mut self, plan: &JoinPlan, stage: usize) {
+    /// before `stage` on ground facts, for its one live copy: the copy's
+    /// atoms not yet discharged become the residual conjunction,
+    /// instantiated with the registers bound so far, in the order a rule
+    /// body lists them (the rule's own atoms, then the equalities of
+    /// expression arguments already matched).  `false` if an atom reads a
+    /// slot holding a symbol — possible only for a copy's private atom,
+    /// whose variable the group plan let a symbol bind — which the copy's
+    /// own plan would have rejected at that binding.
+    fn start_residual(&mut self, plan: &JoinPlan, stage: usize) -> bool {
         let mut extra = Conjunction::truth();
         let pending = |atom: &&PlanAtom| {
             atom.due.map_or(true, |due| due >= stage)
                 && atom.origin.map_or(true, |origin| origin < stage)
         };
-        for atom in plan.atoms.iter().filter(pending) {
+        let own = self
+            .copy(plan)
+            .atoms
+            .iter()
+            .map(|&index| &plan.atoms[index]);
+        let arguments = plan.atoms.iter().filter(|atom| atom.origin.is_some());
+        for atom in own.chain(arguments).filter(pending) {
             let mut expr = LinearExpr::constant(atom.expr.constant);
             for &(slot, coeff) in &atom.expr.terms {
-                match self.num(slot) {
-                    Some(value) => expr.add_constant(coeff * value),
+                match &self.slots[slot] {
+                    Some(Value::Sym(_)) => return false,
+                    Some(value) => expr.add_constant(
+                        coeff * value.as_num().expect("a non-symbol value is a number"),
+                    ),
                     None => expr.add_term(coeff, plan.slots[slot].clone()),
                 }
             }
@@ -281,6 +423,7 @@ impl Frame {
             num: BTreeMap::new(),
             fresh: 0,
         }));
+        true
     }
 
     fn residual(&mut self) -> &mut Residual {
@@ -526,13 +669,105 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::super::test_support::eval;
-    use super::Frame;
+    use super::{Frame, Number};
     use crate::database::Database;
-    use crate::plan::ProgramPlans;
+    use crate::plan::{ProgramPlans, SlotExpr};
     use crate::relation::FactRef;
     use crate::value::Value;
-    use pcs_constraints::{Atom, Var};
+    use pcs_constraints::{Atom, Rational, Rel, Var};
     use pcs_lang::{parse_program, Pred};
+
+    /// Slot arithmetic over [`Rational`]s alone: what `Frame::eval` computed
+    /// before its integer path, and what it falls back to.
+    fn rational_eval(slots: &[Option<Value>], expr: &SlotExpr) -> Option<Rational> {
+        let mut acc = expr.constant;
+        for &(slot, coeff) in &expr.terms {
+            acc += coeff * slots[slot].as_ref()?.as_num()?;
+        }
+        Some(acc)
+    }
+
+    #[test]
+    fn integer_slot_arithmetic_agrees_with_rationals() {
+        use proptest::prelude::Strategy as _;
+        use proptest::test_runner::TestRng;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let near = |offset: i64| [i64::MAX - offset, i64::MIN + offset];
+        let values = |rng: &mut TestRng| -> Option<Value> {
+            let small = (-50i64..50).generate(rng);
+            match (0u8..8).generate(rng) {
+                0 | 1 => Some(Value::Int(small)),
+                2 => Some(Value::Int(near(small.abs())[usize::from(small < 0)])),
+                3 => Some(Value::num(Rational::ratio(i128::from(small), 7))),
+                4 => Some(Value::num(Rational::from_int(i128::from(small) << 100))),
+                5 => Some(Value::num(Rational::from_int(i128::from(i64::MAX) + 1))),
+                6 => Some(Value::sym("madison")),
+                _ => None,
+            }
+        };
+        let number = |rng: &mut TestRng| -> Rational {
+            let small = (-9i64..10).generate(rng);
+            match (0u8..6).generate(rng) {
+                0..=2 => Rational::from_int(i128::from(small)),
+                3 => Rational::ratio(i128::from(small), 3),
+                4 => Rational::from_int(i128::from(small) << 62),
+                _ => Rational::from_int(i128::from(small) << 120),
+            }
+        };
+        let mut paths = [0usize; 3];
+        for case in 0..4000 {
+            let mut rng = TestRng::for_case(case);
+            let slots: Vec<Option<Value>> = (0..4).map(|_| values(&mut rng)).collect();
+            let terms = (0..(0usize..5).generate(&mut rng))
+                .map(|_| ((0usize..4).generate(&mut rng), number(&mut rng)))
+                .filter(|(_, coeff)| !coeff.is_zero())
+                .collect();
+            let expr = SlotExpr {
+                terms,
+                constant: number(&mut rng),
+            };
+            let frame = Frame {
+                slots: slots.clone(),
+                trail: Vec::new(),
+                residual: None,
+                live: 1,
+            };
+            let fast = catch_unwind(AssertUnwindSafe(|| frame.eval(&expr)));
+            let slow = catch_unwind(AssertUnwindSafe(|| rational_eval(&slots, &expr)));
+            let (fast, slow) = match (fast, slow) {
+                (Ok(fast), Ok(slow)) => (fast, slow),
+                (Err(_), Err(_)) => {
+                    paths[2] += 1;
+                    continue;
+                }
+                (fast, slow) => panic!(
+                    "case {case}: {expr:?} over {slots:?}: only one path overflowed \
+                     (integer path ok: {}, rational ok: {})",
+                    fast.is_ok(),
+                    slow.is_ok()
+                ),
+            };
+            paths[usize::from(matches!(fast, Some(Number::Rational(_))))] += 1;
+            let context = format!("case {case}: {expr:?} over {slots:?}");
+            assert_eq!(
+                fast.map(Number::into_value),
+                slow.map(Value::num),
+                "{context}"
+            );
+            if let (Some(fast), Some(slow)) = (fast, slow) {
+                for (rel, holds) in [
+                    (Rel::Le, !slow.is_positive()),
+                    (Rel::Lt, slow.is_negative()),
+                    (Rel::Eq, slow.is_zero()),
+                ] {
+                    assert_eq!(fast.satisfies(rel), holds, "{context} {rel:?}");
+                }
+            }
+        }
+        // Every path ran: integers, the rational fallback, and overflow.
+        assert!(paths.iter().all(|&n| n > 50), "{paths:?}");
+    }
 
     #[test]
     fn join_variables_do_not_collide_across_facts() {

@@ -6,22 +6,26 @@ use std::collections::BTreeMap;
 
 use pcs_telemetry as telemetry;
 
-use pcs_lang::{Pred, Rule};
+use pcs_lang::{Literal, Pred, Rule};
 
-use super::matching::{Derived, Frame};
+use super::matching::{copies_in, Derived, Frame};
 use super::EvalOptions;
 use crate::fact::Fact;
-use crate::limits::{EvalLimits, Termination};
+use crate::limits::Termination;
 use crate::plan::{JoinPlan, PlanStep};
 use crate::relation::{FactRef, InsertOutcome, Relation};
 use crate::stats::{DerivationRecord, IterationStats};
+use crate::value::Value;
 
 /// One unit of derivation work inside an iteration.  A task only reads the
-/// relations; its derivations are absorbed before the next task runs.
+/// relations; its derivations are absorbed before the next task's group
+/// runs.
 pub(super) struct RoundTask<'a> {
+    /// The rule whose head and body the plan joins: the first of its copy
+    /// group.
     pub(super) rule: &'a Rule,
-    /// The rule's display label for derivation records.
-    pub(super) label: &'a str,
+    /// Every rule's display label for derivation records, by rule index.
+    pub(super) labels: &'a [String],
     /// The plan the task runs, borrowed from the evaluator's precompiled
     /// [`ProgramPlans`](crate::plan::ProgramPlans): the literal order, the
     /// per-literal probe column, the existence-shortcut flags and the slot
@@ -42,11 +46,19 @@ pub(super) enum TaskKind<'a> {
     Entry { seed: Option<&'a Fact> },
 }
 
-/// Runs the tasks of one round on the calling thread, absorbing each task's
-/// derivations before the next task runs, and stops at the first limit hit.
-/// Pending insertions are invisible to every [`Window`](crate::Window), so
-/// a task never sees what an earlier task of the same round derived: the
-/// round's result depends only on the task order.
+/// Runs the tasks of one round on the calling thread and stops at the first
+/// limit hit.  Pending insertions are invisible to every
+/// [`Window`](crate::Window), so a task never sees what an earlier task of
+/// the same round derived: the round's result depends only on the task
+/// order.
+///
+/// Consecutive tasks of one plan group (a rule's delta positions, or its
+/// re-derivation targets) run together, and their derivations are absorbed
+/// copy by copy: the first copy's from every task, then the second's.  That
+/// is the order in which separate plans per copy would have inserted them,
+/// so a copy group stores the very facts, in the very order, that its
+/// copies would — while a derivation live for several copies is absorbed
+/// once, under the first of them.
 ///
 /// No task generates more than the derivation budget left in `totals` at
 /// the start of the round: anything beyond it would be discarded by the
@@ -63,30 +75,46 @@ pub(super) fn run_and_absorb(
         .limits
         .max_derivations
         .saturating_sub(totals.derivations);
-    for task in tasks {
-        let derived = run_task(task, relations, budget);
-        let hit_limit = absorb_derived(
-            derived,
-            task,
-            options.trace,
-            &options.limits,
-            relations,
-            iter_stats,
-            totals,
-        );
-        if hit_limit.is_some() {
-            return hit_limit;
+    let mut rest = tasks;
+    while let Some(first) = rest.first() {
+        let together = rest
+            .iter()
+            .take_while(|task| task.plan.rule == first.plan.rule)
+            .count();
+        let (group, later) = rest.split_at(together);
+        rest = later;
+        let mut derived: Vec<Vec<Vec<Derived>>> = group
+            .iter()
+            .map(|task| run_task(task, relations, budget))
+            .collect();
+        for copy in 0..first.plan.copies.len() {
+            let label = &first.labels[first.plan.copies[copy].rule];
+            for per_task in &mut derived {
+                let hit_limit = absorb_derived(
+                    std::mem::take(&mut per_task[copy]),
+                    &first.rule.head.predicate,
+                    label,
+                    options,
+                    relations,
+                    iter_stats,
+                    totals,
+                );
+                if hit_limit.is_some() {
+                    return hit_limit;
+                }
+            }
         }
     }
     None
 }
 
-/// Runs one task to completion, collecting at most `cap` derivations.
+/// Runs one task to completion, collecting at most `cap` derivations, per
+/// copy of its plan.
 fn run_task(
     task: &RoundTask<'_>,
     relations: &BTreeMap<Pred, Relation>,
     cap: usize,
-) -> Vec<Derived> {
+) -> Vec<Vec<Derived>> {
     let mut executor = Executor::new(task.rule, task.plan, relations, cap);
     match &task.kind {
         TaskKind::Delta { candidates } => executor.join_delta(candidates),
@@ -103,7 +131,7 @@ pub(super) struct EvalTotals {
     pub(super) facts: usize,
 }
 
-/// Inserts the derivations made by one round task, updating the
+/// Inserts the derivations one round task made for one copy, updating the
 /// per-iteration statistics.  Returns the limit that was hit, if any.
 ///
 /// Both limits are enforced *per fact*: the first insertion that reaches
@@ -113,9 +141,9 @@ pub(super) struct EvalTotals {
 /// takes precedence when both trip on the same fact.
 fn absorb_derived(
     derived: Vec<Derived>,
-    task: &RoundTask<'_>,
-    trace: bool,
-    limits: &EvalLimits,
+    predicate: &Pred,
+    label: &str,
+    options: &EvalOptions,
     relations: &mut BTreeMap<Pred, Relation>,
     iter_stats: &mut IterationStats,
     totals: &mut EvalTotals,
@@ -123,15 +151,13 @@ fn absorb_derived(
     if derived.is_empty() {
         return None;
     }
-    // Every derivation of a task has the rule's head predicate.
-    let predicate = &task.rule.head.predicate;
     let relation = relations.entry(predicate.clone()).or_default();
     for derived in derived {
         totals.derivations += 1;
         iter_stats.derivations += 1;
         let (rendered, outcome) = match derived {
             Derived::Row(row) => (
-                trace.then(|| {
+                options.trace.then(|| {
                     FactRef::Ground {
                         predicate,
                         row: &row,
@@ -140,7 +166,10 @@ fn absorb_derived(
                 }),
                 relation.insert_row(predicate, row),
             ),
-            Derived::Fact(fact) => (trace.then(|| fact.to_string()), relation.insert(fact)),
+            Derived::Fact(fact) => (
+                options.trace.then(|| fact.to_string()),
+                relation.insert(fact),
+            ),
         };
         let is_new = outcome == InsertOutcome::Added;
         if is_new {
@@ -151,15 +180,15 @@ fn absorb_derived(
         }
         if let Some(fact) = rendered {
             iter_stats.records.push(DerivationRecord {
-                rule: task.label.to_string(),
+                rule: label.to_string(),
                 fact,
                 new: is_new,
             });
         }
-        if totals.facts >= limits.max_facts {
+        if totals.facts >= options.limits.max_facts {
             return Some(Termination::FactLimit);
         }
-        if totals.derivations >= limits.max_derivations {
+        if totals.derivations >= options.limits.max_derivations {
             return Some(Termination::DerivationLimit);
         }
     }
@@ -203,7 +232,7 @@ pub(super) fn delta_candidates(plan: &JoinPlan, relation: &Relation) -> Vec<usiz
 
 /// The one join executor: one task's frame, the relation each step of its
 /// plan reads (resolved once, not per partial match), and the derivations
-/// collected so far.
+/// collected so far, per copy of the plan.
 pub(super) struct Executor<'a> {
     rule: &'a Rule,
     plan: &'a JoinPlan,
@@ -211,8 +240,14 @@ pub(super) struct Executor<'a> {
     /// it.
     relations: Vec<Option<&'a Relation>>,
     frame: Frame,
-    pub(super) derived: Vec<Derived>,
+    /// Per copy: what the derivations live for it emitted.  A ground row
+    /// live for several copies is emitted once, under the first.
+    pub(super) derived: Vec<Vec<Derived>>,
+    /// Derivations collected so far, across the copies.
+    count: usize,
     cap: usize,
+    /// The row an existence step looks up, reused across lookups.
+    row: Vec<Value>,
 }
 
 impl<'a> Executor<'a> {
@@ -231,8 +266,10 @@ impl<'a> Executor<'a> {
                 .map(|step| relations.get(&rule.body[step.literal].predicate))
                 .collect(),
             frame: Frame::new(plan),
-            derived: Vec::new(),
+            derived: plan.copies.iter().map(|_| Vec::new()).collect(),
+            count: 0,
             cap,
+            row: Vec::new(),
         }
     }
 
@@ -242,18 +279,14 @@ impl<'a> Executor<'a> {
         let Some(relation) = self.relations[0] else {
             return;
         };
-        let literal = &self.rule.body[self.plan.steps[0].literal];
+        let rule = self.rule;
+        let literal = &rule.body[self.plan.steps[0].literal];
         for &index in candidates {
-            if self.derived.len() >= self.cap {
+            if self.count >= self.cap {
                 break;
             }
             let mark = self.frame.mark();
-            if self
-                .frame
-                .match_literal(self.plan, 1, literal, relation.fact_ref(index))
-            {
-                self.join(1);
-            }
+            self.extend(1, literal, relation.fact_ref(index));
             self.frame.undo(mark);
         }
     }
@@ -262,12 +295,83 @@ impl<'a> Executor<'a> {
     /// seed literal (a pinned head, an over-deletion's consumed literal),
     /// resolves the atoms ground up front, then joins every step.
     pub(super) fn join_from_entry(&mut self, seed: Option<FactRef<'_>>) {
-        let seed = self.plan.shape.seed_literal(self.rule).zip(seed);
+        let rule = self.rule;
         let mark = self.frame.mark();
-        if self.frame.enter(self.plan, seed) {
-            self.join(0);
+        match self.plan.shape.seed_literal(rule).zip(seed) {
+            Some((literal, fact)) => {
+                self.extend(0, literal, fact);
+            }
+            None => {
+                if self.frame.enter(self.plan) {
+                    self.join(0);
+                }
+            }
         }
         self.frame.undo(mark);
+    }
+
+    /// Matches `fact` against `literal`, the literal of stage `stage`, and
+    /// on a match joins on from step `stage` (the next one).  A fact that
+    /// would start a residual while several copies are live is matched once
+    /// per live copy, each continuing alone.  Returns whether any match
+    /// succeeded; the caller undoes to its mark either way.
+    fn extend(&mut self, stage: usize, literal: &Literal, fact: FactRef<'_>) -> bool {
+        if !self.frame.must_split(fact) {
+            let matched = self.frame.match_literal(self.plan, stage, literal, fact);
+            if matched {
+                self.join(stage);
+            }
+            return matched;
+        }
+        let mut matched = false;
+        for copy in copies_in(self.frame.live()) {
+            let mark = self.frame.mark();
+            self.frame.restrict(copy);
+            if self.frame.match_literal(self.plan, stage, literal, fact) {
+                matched = true;
+                self.join(stage);
+            }
+            self.frame.undo(mark);
+        }
+        matched
+    }
+
+    /// Emits the head of a completed derivation.  One that stayed ground,
+    /// where every copy finishes ground, emits one row under its first live
+    /// copy; otherwise each live copy finishes alone (a ground-finishing
+    /// copy's row still only once).
+    fn emit(&mut self) {
+        let live = self.frame.live();
+        let first = live.trailing_zeros() as usize;
+        if self.frame.is_ground() && self.plan.ground_finish {
+            if let Some(row) = self.frame.head_row(self.plan) {
+                self.derived[first].push(row);
+                self.count += 1;
+            }
+            return;
+        }
+        let mut row_emitted = false;
+        for copy in copies_in(live) {
+            let ground = self.frame.is_ground() && self.plan.copies[copy].ground_finish;
+            if ground && std::mem::replace(&mut row_emitted, true) {
+                continue;
+            }
+            let mark = self.frame.mark();
+            self.frame.restrict(copy);
+            if let Some(derived) = self.frame.finish(self.plan, &self.rule.head) {
+                self.derived[copy].push(derived);
+                self.count += 1;
+            }
+            self.frame.undo(mark);
+        }
+    }
+
+    /// Drains every derivation collected so far, whichever copy made it.
+    pub(super) fn drain_derived(&mut self) -> impl Iterator<Item = Derived> + '_ {
+        self.count = 0;
+        self.derived
+            .iter_mut()
+            .flat_map(|derived| derived.drain(..))
     }
 
     /// Recursively joins the body literals along the plan from `step`
@@ -277,49 +381,63 @@ impl<'a> Executor<'a> {
     /// The probe column of every step was fixed at plan-compilation time; if
     /// a constraint-fact match left that column without a concrete value at
     /// run time, the step falls back to scanning its window.  A step the
-    /// plan marked as an existence check stops at its first match — guarded
-    /// to the case where every argument resolves to a concrete value and the
-    /// relation holds no constraint facts, in which ground deduplication
-    /// guarantees at most one matching row anyway, so the shortcut saves the
-    /// rest of the scan without changing any statistics.  Those two run-time
-    /// guards are what makes a static plan safe for every input, constraint
-    /// facts included.
+    /// plan marked as an existence check, once every argument resolves to a
+    /// concrete value and the relation holds no constraint facts, looks its
+    /// one possible row up in the relation's row hash instead — ground
+    /// deduplication guarantees at most one matching row, so the lookup
+    /// replaces the probe without changing any derivation, and builds no
+    /// column index.  Those two run-time guards are what makes a static plan
+    /// safe for every input, constraint facts included.
     fn join(&mut self, step: usize) {
-        if self.derived.len() >= self.cap {
+        if self.count >= self.cap {
             return;
         }
         let Some(plan_step) = self.plan.steps.get(step) else {
-            self.derived
-                .extend(self.frame.finish(self.plan, &self.rule.head));
+            self.emit();
             return;
         };
         let Some(relation) = self.relations[step] else {
             return;
         };
-        let literal = &self.rule.body[plan_step.literal];
-        let exists_only = plan_step.existence
-            && relation.constraint_fact_count() == 0
-            && plan_step.args.iter().all(|op| self.frame.key(op).is_some());
+        let rule = self.rule;
+        let literal = &rule.body[plan_step.literal];
+        if plan_step.existence && relation.constraint_fact_count() == 0 && self.key_row(plan_step) {
+            let range = relation.window_range(plan_step.window);
+            if let Some(index) = relation.find_row(&self.row).filter(|i| range.contains(i)) {
+                let mark = self.frame.mark();
+                if self.extend(step + 1, literal, relation.fact_ref(index)) {
+                    telemetry::bump(telemetry::Counter::ExistenceShortcuts);
+                }
+                self.frame.undo(mark);
+            }
+            return;
+        }
         let (probed, candidates) = step_candidates(plan_step, &self.frame, relation);
         for index in candidates {
             let mark = self.frame.mark();
-            let matched =
-                self.frame
-                    .match_literal(self.plan, step + 1, literal, relation.fact_ref(index));
-            if matched {
-                if probed {
-                    telemetry::bump(telemetry::Counter::ProbeHits);
-                }
-                self.join(step + 1);
-            } else if probed {
-                telemetry::bump(telemetry::Counter::ProbeMisses);
+            let matched = self.extend(step + 1, literal, relation.fact_ref(index));
+            if probed {
+                telemetry::bump(if matched {
+                    telemetry::Counter::ProbeHits
+                } else {
+                    telemetry::Counter::ProbeMisses
+                });
             }
             self.frame.undo(mark);
-            if matched && exists_only {
-                telemetry::bump(telemetry::Counter::ExistenceShortcuts);
-                break;
+        }
+    }
+
+    /// Fills the reused row buffer with the concrete value every argument
+    /// of `step` holds under the registers; `false` if one has none.
+    fn key_row(&mut self, step: &PlanStep) -> bool {
+        self.row.clear();
+        for op in &step.args {
+            match self.frame.key(op) {
+                Some(value) => self.row.push(value),
+                None => return false,
             }
         }
+        true
     }
 }
 

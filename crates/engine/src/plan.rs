@@ -26,6 +26,15 @@
 //! product, and a probe-less step that does share a variable with the
 //! literals before it is an unbounded scan.
 //!
+//! Rules that share their head and their body literals — the copies
+//! Theorems 4.3/4.4 make of a rule, one per disjunct of a QRP constraint —
+//! are compiled as one *copy group*: one plan per [`PlanShape`] joins the
+//! shared body once, and each atom that not every copy lists becomes a
+//! check tagged with the copies that do (a [`CopyMask`]).  A copy whose
+//! private atoms could pin or define a variable (an equality) keeps plans of
+//! its own, so a group's step order is exactly each copy's own.  A program
+//! without copies compiles to one single-copy plan per rule and shape.
+//!
 //! Every compiled plan is checked by [`JoinPlan::validate`] before it can be
 //! executed: the steps must cover the body exactly once with the window
 //! discipline of the plan's shape, every probe column must be bound when its
@@ -35,11 +44,11 @@
 //! compile time instead of silently dropping derivations.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 use pcs_constraints::{Atom, CmpOp, Conjunction, LinearExpr, Rational, Rel, Var};
-use pcs_lang::{Literal, Program, Rule, Term};
+use pcs_lang::{Literal, Pred, Program, Rule, Term};
 
 use crate::relation::Window;
 use crate::value::Value;
@@ -79,6 +88,36 @@ pub struct PlanStep {
 /// A register of a task's frame: the dense number the slot compiler gives a
 /// rule variable (see [`JoinPlan::slots`]).
 pub type Slot = usize;
+
+/// A set of the copies a plan derives for: bit `c` stands for
+/// [`JoinPlan::copies`]`[c]`.
+pub type CopyMask = u64;
+
+/// The most rules one copy group holds: one bit of a [`CopyMask`] each.
+const MAX_COPIES: usize = CopyMask::BITS as usize;
+
+/// The mask of the first `count` copies.
+fn first_copies(count: usize) -> CopyMask {
+    CopyMask::MAX >> (MAX_COPIES - count)
+}
+
+/// One of the rules a [`JoinPlan`] derives for.  A copy group's rules share
+/// their head and body literals, so the plan joins once for all of them; a
+/// derivation that leaves the ground path continues for each live copy
+/// alone, with exactly this copy's atoms in its residual.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanCopy {
+    /// Rule index in the flattened program.
+    pub rule: usize,
+    /// The rule's label, or `#n` for an unlabeled rule (its 1-based index).
+    pub name: String,
+    /// The rule's own constraint atoms, as indices into
+    /// [`JoinPlan::atoms`], in the order the rule lists them.
+    pub atoms: Vec<usize>,
+    /// Whether a derivation of this copy over ground facts ends ground: its
+    /// atoms are all scheduled and every head variable is bound.
+    pub ground_finish: bool,
+}
 
 /// A linear expression over frame slots, `Σ coeff·slot + constant`: the
 /// compile-time image of a [`LinearExpr`] over rule variables.
@@ -134,6 +173,9 @@ pub enum AtomOp {
         expr: SlotExpr,
         /// Its relation against zero.
         rel: Rel,
+        /// The copies that list the atom: a failed check ends the derivation
+        /// for these copies only.
+        copies: CopyMask,
     },
     /// An equality with exactly one unbound slot: `slot := value`, the
     /// compile-time image of [`Atom::as_ground_binding`].
@@ -162,6 +204,8 @@ pub struct PlanAtom {
     /// The stage that discharges it; `None` if some variable of it is never
     /// bound, so it stays symbolic until the derivation's residual check.
     pub due: Option<usize>,
+    /// The copies that list the atom (every copy, outside a copy group).
+    pub copies: CopyMask,
 }
 
 /// The ops that run when one literal is matched, or — with no arguments —
@@ -263,11 +307,14 @@ impl PlanShape {
     }
 }
 
-/// One compiled join of a rule body.
+/// One compiled join of a rule body, shared by the rules of its copy group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinPlan {
-    /// Rule index in the flattened program.
+    /// Rule index in the flattened program: the first of [`Self::copies`].
     pub rule: usize,
+    /// The rules the plan derives for, in program order: one, or the
+    /// members of a copy group.
+    pub copies: Vec<PlanCopy>,
     /// What the plan joins (seed bindings, skipped literal, windows).
     pub shape: PlanShape,
     /// The join steps, in execution order; a [`PlanShape::Round`] plan's
@@ -286,14 +333,15 @@ pub struct JoinPlan {
     /// ground from the start wait for the first step, so step 0 probes only
     /// on constants.
     pub entry: Option<Stage>,
-    /// Every constraint atom the plan evaluates — the rule's own, then one
-    /// per expression argument — each scheduled at most once.
+    /// Every constraint atom the plan evaluates — the copies' own (each
+    /// distinct atom once), then one per expression argument — each
+    /// scheduled at most once.
     pub atoms: Vec<PlanAtom>,
     /// The compiled head, one op per argument (empty for a query).
     pub head: Vec<HeadOp>,
-    /// Whether a derivation over ground facts ends ground: every atom is
-    /// scheduled and every head variable is bound, so the head is emitted as
-    /// a plain row and no symbolic residual is ever built.
+    /// Whether a derivation over ground facts ends ground for every copy:
+    /// every atom is scheduled and every head variable is bound, so the head
+    /// is emitted as one plain row and no symbolic residual is ever built.
     pub ground_finish: bool,
 }
 
@@ -327,9 +375,13 @@ pub struct PlanFinding {
 ///
 /// The round plans — the ones [`Self::plan`], [`Self::planned_rules`],
 /// [`Self::plans_for`] and `.explain` enumerate — are keyed by
-/// (rule, delta-position); the DRed plans of each rule live beside them.
+/// (rule, delta-position); the DRed plans of each rule live beside them.  The
+/// rules of a copy group share one set of plans, keyed by the group's first
+/// rule (its *leader*); every lookup accepts any member.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramPlans {
+    /// Per rule, the leader of its copy group (itself when it has none).
+    leaders: Vec<usize>,
     plans: BTreeMap<(usize, usize), JoinPlan>,
     /// Over-deletion plans, keyed by (rule, consumed body position).
     overdelete: BTreeMap<(usize, usize), JoinPlan>,
@@ -344,39 +396,55 @@ pub struct ProgramPlans {
 }
 
 impl ProgramPlans {
-    /// Compiles every join plan of a *flattened* program — per rule with a
-    /// body, one round plan per delta position, one over-deletion plan per
-    /// consumed position, and the pinned and full re-derivation plans.
-    /// Every plan is validated before it is returned; a validation failure
-    /// is a planner bug and panics.  Findings are reported for the round
-    /// plans only: they are where evaluation spends its time, and the DRed
-    /// plans join the same literals.
+    /// Compiles every join plan of a *flattened* program — per copy group
+    /// of rules with a body (see `copy_groups`), one round plan per delta
+    /// position, one over-deletion plan per consumed position, and the
+    /// pinned and full re-derivation plans.  Every plan is validated before
+    /// it is returned; a validation failure is a planner bug and panics.
+    /// Findings are reported for the round plans only, once per member
+    /// rule: they are where evaluation spends its time, and the DRed plans
+    /// join the same literals.
     pub fn compile(program: &Program) -> ProgramPlans {
-        let mut compiled = ProgramPlans::default();
+        let rules = program.rules();
+        let mut compiled = ProgramPlans {
+            leaders: (0..rules.len()).collect(),
+            ..ProgramPlans::default()
+        };
         let mut reported: BTreeSet<(usize, usize, PlanFindingKind)> = BTreeSet::new();
-        for (rule_index, rule) in program.rules().iter().enumerate() {
+        for group in copy_groups(rules) {
+            let members: Vec<(usize, &Rule)> = group.iter().map(|&i| (i, &rules[i])).collect();
+            let (leader, rule) = members[0];
+            for &(member, _) in &members {
+                compiled.leaders[member] = leader;
+            }
             if rule.body.is_empty() {
                 // Not a join, so not counted among the compiled join plans.
-                let plan = compile_slots(rule_index, PlanShape::Full, Vec::new(), true, rule);
-                compiled.facts.insert(rule_index, plan);
+                let plan = compile_slots(&members, PlanShape::Full, Vec::new(), true);
+                compiled.facts.insert(leader, plan);
                 continue;
             }
-            let compile = |shape| compile_plan(rule, rule_index, shape);
+            let compile = |shape| compile_plan(&members, shape);
             for position in 0..rule.body.len() {
                 let plan = compile(PlanShape::Round {
                     delta_pos: position,
                 });
-                report_findings(rule, &plan, &mut compiled.findings, &mut reported);
-                compiled.plans.insert((rule_index, position), plan);
+                for &(member, member_rule) in &members {
+                    report_findings(
+                        member,
+                        member_rule,
+                        &plan,
+                        &mut compiled.findings,
+                        &mut reported,
+                    );
+                }
+                compiled.plans.insert((leader, position), plan);
                 compiled.overdelete.insert(
-                    (rule_index, position),
+                    (leader, position),
                     compile(PlanShape::Overdelete { consumed: position }),
                 );
             }
-            compiled
-                .pinned
-                .insert(rule_index, compile(PlanShape::Pinned));
-            compiled.full.insert(rule_index, compile(PlanShape::Full));
+            compiled.pinned.insert(leader, compile(PlanShape::Pinned));
+            compiled.full.insert(leader, compile(PlanShape::Full));
         }
         compiled
             .findings
@@ -389,13 +457,20 @@ impl ProgramPlans {
         compiled
     }
 
+    /// The first rule of `rule`'s copy group, which keys the group's plans
+    /// and runs them in its place; `rule` itself when it has no copies.
+    pub(crate) fn leader(&self, rule: usize) -> usize {
+        self.leaders.get(rule).copied().unwrap_or(rule)
+    }
+
     /// The round plan compiled for a (rule, delta-position) pair, if the
     /// rule has a body.
     pub fn plan(&self, rule: usize, delta_pos: usize) -> Option<&JoinPlan> {
-        self.plans.get(&(rule, delta_pos))
+        self.plans.get(&(self.leader(rule), delta_pos))
     }
 
-    /// The rule indices that have at least one round plan, in order.
+    /// The rule indices that have at least one round plan, in order: one
+    /// per copy group, its leader.
     pub fn planned_rules(&self) -> Vec<usize> {
         let mut rules: Vec<usize> = self.plans.keys().map(|&(rule, _)| rule).collect();
         rules.dedup();
@@ -404,6 +479,7 @@ impl ProgramPlans {
 
     /// All round plans of one rule, by delta position.
     pub fn plans_for(&self, rule: usize) -> Vec<&JoinPlan> {
+        let rule = self.leader(rule);
         self.plans
             .range((rule, 0)..(rule + 1, 0))
             .map(|(_, plan)| plan)
@@ -413,17 +489,17 @@ impl ProgramPlans {
     /// The [`PlanShape::Overdelete`] plan of a rule for a deleted fact
     /// consumed at body position `consumed`.
     pub fn overdelete_plan(&self, rule: usize, consumed: usize) -> Option<&JoinPlan> {
-        self.overdelete.get(&(rule, consumed))
+        self.overdelete.get(&(self.leader(rule), consumed))
     }
 
     /// The [`PlanShape::Pinned`] plan of a rule, if the rule has a body.
     pub fn pinned_plan(&self, rule: usize) -> Option<&JoinPlan> {
-        self.pinned.get(&rule)
+        self.pinned.get(&self.leader(rule))
     }
 
     /// The [`PlanShape::Full`] plan of a rule, if the rule has a body.
     pub fn full_plan(&self, rule: usize) -> Option<&JoinPlan> {
-        self.full.get(&rule)
+        self.full.get(&self.leader(rule))
     }
 
     /// The step-less plan of a body-less rule: nothing to join, only the
@@ -453,14 +529,97 @@ pub fn compile_plans(program: &Program, _hints: &RetiredHints) -> ProgramPlans {
     ProgramPlans::compile(program)
 }
 
-/// Compiles and validates the plan of one rule body for one shape.
-fn compile_plan(rule: &Rule, rule_index: usize, shape: PlanShape) -> JoinPlan {
+/// Compiles and validates the plan of one copy group's body for one shape.
+/// The members share their body, and their private atoms pin no variable,
+/// so the first member's order is every member's.
+fn compile_plan(group: &[(usize, &Rule)], shape: PlanShape) -> JoinPlan {
+    let rule = group[0].1;
     let steps = order_steps(rule, shape.seed(rule), shape.skip(), &|literal| {
         shape.window_of(literal)
     });
-    let plan = compile_slots(rule_index, shape, steps, false, rule);
+    let plan = compile_slots(group, shape, steps, false);
     plan.validate(rule);
     plan
+}
+
+/// Partitions the rules of a flattened program into copy groups, in program
+/// order: a rule with a body joins the group most recently started for its
+/// head predicate when [`admits`] lets it, and otherwise starts one.  So a
+/// group's members follow each other among the rules of their head
+/// predicate, and running the group at its first member's place absorbs
+/// what each member derives in the order the members would.  Body-less
+/// rules stay alone.
+fn copy_groups(rules: &[Rule]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut open: HashMap<&Pred, usize> = HashMap::new();
+    for (index, rule) in rules.iter().enumerate() {
+        if let Some(&group) = open.get(&rule.head.predicate) {
+            if admits(rules, &groups[group], rule) {
+                groups[group].push(index);
+                continue;
+            }
+        }
+        open.insert(&rule.head.predicate, groups.len());
+        groups.push(vec![index]);
+    }
+    groups
+}
+
+/// Whether `rule` can join `group`: it has a body, the group has room, its
+/// head and body literals are the group's, and with it in the group every
+/// member's private atoms (those not all members list) are inequalities.
+/// An equality could pin a variable or define one, which would change the
+/// member's step order or slot program.
+fn admits(rules: &[Rule], group: &[usize], rule: &Rule) -> bool {
+    let leader = &rules[group[0]];
+    if rule.body.is_empty()
+        || group.len() == MAX_COPIES
+        || leader.head != rule.head
+        || leader.body != rule.body
+    {
+        return false;
+    }
+    let members: Vec<&Rule> = group.iter().map(|&i| &rules[i]).chain([rule]).collect();
+    let common = |atom: &Atom| {
+        members
+            .iter()
+            .all(|member| member.constraint.atoms().contains(atom))
+    };
+    members.iter().all(|member| {
+        member
+            .constraint
+            .atoms()
+            .iter()
+            .all(|atom| atom.rel() != Rel::Eq || common(atom))
+    })
+}
+
+/// The atom table of a copy group: each distinct constraint atom of its
+/// members once, in first-seen order, with the mask of the members that
+/// list it — plus, per member, its own atoms as indices into the table.
+fn atom_table<'r>(group: &[(usize, &'r Rule)]) -> (Vec<(&'r Atom, CopyMask)>, Vec<Vec<usize>>) {
+    let mut table: Vec<(&Atom, CopyMask)> = Vec::new();
+    let mut own = Vec::with_capacity(group.len());
+    for (copy, (_, rule)) in group.iter().enumerate() {
+        let indices = rule
+            .constraint
+            .atoms()
+            .iter()
+            .map(|atom| {
+                let index = table
+                    .iter()
+                    .position(|(seen, _)| *seen == atom)
+                    .unwrap_or_else(|| {
+                        table.push((atom, 0));
+                        table.len() - 1
+                    });
+                table[index].1 |= 1 << copy;
+                index
+            })
+            .collect();
+        own.push(indices);
+    }
+    (table, own)
 }
 
 /// The one greedy join ordering: starting from the `seed` frontier (plus the
@@ -528,6 +687,7 @@ fn order_steps(
 /// unbounded scan (it does, yet no column of it is bound).  Each (rule, literal, kind) is reported once, for the
 /// first delta position that exhibits it.
 fn report_findings(
+    rule_index: usize,
     rule: &Rule,
     plan: &JoinPlan,
     findings: &mut Vec<PlanFinding>,
@@ -551,7 +711,7 @@ fn report_findings(
             } else {
                 PlanFindingKind::CrossProductJoin
             };
-            if reported.insert((plan.rule, step.literal, kind)) {
+            if reported.insert((rule_index, step.literal, kind)) {
                 let (at, delta) = (step.literal + 1, delta_pos + 1);
                 let message = match kind {
                     PlanFindingKind::CrossProductJoin => format!(
@@ -564,7 +724,7 @@ fn report_findings(
                     ),
                 };
                 findings.push(PlanFinding {
-                    rule: plan.rule,
+                    rule: rule_index,
                     literal: step.literal,
                     kind,
                     message,
@@ -618,28 +778,34 @@ fn term_statically_bound(term: &Term, frontier: &BTreeSet<Var>) -> bool {
     }
 }
 
-/// Compiles an ordered rule plan down to register slots (see
-/// [`SlotCompiler`]).  The entry stage matches the shape's seed literal, if
-/// it has one; `resolve_up_front` gives a seedless plan an entry stage that
-/// resolves the atoms ground from the start (body-less rules).
+/// Compiles an ordered plan of a copy group (one rule, outside a group)
+/// down to register slots (see [`SlotCompiler`]).  The entry stage matches
+/// the shape's seed literal, if it has one; `resolve_up_front` gives a
+/// seedless plan an entry stage that resolves the atoms ground from the
+/// start (body-less rules).
 fn compile_slots(
-    rule_index: usize,
+    group: &[(usize, &Rule)],
     shape: PlanShape,
     steps: Vec<PlanStep>,
     resolve_up_front: bool,
-    rule: &Rule,
 ) -> JoinPlan {
-    let mut compiler = SlotCompiler::new(&rule.constraint);
+    let rule = group[0].1;
+    let (atoms, own) = atom_table(group);
+    let mut compiler = SlotCompiler::new(&atoms, first_copies(group.len()));
     let seed = shape.seed_literal(rule);
     let entry = (seed.is_some() || resolve_up_front).then(|| compiler.stage(0, seed));
-    compiler.finish(
-        rule_index,
-        shape,
-        steps,
-        entry,
-        &rule.body,
-        Some(&rule.head),
-    )
+    let copies = group
+        .iter()
+        .zip(own)
+        .map(|(&(index, member), atoms)| {
+            let name = member
+                .label
+                .clone()
+                .unwrap_or_else(|| format!("#{}", index + 1));
+            (index, name, atoms)
+        })
+        .collect();
+    compiler.finish(shape, steps, entry, &rule.body, Some(&rule.head), copies)
 }
 
 /// Compiles the one-literal plan of a query `?- L, C`: an entry stage that
@@ -647,7 +813,8 @@ fn compile_slots(
 /// probes for 5), then one step over the literal, probing the first argument
 /// the entry stage determines.
 pub(crate) fn compile_query(literal: &Literal, constraint: &Conjunction) -> JoinPlan {
-    let mut compiler = SlotCompiler::new(constraint);
+    let atoms: Vec<(&Atom, CopyMask)> = constraint.atoms().iter().map(|atom| (atom, 1)).collect();
+    let mut compiler = SlotCompiler::new(&atoms, 1);
     let entry = compiler.stage(0, None);
     let bound: Vec<bool> = literal
         .args
@@ -664,12 +831,12 @@ pub(crate) fn compile_query(literal: &Literal, constraint: &Conjunction) -> Join
         atoms: Vec::new(),
     };
     compiler.finish(
-        0,
         PlanShape::Full,
         vec![step],
         Some(entry),
         std::slice::from_ref(literal),
         None,
+        vec![(0, "query".to_string(), (0..atoms.len()).collect())],
     )
 }
 
@@ -680,25 +847,32 @@ pub(crate) fn compile_query(literal: &Literal, constraint: &Conjunction) -> Join
 /// bound — so that execution over ground facts is register moves and plain
 /// rational arithmetic, with no names, maps or symbolic substitution.
 struct SlotCompiler {
+    /// The mask of every copy the plan derives for.
+    all: CopyMask,
     /// Slot → variable.
     slots: Vec<Var>,
     /// Per slot: bound by a stage compiled so far.
     bound: Vec<bool>,
     /// Per slot: occurs in arithmetic seen so far, so only a number fits.
+    /// Only an atom of every copy counts: a symbol bound where one copy's
+    /// private check reads it fails that check, and ends that copy alone.
     numeric: Vec<bool>,
     atoms: Vec<PlanAtom>,
 }
 
 impl SlotCompiler {
-    fn new(constraint: &Conjunction) -> Self {
+    /// A compiler over the constraint atoms of a plan's copies, each with
+    /// the mask of the copies that list it; `all` masks every copy.
+    fn new(atoms: &[(&Atom, CopyMask)], all: CopyMask) -> Self {
         let mut compiler = SlotCompiler {
+            all,
             slots: Vec::new(),
             bound: Vec::new(),
             numeric: Vec::new(),
             atoms: Vec::new(),
         };
-        for atom in constraint.atoms() {
-            compiler.push_atom(atom, None);
+        for &(atom, copies) in atoms {
+            compiler.push_atom(atom, None, copies);
         }
         compiler
     }
@@ -714,13 +888,14 @@ impl SlotCompiler {
         self.slots.len() - 1
     }
 
-    /// `expr` over slots; its variables occur in arithmetic from here on.
-    fn slot_expr(&mut self, expr: &LinearExpr) -> SlotExpr {
+    /// `expr` over slots; when `numeric`, its variables occur in arithmetic
+    /// from here on.
+    fn slot_expr(&mut self, expr: &LinearExpr, numeric: bool) -> SlotExpr {
         let terms = expr
             .terms()
             .map(|(var, coeff)| {
                 let slot = self.slot(var);
-                self.numeric[slot] = true;
+                self.numeric[slot] |= numeric;
                 (slot, *coeff)
             })
             .collect();
@@ -730,13 +905,14 @@ impl SlotCompiler {
         }
     }
 
-    fn push_atom(&mut self, atom: &Atom, origin: Option<usize>) {
-        let expr = self.slot_expr(atom.expr());
+    fn push_atom(&mut self, atom: &Atom, origin: Option<usize>, copies: CopyMask) {
+        let expr = self.slot_expr(atom.expr(), copies == self.all);
         self.atoms.push(PlanAtom {
             expr,
             rel: atom.rel(),
             origin,
             due: None,
+            copies,
         });
     }
 
@@ -770,7 +946,7 @@ impl SlotCompiler {
                 // already treats X as arithmetic.
                 let equality =
                     Atom::compare(e.clone(), CmpOp::Eq, LinearExpr::var(column(position)));
-                self.push_atom(&equality, Some(index));
+                self.push_atom(&equality, Some(index), self.all);
             }
         }
         let mut args = Vec::with_capacity(terms.len());
@@ -791,7 +967,7 @@ impl SlotCompiler {
                     }
                 }
                 Term::Expr(e) => {
-                    let expr = self.slot_expr(e);
+                    let expr = self.slot_expr(e, true);
                     let column = self.slot(&column(position));
                     self.bound[column] = true;
                     ArgOp::Expr { column, expr }
@@ -825,8 +1001,10 @@ impl SlotCompiler {
                         atom,
                         expr: pending.expr.clone(),
                         rel: pending.rel,
+                        copies: pending.copies,
                     }),
                     (Some(&(slot, coeff)), None) if pending.rel == Rel::Eq => {
+                        debug_assert_eq!(pending.copies, self.all, "only a shared atom defines");
                         // coeff·slot + rest = 0  =>  slot = -rest / coeff
                         let factor = -(Rational::ONE / coeff);
                         let value = SlotExpr {
@@ -853,15 +1031,17 @@ impl SlotCompiler {
         }
     }
 
-    /// Compiles the steps in order and the head, and assembles the plan.
+    /// Compiles the steps in order and the head, and assembles the plan for
+    /// `copies`: per copy, its rule index, name and atoms (as table
+    /// indices).
     fn finish(
         mut self,
-        rule: usize,
         shape: PlanShape,
         mut steps: Vec<PlanStep>,
         entry: Option<Stage>,
         body: &[Literal],
         head: Option<&Literal>,
+        copies: Vec<(usize, String, Vec<usize>)>,
     ) -> JoinPlan {
         for (index, step) in steps.iter_mut().enumerate() {
             let stage = self.stage(index + 1, Some(&body[step.literal]));
@@ -872,35 +1052,56 @@ impl SlotCompiler {
             entry.is_some() || !steps.is_empty(),
             "a plan without steps resolves its atoms at entry"
         );
-        let mut ground_finish = self.atoms.iter().all(|atom| atom.due.is_some());
+        let mut head_bound = true;
         let head = head.map_or(Vec::new(), |head| {
             head.args
                 .iter()
                 .map(|term| {
-                    ground_finish &= self.term_bound(term);
+                    head_bound &= self.term_bound(term);
                     match term {
                         Term::Sym(s) => HeadOp::Const(Value::Sym(*s)),
                         Term::Num(n) => HeadOp::Const(Value::num(*n)),
                         Term::Var(v) => HeadOp::Slot(self.slot(v)),
-                        Term::Expr(e) => HeadOp::Expr(self.slot_expr(e)),
+                        Term::Expr(e) => HeadOp::Expr(self.slot_expr(e, true)),
                     }
                 })
                 .collect()
         });
+        let atoms = self.atoms;
+        let due = |index: &usize| atoms[*index].due.is_some();
+        // Expression-argument equalities belong to every copy.
+        let arguments_due = atoms
+            .iter()
+            .all(|atom| atom.origin.is_none() || atom.due.is_some());
+        let copies: Vec<PlanCopy> = copies
+            .into_iter()
+            .map(|(rule, name, own)| PlanCopy {
+                rule,
+                name,
+                ground_finish: head_bound && arguments_due && own.iter().all(due),
+                atoms: own,
+            })
+            .collect();
         JoinPlan {
-            rule,
+            rule: copies[0].rule,
+            ground_finish: copies.iter().all(|copy| copy.ground_finish),
+            copies,
             shape,
             steps,
             slots: self.slots,
             entry,
-            atoms: self.atoms,
+            atoms,
             head,
-            ground_finish,
         }
     }
 }
 
 impl JoinPlan {
+    /// The mask of every copy the plan derives for.
+    pub fn all_copies(&self) -> CopyMask {
+        first_copies(self.copies.len())
+    }
+
     /// The slot holding `var`, if the plan's rule mentions it.
     pub fn slot_of(&self, var: &Var) -> Option<Slot> {
         self.slots.iter().position(|v| v == var)
@@ -1086,8 +1287,30 @@ impl JoinPlan {
         out
     }
 
+    /// The plan's rules as `.explain` names them: `r4`, or `r4 with copies
+    /// r4_2` for a copy group.
+    pub fn rules_label(&self) -> String {
+        let names = self.copy_names(self.all_copies());
+        match &names[1..] {
+            [] => names[0].to_string(),
+            others => format!("{} with copies {}", names[0], others.join(", ")),
+        }
+    }
+
+    /// The names of the copies in `mask`.
+    fn copy_names(&self, mask: CopyMask) -> Vec<&str> {
+        self.copies
+            .iter()
+            .enumerate()
+            .filter(|(copy, _)| mask >> copy & 1 == 1)
+            .map(|(_, copy)| copy.name.as_str())
+            .collect()
+    }
+
     /// The slot program of one stage as ` {bind X, Y; T := …; check …}`, or
-    /// nothing for a stage that binds and evaluates nothing.
+    /// nothing for a stage that binds and evaluates nothing.  A check only
+    /// some copies of a group list ends in their names: `check C <= 150
+    /// [r1_2 r2]`.
     fn render_ops(&self, stage: usize) -> String {
         let (args, atoms) = self.stage(stage);
         let linear = |expr: &SlotExpr| {
@@ -1116,8 +1339,15 @@ impl JoinPlan {
                 AtomOp::Define { slot, value, .. } => {
                     format!("{} := {}", self.slots[*slot], linear(value))
                 }
-                AtomOp::Check { expr, rel, .. } => {
-                    format!("check {}", Atom::new(linear(expr), *rel))
+                AtomOp::Check {
+                    expr, rel, copies, ..
+                } => {
+                    let check = format!("check {}", Atom::new(linear(expr), *rel));
+                    if *copies == self.all_copies() {
+                        check
+                    } else {
+                        format!("{check} [{}]", self.copy_names(*copies).join(" "))
+                    }
                 }
             });
         }
@@ -1142,21 +1372,22 @@ impl PlanFindingKind {
 /// Renders every plan of a program as indented, deterministic lines — the
 /// body of the shell's `.explain` command.  Rules are labeled like
 /// diagnostics (`r3`, or `#2` for unlabeled rules) with their source line
-/// when known.
+/// when known; a copy group is headed by its first member, which names the
+/// other members (`plan for rule r4 with copies r4_2: r4: …`).
 pub fn render_plans(program: &Program, plans: &ProgramPlans) -> Vec<String> {
     let mut lines = Vec::new();
     for rule_index in plans.planned_rules() {
         let rule = &program.rules()[rule_index];
-        let name = rule
-            .label
-            .clone()
-            .unwrap_or_else(|| format!("#{}", rule_index + 1));
+        let round = plans.plans_for(rule_index);
         let position = rule
             .span
             .map(|span| format!(" (line {})", span.line))
             .unwrap_or_default();
-        lines.push(format!("plan for rule {name}{position}: {rule}"));
-        for plan in plans.plans_for(rule_index) {
+        lines.push(format!(
+            "plan for rule {}{position}: {rule}",
+            round[0].rules_label()
+        ));
+        for plan in round {
             lines.push(format!("  {}", plan.render(rule)));
         }
     }
@@ -1581,6 +1812,57 @@ mod tests {
         // Round and full plans start from an empty frame.
         assert!(plans.plan(0, 0).unwrap().entry.is_none());
         assert!(plans.full_plan(0).unwrap().entry.is_none());
+    }
+
+    #[test]
+    fn rules_sharing_head_and_body_compile_to_one_tagged_plan() {
+        let program = parse_program(
+            "r4: f(S, D, T) :- f(S, Z, T1), f(Z, D, T2), T = T1 + T2, T <= 240.\n\
+             r4_2: f(S, D, T) :- f(S, Z, T1), f(Z, D, T2), T = T1 + T2, T1 <= 150.\n\
+             r5: f(S, D, T) :- f(S, Z, T1), f(Z, D, T2), T = T1 + T2, T2 = 7.\n\
+             r6: f(S, D, T) :- e(S, D, T).\n\
+             r7: f(S, D, T) :- f(S, Z, T1), f(Z, D, T2), T = T1 + T2.",
+        )
+        .unwrap()
+        .flattened();
+        let plans = ProgramPlans::compile(&program);
+        // r5's private equality could pin T2, so it keeps its own plans; r7
+        // would fit r4's group, but r6 derives `f` in between.
+        assert_eq!(plans.planned_rules(), vec![0, 2, 3, 4]);
+        assert_eq!(plans.leader(1), 0);
+        let group = plans.plan(1, 0).unwrap();
+        assert_eq!(group, plans.plan(0, 0).unwrap());
+        let rules: Vec<usize> = group.copies.iter().map(|copy| copy.rule).collect();
+        assert_eq!(rules, vec![0, 1]);
+        assert_eq!(group.rules_label(), "r4 with copies r4_2");
+        // The shared atoms run untagged at the step they always ran at; each
+        // private inequality is a check tagged with its copy.
+        assert_eq!(
+            slot_program(group),
+            vec![
+                "",
+                " {bind S, Z, T1; check T1 <= 150 [r4_2]}",
+                " {bind D, T2; T := T1 + T2; check T <= 240 [r4]}"
+            ]
+        );
+        // Each copy lists its own atoms, in its own order: the shared sum
+        // (listed by both copies, mask 0b11), then its private bound.
+        let own = |copy: usize| -> Vec<CopyMask> {
+            group.copies[copy]
+                .atoms
+                .iter()
+                .map(|&atom| group.atoms[atom].copies)
+                .collect()
+        };
+        assert_eq!(own(0), vec![0b11, 0b01]);
+        assert_eq!(own(1), vec![0b11, 0b10]);
+        // A rule without copies has a plan of its own, headed as ever.
+        assert_eq!(plans.plan(2, 0).unwrap().copies.len(), 1);
+        let lines = render_plans(&program, &plans);
+        assert!(lines[0].starts_with("plan for rule r4 with copies r4_2 (line 1): r4: "));
+        assert!(lines
+            .iter()
+            .any(|l| l.starts_with("plan for rule r5 (line 3): r5: ")));
     }
 
     /// Asserts `plan.validate(rule)` panics with a message containing
