@@ -105,7 +105,8 @@ fn lint_file(file: &str, strict: bool, quiet: bool, explain: bool) -> u8 {
 /// Prints the compiled join plan of every (rule × delta-position) body of
 /// the *source* program (whose rules carry parser spans), one line per plan —
 /// the CLI counterpart of the shell's `.explain`.  A copy group's plans are
-/// printed once, at its first rule, naming the others.
+/// printed once, at its first rule, naming the others.  One `admit` line per
+/// EDB predicate with an admission check follows.
 fn print_plans(file: &str, program: &pcs_lang::Program) {
     let flat = program.flattened();
     let plans = ProgramPlans::compile(&flat);
@@ -118,6 +119,9 @@ fn print_plans(file: &str, program: &pcs_lang::Program) {
             let name = plan.rules_label();
             println!("{file}:{position}: plan {name} {}", plan.render(rule));
         }
+    }
+    for (pred, admission) in plans.admissions() {
+        println!("{file}: {}", admission.render(pred));
     }
 }
 

@@ -35,19 +35,23 @@ use crate::plan::ProgramPlans;
 use crate::relation::{Relation, Window};
 use crate::stats::{EvalStats, IterationStats};
 
+mod admission;
 mod answers;
 mod dred;
 mod matching;
 mod options;
 mod round;
 
+use admission::Admitter;
 pub use options::EvalOptions;
 use round::{delta_candidates, run_and_absorb, EvalTotals, RoundTask, TaskKind};
 
 /// The result of a bottom-up evaluation.
 #[derive(Debug)]
 pub struct EvalResult {
-    /// The computed relations, per predicate (EDB relations included).
+    /// The computed relations, per predicate.  An EDB predicate's relation
+    /// holds only the base facts its admission check lets in
+    /// ([`crate::plan::Admission`]): the ones some rule body can read.
     pub relations: BTreeMap<Pred, Relation>,
     /// Evaluation statistics.
     pub stats: EvalStats,
@@ -141,17 +145,17 @@ impl Evaluator {
         self.run_fixpoint(Start::Scratch(db), 0)
     }
 
-    /// Seeds one relation per program/EDB predicate with the database facts.
+    /// Seeds one relation per program/EDB predicate with the database facts
+    /// their admission checks let in.
     fn seed_relations(&self, db: &Database) -> BTreeMap<Pred, Relation> {
         let mut relations: BTreeMap<Pred, Relation> = BTreeMap::new();
         for pred in self.program.all_predicates() {
             relations.entry(pred).or_default();
         }
+        let mut admitter = Admitter::new(&self.plans);
         for pred in db.predicates() {
             let relation = relations.entry(pred.clone()).or_default();
-            for fact in db.facts_for(pred) {
-                relation.insert_ref(fact);
-            }
+            admitter.insert_admitted(pred, relation, db.facts_for(pred));
         }
         relations
     }

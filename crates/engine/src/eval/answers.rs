@@ -1,12 +1,15 @@
-//! Query answering over a computed [`EvalResult`]: a query is a rule body
-//! without a head, so it is compiled and matched like one.
+//! Query answering over a computed [`EvalResult`] or a [`Database`]'s base
+//! facts: a query is a rule body without a head, so it is compiled and
+//! matched like one.
 
-use pcs_lang::Query;
+use pcs_lang::{Literal, Pred, Query};
 
 use super::matching::Frame;
 use super::EvalResult;
+use crate::database::Database;
 use crate::fact::Fact;
 use crate::plan::compile_query;
+use crate::relation::Relation;
 
 impl EvalResult {
     /// The answers to a query: the stored facts of the query literal's
@@ -15,11 +18,14 @@ impl EvalResult {
     /// expression arguments (`?- q(X + 1)`), and satisfiable together with
     /// the side constraints (`?- q(X, Y), X <= 3`) — in insertion order.
     ///
-    /// This is the single query entry point.  The query is expected to have
-    /// exactly one literal (the shape [`pcs_lang::parse_query`] produces for
-    /// interactive queries; multi-literal queries are rewritten to a single
-    /// query predicate before evaluation); extra literals are ignored, and a
-    /// query with no literals has no answers.
+    /// This is the single query entry point over a materialization.  The
+    /// query is expected to have exactly one literal (the shape
+    /// [`pcs_lang::parse_query`] produces for interactive queries;
+    /// multi-literal queries are rewritten to a single query predicate
+    /// before evaluation); extra literals are ignored, and a query with no
+    /// literals has no answers.  An EDB predicate's relation holds only the
+    /// base facts some rule body can read; [`Database::answers`] reads them
+    /// all.
     ///
     /// Every stored fact is read, whatever the relation's stable/delta/
     /// pending partition: candidates come from the index on the first
@@ -28,38 +34,66 @@ impl EvalResult {
         let Some(literal) = query.literals.first() else {
             return Vec::new();
         };
-        let Some(relation) = self.relations.get(&literal.predicate) else {
+        match self.relations.get(&literal.predicate) {
+            Some(relation) => answers_in(relation, literal, query),
+            None => Vec::new(),
+        }
+    }
+}
+
+impl Database {
+    /// The base facts of `pred` in a relation, as an evaluation that
+    /// admitted every one of them would store them: in database order,
+    /// without the facts an earlier one subsumes.
+    pub fn relation(&self, pred: &Pred) -> Relation {
+        let mut relation = Relation::new();
+        for fact in self.facts_for(pred) {
+            relation.insert_ref(fact);
+        }
+        relation
+    }
+
+    /// [`EvalResult::answers`] over every base fact of the query literal's
+    /// predicate ([`Self::relation`]), admitted or not.
+    pub fn answers(&self, query: &Query) -> Vec<Fact> {
+        let Some(literal) = query.literals.first() else {
             return Vec::new();
         };
-        let plan = compile_query(literal, &query.constraint);
-        let mut frame = Frame::new(&plan);
-        // Resolved up front, so that `?- q(X), X = 5` probes for 5.
-        if !frame.enter(&plan) {
-            return Vec::new();
-        }
-        let step = &plan.steps[0];
-        let probe = step
-            .probe
-            .and_then(|pos| frame.key(&step.args[pos]).map(|value| (pos, value)));
-        let probe_ref = probe.as_ref().map(|(pos, value)| (*pos, value));
-        let mut candidates: Vec<usize> = relation
-            .candidates(0..relation.slot_count(), probe_ref)
-            .collect();
-        // A probe yields exact matches before the constraint-fact tail;
-        // answers come back in insertion order.
-        candidates.sort_unstable();
-        candidates
-            .into_iter()
-            .filter(|&index| {
-                let mark = frame.mark();
-                let matched = frame.match_literal(&plan, 1, literal, relation.fact_ref(index))
-                    && frame.is_consistent(&plan);
-                frame.undo(mark);
-                matched
-            })
-            .map(|index| relation.fact_at(index))
-            .collect()
+        answers_in(&self.relation(&literal.predicate), literal, query)
     }
+}
+
+/// The facts of `relation` that `literal` under `query`'s side constraints
+/// matches, in insertion order.
+fn answers_in(relation: &Relation, literal: &Literal, query: &Query) -> Vec<Fact> {
+    let plan = compile_query(literal, &query.constraint);
+    let mut frame = Frame::new(&plan);
+    // Resolved up front, so that `?- q(X), X = 5` probes for 5.
+    if !frame.enter(&plan) {
+        return Vec::new();
+    }
+    let step = &plan.steps[0];
+    let probe = step
+        .probe
+        .and_then(|pos| frame.key(&step.args[pos]).map(|value| (pos, value)));
+    let probe_ref = probe.as_ref().map(|(pos, value)| (*pos, value));
+    let mut candidates: Vec<usize> = relation
+        .candidates(0..relation.slot_count(), probe_ref)
+        .collect();
+    // A probe yields exact matches before the constraint-fact tail;
+    // answers come back in insertion order.
+    candidates.sort_unstable();
+    candidates
+        .into_iter()
+        .filter(|&index| {
+            let mark = frame.mark();
+            let matched = frame.match_literal(&plan, 1, literal, relation.fact_ref(index))
+                && frame.is_consistent(&plan);
+            frame.undo(mark);
+            matched
+        })
+        .map(|index| relation.fact_at(index))
+        .collect()
 }
 
 #[cfg(test)]

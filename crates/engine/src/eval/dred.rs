@@ -8,6 +8,7 @@ use pcs_telemetry as telemetry;
 
 use pcs_lang::Pred;
 
+use super::admission::Admitter;
 use super::matching::Derived;
 use super::round::{run_and_absorb, EvalTotals, Executor, RoundTask, TaskKind};
 use super::{EvalResult, Evaluator, Start};
@@ -207,7 +208,8 @@ impl Evaluator {
         // read the sealed windows), they join the combined delta at the
         // phase-3 advance, so retracts and inserts share one resumed
         // fixpoint.
-        for fact in inserts {
+        let mut admitter = Admitter::new(&self.plans);
+        for fact in inserts.into_iter().filter(|fact| admitter.admits(fact)) {
             relations
                 .entry(fact.predicate().clone())
                 .or_default()
@@ -230,16 +232,13 @@ impl Evaluator {
                 if lost.iter().any(|fact| !fact.is_ground()) {
                     // A proper constraint fact can have hidden any base fact
                     // inside its denotation.
-                    for fact in edb {
-                        relation.insert_ref(fact);
-                    }
+                    admitter.insert_admitted(pred, relation, edb);
                 } else {
                     // A ground fact hides exactly its own duplicates.
-                    for fact in lost {
-                        if edb.iter().any(|stored| stored.equivalent(fact)) {
-                            relation.insert_ref(fact);
-                        }
-                    }
+                    let hidden = lost
+                        .iter()
+                        .filter(|fact| edb.iter().any(|stored| stored.equivalent(fact)));
+                    admitter.insert_admitted(pred, relation, hidden);
                 }
             }
             let mut tasks: Vec<RoundTask<'_>> = Vec::new();

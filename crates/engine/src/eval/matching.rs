@@ -208,6 +208,22 @@ impl Frame {
         Some(Number::Rational(acc))
     }
 
+    /// [`Self::eval`] without a panic: `None` where the arithmetic
+    /// overflows, else what `eval` returns.
+    fn try_eval(&self, expr: &SlotExpr) -> Option<Option<Number>> {
+        if let Some(sum) = self.eval_int(expr) {
+            return Some(sum.map(Number::Int));
+        }
+        let mut acc = expr.constant;
+        for &(slot, coeff) in &expr.terms {
+            let Some(value) = self.num(slot) else {
+                return Some(None);
+            };
+            acc = acc.checked_add(&coeff.checked_mul(&value)?)?;
+        }
+        Some(Some(Number::Rational(acc)))
+    }
+
     /// The integer path of [`Self::eval`]: `Some(None)` where a slot is empty
     /// or holds a symbol, `None` — evaluate over rationals — at the first
     /// term it cannot take, so that the rational path meets every term in
@@ -281,11 +297,62 @@ impl Frame {
         self.match_symbolic(plan, literal, fact)
     }
 
+    /// Whether the ground fact `values` passes the one-literal plan of an
+    /// admission check ([`crate::plan::Admission`]): its entry stage, then
+    /// its step.  Never panics: an atom whose arithmetic overflows admits
+    /// the fact, and leaves the overflow to the join that reads it.
+    pub(super) fn admits<'v>(
+        &mut self,
+        plan: &JoinPlan,
+        values: impl ExactSizeIterator<Item = &'v Value>,
+    ) -> bool {
+        let mark = self.mark();
+        let (args, atoms) = plan.stage(1);
+        let admitted = match self.try_run_atoms(plan.stage(0).1) {
+            Some(true) => self.match_args(args, values) && self.try_run_atoms(atoms) != Some(false),
+            outcome => outcome.is_none(),
+        };
+        self.undo(mark);
+        admitted
+    }
+
+    /// [`Self::run_atoms`] for a single-copy plan, without a panic: `None`
+    /// where an atom's arithmetic overflows.
+    fn try_run_atoms(&mut self, atoms: &[AtomOp]) -> Option<bool> {
+        for op in atoms {
+            match op {
+                AtomOp::Check { expr, rel, .. } => {
+                    if !self
+                        .try_eval(expr)?
+                        .is_some_and(|value| value.satisfies(*rel))
+                    {
+                        return Some(false);
+                    }
+                }
+                AtomOp::Define { slot, value, .. } => match self.try_eval(value)? {
+                    Some(value) => self.bind(*slot, value.into_value()),
+                    None => return Some(false),
+                },
+            }
+        }
+        Some(true)
+    }
+
     /// The slot program of one stage over a ground fact.
     fn match_ground<'v>(
         &mut self,
         args: &[ArgOp],
         atoms: &[AtomOp],
+        values: impl ExactSizeIterator<Item = &'v Value>,
+    ) -> bool {
+        self.match_args(args, values) && self.run_atoms(atoms)
+    }
+
+    /// The argument ops of one stage over a ground fact: compare or bind
+    /// each value.
+    fn match_args<'v>(
+        &mut self,
+        args: &[ArgOp],
         values: impl ExactSizeIterator<Item = &'v Value>,
     ) -> bool {
         if values.len() != args.len() {
@@ -304,7 +371,7 @@ impl Frame {
             }
             self.bind(slot, value.clone());
         }
-        self.run_atoms(atoms)
+        true
     }
 
     /// Evaluates the atoms scheduled at a stage; `false` once no copy is

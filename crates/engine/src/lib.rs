@@ -45,8 +45,8 @@ pub use limits::{EvalLimits, Termination};
 #[doc(hidden)]
 pub use plan::{compile_plans, RetiredHints};
 pub use plan::{
-    render_plans, ArgOp, AtomOp, HeadOp, JoinPlan, PlanAtom, PlanFinding, PlanFindingKind,
-    PlanStep, ProgramPlans, Slot, SlotExpr, Stage,
+    render_plans, Admission, ArgOp, AtomOp, HeadOp, JoinPlan, PlanAtom, PlanFinding,
+    PlanFindingKind, PlanStep, ProgramPlans, Slot, SlotExpr, Stage,
 };
 pub use relation::{FactRef, InsertOutcome, Relation, Window};
 pub use stats::{DerivationRecord, EvalStats, IterationStats};

@@ -35,6 +35,11 @@
 //! its own, so a group's step order is exactly each copy's own.  A program
 //! without copies compiles to one single-copy plan per rule and shape.
 //!
+//! Each EDB predicate (no rule defines it, the program query does not name
+//! it) whose every body occurrence filters its facts gets an [`Admission`]
+//! check: the one-literal query plan of each occurrence, run over a base
+//! fact before it may enter its relation.
+//!
 //! Every compiled plan is checked by [`JoinPlan::validate`] before it can be
 //! executed: the steps must cover the body exactly once with the window
 //! discipline of the plan's shape, every probe column must be bound when its
@@ -392,7 +397,49 @@ pub struct ProgramPlans {
     /// The step-less plans of the body-less rules (facts and constraint
     /// facts), keyed by rule: their atoms and compiled head.
     facts: BTreeMap<usize, JoinPlan>,
+    /// The admission checks of the EDB predicates that some rule body
+    /// filters at every occurrence.
+    admissions: BTreeMap<Pred, Admission>,
     findings: Vec<PlanFinding>,
+}
+
+/// Which base facts of an EDB predicate some rule body can read.
+///
+/// One plan per distinct body occurrence `L` of the predicate:
+/// `compile_query(L, C_local)`, where `C_local` holds the rule's atoms over
+/// `L`'s variables alone.  A join step reading a fact at `L` runs the same
+/// argument ops and discharges those atoms over the fact's values, so a
+/// ground fact that no occurrence matches can never take part in a
+/// derivation: it stays in the database and never enters its relation.
+/// Occurrences are renamed onto argument positions (`b1($1, $2)`), so the
+/// copies of a rule are checked once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Admission {
+    occurrences: Vec<(Literal, JoinPlan)>,
+}
+
+impl Admission {
+    /// The plan of each distinct body occurrence; a fact is admitted when
+    /// one of them matches it.
+    pub(crate) fn plans(&self) -> impl Iterator<Item = &JoinPlan> {
+        self.occurrences.iter().map(|(_, plan)| plan)
+    }
+
+    /// The check as `.explain` prints it: `admit b1: b1($1, $2) {check $1
+    /// <= 4} ∨ …`, one disjunct per occurrence, each its literal and the
+    /// atoms its plan evaluates.
+    pub fn render(&self, pred: &Pred) -> String {
+        let disjuncts: Vec<String> = self
+            .occurrences
+            .iter()
+            .map(|(literal, plan)| {
+                let mut atoms = plan.render_atoms(0);
+                atoms.extend(plan.render_atoms(1));
+                format!("{literal}{}", braced(&atoms))
+            })
+            .collect();
+        format!("admit {pred}: {}", disjuncts.join(" ∨ "))
+    }
 }
 
 impl ProgramPlans {
@@ -446,6 +493,7 @@ impl ProgramPlans {
             compiled.pinned.insert(leader, compile(PlanShape::Pinned));
             compiled.full.insert(leader, compile(PlanShape::Full));
         }
+        compiled.admissions = compile_admissions(program);
         compiled
             .findings
             .sort_by_key(|f| (f.rule, f.literal, f.kind));
@@ -512,6 +560,68 @@ impl ProgramPlans {
     pub fn findings(&self) -> &[PlanFinding] {
         &self.findings
     }
+
+    /// Every admission check, by predicate.
+    pub fn admissions(&self) -> impl Iterator<Item = (&Pred, &Admission)> {
+        self.admissions.iter()
+    }
+}
+
+/// The admission check of every EDB predicate none of whose body
+/// occurrences reads it in full (see [`Admission`]).  An occurrence with
+/// only distinct variables as arguments and no atom over them alone
+/// matches every fact, and leaves its predicate unchecked.
+fn compile_admissions(program: &Program) -> BTreeMap<Pred, Admission> {
+    let mut unchecked = program.idb_predicates();
+    unchecked.extend(program.query().map(|q| q.predicates()).unwrap_or_default());
+    let mut admissions: BTreeMap<Pred, Admission> = BTreeMap::new();
+    for rule in program.rules() {
+        for literal in &rule.body {
+            let pred = &literal.predicate;
+            if unchecked.contains(pred) {
+                continue;
+            }
+            let (literal, local) = by_position(literal, &rule.constraint);
+            if local.atoms().is_empty() && literal.args_are_distinct_vars() {
+                admissions.remove(pred);
+                unchecked.insert(pred.clone());
+                continue;
+            }
+            let plan = compile_query(&literal, &local);
+            let occurrences = &mut admissions
+                .entry(pred.clone())
+                .or_insert_with(|| Admission {
+                    occurrences: Vec::new(),
+                })
+                .occurrences;
+            let occurrence = (literal, plan);
+            if !occurrences.contains(&occurrence) {
+                occurrences.push(occurrence);
+            }
+        }
+    }
+    admissions
+}
+
+/// `literal` with each variable renamed to the argument position it first
+/// occupies (`$k`), and the atoms of `constraint` over its variables alone,
+/// renamed alike.
+fn by_position(literal: &Literal, constraint: &Conjunction) -> (Literal, Conjunction) {
+    let mut positions: HashMap<Var, Var> = HashMap::new();
+    for (index, term) in literal.args.iter().enumerate() {
+        for var in term.vars() {
+            positions
+                .entry(var)
+                .or_insert_with(|| Var::position(index + 1));
+        }
+    }
+    let rename = |var: &Var| positions[var].clone();
+    let local = constraint
+        .atoms()
+        .iter()
+        .filter(|atom| atom.vars().all(|var| positions.contains_key(var)))
+        .map(|atom| atom.rename(&rename));
+    (literal.rename(&rename), Conjunction::from_atoms(local))
 }
 
 /// A planner input with nothing in it: join order comes from the rule alone.
@@ -1312,16 +1422,9 @@ impl JoinPlan {
     /// some copies of a group list ends in their names: `check C <= 150
     /// [r1_2 r2]`.
     fn render_ops(&self, stage: usize) -> String {
-        let (args, atoms) = self.stage(stage);
-        let linear = |expr: &SlotExpr| {
-            LinearExpr::from_terms(
-                expr.terms
-                    .iter()
-                    .map(|(slot, coeff)| (*coeff, self.slots[*slot].clone())),
-                expr.constant,
-            )
-        };
-        let binds: Vec<String> = args
+        let binds: Vec<String> = self
+            .stage(stage)
+            .0
             .iter()
             .filter_map(|op| match op {
                 ArgOp::Bind { slot, .. } | ArgOp::Expr { column: slot, .. } => {
@@ -1334,8 +1437,24 @@ impl JoinPlan {
         if !binds.is_empty() {
             parts.push(format!("bind {}", binds.join(", ")));
         }
-        for op in atoms {
-            parts.push(match op {
+        parts.extend(self.render_atoms(stage));
+        braced(&parts)
+    }
+
+    /// The atom ops of one stage: `T := T1 + T2 + 30`, `check T <= 240`.
+    fn render_atoms(&self, stage: usize) -> Vec<String> {
+        let linear = |expr: &SlotExpr| {
+            LinearExpr::from_terms(
+                expr.terms
+                    .iter()
+                    .map(|(slot, coeff)| (*coeff, self.slots[*slot].clone())),
+                expr.constant,
+            )
+        };
+        self.stage(stage)
+            .1
+            .iter()
+            .map(|op| match op {
                 AtomOp::Define { slot, value, .. } => {
                     format!("{} := {}", self.slots[*slot], linear(value))
                 }
@@ -1349,13 +1468,17 @@ impl JoinPlan {
                         format!("{check} [{}]", self.copy_names(*copies).join(" "))
                     }
                 }
-            });
-        }
-        if parts.is_empty() {
-            String::new()
-        } else {
-            format!(" {{{}}}", parts.join("; "))
-        }
+            })
+            .collect()
+    }
+}
+
+/// ` {a; b}`, or nothing for no parts.
+fn braced(parts: &[String]) -> String {
+    if parts.is_empty() {
+        String::new()
+    } else {
+        format!(" {{{}}}", parts.join("; "))
     }
 }
 
@@ -1373,7 +1496,8 @@ impl PlanFindingKind {
 /// body of the shell's `.explain` command.  Rules are labeled like
 /// diagnostics (`r3`, or `#2` for unlabeled rules) with their source line
 /// when known; a copy group is headed by its first member, which names the
-/// other members (`plan for rule r4 with copies r4_2: r4: …`).
+/// other members (`plan for rule r4 with copies r4_2: r4: …`).  One
+/// `admit <pred>: …` line per admission check follows the plans.
 pub fn render_plans(program: &Program, plans: &ProgramPlans) -> Vec<String> {
     let mut lines = Vec::new();
     for rule_index in plans.planned_rules() {
@@ -1391,6 +1515,11 @@ pub fn render_plans(program: &Program, plans: &ProgramPlans) -> Vec<String> {
             lines.push(format!("  {}", plan.render(rule)));
         }
     }
+    lines.extend(
+        plans
+            .admissions()
+            .map(|(pred, admission)| admission.render(pred)),
+    );
     if lines.is_empty() {
         lines.push("no plans: the program has no rules with body literals".to_string());
     }
@@ -1876,6 +2005,37 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().copied())
             .unwrap_or_default();
         assert!(message.contains(expected), "{message:?} lacks {expected:?}");
+    }
+
+    #[test]
+    fn admission_checks_each_distinct_occurrence_of_a_filtered_edb_predicate() {
+        // `e`: the copies r1/r2 and r3 read it under local atoms; `Z` is
+        // not local to `e`.  `f` is read in full by r5, `g` only with a
+        // repeated variable, `h` in full, and `k` is named by the query.
+        let program = parse_program(
+            "r1: p(X) :- e(X, Y), f(Y, Z), X <= 4, Z >= 0.\n\
+             r2: p(X) :- e(X, Y), f(Y, Z), X <= 4, Z >= 0, Y >= 1.\n\
+             r3: p(X) :- e(Y, X), X <= 4.\n\
+             r4: q(X) :- f(X, 3).\n\
+             r5: q(X) :- f(X, Y), g(X, X), h(X).\n\
+             r6: q(X) :- k(X), X >= 0.\n\
+             ?- k(X).",
+        )
+        .unwrap()
+        .flattened();
+        let plans = ProgramPlans::compile(&program);
+        let rendered: Vec<String> = plans
+            .admissions()
+            .map(|(pred, admission)| admission.render(pred))
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                "admit e: e($1, $2) {check $1 <= 4} ∨ e($1, $2) {check $1 <= 4; check -$2 <= -1} \
+                 ∨ e($1, $2) {check $2 <= 4}",
+                "admit g: g($1, $1)",
+            ]
+        );
     }
 
     #[test]

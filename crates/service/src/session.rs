@@ -218,7 +218,9 @@ impl Snapshot {
     }
 
     /// Answers a resolved single-literal query (with optional side
-    /// constraints) against this snapshot.
+    /// constraints) against this snapshot's materialization.  An EDB
+    /// predicate's relation holds only the base facts some rule body can
+    /// read; [`Session::query`] answers those from [`Self::base`].
     pub fn answers(&self, query: &Query) -> Vec<Fact> {
         self.replica.result.answers(query)
     }
@@ -250,7 +252,8 @@ pub struct UpdateOutcome {
     /// The epoch the update produced.
     pub epoch: u64,
     /// For insert-only batches, the update facts that actually entered the
-    /// delta (not subsumed by the existing materialization); zero for
+    /// delta (admitted into their relation and not subsumed by the existing
+    /// materialization); zero for
     /// retract-only batches; for mixed batches, the batch's nominal
     /// insertion count.
     pub inserted: usize,
@@ -661,6 +664,8 @@ impl Session {
     }
 
     /// Answers a query against the current snapshot without evaluating.
+    /// A query on an EDB predicate reads every base fact of it, admitted
+    /// into its relation or not ([`Database::answers`]).
     ///
     /// Returns the resolved query (after predicate rerouting), the snapshot
     /// it was answered from, and the matching facts (cloned out so the
@@ -671,7 +676,11 @@ impl Session {
         // lookup and the answer.
         let snapshot = self.snapshot();
         let resolved = self.resolve_query(&snapshot, query)?;
-        let answers = snapshot.answers(&resolved);
+        let answers = if self.edb.contains(&resolved.literals[0].predicate) {
+            snapshot.base().answers(&resolved)
+        } else {
+            snapshot.answers(&resolved)
+        };
         if let Some(start) = start {
             let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             telemetry::add(telemetry::Counter::Queries, 1);
@@ -688,6 +697,18 @@ impl Session {
             }
         }
         Ok((resolved, snapshot, answers))
+    }
+
+    /// The facts of `pred` in the current snapshot: for an EDB predicate
+    /// every base fact ([`Database::relation`]), else its relation's — the
+    /// shell's `.facts`.
+    pub fn facts(&self, pred: &Pred) -> Vec<Fact> {
+        let snapshot = self.snapshot();
+        if self.edb.contains(pred) {
+            snapshot.base().relation(pred).to_facts()
+        } else {
+            snapshot.result().facts_for(pred)
+        }
     }
 
     /// Applies one atomic [`UpdateBatch`] — retractions first, then
@@ -1085,6 +1106,43 @@ mod tests {
         let narrowed = parse_query("?- cheaporshort(madison, seattle, T, C), T <= 200.").unwrap();
         let (_, _, narrowed) = session.query(&narrowed).unwrap();
         assert!(narrowed.len() <= answers.len());
+    }
+
+    #[test]
+    fn edb_queries_and_facts_list_every_base_fact() {
+        // Under the constraint rewrite a leg enters `singleleg`'s relation
+        // only if it is short or cheap: the irrelevant legs of the flights
+        // EDB and `leg` stay out, yet queries and `.facts` list them all.
+        let hub = Arc::new(crate::hub::SessionHub::new());
+        let session = hub.install(flights_session(Strategy::ConstraintRewrite));
+        let mut shell = crate::shell::Shell::with_hub(hub);
+        let singleleg = Pred::new("singleleg");
+        let leg = "singleleg(madison, nowhere, 500, 900).";
+        let base = programs::flights_database(6, 10)
+            .facts_for(&singleleg)
+            .len();
+        let admitted = session.snapshot().result().count_for(&singleleg);
+        assert!(admitted < base);
+        let mut listed_with = |added: &str| {
+            let listed = base + usize::from(!added.is_empty());
+            let all = parse_query("?- singleleg(S, D, T, C).").unwrap();
+            assert_eq!(session.query(&all).unwrap().2.len(), listed);
+            let nowhere = parse_query("?- singleleg(madison, nowhere, T, C).").unwrap();
+            assert_eq!(session.query(&nowhere).unwrap().2.len(), listed - base);
+            let facts = shell.execute(".facts singleleg").lines;
+            assert_eq!(facts[0], format!("singleleg: {listed} facts"));
+            assert_eq!(
+                facts.iter().any(|line| line.contains("nowhere")),
+                listed > base
+            );
+            assert_eq!(session.snapshot().result().count_for(&singleleg), admitted);
+            assert_matches_fresh_materialization(&session, added);
+        };
+        listed_with("");
+        session.insert_str(leg).unwrap();
+        listed_with(leg);
+        session.remove_str(leg).unwrap();
+        listed_with("");
     }
 
     #[test]

@@ -515,11 +515,9 @@ impl Shell {
             Ok(session) => session,
             Err(response) => return response,
         };
-        let snapshot = session.snapshot();
         let pred = pcs_lang::Pred::new(arg);
-        let mut rendered: Vec<String> = snapshot
-            .result()
-            .facts_for(&pred)
+        let mut rendered: Vec<String> = session
+            .facts(&pred)
             .iter()
             .map(|fact| format!("  {fact}"))
             .collect();

@@ -166,7 +166,9 @@ fn golden_explain_renders_the_compiled_plans() {
     // materialization it prints one header per rule and one plan line per
     // delta position, with probe columns, existence shortcuts, bound-argument
     // counts and — in braces — the slot program of each step (the variables it binds, the constraint atoms it checks or
-    // defines a variable from) — all deterministic, no durations.
+    // defines a variable from) — all deterministic, no durations.  One
+    // `admit` line per EDB predicate follows: the check a base fact passes
+    // to enter its relation, one disjunct per body occurrence.
     let mut shell = Shell::new();
     let actual = transcript(
         &mut shell,
@@ -203,6 +205,8 @@ fn golden_explain_renders_the_compiled_plans() {
          [bound 1/2] {bind Y} -> m_p_f@1 stable scan exists [bound 0/0]",
         "  delta c@3: c@3 delta scan [bound 0/2] {bind X, Y; check -X <= 0} -> b@2 stable probe \
          $1 exists [bound 1/1] -> m_p_f@1 stable scan exists [bound 0/0]",
+        "admit b: b($1) {check -$1 <= 0}",
+        "admit c: c($1, $2) {check -$1 <= 0}",
     ];
     assert_eq!(actual, expected, "transcript diverged from the golden copy");
 }

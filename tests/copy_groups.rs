@@ -163,7 +163,13 @@ fn a_copy_group_stores_what_its_copies_store_over_constraint_facts() {
     assert!(!answers(&grouped, &program).is_empty());
     // And the same denotation as the naive reference interpreter.
     let oracle = naive::evaluate(&program, &db, &EvalLimits::default());
-    assert_matches_oracle(&grouped, &oracle, "for the grouped fare-band program");
+    assert_matches_oracle(
+        &grouped,
+        &oracle,
+        &program,
+        &db,
+        "for the grouped fare-band program",
+    );
 }
 
 #[test]
@@ -203,9 +209,9 @@ fn a_copy_group_maintained_by_apply_matches_scratch() {
             result = evaluator.apply(result.relations, batch, &edb);
         }
         let context = format!("after step {}", index + 1);
-        assert_same_facts(&result, &evaluator.evaluate(&edb), &context);
+        assert_same_facts(&result, &evaluator.evaluate(&edb), &program, &edb, &context);
         let oracle = naive::evaluate(&program, &edb, &EvalLimits::default());
-        assert_matches_oracle(&result, &oracle, &context);
+        assert_matches_oracle(&result, &oracle, &program, &edb, &context);
     }
 }
 

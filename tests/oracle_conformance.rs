@@ -35,7 +35,13 @@ fn assert_conformance(program: &Program, db: &Database) {
             "oracle diverged under {strategy:?}; pick a terminating workload"
         );
         let production = Evaluator::new(&optimized.program, EvalOptions::default()).evaluate(db);
-        assert_matches_oracle(&production, &oracle, &format!("under {strategy:?}"));
+        assert_matches_oracle(
+            &production,
+            &oracle,
+            &optimized.program,
+            db,
+            &format!("under {strategy:?}"),
+        );
     }
 }
 

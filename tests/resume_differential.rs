@@ -47,10 +47,18 @@ fn assert_maintained_matches_scratch(
         assert_same_facts(
             &maintained,
             &evaluator.evaluate(expected_edb),
+            &optimized.program,
+            expected_edb,
             &format!("between maintained and scratch {context}"),
         );
         let oracle = naive::evaluate(&optimized.program, expected_edb, &EvalLimits::default());
-        assert_matches_oracle(&maintained, &oracle, &context);
+        assert_matches_oracle(
+            &maintained,
+            &oracle,
+            &optimized.program,
+            expected_edb,
+            &context,
+        );
     }
 }
 
