@@ -8,9 +8,11 @@
 //!
 //! The representation is a normalized `numer / denom` pair of `i128`s with
 //! `denom > 0` and `gcd(numer, denom) == 1`.  Intermediate products reduce by
-//! cross-gcd before multiplying; a genuine overflow (which requires constants
-//! around 2^127 and does not occur in any of the paper's workloads) panics
-//! with a descriptive message rather than wrapping silently.
+//! cross-gcd before multiplying; a genuine overflow panics with a
+//! descriptive message rather than wrapping silently.  It needs values
+//! around 2^127, and the paper's own Example 1.2 reaches them: fib(n) leaves
+//! `i128` near n = 185, long before the default iteration cap stops an
+//! evaluation of the Fibonacci program (ROADMAP item 2).
 
 use std::cmp::Ordering;
 use std::fmt;

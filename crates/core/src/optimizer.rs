@@ -10,10 +10,10 @@ use std::collections::BTreeMap;
 use pcs_analysis::{analyze_with, AnalyzeOptions, Diagnostic, ProgramAnalysis};
 use pcs_constraints::ConstraintSet;
 use pcs_engine::{Database, EvalOptions, EvalResult, Evaluator, ProgramPlans};
-use pcs_lang::{Pred, Program};
+use pcs_lang::{Literal, Pred, Program};
 use pcs_transform::{
-    apply_sequence, constraint_rewrite, MagicOptions, Result, RewriteOptions, SequenceOptions,
-    Step, TransformError,
+    apply_sequence, constraint_rewrite, retarget_query, MagicOptions, Result, RewriteOptions,
+    SequenceOptions, Step, TransformError,
 };
 
 /// Which rewriting pipeline to apply.
@@ -111,6 +111,10 @@ impl Optimizer {
     /// returned [`Optimized`]; error-severity findings do not abort (the
     /// strict front-end is `pcs-lint`).  Rules the analyzer proves dead stay
     /// in the program: they derive nothing.
+    ///
+    /// Every strategy but [`Strategy::None`] ends with [`retarget_query`]:
+    /// where the rewritten query predicate only copies another predicate,
+    /// the query reads that predicate instead.
     pub fn optimize(&self) -> Result<Optimized> {
         let diagnostics = {
             let _span = pcs_telemetry::span(pcs_telemetry::Phase::Analyze);
@@ -132,6 +136,7 @@ impl Optimizer {
                 query_pred: query_pred.ok_or(TransformError::MissingQuery)?,
                 eval: self.eval.clone(),
                 diagnostics: Vec::new(),
+                unretargeted: None,
             },
             Strategy::ConstraintRewrite => {
                 let result = constraint_rewrite(program, &rewrite_options)?;
@@ -140,6 +145,7 @@ impl Optimizer {
                     query_pred: query_pred.ok_or(TransformError::MissingQuery)?,
                     eval: self.eval.clone(),
                     diagnostics: Vec::new(),
+                    unretargeted: None,
                 }
             }
             Strategy::MagicOnly => self.run_sequence(program, &[Step::Magic], rewrite_options)?,
@@ -148,6 +154,9 @@ impl Optimizer {
             }
             Strategy::Sequence(steps) => self.run_sequence(program, steps, rewrite_options)?,
         };
+        if self.strategy != Strategy::None {
+            optimized = optimized.retargeted();
+        }
         drop(rewrite_span);
         optimized.diagnostics = diagnostics;
         Ok(optimized)
@@ -169,6 +178,7 @@ impl Optimizer {
             query_pred: result.query_pred,
             eval: self.eval.clone(),
             diagnostics: Vec::new(),
+            unretargeted: None,
         })
     }
 }
@@ -176,10 +186,14 @@ impl Optimizer {
 /// An optimized program ready for evaluation.
 #[derive(Debug, Clone)]
 pub struct Optimized {
-    /// The rewritten program (query included).
+    /// The rewritten program (query included).  Where [`retarget_query`]
+    /// fired, it is right only over a database with no base fact on the
+    /// query predicate or the one it replaced; see
+    /// [`Optimized::for_database`].
     pub program: Program,
     /// The predicate holding the query answers after rewriting (the adorned
-    /// query predicate when Magic Templates was applied).
+    /// query predicate when Magic Templates was applied, the copied one
+    /// where [`retarget_query`] fired).
     pub query_pred: Pred,
     /// The evaluation options configured on the [`Optimizer`] (limits,
     /// tracing).
@@ -187,13 +201,96 @@ pub struct Optimized {
     /// The static-analysis findings for the source program, sorted most
     /// severe first.
     pub diagnostics: Vec<Diagnostic>,
+    /// Where [`retarget_query`] fired, what it replaced.
+    unretargeted: Option<Box<Unretargeted>>,
+}
+
+/// The program and query predicate from before [`retarget_query`], kept for
+/// databases that hold base facts its proof does not cover.
+#[derive(Debug, Clone)]
+struct Unretargeted {
+    program: Program,
+    query_pred: Pred,
+    /// `answer p(X̄) from q(X̄)`, the line [`Optimized::explain`] prints.
+    account: String,
+    /// The literal over the retargeted query predicate whose answers are
+    /// the removed query predicate's facts.
+    listing: Literal,
 }
 
 impl Optimized {
+    /// Applies [`retarget_query`] to the rewritten program, keeping the
+    /// program it replaces.
+    fn retargeted(self) -> Optimized {
+        let Some(retarget) = retarget_query(&self.program) else {
+            return self;
+        };
+        Optimized {
+            query_pred: retarget.source.predicate.clone(),
+            unretargeted: Some(Box::new(Unretargeted {
+                program: self.program,
+                query_pred: self.query_pred,
+                account: retarget.render(),
+                listing: retarget.listing,
+            })),
+            program: retarget.program,
+            ..self
+        }
+    }
+
+    /// Whether `db` holds a base fact on the retargeted query predicate or
+    /// on the predicate it was copying: [`retarget_query`]'s proof covers
+    /// derived facts only, so such a database is evaluated with the program
+    /// from before the step.  Item 3 of the roadmap, which moves base facts
+    /// on rule-defined predicates into the program, deletes this fallback.
+    fn unretargeted_for(&self, db: &Database) -> Option<&Unretargeted> {
+        self.unretargeted.as_deref().filter(|before| {
+            !db.facts_for(&before.query_pred).is_empty()
+                || !db.facts_for(&self.query_pred).is_empty()
+        })
+    }
+
+    /// The query predicate [`retarget_query`] removed, with the literal
+    /// whose answers are its facts (the query predicate's, with the query's
+    /// constants where a magic guard bound them).  `None` where the step did
+    /// not fire or [`Optimized::for_database`] undid it.
+    pub fn removed_query(&self) -> Option<(&Pred, &Literal)> {
+        self.unretargeted
+            .as_deref()
+            .map(|before| (&before.query_pred, &before.listing))
+    }
+
+    /// The program [`Optimized::evaluate`] runs over `db`: the rewritten
+    /// one, unless `db` holds base facts the query retargeting does not
+    /// cover (see [`Optimized::for_database`]).  Its query names the
+    /// predicate holding the answers.
+    pub fn program_for(&self, db: &Database) -> &Program {
+        self.unretargeted_for(db)
+            .map_or(&self.program, |before| &before.program)
+    }
+
+    /// This optimized program as it must run over `db`: unchanged, or —
+    /// where `db` holds a base fact on the query predicate or on the
+    /// predicate the retargeted query reads — with the query retargeting
+    /// undone.  The choice holds for every later update, since only EDB
+    /// predicates take updates.
+    pub fn for_database(mut self, db: &Database) -> Optimized {
+        if self.unretargeted_for(db).is_some() {
+            let before = self.unretargeted.take().expect("it was just found");
+            self.program = before.program;
+            self.query_pred = before.query_pred;
+        }
+        self
+    }
+
     /// The evaluator for this program with the configured options — the
     /// handoff a long-lived `pcs-service` session uses: build the evaluator
     /// once, [`Evaluator::evaluate`] to materialize, then
     /// [`Evaluator::apply`] per update batch.
+    ///
+    /// It runs [`Optimized::program`] and so assumes the database holds no
+    /// base fact on the query predicate or on the predicate a retargeted
+    /// query reads; [`Optimized::for_database`] first makes that so.
     pub fn evaluator(&self) -> Evaluator {
         Evaluator::new(&self.program, self.eval.clone())
     }
@@ -204,24 +301,31 @@ impl Optimized {
         self.evaluate_with(db, self.eval.clone())
     }
 
-    /// Evaluates with explicit options (limits, tracing).
+    /// Evaluates with explicit options (limits, tracing) the program
+    /// [`Optimized::program_for`] picks for `db`.
     pub fn evaluate_with(&self, db: &Database, options: EvalOptions) -> EvalResult {
-        Evaluator::new(&self.program, options).evaluate(db)
+        Evaluator::new(self.program_for(db), options).evaluate(db)
     }
 
     /// Renders the compiled join plan of every (rule × delta-position) body
     /// of the rewritten program, one deterministic line per plan — the
     /// backing of the shell's `.explain` command.  Plans depend on the
-    /// program alone, so what is rendered is what runs.
+    /// program alone, so what is rendered is what runs.  A retargeted query
+    /// adds one first line, `answer p(X̄) from q(X̄)`.
     pub fn explain(&self) -> Vec<String> {
         let flat = self.program.flattened();
-        pcs_engine::render_plans(&flat, &ProgramPlans::compile(&flat))
+        let plans = pcs_engine::render_plans(&flat, &ProgramPlans::compile(&flat));
+        self.unretargeted
+            .iter()
+            .map(|before| before.account.clone())
+            .chain(plans)
+            .collect()
     }
 
     /// Evaluates and returns the number of answers to the program's query.
     pub fn count_answers(&self, db: &Database) -> usize {
         let result = self.evaluate(db);
-        match self.program.query() {
+        match self.program_for(db).query() {
             Some(query) => result.answers(query).len(),
             None => 0,
         }

@@ -96,6 +96,11 @@ impl Fact {
         Fact::new(predicate.into(), vec![Binding::Free; arity], constraint)
     }
 
+    /// The same fact on another predicate.
+    pub fn renamed(self, predicate: Pred) -> Fact {
+        Fact { predicate, ..self }
+    }
+
     /// The predicate of this fact.
     pub fn predicate(&self) -> &Pred {
         &self.predicate
@@ -287,6 +292,9 @@ impl Fact {
     /// [`crate::parse_facts`] unchanged, which is what the service layer's
     /// write-ahead log and snapshots persist.
     pub fn rule_text(&self) -> String {
+        if self.is_ground() {
+            return self.to_string();
+        }
         let (literal, constraint) = self.to_literal_and_constraint();
         if constraint.is_trivially_true() {
             literal.to_string()
@@ -299,6 +307,15 @@ impl Fact {
 
 impl fmt::Display for Fact {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // A ground fact writes its values as they are, without building a
+        // literal.
+        if self.is_ground() {
+            let values = self.bindings.iter().filter_map(|binding| match binding {
+                Binding::Bound(value) => Some(value),
+                Binding::Free => None,
+            });
+            return pcs_lang::write_atom(f, &self.predicate, values);
+        }
         let (lit, constraint) = self.to_literal_and_constraint();
         if constraint.is_trivially_true() {
             write!(f, "{lit}")
@@ -425,5 +442,40 @@ mod tests {
         let c = Fact::ground("p", vec![Value::num(1), Value::num(2)]);
         assert!(!a.subsumes(&b));
         assert!(!a.subsumes(&c));
+    }
+
+    /// A ground fact renders, as a listing and as rule text, byte for byte
+    /// what its literal renders: over `i64` integers at both extremes,
+    /// non-integer and `i64`-overflowing rationals, symbols and arity 0.
+    #[test]
+    fn ground_facts_render_like_their_literal() {
+        use pcs_constraints::Rational;
+        use proptest::test_runner::TestRng;
+
+        for case in 0..512 {
+            let mut rng = TestRng::for_case(case);
+            let arity = rng.below(5) as usize;
+            let values: Vec<Value> = (0..arity)
+                .map(|_| match rng.below(6) {
+                    0 => Value::num(rng.below(2000) as i64 - 1000),
+                    1 => Value::num(rng.next_u64() as i64),
+                    2 => Value::num([i64::MIN, i64::MAX, 0, -1][rng.below(4) as usize]),
+                    3 => {
+                        let numer = rng.below(2001) as i128 - 1000;
+                        let denom = rng.below(12) as i128 + 2;
+                        Value::num(Rational::new(numer, denom).unwrap())
+                    }
+                    4 => Value::num(Rational::from_int(
+                        i128::from(i64::MAX) + 1 + rng.below(9) as i128,
+                    )),
+                    _ => Value::sym(["madison", "c0", "a_b", "x"][rng.below(4) as usize]),
+                })
+                .collect();
+            let fact = Fact::ground(["p", "flight", "q_bf"][case as usize % 3], values);
+            let (literal, constraint) = fact.to_literal_and_constraint();
+            assert!(constraint.is_trivially_true());
+            assert_eq!(fact.to_string(), literal.to_string(), "case {case}");
+            assert_eq!(fact.rule_text(), literal.to_string(), "case {case}");
+        }
     }
 }

@@ -573,7 +573,12 @@ impl ProgramPlans {
 /// matches every fact, and leaves its predicate unchecked.
 fn compile_admissions(program: &Program) -> BTreeMap<Pred, Admission> {
     let mut unchecked = program.idb_predicates();
-    unchecked.extend(program.query().map(|q| q.predicates()).unwrap_or_default());
+    unchecked.extend(
+        program
+            .query()
+            .map(pcs_lang::Query::predicates)
+            .unwrap_or_default(),
+    );
     let mut admissions: BTreeMap<Pred, Admission> = BTreeMap::new();
     for rule in program.rules() {
         for literal in &rule.body {

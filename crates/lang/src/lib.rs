@@ -39,7 +39,7 @@ pub mod term;
 
 pub use graph::RuleGraph;
 pub use intern::{SymId, SymbolTable};
-pub use literal::{Literal, Pred};
+pub use literal::{write_atom, Literal, Pred};
 pub use parser::{
     fact_rules, parse_facts, parse_literal, parse_program, parse_query, parse_rule, FactRules,
     ParseError,

@@ -148,17 +148,30 @@ impl Literal {
     }
 }
 
+/// Writes an atom, `name(a1, a2, …)`, or `name` alone when it has no
+/// arguments: the one rendering shared by [`Literal`] and the engine's
+/// ground facts.
+pub fn write_atom<A: fmt::Display>(
+    f: &mut fmt::Formatter<'_>,
+    name: &Pred,
+    args: impl IntoIterator<Item = A>,
+) -> fmt::Result {
+    write!(f, "{name}")?;
+    let mut separator = "(";
+    for arg in args {
+        write!(f, "{separator}{arg}")?;
+        separator = ", ";
+    }
+    if separator == "(" {
+        Ok(())
+    } else {
+        f.write_str(")")
+    }
+}
+
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.args.is_empty() {
-            return write!(f, "{}", self.predicate);
-        }
-        let args: Vec<String> = self
-            .args
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        write!(f, "{}({})", self.predicate, args.join(", "))
+        write_atom(f, &self.predicate, &self.args)
     }
 }
 

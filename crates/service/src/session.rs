@@ -358,6 +358,9 @@ pub struct Session {
     /// The rewritten program's own query literal (where the optimizer left
     /// the program's answers).
     rewritten_query: Option<Literal>,
+    /// Whether the magic rewriting specialized the materialization to the
+    /// rewritten query's constants.
+    magic: bool,
     /// The session's configured strategy, kept so durability snapshots can
     /// record a token that re-optimizes identically on recovery.
     strategy: Strategy,
@@ -510,12 +513,23 @@ impl Session {
             .query()
             .and_then(|q| q.literals.first())
             .cloned();
-        let optimized = optimizer.optimize().map_err(SessionError::Optimize)?;
+        let optimized = optimizer
+            .optimize()
+            .map_err(SessionError::Optimize)?
+            .for_database(db);
         let rewritten_query = optimized
             .program
             .query()
             .and_then(|q| q.literals.first())
             .cloned();
+        let magic = optimized
+            .program
+            .rules()
+            .iter()
+            .any(|rule| rule.head.predicate.is_magic());
+        // `evaluator()` runs `program` whatever `db` holds; `for_database`
+        // has made that the program `evaluate` would pick.
+        debug_assert!(std::ptr::eq(optimized.program_for(db), &optimized.program));
         let edb = optimized.program.edb_predicates();
         let evaluator = optimized.evaluator();
         let result = evaluator.evaluate(db);
@@ -527,6 +541,7 @@ impl Session {
             edb,
             original_query,
             rewritten_query,
+            magic,
             current: RwLock::new(Snapshot {
                 replica: Arc::new(Replica {
                     epoch,
@@ -619,14 +634,15 @@ impl Session {
         if snapshot.result().relations.contains_key(&literal.predicate) {
             return Ok(query.clone());
         }
-        // `?- cheaporshort(...)` against a magic-rewritten program: the
-        // answers live under the rewritten (adorned) query predicate — but
-        // the magic seed specialized the materialization to the program
-        // query's own bindings, so the reroute is complete only for
-        // instances of that pattern.  Where the program query has a
-        // constant, the interactive query must repeat it (a variable or a
-        // different constant there would silently under-answer); where the
-        // program query has a variable, anything goes.
+        // `?- cheaporshort(...)` against a rewritten program: the answers
+        // live under the rewritten query predicate (the adorned one, or the
+        // one a retargeted query reads).  Under magic the seed specialized
+        // the materialization to the program query's own bindings, so the
+        // reroute is complete only for instances of that pattern.  Where
+        // the program query has a constant, the interactive query must
+        // repeat it (a variable or a different constant there would
+        // silently under-answer); where the program query has a variable,
+        // anything goes.
         if let (Some(original), Some(rewritten)) = (&self.original_query, &self.rewritten_query) {
             if literal.predicate == original.predicate && literal.predicate != rewritten.predicate {
                 if literal.arity() != rewritten.arity() {
@@ -643,7 +659,7 @@ impl Session {
                 {
                     let compatible = match seed {
                         Term::Var(_) => true,
-                        bound => bound == asked,
+                        bound => !self.magic || bound == asked,
                     };
                     if !compatible {
                         return Err(SessionError::UnsupportedQuery(format!(
@@ -700,15 +716,27 @@ impl Session {
     }
 
     /// The facts of `pred` in the current snapshot: for an EDB predicate
-    /// every base fact ([`Database::relation`]), else its relation's — the
-    /// shell's `.facts`.
+    /// every base fact ([`Database::relation`]); for the query predicate the
+    /// optimizer answers from another relation ([`Optimized::removed_query`])
+    /// the facts it would hold, under its own name; else its relation's —
+    /// the shell's `.facts`.
     pub fn facts(&self, pred: &Pred) -> Vec<Fact> {
         let snapshot = self.snapshot();
         if self.edb.contains(pred) {
-            snapshot.base().relation(pred).to_facts()
-        } else {
-            snapshot.result().facts_for(pred)
+            return snapshot.base().relation(pred).to_facts();
         }
+        // The query predicate the optimizer answers from another relation:
+        // its facts are that relation's answers to the listing literal.
+        if let Some((removed, listing)) = self.optimized.removed_query() {
+            if removed == pred {
+                return snapshot
+                    .answers(&Query::new(listing.clone()))
+                    .into_iter()
+                    .map(|fact| fact.renamed(pred.clone()))
+                    .collect();
+            }
+        }
+        snapshot.result().facts_for(pred)
     }
 
     /// Applies one atomic [`UpdateBatch`] — retractions first, then
@@ -1155,6 +1183,61 @@ mod tests {
         let baseline = flights_session(Strategy::None);
         let (_, _, expected) = baseline.query(&query).unwrap();
         assert_eq!(answers.len(), expected.len());
+    }
+
+    #[test]
+    fn retargeted_sessions_answer_bindings_the_program_query_lacks() {
+        // Under the constraint rewrite the query reads `flight`, but no magic
+        // seed specialized it to the program query's `madison, seattle`: any
+        // binding is answered, as the source program answers it.
+        let session = flights_session(Strategy::ConstraintRewrite);
+        assert_eq!(session.optimized().query_pred, Pred::new("flight"));
+        let baseline = flights_session(Strategy::None);
+        for text in [
+            "?- cheaporshort(city1, D, T, C).",
+            "?- cheaporshort(S, seattle, T, C), C <= 100.",
+        ] {
+            let query = parse_query(text).unwrap();
+            let (resolved, _, answers) = session.query(&query).unwrap();
+            assert_eq!(resolved.literals[0].predicate, Pred::new("flight"));
+            let (_, _, expected) = baseline.query(&query).unwrap();
+            assert!(!expected.is_empty(), "{text}");
+            assert_eq!(tuples(&answers), tuples(&expected), "{text}");
+        }
+    }
+
+    /// The argument lists of `facts`, rendered and sorted.
+    fn tuples(facts: &[Fact]) -> Vec<String> {
+        let mut tuples: Vec<String> = facts
+            .iter()
+            .map(|fact| fact.to_string().split_once('(').unwrap().1.to_string())
+            .collect();
+        tuples.sort();
+        tuples
+    }
+
+    #[test]
+    fn facts_of_a_removed_query_predicate_are_the_ones_it_would_hold() {
+        // `.facts` on the query predicate the optimizer answers from `flight`
+        // (`flight_bbff`) lists, under its own name, what it held before the
+        // step: every `cheaporshort` fact, or under magic those of the
+        // program query's `madison, seattle`.
+        let baseline = flights_session(Strategy::None);
+        let all = baseline.facts(&Pred::new("cheaporshort"));
+        let query = parse_query("?- cheaporshort(madison, seattle, T, C).").unwrap();
+        let (_, _, asked) = baseline.query(&query).unwrap();
+        assert!(!asked.is_empty() && asked.len() < all.len());
+        for (strategy, removed, expected) in [
+            (Strategy::ConstraintRewrite, "cheaporshort", &all),
+            (Strategy::Optimal, "cheaporshort_bbff", &asked),
+        ] {
+            let session = flights_session(strategy);
+            let removed = Pred::new(removed);
+            assert_eq!(session.optimized().removed_query().unwrap().0, &removed);
+            let facts = session.facts(&removed);
+            assert!(facts.iter().all(|fact| fact.predicate() == &removed));
+            assert_eq!(tuples(&facts), tuples(expected), "{removed}");
+        }
     }
 
     #[test]

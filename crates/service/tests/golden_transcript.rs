@@ -212,6 +212,117 @@ fn golden_explain_renders_the_compiled_plans() {
 }
 
 #[test]
+fn golden_a_retargeted_flights_session() {
+    // Under the constraint rewrite `cheaporshort` only copies `flight`, whose
+    // rules carry `T <= 240 ∨ C <= 150`: the query reads `flight`, answers
+    // print under it, and `.explain` opens with the `answer` line.  A base
+    // fact on either predicate falls outside that proof, so the second
+    // `.load` keeps `cheaporshort`'s rules: the long, dear base flight is
+    // no answer and the base answer is one.  `.facts cheaporshort` lists
+    // what the dropped relation would hold.
+    let rules = [
+        "r1: cheaporshort(S, D, T, C) :- flight(S, D, T, C), T <= 240.",
+        "r2: cheaporshort(S, D, T, C) :- flight(S, D, T, C), C <= 150.",
+        "r3: flight(S, D, T, C) :- singleleg(S, D, T, C), T > 0, C > 0.",
+        "r4: flight(S, D, T, C) :- flight(S, D1, T1, C1), flight(D1, D, T2, C2), \
+         T = T1 + T2 + 30, C = C1 + C2.",
+    ];
+    let mut script = vec![".strategy constraint", ".load"];
+    script.extend(rules);
+    script.extend([
+        "+singleleg(b, c, 10, 10).",
+        "+singleleg(c, d, 300, 100).",
+        "?- cheaporshort(S, D, T, C).",
+        ".end",
+        "?- cheaporshort(b, D, T, C).",
+        ".facts cheaporshort",
+        ".explain",
+        ".load",
+    ]);
+    script.extend(rules);
+    script.extend([
+        "+singleleg(b, c, 10, 10).",
+        "+flight(a, b, 500, 500).",
+        "+cheaporshort(x, y, 1, 1).",
+        "?- cheaporshort(S, D, T, C).",
+        ".end",
+        "?- cheaporshort(S, D, T, C).",
+    ]);
+    let mut shell = Shell::new();
+    let actual = transcript(&mut shell, &script);
+    let loading = "loading program; finish with .end (`+fact.` lines feed the base database)";
+    let mut expected = vec![
+        ">>> .strategy constraint".to_string(),
+        "strategy set to constraint-rewrite (pred,qrp) (takes effect at the next .load)"
+            .to_string(),
+        ">>> .load".to_string(),
+        loading.to_string(),
+    ];
+    let echoed = |lines: &[&str]| lines.iter().map(|l| format!(">>> {l}")).collect::<Vec<_>>();
+    expected.extend(echoed(&rules));
+    expected.extend(
+        [
+            ">>> +singleleg(b, c, 10, 10).",
+            ">>> +singleleg(c, d, 300, 100).",
+            ">>> ?- cheaporshort(S, D, T, C).",
+            ">>> .end",
+            "ok: materialized 5 facts (0 constraint facts) across 2 relations in <t>; strategy \
+             constraint-rewrite (pred,qrp); answers in `flight`",
+            ">>> ?- cheaporshort(b, D, T, C).",
+            "answers: 2 (predicate flight, epoch 0)",
+            "  flight(b, c, 10, 10)",
+            "  flight(b, d, 340, 110)",
+            ">>> .facts cheaporshort",
+            "cheaporshort: 3 facts",
+            "  cheaporshort(b, c, 10, 10)",
+            "  cheaporshort(b, d, 340, 110)",
+            "  cheaporshort(c, d, 300, 100)",
+            ">>> .explain",
+            "answer cheaporshort(S, D, T, C) from flight(S, D, T, C)",
+            "plan for rule r3 with copies r3_2: r3: flight(S, D, T, C) :- -T < 0, -C < 0, \
+             T <= 240, singleleg(S, D, T, C).",
+            "  delta singleleg@1: singleleg@1 delta scan [bound 0/4] {bind S, D, T, C; check -T < 0; \
+             check -C < 0; check T <= 240 [r3]; check C <= 150 [r3_2]}",
+            "plan for rule r4 with copies r4_2: r4: flight(S, D, T, C) :- T - T1 - T2 = 30, \
+             C - C1 - C2 = 0, -T1 < 0, -C1 < 0, -T2 < 0, -C2 < 0, T <= 240, \
+             flight(S, D1, T1, C1), flight(D1, D, T2, C2).",
+            "  delta flight@1: flight@1 delta scan [bound 0/4] {bind S, D1, T1, C1; check -T1 < 0; \
+             check -C1 < 0} -> flight@2 known probe $1 [bound 1/4] {bind D, T2, C2; \
+             T := T1 + T2 + 30; C := C1 + C2; check -T2 < 0; check -C2 < 0; check T <= 240 [r4]; \
+             check C <= 150 [r4_2]}",
+            "  delta flight@2: flight@2 delta scan [bound 0/4] {bind D1, D, T2, C2; check -T2 < 0; \
+             check -C2 < 0} -> flight@1 stable probe $2 [bound 1/4] {bind S, T1, C1; \
+             T := T1 + T2 + 30; C := C1 + C2; check -T1 < 0; check -C1 < 0; check T <= 240 [r4]; \
+             check C <= 150 [r4_2]}",
+            "admit singleleg: singleleg($1, $2, $3, $4) {check -$3 < 0; check -$4 < 0; \
+             check $3 <= 240} ∨ singleleg($1, $2, $3, $4) {check -$3 < 0; check -$4 < 0; \
+             check $4 <= 150}",
+            ">>> .load",
+            loading,
+        ]
+        .map(String::from),
+    );
+    expected.extend(echoed(&rules));
+    expected.extend(
+        [
+            ">>> +singleleg(b, c, 10, 10).",
+            ">>> +flight(a, b, 500, 500).",
+            ">>> +cheaporshort(x, y, 1, 1).",
+            ">>> ?- cheaporshort(S, D, T, C).",
+            ">>> .end",
+            "ok: materialized 5 facts (0 constraint facts) across 3 relations in <t>; strategy \
+             constraint-rewrite (pred,qrp); answers in `cheaporshort`",
+            ">>> ?- cheaporshort(S, D, T, C).",
+            "answers: 2 (predicate cheaporshort, epoch 0)",
+            "  cheaporshort(b, c, 10, 10)",
+            "  cheaporshort(x, y, 1, 1)",
+        ]
+        .map(String::from),
+    );
+    assert_eq!(actual, expected, "transcript diverged from the golden copy");
+}
+
+#[test]
 fn duration_masking_touches_only_duration_tokens() {
     assert_eq!(
         mask_durations("ok: materialized 5 facts across 3 relations in 688.526µs; x"),

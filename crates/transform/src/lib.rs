@@ -12,6 +12,8 @@
 //! * generation and propagation of QRP constraints ([`qrp`], Sections 4.2-4.3),
 //! * the end-to-end `Constraint_rewrite` pipeline and the rewriting-sequence
 //!   study of Section 7 ([`rewrite`]),
+//! * answering the query from the predicate its query predicate only copies
+//!   ([`retarget`], Appendix A's unfold step on the query literal),
 //! * the decidable class of Section 5 ([`decidable`]),
 //! * the Balbin et al. C transformation as a baseline ([`balbin`], Section 6.1).
 //!
@@ -46,6 +48,7 @@ pub mod foldunfold;
 pub mod magic;
 pub mod pred_constraints;
 pub mod qrp;
+pub mod retarget;
 pub mod rewrite;
 
 pub use adorn::{Adornment, SipStrategy};
@@ -58,6 +61,7 @@ pub use pred_constraints::{
     gen_predicate_constraints, gen_prop_predicate_constraints, ConstraintAnalysis, GenOptions,
 };
 pub use qrp::{gen_prop_qrp_constraints, gen_qrp_constraints, PropagateOptions};
+pub use retarget::{retarget_query, Retarget};
 pub use rewrite::{
     apply_sequence, constraint_rewrite, RewriteOptions, RewriteResult, SequenceOptions,
     SequenceResult, Step, OPTIMAL_SEQUENCE,

@@ -18,58 +18,7 @@ use pushing_constraint_selections::engine::naive;
 use pushing_constraint_selections::prelude::*;
 
 mod common;
-use common::{admitted_edb, all_strategies, assert_matches_oracle};
-
-/// A tiny deterministic generator, so the EDBs repeat run to run.
-struct Lcg(u64);
-
-impl Lcg {
-    fn below(&mut self, bound: u64) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (self.0 >> 33) % bound
-    }
-}
-
-/// Rows for every EDB predicate of `program`: small integers around the
-/// bounds the example programs test, and a symbol, which no arithmetic
-/// position admits.
-fn random_edb(program: &Program, seed: u64) -> Database {
-    let mut rng = Lcg(seed);
-    let mut db = Database::new();
-    for pred in program.edb_predicates() {
-        let arity = program.arity(&pred).expect("an EDB predicate occurs");
-        for _ in 0..8 {
-            let row = (0..arity)
-                .map(|_| match rng.below(15) {
-                    14 => Value::sym("a"),
-                    n => Value::num(n as i64 - 1),
-                })
-                .collect();
-            db.add_ground(pred.name(), row);
-        }
-    }
-    db
-}
-
-/// The answers `facts` of the query predicate hold for `query`, rendered
-/// without the predicate name and sorted, so that rewritings renaming the
-/// query predicate compare.
-fn rendered_answers(facts: Vec<Fact>) -> Vec<String> {
-    let mut rendered: Vec<String> = facts
-        .iter()
-        .map(|fact| {
-            let text = fact.to_string();
-            text.split_once('(')
-                .map_or(text.clone(), |(_, args)| args.to_string())
-        })
-        .collect();
-    rendered.sort();
-    rendered.dedup();
-    rendered
-}
+use common::{admitted_edb, all_strategies, assert_matches_oracle, random_edb, rendered_answers};
 
 #[test]
 fn edb_relations_hold_what_some_body_occurrence_reads_on_every_program() {
