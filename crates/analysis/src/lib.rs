@@ -63,27 +63,6 @@ const MAX_ITERATIONS: usize = 4;
 /// rules whose accumulated constraint grows beyond it are skipped.
 const MAX_DISJUNCTS: usize = 64;
 
-/// Options for [`analyze_with`].
-#[derive(Debug, Clone, Default)]
-pub struct AnalyzeOptions {
-    /// Declared minimum predicate constraints for the database predicates
-    /// (argument-position form), used to strengthen the satisfiability pass.
-    pub edb_constraints: BTreeMap<Pred, ConstraintSet>,
-}
-
-impl AnalyzeOptions {
-    /// Options with no declared EDB constraints.
-    pub fn new() -> Self {
-        AnalyzeOptions::default()
-    }
-
-    /// Declares the minimum predicate constraints of the database predicates.
-    pub fn with_edb_constraints(mut self, edb: BTreeMap<Pred, ConstraintSet>) -> Self {
-        self.edb_constraints = edb;
-        self
-    }
-}
-
 /// The result of analyzing a program: diagnostics plus the byproducts other
 /// subsystems consume (strata, dead rules).
 #[derive(Debug, Clone)]
@@ -155,13 +134,8 @@ impl ProgramAnalysis {
     }
 }
 
-/// Analyzes a program with default options (no declared EDB constraints).
-pub fn analyze(program: &Program) -> ProgramAnalysis {
-    analyze_with(program, &AnalyzeOptions::new())
-}
-
 /// Analyzes a program: runs all five passes and collects their findings.
-pub fn analyze_with(program: &Program, options: &AnalyzeOptions) -> ProgramAnalysis {
+pub fn analyze(program: &Program) -> ProgramAnalysis {
     let flat = program.flattened();
     let graph = program.graph();
     let mut diagnostics = Vec::new();
@@ -169,7 +143,7 @@ pub fn analyze_with(program: &Program, options: &AnalyzeOptions) -> ProgramAnaly
     arity_pass(program, &mut diagnostics);
     safety_pass(program, &flat, &mut diagnostics);
     let (unsat_rules, impossible, converged) =
-        satisfiability_pass(program, &flat, options, &mut diagnostics);
+        satisfiability_pass(program, &flat, &mut diagnostics);
     let mut dead_rules: BTreeSet<usize> = unsat_rules.union(&impossible).copied().collect();
     reachability_pass(program, &graph, &mut dead_rules, &mut diagnostics);
     lint_pass(program, &graph, &mut diagnostics);
@@ -353,13 +327,12 @@ fn equality_closure(rule: &Rule) -> BTreeSet<Var> {
 fn satisfiability_pass(
     program: &Program,
     flat: &Program,
-    options: &AnalyzeOptions,
     diagnostics: &mut Vec<Diagnostic>,
 ) -> (BTreeSet<usize>, BTreeSet<usize>, bool) {
     let gen_options = GenOptions {
         max_iterations: MAX_ITERATIONS,
     };
-    let inference = gen_predicate_constraints(program, &options.edb_constraints, &gen_options);
+    let inference = gen_predicate_constraints(program, &gen_options);
     let mut unsat = BTreeSet::new();
     let mut impossible = BTreeSet::new();
     for (idx, rule) in flat.rules().iter().enumerate() {
@@ -602,7 +575,6 @@ fn plan_pass(program: &Program, flat: &Program, diagnostics: &mut Vec<Diagnostic
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcs_constraints::{Atom, Conjunction};
     use pcs_lang::parse_program;
 
     fn codes(analysis: &ProgramAnalysis) -> Vec<Code> {
@@ -704,25 +676,26 @@ mod tests {
 
     #[test]
     fn predicate_constraints_expose_deeper_unsatisfiability() {
-        // On its own the rule is satisfiable; with the declared EDB
-        // constraint p($1) <= 0 it cannot fire.
-        let program = parse_program("q(X) :- p(X), X > 5.\n?- q(U).").unwrap();
-        let edb = BTreeMap::from([(
-            Pred::new("p"),
-            ConstraintSet::of(Conjunction::of(Atom::var_le(Var::position(1), 0))),
-        )]);
-        let options = AnalyzeOptions::new().with_edb_constraints(edb);
-        let analysis = analyze_with(&program, &options);
+        // On its own the rule reading p is satisfiable; with p's inferred
+        // predicate constraint $1 <= 0 it cannot fire.
+        let program = parse_program(
+            "p(X) :- e(X), X <= 0.\n\
+             q(X) :- p(X), X > 5.\n\
+             ?- q(U).",
+        )
+        .unwrap();
+        let analysis = analyze(&program);
         assert!(analysis.converged);
-        assert_eq!(analysis.unsat_rules, BTreeSet::from([0]));
+        assert_eq!(analysis.unsat_rules, BTreeSet::from([1]));
         let d = analysis
             .diagnostics
             .iter()
             .find(|d| d.code == Code::UnsatisfiableRule)
             .unwrap();
         assert!(d.message.contains("body predicates"), "{}", d.message);
-        // Without the declaration the rule is fine.
-        assert!(analyze(&program).unsat_rules.is_empty());
+        // Without p's constraint the rule is fine.
+        let unconstrained = parse_program("p(X) :- e(X).\nq(X) :- p(X), X > 5.\n?- q(U).").unwrap();
+        assert!(analyze(&unconstrained).unsat_rules.is_empty());
     }
 
     #[test]
@@ -765,22 +738,6 @@ mod tests {
         assert_eq!(cross[0].label.as_deref(), Some("r1"));
         assert_eq!(cross[0].span.map(|s| s.line), Some(1));
         assert!(!analysis.has_errors());
-    }
-
-    #[test]
-    fn declared_empty_edb_predicates_make_bodies_impossible() {
-        // p($1) is provably empty under the declared EDB constraint, so the
-        // rule joining it can never fire.
-        let program = parse_program("q(X) :- p(X), e(X).\n?- q(U).").unwrap();
-        let edb = BTreeMap::from([(
-            Pred::new("p"),
-            ConstraintSet::of(Conjunction::from_atoms([
-                Atom::var_le(Var::position(1), 0),
-                Atom::var_ge(Var::position(1), 1),
-            ])),
-        )]);
-        let analysis = analyze_with(&program, &AnalyzeOptions::new().with_edb_constraints(edb));
-        assert!(codes(&analysis).contains(&Code::ImpossibleBody));
     }
 
     #[test]

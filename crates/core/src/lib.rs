@@ -43,9 +43,7 @@ pub use pcs_transform as transform;
 pub mod prelude {
     pub use crate::optimizer::{Optimized, Optimizer, Strategy};
     pub use crate::programs;
-    pub use pcs_analysis::{
-        analyze, analyze_with, AnalyzeOptions, Code, Diagnostic, ProgramAnalysis, Severity,
-    };
+    pub use pcs_analysis::{analyze, Code, Diagnostic, ProgramAnalysis, Severity};
     pub use pcs_constraints::{Atom, CmpOp, Conjunction, ConstraintSet, LinearExpr, Rational, Var};
     pub use pcs_engine::{
         parse_facts, Database, EvalLimits, EvalOptions, Evaluator, Fact, FactRef, FactsError,

@@ -1,14 +1,13 @@
 //! The high-level optimizer API.
 //!
 //! [`Optimizer`] wraps the individual rewritings of `pcs-transform` behind a
-//! builder: pick a [`Strategy`], optionally declare EDB predicate
-//! constraints, and obtain an [`Optimized`] program that can be evaluated
-//! directly against a [`Database`].
+//! builder: pick a [`Strategy`] and obtain an [`Optimized`] program that can
+//! be evaluated directly against a [`Database`] whose base facts sit on EDB
+//! predicates ([`Optimized::check_database`]).
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
-use pcs_analysis::{analyze_with, AnalyzeOptions, Diagnostic, ProgramAnalysis};
-use pcs_constraints::ConstraintSet;
+use pcs_analysis::{analyze, Diagnostic, ProgramAnalysis};
 use pcs_engine::{Database, EvalOptions, EvalResult, Evaluator, ProgramPlans};
 use pcs_lang::{Literal, Pred, Program};
 use pcs_transform::{
@@ -39,7 +38,6 @@ pub struct Optimizer {
     program: Program,
     strategy: Strategy,
     magic: MagicOptions,
-    edb_constraints: BTreeMap<Pred, ConstraintSet>,
     eval: EvalOptions,
 }
 
@@ -51,7 +49,6 @@ impl Optimizer {
             program,
             strategy: Strategy::default(),
             magic: MagicOptions::bound_if_ground(),
-            edb_constraints: BTreeMap::new(),
             eval: EvalOptions::default(),
         }
     }
@@ -89,20 +86,12 @@ impl Optimizer {
         self
     }
 
-    /// Declares the minimum predicate constraint of an EDB predicate, used by
-    /// `Gen_predicate_constraints`.
-    pub fn edb_constraint(mut self, pred: impl Into<Pred>, constraint: ConstraintSet) -> Self {
-        self.edb_constraints.insert(pred.into(), constraint);
-        self
-    }
-
-    /// Runs the static analyzer on the source program, with the declared EDB
-    /// constraints.  [`Optimizer::optimize`] calls this itself; it is public
-    /// so front-ends like the shell's `.check` command can report findings
-    /// without optimizing.
+    /// Runs the static analyzer on the source program.
+    /// [`Optimizer::optimize`] calls this itself; it is public so front-ends
+    /// like the shell's `.check` command can report findings without
+    /// optimizing.
     pub fn analyze(&self) -> ProgramAnalysis {
-        let options = AnalyzeOptions::new().with_edb_constraints(self.edb_constraints.clone());
-        analyze_with(&self.program, &options)
+        analyze(&self.program)
     }
 
     /// Runs the selected rewriting pipeline.
@@ -121,75 +110,57 @@ impl Optimizer {
             self.analyze().diagnostics
         };
         let program = &self.program;
-        let rewrite_options = RewriteOptions {
-            edb_constraints: self.edb_constraints.clone(),
-            ..Default::default()
+        let source_query_pred = || {
+            program
+                .query()
+                .and_then(|q| q.literals.first())
+                .map(|l| l.predicate.clone())
+                .ok_or(TransformError::MissingQuery)
         };
-        let query_pred = program
-            .query()
-            .and_then(|q| q.literals.first())
-            .map(|l| l.predicate.clone());
         let rewrite_span = pcs_telemetry::span(pcs_telemetry::Phase::Rewrite);
-        let mut optimized = match &self.strategy {
-            Strategy::None => Optimized {
-                program: program.clone(),
-                query_pred: query_pred.ok_or(TransformError::MissingQuery)?,
-                eval: self.eval.clone(),
-                diagnostics: Vec::new(),
-                unretargeted: None,
-            },
-            Strategy::ConstraintRewrite => {
-                let result = constraint_rewrite(program, &rewrite_options)?;
-                Optimized {
-                    program: result.program,
-                    query_pred: query_pred.ok_or(TransformError::MissingQuery)?,
-                    eval: self.eval.clone(),
-                    diagnostics: Vec::new(),
-                    unretargeted: None,
-                }
-            }
-            Strategy::MagicOnly => self.run_sequence(program, &[Step::Magic], rewrite_options)?,
-            Strategy::Optimal => {
-                self.run_sequence(program, &pcs_transform::OPTIMAL_SEQUENCE, rewrite_options)?
-            }
-            Strategy::Sequence(steps) => self.run_sequence(program, steps, rewrite_options)?,
+        let (rewritten, query_pred) = match &self.strategy {
+            Strategy::None => (program.clone(), source_query_pred()?),
+            Strategy::ConstraintRewrite => (
+                constraint_rewrite(program, &RewriteOptions::default())?.program,
+                source_query_pred()?,
+            ),
+            Strategy::MagicOnly => self.run_sequence(&[Step::Magic])?,
+            Strategy::Optimal => self.run_sequence(&pcs_transform::OPTIMAL_SEQUENCE)?,
+            Strategy::Sequence(steps) => self.run_sequence(steps)?,
+        };
+        let mut optimized = Optimized {
+            program: rewritten,
+            query_pred,
+            eval: self.eval.clone(),
+            diagnostics,
+            rule_defined: BTreeSet::new(),
+            removed_query: None,
         };
         if self.strategy != Strategy::None {
             optimized = optimized.retargeted();
+            optimized.rule_defined = program.idb_predicates();
+            optimized
+                .rule_defined
+                .extend(optimized.program.idb_predicates());
         }
         drop(rewrite_span);
-        optimized.diagnostics = diagnostics;
         Ok(optimized)
     }
 
-    fn run_sequence(
-        &self,
-        program: &Program,
-        steps: &[Step],
-        rewrite: RewriteOptions,
-    ) -> Result<Optimized> {
+    fn run_sequence(&self, steps: &[Step]) -> Result<(Program, Pred)> {
         let options = SequenceOptions {
-            rewrite,
+            rewrite: RewriteOptions::default(),
             magic: self.magic,
         };
-        let result = apply_sequence(program, steps, &options)?;
-        Ok(Optimized {
-            program: result.program,
-            query_pred: result.query_pred,
-            eval: self.eval.clone(),
-            diagnostics: Vec::new(),
-            unretargeted: None,
-        })
+        let result = apply_sequence(&self.program, steps, &options)?;
+        Ok((result.program, result.query_pred))
     }
 }
 
 /// An optimized program ready for evaluation.
 #[derive(Debug, Clone)]
 pub struct Optimized {
-    /// The rewritten program (query included).  Where [`retarget_query`]
-    /// fired, it is right only over a database with no base fact on the
-    /// query predicate or the one it replaced; see
-    /// [`Optimized::for_database`].
+    /// The rewritten program (query included).
     pub program: Program,
     /// The predicate holding the query answers after rewriting (the adorned
     /// query predicate when Magic Templates was applied, the copied one
@@ -201,16 +172,17 @@ pub struct Optimized {
     /// The static-analysis findings for the source program, sorted most
     /// severe first.
     pub diagnostics: Vec<Diagnostic>,
-    /// Where [`retarget_query`] fired, what it replaced.
-    unretargeted: Option<Box<Unretargeted>>,
+    /// The predicates the source or the rewritten program defines by rules,
+    /// which must hold no base fact; empty under [`Strategy::None`].
+    rule_defined: BTreeSet<Pred>,
+    /// Where [`retarget_query`] fired, the query predicate it removed.
+    removed_query: Option<RemovedQuery>,
 }
 
-/// The program and query predicate from before [`retarget_query`], kept for
-/// databases that hold base facts its proof does not cover.
+/// The query predicate [`retarget_query`] removed.
 #[derive(Debug, Clone)]
-struct Unretargeted {
-    program: Program,
-    query_pred: Pred,
+struct RemovedQuery {
+    predicate: Pred,
     /// `answer p(X̄) from q(X̄)`, the line [`Optimized::explain`] prints.
     account: String,
     /// The literal over the retargeted query predicate whose answers are
@@ -219,92 +191,79 @@ struct Unretargeted {
 }
 
 impl Optimized {
-    /// Applies [`retarget_query`] to the rewritten program, keeping the
-    /// program it replaces.
+    /// Applies [`retarget_query`] to the rewritten program.
     fn retargeted(self) -> Optimized {
         let Some(retarget) = retarget_query(&self.program) else {
             return self;
         };
         Optimized {
             query_pred: retarget.source.predicate.clone(),
-            unretargeted: Some(Box::new(Unretargeted {
-                program: self.program,
-                query_pred: self.query_pred,
+            removed_query: Some(RemovedQuery {
+                predicate: self.query_pred,
                 account: retarget.render(),
                 listing: retarget.listing,
-            })),
+            }),
             program: retarget.program,
             ..self
         }
     }
 
-    /// Whether `db` holds a base fact on the retargeted query predicate or
-    /// on the predicate it was copying: [`retarget_query`]'s proof covers
-    /// derived facts only, so such a database is evaluated with the program
-    /// from before the step.  Item 3 of the roadmap, which moves base facts
-    /// on rule-defined predicates into the program, deletes this fallback.
-    fn unretargeted_for(&self, db: &Database) -> Option<&Unretargeted> {
-        self.unretargeted.as_deref().filter(|before| {
-            !db.facts_for(&before.query_pred).is_empty()
-                || !db.facts_for(&self.query_pred).is_empty()
-        })
+    /// Checks the one thing every rewriting assumes about the database: its
+    /// base facts sit on EDB predicates.  The equivalence proofs
+    /// (Theorems 4.3, 4.4 and 7.10) cover only such databases; a base fact
+    /// on a rule-defined predicate is filtered by that predicate's pushed
+    /// constraints, and magic rules never read it.  So under every strategy
+    /// but [`Strategy::None`], which runs the program as written, this
+    /// returns the first predicate that `db` holds base facts on and the
+    /// source program or its rewriting (an adorned or magic predicate)
+    /// defines by rules.  Write such facts as rules of the program instead
+    /// (as `fibonacci.pcs` does with `r1` and `r2`).
+    pub fn check_database(&self, db: &Database) -> std::result::Result<(), Pred> {
+        let refused = db
+            .predicates()
+            .find(|pred| self.rule_defined.contains(*pred));
+        refused.map_or(Ok(()), |pred| Err(pred.clone()))
     }
 
     /// The query predicate [`retarget_query`] removed, with the literal
     /// whose answers are its facts (the query predicate's, with the query's
     /// constants where a magic guard bound them).  `None` where the step did
-    /// not fire or [`Optimized::for_database`] undid it.
+    /// not fire.
     pub fn removed_query(&self) -> Option<(&Pred, &Literal)> {
-        self.unretargeted
-            .as_deref()
-            .map(|before| (&before.query_pred, &before.listing))
-    }
-
-    /// The program [`Optimized::evaluate`] runs over `db`: the rewritten
-    /// one, unless `db` holds base facts the query retargeting does not
-    /// cover (see [`Optimized::for_database`]).  Its query names the
-    /// predicate holding the answers.
-    pub fn program_for(&self, db: &Database) -> &Program {
-        self.unretargeted_for(db)
-            .map_or(&self.program, |before| &before.program)
-    }
-
-    /// This optimized program as it must run over `db`: unchanged, or —
-    /// where `db` holds a base fact on the query predicate or on the
-    /// predicate the retargeted query reads — with the query retargeting
-    /// undone.  The choice holds for every later update, since only EDB
-    /// predicates take updates.
-    pub fn for_database(mut self, db: &Database) -> Optimized {
-        if self.unretargeted_for(db).is_some() {
-            let before = self.unretargeted.take().expect("it was just found");
-            self.program = before.program;
-            self.query_pred = before.query_pred;
-        }
-        self
+        self.removed_query
+            .as_ref()
+            .map(|removed| (&removed.predicate, &removed.listing))
     }
 
     /// The evaluator for this program with the configured options — the
-    /// handoff a long-lived `pcs-service` session uses: build the evaluator
-    /// once, [`Evaluator::evaluate`] to materialize, then
-    /// [`Evaluator::apply`] per update batch.
-    ///
-    /// It runs [`Optimized::program`] and so assumes the database holds no
-    /// base fact on the query predicate or on the predicate a retargeted
-    /// query reads; [`Optimized::for_database`] first makes that so.
+    /// handoff a long-lived `pcs-service` session uses: check the database
+    /// ([`Optimized::check_database`]), build the evaluator once,
+    /// [`Evaluator::evaluate`] to materialize, then [`Evaluator::apply`] per
+    /// update batch.
     pub fn evaluator(&self) -> Evaluator {
         Evaluator::new(&self.program, self.eval.clone())
     }
 
     /// Evaluates the optimized program bottom-up against a database, using
     /// the options configured via [`Optimizer::eval_options`].
+    ///
+    /// # Panics
+    ///
+    /// If `db` fails [`Optimized::check_database`].
     pub fn evaluate(&self, db: &Database) -> EvalResult {
         self.evaluate_with(db, self.eval.clone())
     }
 
-    /// Evaluates with explicit options (limits, tracing) the program
-    /// [`Optimized::program_for`] picks for `db`.
+    /// Evaluates with explicit options (limits, tracing).
+    ///
+    /// # Panics
+    ///
+    /// If `db` fails [`Optimized::check_database`].
     pub fn evaluate_with(&self, db: &Database, options: EvalOptions) -> EvalResult {
-        Evaluator::new(self.program_for(db), options).evaluate(db)
+        if let Err(pred) = self.check_database(db) {
+            panic!("the database holds base facts on `{pred}`, which the program defines by rules");
+        }
+        Evaluator::new(&self.program, options).evaluate(db)
     }
 
     /// Renders the compiled join plan of every (rule × delta-position) body
@@ -315,17 +274,21 @@ impl Optimized {
     pub fn explain(&self) -> Vec<String> {
         let flat = self.program.flattened();
         let plans = pcs_engine::render_plans(&flat, &ProgramPlans::compile(&flat));
-        self.unretargeted
+        self.removed_query
             .iter()
-            .map(|before| before.account.clone())
+            .map(|removed| removed.account.clone())
             .chain(plans)
             .collect()
     }
 
     /// Evaluates and returns the number of answers to the program's query.
+    ///
+    /// # Panics
+    ///
+    /// If `db` fails [`Optimized::check_database`].
     pub fn count_answers(&self, db: &Database) -> usize {
         let result = self.evaluate(db);
-        match self.program_for(db).query() {
+        match self.program.query() {
             Some(query) => result.answers(query).len(),
             None => 0,
         }

@@ -72,8 +72,11 @@ pub enum SessionError {
     /// Fact text did not parse, or contained an unsatisfiable constraint
     /// fact.
     Facts(FactsError),
-    /// An update tried to insert into (or retract from) a predicate that is
-    /// not an EDB predicate of the materialized program.
+    /// A base fact named a predicate that is not an EDB predicate of the
+    /// program: an update on one the materialized program does not read as
+    /// one, or a database to materialize under a rewriting strategy holding
+    /// facts on a predicate the program defines by rules
+    /// ([`Optimized::check_database`]).
     NotAnEdbPredicate(Pred),
     /// A retraction named a fact that is not in the extensional database
     /// (rendered); the whole batch is refused so a typo cannot silently
@@ -110,7 +113,9 @@ impl fmt::Display for SessionError {
             SessionError::Facts(e) => write!(f, "invalid facts: {e}"),
             SessionError::NotAnEdbPredicate(p) => write!(
                 f,
-                "`{p}` is not an EDB predicate; only database facts can be inserted or retracted"
+                "`{p}` is not an EDB predicate, one the program reads and no rule defines \
+                 (write a rule-defined predicate's facts as rules of the program, as \
+                 fibonacci.pcs does with r1 and r2)"
             ),
             SessionError::NoSuchFact(fact) => write!(
                 f,
@@ -495,6 +500,10 @@ impl Session {
     /// materialization and every resumed update.  Each evaluation runs on
     /// the thread that asked for it: the materializing caller, or the leader
     /// of an update group.
+    ///
+    /// Under every strategy but [`Strategy::None`], a database holding base
+    /// facts on a predicate the program defines by rules is refused with
+    /// [`SessionError::NotAnEdbPredicate`] ([`Optimized::check_database`]).
     pub fn materialize(optimizer: &Optimizer, db: &Database) -> Result<Session, SessionError> {
         Session::materialize_at(optimizer, db, 0)
     }
@@ -513,10 +522,10 @@ impl Session {
             .query()
             .and_then(|q| q.literals.first())
             .cloned();
-        let optimized = optimizer
-            .optimize()
-            .map_err(SessionError::Optimize)?
-            .for_database(db);
+        let optimized = optimizer.optimize().map_err(SessionError::Optimize)?;
+        optimized
+            .check_database(db)
+            .map_err(SessionError::NotAnEdbPredicate)?;
         let rewritten_query = optimized
             .program
             .query()
@@ -527,9 +536,6 @@ impl Session {
             .rules()
             .iter()
             .any(|rule| rule.head.predicate.is_magic());
-        // `evaluator()` runs `program` whatever `db` holds; `for_database`
-        // has made that the program `evaluate` would pick.
-        debug_assert!(std::ptr::eq(optimized.program_for(db), &optimized.program));
         let edb = optimized.program.edb_predicates();
         let evaluator = optimized.evaluator();
         let result = evaluator.evaluate(db);
@@ -719,24 +725,28 @@ impl Session {
     /// every base fact ([`Database::relation`]); for the query predicate the
     /// optimizer answers from another relation ([`Optimized::removed_query`])
     /// the facts it would hold, under its own name; else its relation's —
-    /// the shell's `.facts`.
-    pub fn facts(&self, pred: &Pred) -> Vec<Fact> {
+    /// the shell's `.facts`.  A predicate the materialization does not hold
+    /// is a [`SessionError::UnknownPredicate`], as it is for a query.
+    pub fn facts(&self, pred: &Pred) -> Result<Vec<Fact>, SessionError> {
         let snapshot = self.snapshot();
         if self.edb.contains(pred) {
-            return snapshot.base().relation(pred).to_facts();
+            return Ok(snapshot.base().relation(pred).to_facts());
         }
         // The query predicate the optimizer answers from another relation:
         // its facts are that relation's answers to the listing literal.
         if let Some((removed, listing)) = self.optimized.removed_query() {
             if removed == pred {
-                return snapshot
+                return Ok(snapshot
                     .answers(&Query::new(listing.clone()))
                     .into_iter()
                     .map(|fact| fact.renamed(pred.clone()))
-                    .collect();
+                    .collect());
             }
         }
-        snapshot.result().facts_for(pred)
+        if !snapshot.result().relations.contains_key(pred) {
+            return Err(SessionError::UnknownPredicate(pred.clone()));
+        }
+        Ok(snapshot.result().facts_for(pred))
     }
 
     /// Applies one atomic [`UpdateBatch`] — retractions first, then
@@ -1223,7 +1233,7 @@ mod tests {
         // step: every `cheaporshort` fact, or under magic those of the
         // program query's `madison, seattle`.
         let baseline = flights_session(Strategy::None);
-        let all = baseline.facts(&Pred::new("cheaporshort"));
+        let all = baseline.facts(&Pred::new("cheaporshort")).unwrap();
         let query = parse_query("?- cheaporshort(madison, seattle, T, C).").unwrap();
         let (_, _, asked) = baseline.query(&query).unwrap();
         assert!(!asked.is_empty() && asked.len() < all.len());
@@ -1234,7 +1244,7 @@ mod tests {
             let session = flights_session(strategy);
             let removed = Pred::new(removed);
             assert_eq!(session.optimized().removed_query().unwrap().0, &removed);
-            let facts = session.facts(&removed);
+            let facts = session.facts(&removed).unwrap();
             assert!(facts.iter().all(|fact| fact.predicate() == &removed));
             assert_eq!(tuples(&facts), tuples(expected), "{removed}");
         }

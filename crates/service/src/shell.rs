@@ -516,11 +516,11 @@ impl Shell {
             Err(response) => return response,
         };
         let pred = pcs_lang::Pred::new(arg);
-        let mut rendered: Vec<String> = session
-            .facts(&pred)
-            .iter()
-            .map(|fact| format!("  {fact}"))
-            .collect();
+        let facts = match session.facts(&pred) {
+            Ok(facts) => facts,
+            Err(e) => return Response::error(e),
+        };
+        let mut rendered: Vec<String> = facts.iter().map(|fact| format!("  {fact}")).collect();
         rendered.sort();
         let mut lines = vec![format!("{}: {} facts", pred, rendered.len())];
         lines.extend(rendered);
@@ -660,7 +660,8 @@ pub fn strategy_token(strategy: &Strategy) -> String {
 
 const HELP: &str = "commands:
   .load              start a program block; finish with .end
-                     (inside the block, `+fact.` lines feed the base database)
+                     (inside the block, `+fact.` lines feed the base database;
+                     they name EDB predicates, which no rule defines)
   .strategy [name]   show or set the rewriting strategy for the next .load:
                      none, constraint, magic, optimal, or pred/qrp/mg lists
   .session           list the named sessions of this server (`*` = attached)
@@ -753,6 +754,26 @@ r4: flight(S, D, T, C) :- flight(S, D1, T1, C1), flight(D1, D, T2, C2), T = T1 +
         assert!(run(&mut shell, "+flight(a, b, 1, 1).")[0].contains("not an EDB"));
         assert!(run(&mut shell, "?- nosuch(X).")[0].contains("unknown predicate"));
         assert!(run(&mut shell, "+nonsense((")[0].starts_with("error:"));
+    }
+
+    #[test]
+    fn facts_of_a_predicate_the_materialization_does_not_hold_are_an_error() {
+        let mut shell = Shell::new();
+        run(
+            &mut shell,
+            &FLIGHTS.replace(".strategy constraint", ".strategy optimal"),
+        );
+        // Under `optimal` the flight facts live in `flight_bbff`.
+        for pred in ["nosuch", "flight"] {
+            assert_eq!(
+                run(&mut shell, &format!(".facts {pred}")),
+                [format!(
+                    "error: unknown predicate `{pred}` in the materialization"
+                )]
+            );
+        }
+        let out = run(&mut shell, ".facts flight_bbff");
+        assert!(out[0].starts_with("flight_bbff: "), "{out:?}");
     }
 
     #[test]

@@ -255,3 +255,92 @@ fn an_unacknowledged_update_never_tears() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The flights rules of Example 1.1, asked about flights from `a`.
+const FLIGHTS_FROM_A: &[&str] = &[
+    "r1: cheaporshort(S, D, T, C) :- flight(S, D, T, C), T <= 240.",
+    "r2: cheaporshort(S, D, T, C) :- flight(S, D, T, C), C <= 150.",
+    "r3: flight(S, D, T, C) :- singleleg(S, D, T, C), T > 0, C > 0.",
+    "r4: flight(S, D, T, C) :- flight(S, D1, T1, C1), flight(D1, D, T2, C2), \
+     T = T1 + T2 + 30, C = C1 + C2.",
+    "?- cheaporshort(a, D, T, C).",
+];
+
+#[test]
+fn a_load_with_base_facts_on_a_rule_defined_predicate_is_refused_in_one_frame() {
+    let dir = temp_dir("refused-load");
+    let server = ServerProcess::spawn(&dir, 1000);
+    let mut client = Client::connect(server.addr);
+    // Under the default strategy (optimal) a base `flight` fact is refused.
+    client.send(".load");
+    for line in FLIGHTS_FROM_A {
+        client.send(line);
+    }
+    client.send("+singleleg(b, c, 10, 10).");
+    client.send("+flight(a, b, -5, 10).");
+    let out = client.send(".end");
+    assert_eq!(out.len(), 1, "{out:?}");
+    assert!(
+        out[0].starts_with("error: `flight` is not an EDB predicate, "),
+        "{out:?}"
+    );
+    // The same connection loads the fact as a rule and is answered.
+    client.send(".load");
+    for line in FLIGHTS_FROM_A {
+        client.send(line);
+    }
+    client.send("+singleleg(b, c, 10, 10).");
+    client.send("flight(a, b, -5, 10).");
+    let out = client.send(".end");
+    assert!(out[0].starts_with("ok: materialized"), "{out:?}");
+    let out = client.send("?- cheaporshort(a, D, T, C).");
+    assert!(out[0].starts_with("answers: 2 "), "{out:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_snapshot_with_base_facts_on_a_rule_defined_predicate_is_not_recovered() {
+    use pcs_service::wal::{write_snapshot, SnapshotFile, SNAPSHOT_FILE};
+    // A data directory as a build that accepted such facts would have left
+    // it: `stale` holds a base `flight` fact under `optimal`, `fine` only
+    // `singleleg` facts.
+    let dir = temp_dir("stale-snapshot");
+    let program = FLIGHTS_FROM_A.join("\n");
+    for (name, facts) in [
+        ("stale", "singleleg(b, c, 10, 10).\nflight(a, b, -5, 10).\n"),
+        (
+            "fine",
+            "singleleg(a, b, 10, 10).\nsingleleg(b, c, 10, 10).\n",
+        ),
+    ] {
+        std::fs::create_dir_all(dir.join(name)).expect("session directory");
+        let snapshot = SnapshotFile {
+            strategy: "optimal".to_string(),
+            epoch: 3,
+            program: program.clone(),
+            facts: facts.to_string(),
+        };
+        write_snapshot(&dir.join(name).join(SNAPSHOT_FILE), &snapshot).expect("snapshot");
+    }
+    let server = ServerProcess::spawn(&dir, 1000);
+    let report = &server.startup_lines;
+    assert!(
+        report.iter().any(|line| line.contains(
+            "warning: session `stale` not recovered: re-materialization failed: \
+             `flight` is not an EDB predicate"
+        )),
+        "{report:?}"
+    );
+    assert!(
+        report
+            .iter()
+            .any(|line| line.contains("recovered session `fine` at epoch 3")),
+        "{report:?}"
+    );
+    let mut client = Client::connect(server.addr);
+    let out = client.send(".session attach fine");
+    assert!(out[0].starts_with("ok:"), "{out:?}");
+    let out = client.send("?- cheaporshort(a, D, T, C).");
+    assert!(out[0].starts_with("answers: 2 "), "{out:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

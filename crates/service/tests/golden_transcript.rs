@@ -112,7 +112,9 @@ fn golden_error_paths_and_recovery() {
         ">>> -b(9).",
         "error: `b(9)` is not in the extensional database; nothing was retracted",
         ">>> -c(1).",
-        "error: `c` is not an EDB predicate; only database facts can be inserted or retracted",
+        "error: `c` is not an EDB predicate, one the program reads and no rule defines (write \
+         a rule-defined predicate's facts as rules of the program, as fibonacci.pcs does with \
+         r1 and r2)",
         ">>> -b(2).",
         "ok: epoch 1; -2 removed, +0 re-derived (0 derivations over 2 iterations, Fixpoint, <t>)",
         ">>> ?- p(X).",
@@ -215,11 +217,11 @@ fn golden_explain_renders_the_compiled_plans() {
 fn golden_a_retargeted_flights_session() {
     // Under the constraint rewrite `cheaporshort` only copies `flight`, whose
     // rules carry `T <= 240 ∨ C <= 150`: the query reads `flight`, answers
-    // print under it, and `.explain` opens with the `answer` line.  A base
-    // fact on either predicate falls outside that proof, so the second
-    // `.load` keeps `cheaporshort`'s rules: the long, dear base flight is
-    // no answer and the base answer is one.  `.facts cheaporshort` lists
-    // what the dropped relation would hold.
+    // print under it, and `.explain` opens with the `answer` line.
+    // `.facts cheaporshort` lists what the dropped relation would hold.  A
+    // base fact on a rule-defined predicate falls outside every rewriting's
+    // proof, so the second `.load` is refused, naming the first such
+    // predicate, and the first session serves on.
     let rules = [
         "r1: cheaporshort(S, D, T, C) :- flight(S, D, T, C), T <= 240.",
         "r2: cheaporshort(S, D, T, C) :- flight(S, D, T, C), C <= 150.",
@@ -310,12 +312,14 @@ fn golden_a_retargeted_flights_session() {
             ">>> +cheaporshort(x, y, 1, 1).",
             ">>> ?- cheaporshort(S, D, T, C).",
             ">>> .end",
-            "ok: materialized 5 facts (0 constraint facts) across 3 relations in <t>; strategy \
-             constraint-rewrite (pred,qrp); answers in `cheaporshort`",
+            "error: `cheaporshort` is not an EDB predicate, one the program reads and no rule \
+             defines (write a rule-defined predicate's facts as rules of the program, as \
+             fibonacci.pcs does with r1 and r2)",
             ">>> ?- cheaporshort(S, D, T, C).",
-            "answers: 2 (predicate cheaporshort, epoch 0)",
-            "  cheaporshort(b, c, 10, 10)",
-            "  cheaporshort(x, y, 1, 1)",
+            "answers: 3 (predicate flight, epoch 0)",
+            "  flight(b, c, 10, 10)",
+            "  flight(b, d, 340, 110)",
+            "  flight(c, d, 300, 100)",
         ]
         .map(String::from),
     );

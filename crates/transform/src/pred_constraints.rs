@@ -70,17 +70,13 @@ pub fn inferred_head_constraint(
 }
 
 /// `Gen_predicate_constraints`: computes the minimum predicate constraint for
-/// every derived predicate (Theorem 4.5), given the (declared) minimum
-/// predicate constraints of the database predicates.
+/// every derived predicate (Theorem 4.5).  A database predicate's constraint
+/// is `true`: its base facts may hold any values.
 ///
 /// When the procedure does not stabilize within `options.max_iterations`,
 /// `converged` is `false` and the partial constraints must not be used for
 /// optimization (they under-approximate the derivable facts).
-pub fn gen_predicate_constraints(
-    program: &Program,
-    edb_constraints: &BTreeMap<Pred, ConstraintSet>,
-    options: &GenOptions,
-) -> ConstraintAnalysis {
+pub fn gen_predicate_constraints(program: &Program, options: &GenOptions) -> ConstraintAnalysis {
     let program = program.flattened();
     let idb = program.idb_predicates();
     let mut current: BTreeMap<Pred, ConstraintSet> = BTreeMap::new();
@@ -88,11 +84,7 @@ pub fn gen_predicate_constraints(
         current.insert(pred.clone(), ConstraintSet::falsum());
     }
     for pred in program.edb_predicates() {
-        let declared = edb_constraints
-            .get(&pred)
-            .cloned()
-            .unwrap_or_else(ConstraintSet::truth);
-        current.insert(pred, declared);
+        current.insert(pred, ConstraintSet::truth());
     }
 
     let mut iterations = 0;
@@ -218,8 +210,7 @@ mod tests {
              r3: a(X, Y) :- a(X, Z), a(Z, Y).",
         )
         .unwrap();
-        let analysis =
-            gen_predicate_constraints(&program, &BTreeMap::new(), &GenOptions::default());
+        let analysis = gen_predicate_constraints(&program, &GenOptions::default());
         assert!(analysis.converged);
         let a_constraint = analysis.constraint_for(&Pred::new("a"));
         let expected = ConstraintSet::of(Conjunction::of(Atom::compare(
@@ -244,8 +235,7 @@ mod tests {
              r4: flight(S, D, T, C) :- flight(S, D1, T1, C1), flight(D1, D, T2, C2), T = T1 + T2 + 30, C = C1 + C2.",
         )
         .unwrap();
-        let analysis =
-            gen_predicate_constraints(&program, &BTreeMap::new(), &GenOptions::default());
+        let analysis = gen_predicate_constraints(&program, &GenOptions::default());
         assert!(analysis.converged);
         let flight = analysis.constraint_for(&Pred::new("flight"));
         let expected_flight = ConstraintSet::of(Conjunction::from_atoms([
@@ -282,11 +272,7 @@ mod tests {
              fib(N, X) :- N > 1, fib(N - 1, X1), fib(N - 2, X2), X = X1 + X2.",
         )
         .unwrap();
-        let analysis = gen_predicate_constraints(
-            &program,
-            &BTreeMap::new(),
-            &GenOptions { max_iterations: 5 },
-        );
+        let analysis = gen_predicate_constraints(&program, &GenOptions { max_iterations: 5 });
         assert!(!analysis.converged);
         let fib = analysis.constraint_for(&Pred::new("fib"));
         // Every disjunct accumulated so far satisfies $2 >= 1 and $1 >= 0.
@@ -301,8 +287,7 @@ mod tests {
              r3: flight(Src, Dst, Time, Cost) :- singleleg(Src, Dst, Time, Cost), Cost > 0, Time > 0.",
         )
         .unwrap();
-        let analysis =
-            gen_predicate_constraints(&program, &BTreeMap::new(), &GenOptions::default());
+        let analysis = gen_predicate_constraints(&program, &GenOptions::default());
         let rewritten = gen_prop_predicate_constraints(&program, &analysis);
         // r1 now also carries T > 0 and C > 0 from flight's predicate constraint.
         let r1 = &rewritten.rules_for(&Pred::new("cheaporshort"))[0];
@@ -316,11 +301,7 @@ mod tests {
         // nat(Y) :- nat(X), Y = X + 1 keeps producing new disjuncts
         // ($1 = 0) ∨ ($1 = 1) ∨ ... and never stabilizes.
         let program = parse_program("nat(0).\nnat(Y) :- nat(X), Y = X + 1.").unwrap();
-        let analysis = gen_predicate_constraints(
-            &program,
-            &BTreeMap::new(),
-            &GenOptions { max_iterations: 8 },
-        );
+        let analysis = gen_predicate_constraints(&program, &GenOptions { max_iterations: 8 });
         assert!(!analysis.converged);
         assert_eq!(analysis.iterations, 8);
     }

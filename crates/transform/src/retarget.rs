@@ -10,10 +10,8 @@
 //! query literal, or relation inlining in Soufflé's terms (Jordan, Scholz &
 //! Subotić, CAV 2016).
 //!
-//! Every check is local to the rewritten rules.  The proof covers derived
-//! `q` facts only: a base fact on `p` or `q` falls outside it, so a caller
-//! evaluating over a database that holds one must keep the program from
-//! before the step.
+//! Every check is local to the rewritten rules.  Like every rewriting, the
+//! step assumes base facts sit on EDB predicates only, never on `p` or `q`.
 
 use std::collections::BTreeMap;
 

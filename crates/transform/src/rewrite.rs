@@ -1,9 +1,8 @@
 //! The end-to-end rewriting pipelines: `Constraint_rewrite` (Section 4.5) and
 //! arbitrary sequences of the three rewritings studied in Section 7.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use pcs_constraints::ConstraintSet;
 use pcs_lang::{Pred, Program};
 
 use crate::error::{Result, TransformError};
@@ -20,8 +19,6 @@ pub struct RewriteOptions {
     pub gen: GenOptions,
     /// Disjunct handling during QRP propagation (Section 4.6).
     pub propagate: PropagateOptions,
-    /// Declared minimum predicate constraints for the EDB predicates.
-    pub edb_constraints: BTreeMap<Pred, ConstraintSet>,
 }
 
 /// The result of `Constraint_rewrite`.
@@ -57,8 +54,7 @@ pub fn constraint_rewrite(program: &Program, options: &RewriteOptions) -> Result
     let flattened = with_query_rule.flattened();
 
     // Step 2: generate and propagate minimum predicate constraints.
-    let predicate_constraints =
-        gen_predicate_constraints(&flattened, &options.edb_constraints, &options.gen);
+    let predicate_constraints = gen_predicate_constraints(&flattened, &options.gen);
     let after_pred = if predicate_constraints.converged {
         gen_prop_predicate_constraints(&flattened, &predicate_constraints)
     } else {
@@ -168,11 +164,7 @@ pub fn apply_sequence(
     for step in steps {
         match step {
             Step::Pred => {
-                let analysis = gen_predicate_constraints(
-                    &current,
-                    &options.rewrite.edb_constraints,
-                    &options.rewrite.gen,
-                );
+                let analysis = gen_predicate_constraints(&current, &options.rewrite.gen);
                 if analysis.converged {
                     current = gen_prop_predicate_constraints(&current, &analysis);
                 }

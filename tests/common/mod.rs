@@ -227,10 +227,11 @@ pub fn assert_matches_oracle(
 }
 
 /// A tiny deterministic generator, so the EDBs repeat run to run.
-struct Lcg(u64);
+/// A small deterministic generator for the suites' random rows.
+pub struct Lcg(pub u64);
 
 impl Lcg {
-    fn below(&mut self, bound: u64) -> u64 {
+    pub fn below(&mut self, bound: u64) -> u64 {
         self.0 = self
             .0
             .wrapping_mul(6_364_136_223_846_793_005)

@@ -48,11 +48,7 @@ fn prelude_reexports_every_layer() {
     .unwrap();
     assert_eq!(OPTIMAL_SEQUENCE, [Step::Pred, Step::Qrp, Step::Magic]);
     let _ = check_decidable_class(&program);
-    let _ = gen_predicate_constraints(
-        &program,
-        &std::collections::BTreeMap::new(),
-        &GenOptions::default(),
-    );
+    let _ = gen_predicate_constraints(&program, &GenOptions::default());
     let query_preds: std::collections::BTreeSet<Pred> = [Pred::new("q")].into_iter().collect();
     let _ = gen_qrp_constraints(&program, &query_preds, &GenOptions::default());
     let _ = PropagateOptions::default();

@@ -4,9 +4,9 @@
 //!
 //! Where it fires, the query names the predicate its query predicate only
 //! copied, and the answers stay the naive oracle's for the source program on
-//! every program of `programs/` under every strategy.  A database with base
-//! facts on either predicate is evaluated with the program from before the
-//! step, so such facts change no answer.
+//! every program of `programs/` under every strategy.  Base facts on either
+//! predicate are refused, as on every rule-defined predicate
+//! (`Optimized::check_database`).
 
 use pushing_constraint_selections::engine::naive;
 use pushing_constraint_selections::prelude::*;
@@ -122,7 +122,7 @@ fn answers_equal_the_oracle_on_every_program_under_every_strategy() {
             let optimized = optimized(program.clone(), strategy);
             retargeted += usize::from(optimized.explain()[0].starts_with("answer "));
             let result = optimized.evaluate(&db);
-            let query = optimized.program_for(&db).query().unwrap();
+            let query = optimized.program.query().unwrap();
             assert_eq!(
                 rendered_answers(result.answers(query)),
                 expected,
@@ -134,46 +134,35 @@ fn answers_equal_the_oracle_on_every_program_under_every_strategy() {
 }
 
 #[test]
-fn base_facts_on_the_query_or_source_predicate_change_no_answer() {
+fn base_facts_on_the_query_or_source_predicate_are_refused() {
     let program = flights("?- cheaporshort(S, D, T, C).");
     let optimized = optimized(program, Strategy::ConstraintRewrite);
     assert_eq!(optimized.query_pred, Pred::new("flight"));
-    let answers = |facts: &str| {
+    let database = |facts: &str| {
         let mut db = Database::new();
         db.add_facts_str(facts).unwrap();
-        let result = optimized.evaluate(&db);
-        let query = optimized.program_for(&db).query().unwrap();
-        let mut answers: Vec<String> = result
-            .answers(query)
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        answers.sort();
-        assert_eq!(optimized.count_answers(&db), answers.len());
-        answers
+        db
     };
     let leg = "singleleg(b, c, 10, 10).\n";
-    // No base fact on either predicate: the retargeted program runs.
-    assert_eq!(answers(leg), ["flight(b, c, 10, 10)"]);
-    // A long, dear base flight is no answer, whatever it would copy into.
-    assert_eq!(
-        answers(&format!("{leg}flight(a, b, 500, 500).")),
-        ["cheaporshort(b, c, 10, 10)"]
-    );
-    // A base answer is one, beside the derived answer.
-    assert_eq!(
-        answers(&format!(
-            "{leg}flight(a, b, 500, 500).\ncheaporshort(x, y, 1, 1)."
-        )),
-        ["cheaporshort(b, c, 10, 10)", "cheaporshort(x, y, 1, 1)"]
-    );
-    // A session settles the choice once, at materialization.
-    let mut db = Database::new();
-    db.add_facts_str(&format!("{leg}cheaporshort(x, y, 1, 1)."))
-        .unwrap();
-    let kept = optimized.clone().for_database(&db);
-    assert_eq!(kept.query_pred, Pred::new("cheaporshort"));
-    assert!(!kept.explain()[0].starts_with("answer "));
-    let unchanged = optimized.clone().for_database(&Database::new());
-    assert_eq!(unchanged.query_pred, Pred::new("flight"));
+    // Base facts on EDB predicates only: the retargeted program answers.
+    let db = database(leg);
+    assert_eq!(optimized.check_database(&db), Ok(()));
+    let answers: Vec<String> = optimized
+        .evaluate(&db)
+        .answers(optimized.program.query().unwrap())
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    assert_eq!(answers, ["flight(b, c, 10, 10)"]);
+    // A base fact on the copied predicate or on the removed query predicate
+    // is refused, and evaluating over it panics instead of answering.
+    for (fact, pred) in [
+        ("flight(a, b, 500, 500).", "flight"),
+        ("cheaporshort(x, y, 1, 1).", "cheaporshort"),
+    ] {
+        let db = database(&format!("{leg}{fact}"));
+        assert_eq!(optimized.check_database(&db), Err(Pred::new(pred)));
+        let evaluated = std::panic::catch_unwind(|| optimized.count_answers(&db));
+        assert!(evaluated.is_err(), "{fact} was evaluated");
+    }
 }
