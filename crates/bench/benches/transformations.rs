@@ -1,12 +1,14 @@
 //! Cost of the rewriting procedures themselves: `Constraint_rewrite`
-//! (Gen/Prop of predicate and QRP constraints) and the constraint magic
-//! rewriting, on the paper's programs.
+//! (the `pred, qrp` sequence: Gen/Prop of predicate and QRP constraints) and
+//! the constraint magic rewriting, on the paper's programs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use pcs_core::programs;
-use pcs_transform::{constraint_rewrite, magic_rewrite, MagicOptions, RewriteOptions};
+use pcs_transform::{
+    apply_sequence, magic_rewrite, MagicOptions, PropagateOptions, CONSTRAINT_REWRITE,
+};
 
 fn bench_transformations(c: &mut Criterion) {
     let mut group = c.benchmark_group("transformations");
@@ -21,7 +23,14 @@ fn bench_transformations(c: &mut Criterion) {
         ("example_71", programs::example_71()),
     ] {
         group.bench_function(format!("constraint_rewrite_{name}"), |b| {
-            b.iter(|| constraint_rewrite(black_box(&program), &RewriteOptions::default()).unwrap());
+            b.iter(|| {
+                apply_sequence(
+                    black_box(&program),
+                    &CONSTRAINT_REWRITE,
+                    &PropagateOptions::default(),
+                )
+                .unwrap()
+            });
         });
         group.bench_function(format!("magic_rewrite_{name}"), |b| {
             b.iter(|| {

@@ -8,8 +8,9 @@ use pcs_core::{programs, Optimizer, Strategy};
 use pcs_engine::{Database, EvalOptions, Evaluator};
 use pcs_lang::{parse_program, Pred, Program};
 use pcs_transform::{
-    check_decidable_class, constraint_rewrite, gen_qrp_constraints, magic_rewrite, GenOptions,
-    MagicOptions, PropagateOptions, RewriteOptions, Step,
+    apply_sequence, check_decidable_class, gen_predicate_constraints,
+    gen_prop_predicate_constraints, gen_qrp_constraints, magic_rewrite, ConstraintAnalysis,
+    GenOptions, MagicOptions, PropagateOptions, Step, CONSTRAINT_REWRITE,
 };
 
 /// E1 (Table 1): per-iteration derivations of the magic-rewritten Fibonacci
@@ -129,21 +130,37 @@ pub fn flights(sizes: &[(usize, usize)]) -> String {
     out
 }
 
+/// The minimum predicate and QRP constraints of `program` as Appendix C's
+/// `Constraint_rewrite` computes them: both with the query rule
+/// `q#(V̄) :- <query body>` attached, the QRP constraints once the predicate
+/// constraints are propagated.
+fn constraint_analyses(program: &Program) -> (ConstraintAnalysis, ConstraintAnalysis) {
+    let (with_query_rule, query_pred) = program.flattened().attach_query_rule().unwrap();
+    let predicate = gen_predicate_constraints(&with_query_rule, &GenOptions::default());
+    let propagated = gen_prop_predicate_constraints(&with_query_rule, &predicate);
+    let query_preds = [query_pred].into_iter().collect();
+    let qrp = gen_qrp_constraints(&propagated, &query_preds, &GenOptions::default());
+    (predicate, qrp)
+}
+
 /// E4 (Example 4.1): the computed minimum QRP constraints and the rewritten
 /// program.
 pub fn example_41() -> String {
     let program = programs::example_41();
-    let result = constraint_rewrite(&program, &RewriteOptions::default()).unwrap();
+    let (_, qrp) = constraint_analyses(&program);
     let mut out = String::new();
     let _ = writeln!(out, "Example 4.1: minimum QRP constraints");
     for pred in ["p1", "p2", "q"] {
         let _ = writeln!(
             out,
             "  QRP({pred}) = {}",
-            result.qrp_constraints.constraint_for(&Pred::new(pred))
+            qrp.constraint_for(&Pred::new(pred))
         );
     }
-    let _ = writeln!(out, "rewritten program:\n{}", result.program);
+    let rewritten = apply_sequence(&program, &CONSTRAINT_REWRITE, &PropagateOptions::default())
+        .unwrap()
+        .program;
+    let _ = writeln!(out, "rewritten program:\n{rewritten}");
     out
 }
 
@@ -151,23 +168,23 @@ pub fn example_41() -> String {
 /// constraint reachable; the restricted class guarantees termination.
 pub fn example_42() -> String {
     let program = programs::example_42();
-    let result = constraint_rewrite(&program, &RewriteOptions::default()).unwrap();
+    let (predicate, qrp) = constraint_analyses(&program);
     let mut out = String::new();
     let _ = writeln!(out, "Example 4.2 / 5.1:");
     let _ = writeln!(
         out,
         "  minimum predicate constraint for a: {}",
-        result.predicate_constraints.constraint_for(&Pred::new("a"))
+        predicate.constraint_for(&Pred::new("a"))
     );
     let _ = writeln!(
         out,
         "  minimum QRP constraint for a:       {}",
-        result.qrp_constraints.constraint_for(&Pred::new("a"))
+        qrp.constraint_for(&Pred::new("a"))
     );
     let _ = writeln!(
         out,
         "  QRP generation converged in {} iterations",
-        result.qrp_constraints.iterations
+        qrp.iterations
     );
     let report = check_decidable_class(&programs::example_51());
     let _ = writeln!(
@@ -293,12 +310,10 @@ pub fn overlap() -> String {
             },
         ),
     ] {
-        let rewrite_options = RewriteOptions {
-            propagate: options,
-            ..Default::default()
-        };
-        let result = constraint_rewrite(&program, &rewrite_options).unwrap();
-        let eval = Evaluator::new(&result.program, EvalOptions::default()).evaluate(&db);
+        let rewritten = apply_sequence(&program, &CONSTRAINT_REWRITE, &options)
+            .unwrap()
+            .program;
+        let eval = Evaluator::new(&rewritten, EvalOptions::default()).evaluate(&db);
         let answers = eval.answers(program.query().unwrap()).len();
         let _ = writeln!(
             out,

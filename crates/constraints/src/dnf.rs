@@ -256,12 +256,6 @@ impl ConstraintSet {
         branches.is_empty()
     }
 
-    /// Decides whether a single conjunction implies this constraint set with
-    /// the default budget.
-    pub fn implied_by_conjunction(&self, conjunction: &Conjunction) -> bool {
-        self.implied_by_conjunction_with_budget(conjunction, DEFAULT_IMPLICATION_BUDGET)
-    }
-
     /// Decides whether `self ⟹ other` (Definition 2.3) with a branch budget.
     pub fn implies_with_budget(&self, other: &ConstraintSet, budget: usize) -> bool {
         self.disjuncts
@@ -465,13 +459,13 @@ mod tests {
             Conjunction::of(Atom::var_le(x(), 5)),
             Conjunction::of(Atom::var_gt(x(), 3)),
         ]);
-        assert!(set.implied_by_conjunction(&premise));
+        assert!(set.implied_by_conjunction_with_budget(&premise, DEFAULT_IMPLICATION_BUDGET));
         // X <= 10 does not imply (X <= 5) ∨ (X > 7).
         let gap = ConstraintSet::from_disjuncts([
             Conjunction::of(Atom::var_le(x(), 5)),
             Conjunction::of(Atom::var_gt(x(), 7)),
         ]);
-        assert!(!gap.implied_by_conjunction(&premise));
+        assert!(!gap.implied_by_conjunction_with_budget(&premise, DEFAULT_IMPLICATION_BUDGET));
     }
 
     #[test]

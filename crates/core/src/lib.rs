@@ -53,9 +53,9 @@ pub mod prelude {
         parse_program, Literal, Pred, Program, Query, Rule, Symbol, SymbolTable, Term,
     };
     pub use pcs_transform::{
-        apply_sequence, check_decidable_class, constraint_rewrite, gen_predicate_constraints,
+        apply_sequence, check_decidable_class, gen_predicate_constraints,
         gen_prop_predicate_constraints, gen_prop_qrp_constraints, gen_qrp_constraints,
-        magic_rewrite, GenOptions, MagicOptions, PropagateOptions, RewriteOptions, SequenceOptions,
-        SipStrategy, Step, OPTIMAL_SEQUENCE,
+        magic_rewrite, GenOptions, MagicOptions, PropagateOptions, SipStrategy, Step,
+        CONSTRAINT_REWRITE, OPTIMAL_SEQUENCE,
     };
 }

@@ -11,8 +11,8 @@ use pcs_analysis::{analyze, Diagnostic, ProgramAnalysis};
 use pcs_engine::{Database, EvalOptions, EvalResult, Evaluator, ProgramPlans};
 use pcs_lang::{Literal, Pred, Program};
 use pcs_transform::{
-    apply_sequence, constraint_rewrite, retarget_query, MagicOptions, Result, RewriteOptions,
-    SequenceOptions, Step, TransformError,
+    apply_sequence, retarget_query, PropagateOptions, Result, Step, TransformError,
+    CONSTRAINT_REWRITE, OPTIMAL_SEQUENCE,
 };
 
 /// Which rewriting pipeline to apply.
@@ -32,12 +32,26 @@ pub enum Strategy {
     Sequence(Vec<Step>),
 }
 
+impl Strategy {
+    /// The rewriting steps this strategy runs through
+    /// [`pcs_transform::apply_sequence`]; `None` for [`Strategy::None`],
+    /// which runs the program as written.
+    pub fn steps(&self) -> Option<&[Step]> {
+        match self {
+            Strategy::None => None,
+            Strategy::ConstraintRewrite => Some(&CONSTRAINT_REWRITE),
+            Strategy::MagicOnly => Some(&[Step::Magic]),
+            Strategy::Optimal => Some(&OPTIMAL_SEQUENCE),
+            Strategy::Sequence(steps) => Some(steps),
+        }
+    }
+}
+
 /// Builder for optimizing a program-query pair.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     program: Program,
     strategy: Strategy,
-    magic: MagicOptions,
     eval: EvalOptions,
 }
 
@@ -48,7 +62,6 @@ impl Optimizer {
         Optimizer {
             program,
             strategy: Strategy::default(),
-            magic: MagicOptions::bound_if_ground(),
             eval: EvalOptions::default(),
         }
     }
@@ -80,12 +93,6 @@ impl Optimizer {
         self
     }
 
-    /// Sets the Magic Templates options (sips, constraint magic).
-    pub fn magic_options(mut self, magic: MagicOptions) -> Self {
-        self.magic = magic;
-        self
-    }
-
     /// Runs the static analyzer on the source program.
     /// [`Optimizer::optimize`] calls this itself; it is public so front-ends
     /// like the shell's `.check` command can report findings without
@@ -110,23 +117,21 @@ impl Optimizer {
             self.analyze().diagnostics
         };
         let program = &self.program;
-        let source_query_pred = || {
-            program
-                .query()
-                .and_then(|q| q.literals.first())
-                .map(|l| l.predicate.clone())
-                .ok_or(TransformError::MissingQuery)
-        };
         let rewrite_span = pcs_telemetry::span(pcs_telemetry::Phase::Rewrite);
-        let (rewritten, query_pred) = match &self.strategy {
-            Strategy::None => (program.clone(), source_query_pred()?),
-            Strategy::ConstraintRewrite => (
-                constraint_rewrite(program, &RewriteOptions::default())?.program,
-                source_query_pred()?,
-            ),
-            Strategy::MagicOnly => self.run_sequence(&[Step::Magic])?,
-            Strategy::Optimal => self.run_sequence(&pcs_transform::OPTIMAL_SEQUENCE)?,
-            Strategy::Sequence(steps) => self.run_sequence(steps)?,
+        let steps = self.strategy.steps();
+        let (rewritten, query_pred) = match steps {
+            None => {
+                let query_pred = program
+                    .query()
+                    .and_then(|q| q.literals.first())
+                    .map(|l| l.predicate.clone())
+                    .ok_or(TransformError::MissingQuery)?;
+                (program.clone(), query_pred)
+            }
+            Some(steps) => {
+                let result = apply_sequence(program, steps, &PropagateOptions::default())?;
+                (result.program, result.query_pred)
+            }
         };
         let mut optimized = Optimized {
             program: rewritten,
@@ -136,7 +141,7 @@ impl Optimizer {
             rule_defined: BTreeSet::new(),
             removed_query: None,
         };
-        if self.strategy != Strategy::None {
+        if steps.is_some() {
             optimized = optimized.retargeted();
             optimized.rule_defined = program.idb_predicates();
             optimized
@@ -145,15 +150,6 @@ impl Optimizer {
         }
         drop(rewrite_span);
         Ok(optimized)
-    }
-
-    fn run_sequence(&self, steps: &[Step]) -> Result<(Program, Pred)> {
-        let options = SequenceOptions {
-            rewrite: RewriteOptions::default(),
-            magic: self.magic,
-        };
-        let result = apply_sequence(&self.program, steps, &options)?;
-        Ok((result.program, result.query_pred))
     }
 }
 

@@ -277,9 +277,12 @@ impl Program {
         self.graph().reachable_from(start)
     }
 
-    /// Removes rules whose head predicate is not reachable from `start`.
-    pub fn retain_reachable_from(&self, start: &Pred) -> Program {
-        let reachable = self.reachable_from(start);
+    /// Removes rules whose head predicate no query predicate reaches; a
+    /// program without a query keeps every rule.
+    pub fn retain_query_reachable(&self) -> Program {
+        let Some(reachable) = self.graph().reachable_from_query() else {
+            return self.clone();
+        };
         Program {
             rules: self
                 .rules
@@ -399,9 +402,15 @@ mod tests {
         assert!(reachable.contains(&Pred::new("a")));
         assert!(reachable.contains(&Pred::new("b")));
         assert!(!reachable.contains(&Pred::new("orphan")));
-        let trimmed = p.retain_reachable_from(&Pred::new("q"));
+        let trimmed = p.retain_query_reachable();
         assert!(trimmed.rules_for(&Pred::new("orphan")).is_empty());
         assert_eq!(trimmed.rules().len(), p.rules().len() - 1);
+        // Without a query every rule is kept.
+        let mut unqueried = Program::new();
+        for rule in p.rules() {
+            unqueried.add_rule(rule.clone());
+        }
+        assert_eq!(unqueried.retain_query_reachable().rules(), p.rules());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! the rule bodies using literal constraints (Proposition 4.1); the
 //! propagation step rewrites the rules defining each predicate so that every
 //! disjunct of its QRP constraint guards a copy of each rule, which is the
-//! net effect of the paper's definition/unfold/fold sequence
-//! (see [`crate::foldunfold`] for the individual steps).
+//! net effect of the paper's definition/unfold/fold sequence (Appendix A).
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -1,5 +1,5 @@
-//! The end-to-end rewriting pipelines: `Constraint_rewrite` (Section 4.5) and
-//! arbitrary sequences of the three rewritings studied in Section 7.
+//! The one rewriting pipeline: a sequence of the three rewritings studied in
+//! Section 7.  `Constraint_rewrite` (Section 4.5) is the sequence `pred, qrp`.
 
 use std::collections::BTreeSet;
 
@@ -8,92 +8,9 @@ use pcs_lang::{Pred, Program};
 use crate::error::{Result, TransformError};
 use crate::magic::{magic_rewrite, MagicOptions, MagicResult};
 use crate::pred_constraints::{
-    gen_predicate_constraints, gen_prop_predicate_constraints, ConstraintAnalysis, GenOptions,
+    gen_predicate_constraints, gen_prop_predicate_constraints, GenOptions,
 };
 use crate::qrp::{gen_prop_qrp_constraints, gen_qrp_constraints, PropagateOptions};
-
-/// Options for [`constraint_rewrite`].
-#[derive(Debug, Clone, Default)]
-pub struct RewriteOptions {
-    /// Iteration budgets for the generation procedures.
-    pub gen: GenOptions,
-    /// Disjunct handling during QRP propagation (Section 4.6).
-    pub propagate: PropagateOptions,
-}
-
-/// The result of `Constraint_rewrite`.
-#[derive(Debug, Clone)]
-pub struct RewriteResult {
-    /// The rewritten program (same query as the input program).
-    pub program: Program,
-    /// The minimum predicate constraints computed for each predicate.
-    pub predicate_constraints: ConstraintAnalysis,
-    /// The (minimum, by Theorem 4.8) QRP constraints computed for each
-    /// predicate.
-    pub qrp_constraints: ConstraintAnalysis,
-}
-
-/// Procedure `Constraint_rewrite` (Appendix C): generates and propagates
-/// minimum predicate constraints, then minimum QRP constraints, preserving
-/// the program core (Theorem 4.8).
-///
-/// The program must have a query; the auxiliary query rule the paper adds is
-/// created and removed internally.
-pub fn constraint_rewrite(program: &Program, options: &RewriteOptions) -> Result<RewriteResult> {
-    let query = program.query().ok_or(TransformError::MissingQuery)?.clone();
-    let query_pred = query
-        .literals
-        .first()
-        .map(|l| l.predicate.clone())
-        .ok_or(TransformError::MissingQuery)?;
-
-    // Step 1: add the auxiliary rule q#(V̄) :- <query body>.
-    let (with_query_rule, aux_pred) = program
-        .attach_query_rule()
-        .ok_or(TransformError::MissingQuery)?;
-    let flattened = with_query_rule.flattened();
-
-    // Step 2: generate and propagate minimum predicate constraints.
-    let predicate_constraints = gen_predicate_constraints(&flattened, &options.gen);
-    let after_pred = if predicate_constraints.converged {
-        gen_prop_predicate_constraints(&flattened, &predicate_constraints)
-    } else {
-        flattened.clone()
-    };
-
-    // Step 3: generate and propagate QRP constraints.
-    let query_preds: BTreeSet<Pred> = [aux_pred.clone()].into_iter().collect();
-    let qrp_constraints = gen_qrp_constraints(&after_pred, &query_preds, &options.gen);
-    let after_qrp = if qrp_constraints.converged {
-        gen_prop_qrp_constraints(&after_pred, &qrp_constraints, &options.propagate)
-    } else {
-        after_pred.clone()
-    };
-
-    // Step 4: delete the auxiliary query rules and anything unreachable from
-    // the original query predicate.
-    let mut cleaned = Program::new();
-    for pred in after_qrp.edb_predicates() {
-        cleaned.declare_edb(pred);
-    }
-    let reachable = after_qrp.reachable_from(&query_pred);
-    for rule in after_qrp.rules() {
-        if rule.head.predicate == aux_pred {
-            continue;
-        }
-        if !reachable.contains(&rule.head.predicate) {
-            continue;
-        }
-        cleaned.add_rule(rule.clone());
-    }
-    cleaned.set_query(query);
-
-    Ok(RewriteResult {
-        program: cleaned,
-        predicate_constraints,
-        qrp_constraints,
-    })
-}
 
 /// One rewriting step of the Section 7 study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +34,10 @@ impl Step {
     }
 }
 
+/// `Constraint_rewrite` (Section 4.5, Appendix C): minimum predicate
+/// constraints, then minimum QRP constraints.
+pub const CONSTRAINT_REWRITE: [Step; 2] = [Step::Pred, Step::Qrp];
+
 /// The optimal ordering of Theorem 7.10: `pred, qrp, mg`.
 pub const OPTIMAL_SEQUENCE: [Step; 3] = [Step::Pred, Step::Qrp, Step::Magic];
 
@@ -128,32 +49,28 @@ pub struct SequenceResult {
     pub program: Program,
     /// The predicate the final query targets.
     pub query_pred: Pred,
-    /// The steps that were applied, in order.
-    pub steps: Vec<Step>,
-}
-
-/// Options for [`apply_sequence`].
-#[derive(Debug, Clone, Default)]
-pub struct SequenceOptions {
-    /// Options shared by the constraint-propagation steps.
-    pub rewrite: RewriteOptions,
-    /// Options for the magic step.
-    pub magic: MagicOptions,
 }
 
 /// Applies a sequence of `pred` / `qrp` / `mg` rewritings to a program with a
 /// query, as studied in Section 7 (e.g. `P^{pred,qrp,mg}` vs
-/// `P^{mg,pred,qrp}`).
+/// `P^{mg,pred,qrp}`), then deletes the rules no query predicate reaches.
+///
+/// Generation runs within [`GenOptions::default`]'s budgets; a `pred` or
+/// `qrp` step whose generation does not converge leaves the program as it
+/// was.  The magic step uses bound-if-ground adornments and keeps the rules'
+/// constraints on the magic rules ([`MagicOptions::bound_if_ground`]).
+/// `propagate` picks the disjunct handling of the `qrp` steps (Section 4.6).
 pub fn apply_sequence(
     program: &Program,
     steps: &[Step],
-    options: &SequenceOptions,
+    propagate: &PropagateOptions,
 ) -> Result<SequenceResult> {
     if steps.iter().filter(|s| **s == Step::Magic).count() > 1 {
         return Err(TransformError::UnsupportedProgram {
             reason: "the Magic Templates rewriting may be applied at most once".into(),
         });
     }
+    let gen = GenOptions::default();
     let mut current = program.flattened();
     let mut query_pred = program
         .query()
@@ -164,21 +81,21 @@ pub fn apply_sequence(
     for step in steps {
         match step {
             Step::Pred => {
-                let analysis = gen_predicate_constraints(&current, &options.rewrite.gen);
+                let analysis = gen_predicate_constraints(&current, &gen);
                 if analysis.converged {
                     current = gen_prop_predicate_constraints(&current, &analysis);
                 }
             }
             Step::Qrp => {
+                // QRP constraints flow from the auxiliary rule
+                // `q#(V̄) :- <query body>` (Section 2), removed again after.
                 let (with_aux, aux_pred) = current
                     .attach_query_rule()
                     .ok_or(TransformError::MissingQuery)?;
-                let query_preds: BTreeSet<Pred> = [aux_pred.clone()].into_iter().collect();
-                let analysis = gen_qrp_constraints(&with_aux, &query_preds, &options.rewrite.gen);
+                let query_preds = BTreeSet::from([aux_pred.clone()]);
+                let analysis = gen_qrp_constraints(&with_aux, &query_preds, &gen);
                 if analysis.converged {
-                    let propagated =
-                        gen_prop_qrp_constraints(&with_aux, &analysis, &options.rewrite.propagate);
-                    // Remove the auxiliary query rule again.
+                    let propagated = gen_prop_qrp_constraints(&with_aux, &analysis, propagate);
                     let mut cleaned = Program::new();
                     for pred in propagated.edb_predicates() {
                         cleaned.declare_edb(pred);
@@ -198,16 +115,15 @@ pub fn apply_sequence(
                 let MagicResult {
                     program: rewritten,
                     query_pred: adorned,
-                } = magic_rewrite(&current, &options.magic)?;
+                } = magic_rewrite(&current, &MagicOptions::bound_if_ground())?;
                 current = rewritten;
                 query_pred = adorned;
             }
         }
     }
     Ok(SequenceResult {
-        program: current,
+        program: current.retain_query_reachable(),
         query_pred,
-        steps: steps.to_vec(),
     })
 }
 
@@ -248,11 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn constraint_rewrite_flights_example_43() {
+    fn pred_qrp_prunes_irrelevant_flights_example_43() {
         let program = flights_program();
-        let result = constraint_rewrite(&program, &RewriteOptions::default()).unwrap();
-        assert!(result.predicate_constraints.converged);
-        assert!(result.qrp_constraints.converged);
+        let result =
+            apply_sequence(&program, &CONSTRAINT_REWRITE, &PropagateOptions::default()).unwrap();
 
         // The rewritten program computes only ground facts and never derives
         // a flight with time > 240 and cost > 150 (Example 4.3).
@@ -291,9 +206,32 @@ mod tests {
             .with_rule(program.rules()[0].clone())
             .with_rule(program.rules()[2].clone());
         assert_eq!(
-            constraint_rewrite(&program, &RewriteOptions::default()).unwrap_err(),
+            apply_sequence(&program, &CONSTRAINT_REWRITE, &PropagateOptions::default())
+                .unwrap_err(),
             TransformError::MissingQuery
         );
+    }
+
+    #[test]
+    fn rules_no_query_predicate_reaches_are_deleted() {
+        // The query reads `p` and `r`; nothing reads `z`.
+        let program = parse_program(
+            "p(X) :- b(X).\n\
+             r(X) :- c(X).\n\
+             z(X) :- c(X).\n\
+             ?- p(X), r(X).",
+        )
+        .unwrap();
+        for steps in [&[][..], &[Step::Pred], &[Step::Qrp], &CONSTRAINT_REWRITE] {
+            let result = apply_sequence(&program, steps, &PropagateOptions::default()).unwrap();
+            let heads: Vec<String> = result
+                .program
+                .rules()
+                .iter()
+                .map(|rule| rule.head.predicate.to_string())
+                .collect();
+            assert_eq!(heads, ["p", "r"], "{steps:?}");
+        }
     }
 
     #[test]
@@ -302,7 +240,7 @@ mod tests {
         let err = apply_sequence(
             &program,
             &[Step::Magic, Step::Magic],
-            &SequenceOptions::default(),
+            &PropagateOptions::default(),
         )
         .unwrap_err();
         assert!(matches!(err, TransformError::UnsupportedProgram { .. }));
@@ -324,10 +262,7 @@ mod tests {
             db.add_ground("b1", vec![Value::num(i), Value::num(i + 1)]);
             db.add_ground("b2", vec![Value::num(i + 1), Value::num(i + 2)]);
         }
-        let options = SequenceOptions {
-            magic: MagicOptions::bound_if_ground(),
-            ..Default::default()
-        };
+        let options = PropagateOptions::default();
         let optimal = apply_sequence(&program, &OPTIMAL_SEQUENCE, &options).unwrap();
         let magic_first =
             apply_sequence(&program, &[Step::Magic, Step::Pred, Step::Qrp], &options).unwrap();
@@ -363,10 +298,7 @@ mod tests {
             db.add_ground("b1", vec![Value::num(i), Value::num(100 + i)]);
             db.add_ground("b2", vec![Value::num(100 + i), Value::num(101 + i)]);
         }
-        let options = SequenceOptions {
-            magic: MagicOptions::bound_if_ground(),
-            ..Default::default()
-        };
+        let options = PropagateOptions::default();
         let qrp_mg = apply_sequence(&program, &[Step::Qrp, Step::Magic], &options).unwrap();
         let mg_qrp = apply_sequence(&program, &[Step::Magic, Step::Qrp], &options).unwrap();
         let eval_qrp_mg = Evaluator::new(&qrp_mg.program, EvalOptions::default()).evaluate(&db);
@@ -378,7 +310,8 @@ mod tests {
     #[test]
     fn rewritten_rules_carry_qrp_constraints() {
         let program = flights_program();
-        let result = constraint_rewrite(&program, &RewriteOptions::default()).unwrap();
+        let result =
+            apply_sequence(&program, &CONSTRAINT_REWRITE, &PropagateOptions::default()).unwrap();
         // Every rule defining flight carries Time > 0 (from the predicate
         // constraint) plus one of the QRP disjuncts.
         let flight_rules = result.program.rules_for(&Pred::new("flight"));

@@ -37,21 +37,16 @@ fn prelude_reexports_every_layer() {
     let _: Termination = result.termination;
 
     // transform
-    let rewritten = constraint_rewrite(&program, &RewriteOptions::default()).unwrap();
+    let rewritten =
+        apply_sequence(&program, &CONSTRAINT_REWRITE, &PropagateOptions::default()).unwrap();
     assert!(!rewritten.program.rules().is_empty());
     let _ = magic_rewrite(&program, &MagicOptions::bound_if_ground()).unwrap();
-    let _ = apply_sequence(
-        &program,
-        &[Step::Pred, Step::Qrp, Step::Magic],
-        &SequenceOptions::default(),
-    )
-    .unwrap();
+    assert_eq!(CONSTRAINT_REWRITE, [Step::Pred, Step::Qrp]);
     assert_eq!(OPTIMAL_SEQUENCE, [Step::Pred, Step::Qrp, Step::Magic]);
     let _ = check_decidable_class(&program);
     let _ = gen_predicate_constraints(&program, &GenOptions::default());
     let query_preds: std::collections::BTreeSet<Pred> = [Pred::new("q")].into_iter().collect();
     let _ = gen_qrp_constraints(&program, &query_preds, &GenOptions::default());
-    let _ = PropagateOptions::default();
     let _ = SipStrategy::default();
 
     // core
